@@ -1,0 +1,5 @@
+"""Socket-to-kernel benchmark of the ``repro serve`` HTTP node.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
