@@ -233,7 +233,7 @@ def run(rates=RATES, duration_s=SWEEP_SECONDS, n_points=SWEEP_POINTS,
                     "n_points": n_points, "seed": SEED}
 
     proc, base = _start_server(
-        ["--workers", "4", "--batch-size", "1", "--queue-depth", "64"],
+        ["--workers", "4", "--queue-depth", "64"],
         "4-worker load server")
     try:
         measurements["long_poll"] = asyncio.run(

@@ -67,8 +67,7 @@ def _run_workload(obs, n_points):
     """
     bodies = _workload(n_points)
     with tempfile.TemporaryDirectory(prefix="bench-obs-") as store_dir, \
-            Engine(max_workers=1, batch_window=0.001, obs=obs,
-                   store_dir=store_dir) as engine:
+            Engine(max_workers=1, obs=obs, store_dir=store_dir) as engine:
         started = time.perf_counter()
         job_ids = [engine.submit(JobSpec.from_dict(body))
                    for body in bodies]

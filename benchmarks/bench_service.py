@@ -52,7 +52,7 @@ def _submit_and_time(engine, spec):
 def run(n_points: int = 20000):
     """Execute the cache workload; returns (measurements dict, table)."""
     points = generate("Normal100M3", n_points, seed=0)
-    with Engine(max_workers=2, batch_window=0.001) as engine:
+    with Engine(max_workers=2) as engine:
         cold_result, cold = _submit_and_time(
             engine, JobSpec(points=points, algorithm="emst"))
         treewarm_result, tree_warm = _submit_and_time(
@@ -65,7 +65,7 @@ def run(n_points: int = 20000):
             warm_times.append(seconds)
         warm = statistics.median(warm_times)
 
-        # Throughput on a stream of small jobs (batching + caching active).
+        # Throughput on a stream of small jobs (caching active).
         small_specs = [JobSpec(dataset=f"Uniform100M2:500:{seed % 4}")
                        for seed in range(20)]
         ids = [engine.submit(spec) for spec in small_specs]
@@ -82,7 +82,6 @@ def run(n_points: int = 20000):
         "tree_warm_speedup": speedup(cold, tree_warm),
         "result_warm_speedup": speedup(cold, warm),
         "jobs_per_sec": sched["jobs_per_sec"],
-        "mean_batch_size": sched["mean_batch_size"],
     }
     rows = [
         ["cold (build + solve)", cold * 1e3, 1.0],
@@ -95,8 +94,7 @@ def run(n_points: int = 20000):
         ["workload", "run ms", "speedup vs cold"], rows,
         title=f"Service cache speedup — Normal100M3 n={n_points} "
               f"(stream: {sched['jobs_completed']} jobs, "
-              f"{sched['jobs_per_sec']:.1f} jobs/s, "
-              f"mean batch {sched['mean_batch_size']:.1f})")
+              f"{sched['jobs_per_sec']:.1f} jobs/s)")
     save_report("bench_service.txt", table)
     return measurements, table
 
@@ -106,8 +104,7 @@ def _batch_wall_seconds(backend, workers, n_points, n_jobs):
     specs = [JobSpec(dataset=f"Normal100M3:{n_points}:{seed}",
                      algorithm="mrd_emst", k_pts=4)
              for seed in range(n_jobs)]
-    with Engine(max_workers=workers, backend=backend, max_batch=n_jobs,
-                batch_window=0.001) as engine:
+    with Engine(max_workers=workers, backend=backend) as engine:
         if backend == "process":
             # Charge process startup (interpreter + numpy import per
             # worker) to warmup jobs, not to the measured batch: a serving

@@ -39,8 +39,7 @@ K_PTS = 4
 
 def _run_once(store_dir, spec):
     """One job on a freshly started engine over ``store_dir``."""
-    with Engine(max_workers=1, batch_window=0.0,
-                store_dir=store_dir) as engine:
+    with Engine(max_workers=1, store_dir=store_dir) as engine:
         started = time.perf_counter()
         result = engine.result(engine.submit(spec), timeout=600)
         wall = time.perf_counter() - started

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Embed the batch-serving engine: submit jobs, reuse caches, read stats.
+"""Embed the job-serving engine: submit jobs, reuse caches, read stats.
 
 Run:  python examples/service_quickstart.py [n_points]
 
@@ -48,6 +48,6 @@ with Engine(max_workers=2) as engine:
               f"{c['current_bytes'] / 1e6:.2f} MB, "
               f"hit rate {c['hit_rate']:.0%}")
     sched = stats["scheduler"]
-    print(f"  scheduler   : {sched['jobs_completed']} jobs in "
-          f"{sched['batches_dispatched']} batches, "
+    print(f"  scheduler   : {sched['jobs_completed']} jobs on "
+          f"{sched['max_workers']} workers, "
           f"{sched['mfeatures_per_sec']:.2f} MFeatures/s busy throughput")

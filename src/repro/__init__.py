@@ -22,7 +22,7 @@ Package map
 ``repro.hdbscan``   HDBSCAN* on the mutual-reachability EMST
 ``repro.data``      generators mirroring the paper's 12 datasets
 ``repro.bench``     harness regenerating every figure of the evaluation
-``repro.service``   batch-serving engine: job scheduling, content-addressed
+``repro.service``   job-serving engine: job scheduling, content-addressed
                     tree/result/core caching, JSON-over-HTTP API
                     (``repro serve``)
 ``repro.store``     persistent content-addressed artifact store: disk

@@ -7,7 +7,7 @@ Commands
 ``bench``     regenerate a paper figure (fig1/fig5/fig6/fig7/fig8/fig9/
               ablation) or ``all``
 ``datasets``  list the available dataset generators
-``serve``     run the batch-serving JSON-over-HTTP engine (repro.service)
+``serve``     run the job-serving JSON-over-HTTP engine (repro.service)
 ``submit``    submit one job to a running server and await the result
 ``route``     front N running nodes with a cluster router (repro.cluster)
 ``rebalance`` copy stranded store artifacts to their ring homes after a
@@ -139,8 +139,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         engine = Engine(max_workers=args.workers,
-                        max_batch=args.batch_size,
-                        batch_window=args.batch_window,
                         backend=args.backend,
                         tree_cache_bytes=args.cache_mb << 20,
                         result_cache_bytes=args.result_cache_mb << 20,
@@ -334,7 +332,7 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
     engines, servers = [], []
     try:
         for i in range(args.nodes):
-            engine = Engine(max_workers=1, batch_window=0.0,
+            engine = Engine(max_workers=1,
                             store_dir=f"{store_root}/node-{i}")
             server = create_server(engine, node_name=f"node-{i}")
             threading.Thread(target=server.serve_forever,
@@ -803,20 +801,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_data = sub.add_parser("datasets", help="list dataset generators")
     p_data.set_defaults(func=cmd_datasets)
 
-    p_serve = sub.add_parser("serve", help="run the batch-serving HTTP API")
+    p_serve = sub.add_parser("serve", help="run the job-serving HTTP API")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8321)
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="worker pool size")
+                         help="worker thread count")
     p_serve.add_argument("--backend", choices=("thread", "process"),
                          default="thread",
                          help="execution backend: 'process' runs jobs in a "
-                              "process pool so CPU-bound batches use real "
+                              "process pool so CPU-bound jobs use real "
                               "cores instead of serializing on the GIL")
-    p_serve.add_argument("--batch-size", type=int, default=8,
-                         help="max jobs dispatched per batch")
-    p_serve.add_argument("--batch-window", type=float, default=0.002,
-                         help="seconds a batch stays open for more jobs")
     p_serve.add_argument("--cache-mb", type=int, default=256,
                          help="tree-cache budget in MiB")
     p_serve.add_argument("--result-cache-mb", type=int, default=64,

@@ -54,7 +54,7 @@ def mfeatures_per_second(n_points: int, dimension: int, seconds: float) -> float
 def hit_rate(hits: int, misses: int) -> float:
     """Cache hit rate ``hits / (hits + misses)``, 0.0 for an untouched cache.
 
-    The service-layer caches (:mod:`repro.service.cache`) report their
+    The engine's cache tiers (:mod:`repro.store`) report their
     effectiveness through this helper so cache numbers use one convention
     everywhere.
 

@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges and latency histograms.
 
 A :class:`MetricsRegistry` is the instrumentation seam of the serving
-stack: the engine, the batch scheduler, the tiered caches and the cluster
+stack: the engine, the job scheduler, the tiered caches and the cluster
 router all register their instruments into one registry, and the HTTP
 front ends expose it as ``GET /v1/metrics`` — Prometheus text format by
 default, JSON with ``?format=json``.

@@ -1,9 +1,9 @@
 """Per-job tracing: timestamped span trees carried on job results.
 
 A *trace* records the life of one job as a tree of spans — ``submit →
-queued → batched → executed → served`` on a node, with the executed span
-holding per-phase children (``tree``/``core``/``mst``) and the summed
-:class:`~repro.kokkos.counters.CostCounters` of the batch entry.  For a
+queued → executed → served`` on a node, with the executed span holding
+per-phase children (``tree``/``core``/``mst``) and the job's summed
+:class:`~repro.kokkos.counters.CostCounters`.  For a
 routed job the cluster router prepends its own hop spans (including
 failed hops on failover), shipped to the serving node in the
 :data:`TRACE_HEADER` HTTP header, so one trace shows the full path:

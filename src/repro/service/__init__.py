@@ -1,20 +1,17 @@
-"""Batch-serving engine for the single-tree EMST algorithms.
+"""Serving engine for the single-tree EMST algorithms.
 
 Turns the one-shot library into a servable system: jobs (EMST, m.r.d. EMST,
-HDBSCAN*) queue into a batching scheduler over a worker pool; three
-content-addressed cache tiers amortize tree construction (``T_tree``),
-core-distance computation (``T_core``) and answer exact repeats instantly —
-optionally persisted to disk (:mod:`repro.store`) so a restarted server
+HDBSCAN*) queue by priority for a fixed set of worker threads; three
+content-addressed cache tiers (:mod:`repro.store`) amortize tree
+construction (``T_tree``), core-distance computation (``T_core``) and answer
+exact repeats instantly — optionally persisted to disk so a restarted server
 stays warm; and a stdlib JSON-over-HTTP API exposes the whole thing
 (``python -m repro serve``).
 
 Layers
 ------
 ``repro.service.jobs``       job specs, statuses and serializable results
-``repro.service.cache``      content-addressed cache tiers (re-exported
-                             from :mod:`repro.store`, which adds the
-                             persistent disk level and warm restart)
-``repro.service.scheduler``  size/deadline-triggered batching over workers
+``repro.service.scheduler``  priority queue drained by owned worker threads
                              (thread or process execution backend)
 ``repro.service.executor``   the pure, picklable per-job execution path
 ``repro.service.engine``     the embeddable façade (submit/result/stats)
@@ -34,12 +31,6 @@ Example
 (499, 2)
 """
 
-from repro.service.cache import (
-    ContentCache,
-    TieredCache,
-    estimate_nbytes,
-    fingerprint,
-)
 from repro.service.engine import Engine
 from repro.service.executor import execute_spec
 from repro.service.jobs import (
@@ -53,27 +44,23 @@ from repro.service.jobs import (
     hdbscan_result_from_dict,
     hdbscan_result_to_dict,
 )
-from repro.service.scheduler import BACKENDS, BatchScheduler, JobTicket
+from repro.service.scheduler import BACKENDS, JobTicket, Scheduler
 from repro.service.server import create_server, serve
 
 __all__ = [
     "ALGORITHMS",
     "BACKENDS",
-    "BatchScheduler",
-    "ContentCache",
     "Engine",
     "JobResult",
     "JobSpec",
     "JobStatus",
     "JobTicket",
-    "TieredCache",
+    "Scheduler",
     "canonical_payload_bytes",
     "create_server",
     "emst_result_from_dict",
     "emst_result_to_dict",
-    "estimate_nbytes",
     "execute_spec",
-    "fingerprint",
     "hdbscan_result_from_dict",
     "hdbscan_result_to_dict",
     "serve",

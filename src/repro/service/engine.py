@@ -1,6 +1,6 @@
 """The serving façade: submit jobs, await results, read statistics.
 
-:class:`Engine` wires the batching scheduler and three cache tiers around
+:class:`Engine` wires the priority scheduler and three cache tiers around
 the core algorithms.  Per job it:
 
 1. resolves the point source (inline array or dataset spec),
@@ -15,7 +15,7 @@ the core algorithms.  Per job it:
 5. dispatches the compute to :func:`~repro.service.executor.execute_spec`
    — in-process under ``backend="thread"``, on a ``ProcessPoolExecutor``
    worker under ``backend="process"`` (escaping the GIL for CPU-bound
-   batches) — and fills the caches from the outcome.
+   jobs) — and fills the caches from the outcome.
 
 Both backends run the identical pure execution path, so a job's payload is
 byte-for-byte the same whichever one served it.  All cache state lives in
@@ -45,7 +45,7 @@ import time
 from collections import deque
 
 import numpy as np
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence
@@ -71,22 +71,19 @@ from repro.obs import (
     new_trace_id,
     obs_enabled,
 )
-from repro.service.executor import (
-    bvh_from_state,
-    bvh_to_state,
-    execute_spec,
-    make_exec_spec,
-)
+from repro.service.executor import execute_spec, make_exec_spec
 from repro.service.jobs import (
     JobResult,
     JobSpec,
     JobStatus,
 )
-from repro.service.scheduler import BACKENDS, BatchScheduler, JobTicket
+from repro.service.scheduler import BACKENDS, JobTicket, Scheduler
 from repro.store import (
     DEFAULT_STORE_BYTES,
     DiskStore,
     TieredCache,
+    bvh_from_state,
+    bvh_to_state,
     combine_fingerprint,
     fingerprint_array,
 )
@@ -121,14 +118,10 @@ class _Inflight:
 
 @dataclass
 class _JobRecord:
-    """Engine-side bookkeeping for one submitted job.
-
-    ``ticket`` is ``None`` only for the instant between the record being
-    registered and the scheduler accepting the job.
-    """
+    """Engine-side bookkeeping for one submitted job."""
 
     spec: JobSpec
-    ticket: Optional[JobTicket]
+    ticket: JobTicket
     status: JobStatus = JobStatus.PENDING
     result: Optional[JobResult] = None
     payload_nbytes: int = 0
@@ -143,10 +136,9 @@ class _JobRecord:
 
 
 class Engine:
-    """Batch-serving engine over the single-tree EMST algorithms."""
+    """Serving engine over the single-tree EMST algorithms."""
 
-    def __init__(self, *, max_workers: int = 2, max_batch: int = 8,
-                 batch_window: float = 0.002, backend: str = "thread",
+    def __init__(self, *, max_workers: int = 2, backend: str = "thread",
                  tree_cache_bytes: int = DEFAULT_TREE_CACHE_BYTES,
                  result_cache_bytes: int = DEFAULT_RESULT_CACHE_BYTES,
                  core_cache_bytes: int = DEFAULT_CORE_CACHE_BYTES,
@@ -207,9 +199,8 @@ class Engine:
         self._peer_timeout = peer_timeout
         if self.peers:
             self.set_peers(self.peers, timeout=peer_timeout)
-        self.scheduler = BatchScheduler(
-            self._run_job, max_workers=max_workers, max_batch=max_batch,
-            batch_window=batch_window, backend=backend,
+        self.scheduler = Scheduler(
+            self._run_job, max_workers=max_workers, backend=backend,
             registry=self.registry)
         self._coalesced_c = self.registry.counter(
             "repro_coalesced_total",
@@ -288,8 +279,7 @@ class Engine:
         #: The construction-time configuration, verbatim, for the flight
         #: recorder — a dump must show what the process was booted with.
         self._config: Dict[str, Any] = {
-            "max_workers": max_workers, "max_batch": max_batch,
-            "batch_window": batch_window, "backend": backend,
+            "max_workers": max_workers, "backend": backend,
             "tree_cache_bytes": tree_cache_bytes,
             "result_cache_bytes": result_cache_bytes,
             "core_cache_bytes": core_cache_bytes,
@@ -333,16 +323,18 @@ class Engine:
         if self._closed:
             raise ServiceError("engine is closed")
         job_id = f"job-{next(self._ids):06d}"
+        ticket = JobTicket(job_id=job_id, payload=spec,
+                           priority=spec.priority)
         # The record must exist before the scheduler can hand the job to a
         # worker, or a fast worker would look it up before it is stored.
-        record = _JobRecord(spec=spec, ticket=None, trace_parent=trace,
-                            submitted_wall=time.time())
         with self._lock:
-            self._records[job_id] = record
+            self._records[job_id] = _JobRecord(
+                spec=spec, ticket=ticket, trace_parent=trace,
+                submitted_wall=time.time())
         try:
-            record.ticket = self.scheduler.submit(job_id, spec,
-                                                  priority=spec.priority)
-        except BaseException:
+            self.scheduler.submit(ticket)
+        except ServiceError as exc:
+            ticket.future.set_exception(exc)  # no waiter may block on it
             with self._lock:
                 del self._records[job_id]
             raise
@@ -370,29 +362,10 @@ class Engine:
         ``timeout`` seconds.  Results older than ``max_retained_jobs``
         finished jobs are forgotten and report an unknown id.
         """
-        record = self._record(job_id)
-        deadline = None if timeout is None \
-            else time.perf_counter() + timeout
-        # The ticket is unset only for the sub-ms window inside submit();
-        # if it stays unset, submit() failed and removed the record — bound
-        # the wait so a caller holding a stale record cannot spin forever.
-        spin_deadline = time.perf_counter() + 1.0
-        while record.ticket is None:
-            now = time.perf_counter()
-            if deadline is not None and now >= deadline:
-                raise FutureTimeoutError(
-                    f"job {job_id!r} was not scheduled within the timeout")
-            if now >= spin_deadline:
-                raise InvalidInputError(
-                    f"job {job_id!r} was never scheduled (submit failed)")
-            time.sleep(0.0005)
-        remaining = None if deadline is None \
-            else max(0.0, deadline - time.perf_counter())
-        return record.ticket.future.result(remaining)
+        return self._record(job_id).ticket.future.result(timeout)
 
-    def future(self, job_id: str) -> Optional["Future[JobResult]"]:
-        """The job's completion future, or ``None`` during the sub-ms
-        submit window before the scheduler ticket exists.
+    def future(self, job_id: str) -> Future[JobResult]:
+        """The job's completion future.
 
         JobResult futures never raise (failures become FAILED results),
         so a waiter may park on the future without result-consumption
@@ -400,8 +373,7 @@ class Engine:
         :func:`asyncio.wrap_future` to long-poll without a thread.
         Unknown ids raise :class:`InvalidInputError`.
         """
-        record = self._record(job_id)
-        return None if record.ticket is None else record.ticket.future
+        return self._record(job_id).ticket.future
 
     def queue_depth(self) -> int:
         """Unfinished jobs (pending + running) — the admission-control
@@ -415,8 +387,6 @@ class Engine:
         record = self._record(job_id)
         if record.result is not None:  # set before the future resolves
             return record.result
-        if record.ticket is None:
-            return None
         try:
             return record.ticket.future.result(0)
         except FutureTimeoutError:
@@ -741,9 +711,6 @@ class Engine:
             algorithm=record.spec.algorithm))
         spans.append(make_span(
             "queued", node=node, start=submitted, duration_s=queue_s))
-        spans.append(make_span(
-            "batched", node=node, start=exec_start,
-            batch_size=ticket.batch_size))
         replayed = self._replayed_phases(result)
         children = []
         offset = exec_start
@@ -988,10 +955,10 @@ class Engine:
     # ---------------------------------------------------------------- close
 
     def close(self) -> None:
-        """Drain queued jobs and stop the worker pool (idempotent)."""
+        """Drain queued jobs and join the worker threads (idempotent)."""
         if not self._closed:
             self._closed = True
-            self.scheduler.shutdown(wait=True)
+            self.scheduler.shutdown()
             if self.profiler is not None:
                 self.profiler.stop()
             if self.resources is not None:

@@ -13,7 +13,7 @@ Cache interaction stays in the parent: the engine fingerprints and consults
 its tiers *before* dispatch and inserts the returned artifacts *after*
 completion.  A :class:`~repro.bvh.bvh.BVH` crosses the process boundary as
 a plain dict of arrays (:func:`~repro.store.blob.bvh_to_state` /
-:func:`~repro.store.blob.bvh_from_state`, re-exported here) — the same
+:func:`~repro.store.blob.bvh_from_state`) — the same
 serialization the persistent :mod:`repro.store` writes to disk, so a tree
 built by one process (or node) is readable by any other.  Core distances
 travel as one caller-order float64 array.
@@ -43,9 +43,7 @@ from repro.service.jobs import (
     emst_result_to_dict,
     hdbscan_result_to_dict,
 )
-from repro.store.blob import bvh_from_state, bvh_to_state  # noqa: F401 — the
-# canonical BVH serialization lives with the on-disk format; re-exported
-# because this is where the process backend historically imported it from.
+from repro.store.blob import bvh_from_state, bvh_to_state
 from repro.timing import PhaseTimer
 
 #: Per-worker reusable traversal scratch.  A workspace is not thread safe,

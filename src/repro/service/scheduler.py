@@ -1,14 +1,16 @@
-"""Batching job scheduler over a :mod:`concurrent.futures` worker pool.
+"""Priority job scheduler over a fixed set of owned worker threads.
 
-Submitted jobs queue under a priority order (higher first, FIFO within a
-priority).  A collector thread gathers queued jobs into *batches* — closed
-when either ``max_batch`` jobs have accumulated or ``batch_window`` seconds
-have passed since the batch opened — and releases each batch to the worker
-pool in priority order.  Batching amortizes dispatch overhead across small
-jobs, the serving
-analogue of the paper's RoadNetwork3D observation that small problems are
-"too small to saturate" a device (the same launch-overhead effect
-:mod:`repro.kokkos.devices` models with per-kernel launch costs).
+Submitted jobs queue in one heap under one lock: higher priority first,
+FIFO within a priority.  ``max_workers`` threads named ``repro-worker-N``
+each pop the next ticket as soon as they are free, so a job waits only for
+a busy worker, never for a timer.  An arriving job wakes the most recently
+idled worker, so under light load one thread serves every job and
+per-thread runner state (the executor's traversal workspace) stays warm
+instead of being allocated once per worker.
+
+Batching happens *inside* a job, as in the paper: one traversal launch
+covers every query point of a Borůvka round.  Separate jobs share no
+launch to fuse, so the scheduler does not group them.
 
 The scheduler is algorithm-agnostic: it runs an arbitrary ``runner``
 callable per job and accounts wall time and features processed, reporting
@@ -17,8 +19,8 @@ so service numbers sit on the same axis as the figure benchmarks.
 
 Execution backends
 ------------------
-Orchestration (batching, bookkeeping, futures) always runs on a thread
-pool.  With ``backend="process"`` the scheduler additionally owns a
+Orchestration (bookkeeping, futures) always runs on the worker threads.
+With ``backend="process"`` the scheduler additionally owns a
 ``ProcessPoolExecutor`` of the same width, exposed as :attr:`compute_pool`;
 the runner dispatches its CPU-bound phase there (see
 :func:`repro.service.executor.execute_spec`) and the worker thread merely
@@ -34,7 +36,7 @@ import itertools
 import multiprocessing
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -50,7 +52,7 @@ def _process_context() -> multiprocessing.context.BaseContext:
     """The safest available multiprocessing start method.
 
     Plain ``fork`` is unsafe here: the engine always has live threads (the
-    collector, HTTP handlers) whose locks would be cloned mid-flight, and
+    workers, HTTP handlers) whose locks would be cloned mid-flight, and
     CPython 3.12+ deprecates forking a multi-threaded process.
     ``forkserver`` (Linux) forks workers from a clean single-threaded
     helper; elsewhere ``spawn`` starts fresh interpreters.
@@ -77,7 +79,6 @@ class JobTicket:
     enqueued_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    batch_size: int = 0
     features: int = 0
     #: Set by the runner when the job ended in a failure it absorbed (the
     #: engine returns FAILED results instead of raising), so the
@@ -101,36 +102,25 @@ class JobTicket:
         return end - self.started_at
 
 
-class BatchScheduler:
-    """Collects queued jobs into batches and runs them on a worker pool.
+class Scheduler:
+    """Runs queued tickets on ``max_workers`` threads it starts and joins.
 
     ``runner(ticket)`` executes one job and returns its result (delivered
     through ``ticket.future``); an exception from the runner fails only that
-    job's future.  ``max_batch=1`` or ``batch_window=0.0`` degrade to plain
-    per-job dispatch.
+    job's future.
     """
 
     def __init__(self, runner: Callable[[JobTicket], Any], *,
-                 max_workers: int = 2, max_batch: int = 8,
-                 batch_window: float = 0.002,
-                 backend: str = "thread",
+                 max_workers: int = 2, backend: str = "thread",
                  registry: Optional[MetricsRegistry] = None) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, "
                              f"got {backend!r}")
         self._runner = runner
         self.max_workers = max_workers
-        self.max_batch = max_batch
-        self.batch_window = batch_window
         self.backend = backend
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-worker")
         #: ``ProcessPoolExecutor`` the runner dispatches compute to under the
         #: process backend; ``None`` under the thread backend.
         self.compute_pool: Optional[ProcessPoolExecutor] = None
@@ -139,7 +129,9 @@ class BatchScheduler:
                 max_workers=max_workers, mp_context=_process_context())
         self._heap: List[Any] = []
         self._seq = itertools.count()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: Wake events of idle workers, the most recently idled last.
+        self._idle: List[threading.Event] = []
         self._shutdown = False
         # Accounting lives in the metrics registry: `stats()` reads the
         # same instruments `/v1/metrics` scrapes, so the two surfaces can
@@ -148,15 +140,13 @@ class BatchScheduler:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._jobs_submitted_c = self.registry.counter(
             "repro_jobs_submitted_total",
-            "Jobs accepted by the batch scheduler.")
+            "Jobs accepted by the scheduler.")
         self._jobs_completed_c = self.registry.counter(
             "repro_jobs_completed_total",
             "Jobs whose runner finished (success or failure).")
         self._jobs_failed_c = self.registry.counter(
             "repro_jobs_failed_total",
             "Jobs that ended in failure (raised or absorbed).")
-        self._batches_c = self.registry.counter(
-            "repro_batches_total", "Batches dispatched to the worker pool.")
         self._features_done_c = self.registry.counter(
             "repro_features_done_total",
             "Features (n_points * dimension) of successfully computed jobs.")
@@ -166,19 +156,20 @@ class BatchScheduler:
         self._queue_wait_h = self.registry.histogram(
             "repro_queue_wait_seconds",
             "Seconds a job waited in the queue before a worker took it.")
-        self._batch_build_h = self.registry.histogram(
-            "repro_batch_build_seconds",
-            "Seconds spent collecting each batch (bounded by batch_window).")
         self.registry.gauge(
             "repro_queue_depth", "Jobs currently waiting in the queue.",
             fn=lambda: len(self._heap))
-        # Remaining non-exposed accounting (guarded by _cond's lock).
-        self._largest_batch = 0
+        # Remaining non-exposed accounting (guarded by _lock).
         self._first_enqueue: Optional[float] = None
         self._last_finish: Optional[float] = None
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-batcher", daemon=True)
-        self._collector.start()
+        # Daemon threads so an engine nobody closed cannot hang interpreter
+        # exit; shutdown() is what drains and joins them.
+        self._workers = [
+            threading.Thread(target=self._work_loop, name=f"repro-worker-{i}",
+                             daemon=True)
+            for i in range(max_workers)]
+        for worker in self._workers:
+            worker.start()
 
     def replace_broken_compute_pool(
             self, broken: ProcessPoolExecutor) -> None:
@@ -190,69 +181,49 @@ class BatchScheduler:
         identity check makes concurrent calls idempotent: only the first
         observer of a given broken pool replaces it.
         """
-        with self._cond:
+        with self._lock:
             if self._shutdown or self.compute_pool is not broken:
                 return
             self.compute_pool = ProcessPoolExecutor(
                 max_workers=self.max_workers, mp_context=_process_context())
         broken.shutdown(wait=False)
 
-    def submit(self, job_id: str, payload: Any, *,
-               priority: int = 0) -> JobTicket:
-        """Queue one job; returns its ticket (result on ``ticket.future``)."""
-        ticket = JobTicket(job_id=job_id, payload=payload, priority=priority,
-                           enqueued_at=time.perf_counter())
-        with self._cond:
+    def submit(self, ticket: JobTicket) -> None:
+        """Queue one ticket; its result arrives on ``ticket.future``."""
+        ticket.enqueued_at = time.perf_counter()
+        with self._lock:
             if self._shutdown:
-                # A clean lifecycle error, never whatever the executor
-                # machinery below would surface for a post-shutdown submit.
                 raise ServiceError("scheduler is shut down")
             heapq.heappush(self._heap,
-                           (-priority, next(self._seq), ticket))
+                           (-ticket.priority, next(self._seq), ticket))
             if self._first_enqueue is None:
                 self._first_enqueue = ticket.enqueued_at
-            self._cond.notify_all()
+            if self._idle:
+                self._idle.pop().set()
         self._jobs_submitted_c.inc()
-        return ticket
 
-    def _collect_loop(self) -> None:
+    def _work_loop(self) -> None:
+        wake = threading.Event()
         while True:
-            with self._cond:
-                while not self._heap and not self._shutdown:
-                    self._cond.wait()
-                if not self._heap and self._shutdown:
+            with self._lock:
+                if self._heap:
+                    ticket = heapq.heappop(self._heap)[2]
+                elif self._shutdown:  # drained
                     return
-                # A batch opens with the first available job and closes when
-                # full or when the window since opening expires.
-                deadline = time.perf_counter() + self.batch_window
-                while (len(self._heap) < self.max_batch
-                       and not self._shutdown):
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                batch = [heapq.heappop(self._heap)[2]
-                         for _ in range(min(self.max_batch,
-                                            len(self._heap)))]
-                self._largest_batch = max(self._largest_batch, len(batch))
-            self._batches_c.inc()
-            self._batch_build_h.observe(max(
-                0.0, time.perf_counter() - (deadline - self.batch_window)))
-            # A batch is the scheduling quantum: its jobs enter the pool
-            # together, in priority order.  Each job is its own pool task so
-            # a batch still spreads across idle workers.
-            for ticket in batch:
-                ticket.batch_size = len(batch)
-                try:
-                    self._executor.submit(self._run_one, ticket)
-                except RuntimeError as exc:
-                    # shutdown(wait=False) stopped the executor under us;
-                    # resolve the future so no client blocks forever.
-                    ticket.future.set_exception(ServiceError(
-                        f"scheduler shut down before job "
-                        f"{ticket.job_id} ran: {exc}"))
+                else:
+                    ticket = None
+                    wake.clear()
+                    self._idle.append(wake)
+            if ticket is None:
+                wake.wait()
+            else:
+                self._run_one(ticket)
 
     def _run_one(self, ticket: JobTicket) -> None:
+        # A future its holder cancelled while queued is skipped, the
+        # standard executor contract; a running one can no longer be.
+        if not ticket.future.set_running_or_notify_cancel():
+            return
         ticket.started_at = time.perf_counter()
         self._queue_wait_h.observe(ticket.queue_seconds)
         try:
@@ -275,27 +246,23 @@ class BatchScheduler:
             # features: throughput counts only completed compute.
             self._features_done_c.inc(ticket.features)
         self._busy_seconds_c.inc(ticket.run_seconds)
-        with self._cond:
+        with self._lock:
             self._last_finish = ticket.finished_at
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs and stop the workers.
-
-        ``wait=True`` drains queued jobs first; ``wait=False`` returns
-        immediately and still-queued jobs fail their futures with
-        ``RuntimeError`` instead of running.
-        """
-        with self._cond:
+    def shutdown(self) -> None:
+        """Stop accepting jobs, run every queued one, join the workers."""
+        with self._lock:
             self._shutdown = True
-            self._cond.notify_all()
-        if wait:
-            self._collector.join()
-        self._executor.shutdown(wait=wait)
+            for wake in self._idle:
+                wake.set()
+            self._idle.clear()
+        for worker in self._workers:
+            worker.join()
         if self.compute_pool is not None:
-            self.compute_pool.shutdown(wait=wait)
+            self.compute_pool.shutdown()
 
     def stats(self) -> Dict[str, Any]:
-        """Queue depth, batch shape and throughput counters, JSON-safe.
+        """Queue depth and throughput counters, JSON-safe.
 
         ``mfeatures_per_sec`` prices completed work against worker-busy
         seconds (compute throughput); ``jobs_per_sec`` against the wall-clock
@@ -304,29 +271,21 @@ class BatchScheduler:
         jobs_submitted = int(self._jobs_submitted_c.value())
         jobs_completed = int(self._jobs_completed_c.value())
         jobs_failed = int(self._jobs_failed_c.value())
-        batches = int(self._batches_c.value())
         features_done = int(self._features_done_c.value())
         busy_seconds = self._busy_seconds_c.value()
-        with self._cond:
+        with self._lock:
             span = None
             if self._first_enqueue is not None \
                     and self._last_finish is not None:
                 span = self._last_finish - self._first_enqueue
             queue_depth = len(self._heap)
-            largest_batch = self._largest_batch
         return {
             "queue_depth": queue_depth,
             "backend": self.backend,
             "max_workers": self.max_workers,
-            "max_batch": self.max_batch,
-            "batch_window_seconds": self.batch_window,
             "jobs_submitted": jobs_submitted,
             "jobs_completed": jobs_completed,
             "jobs_failed": jobs_failed,
-            "batches_dispatched": batches,
-            "largest_batch": largest_batch,
-            "mean_batch_size": (jobs_completed / batches
-                                if batches else 0.0),
             "busy_seconds": busy_seconds,
             "features_done": features_done,
             "mfeatures_per_sec": (

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import asyncio
 import sys
-import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, Optional, Tuple
 
@@ -186,24 +185,12 @@ class EngineAPI(WireAPI):
 
         The future is shielded: a long-poll timing out must not cancel
         the job.  JobResult futures never raise (failures are FAILED
-        results), so abandoning one leaks no unretrieved exception.  The
-        ticket is unset only for the sub-ms registration window inside
-        ``Engine.submit``; spin past it asynchronously.
+        results), so abandoning one leaks no unretrieved exception.
         """
-        deadline = time.monotonic() + wait
-        while True:
-            future = self.engine.future(job_id)
-            if future is not None:
-                break
-            if time.monotonic() >= deadline:
-                return None
-            await asyncio.sleep(0.0005)
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return None
+        future = self.engine.future(job_id)
         try:
             return await asyncio.wait_for(
-                asyncio.shield(asyncio.wrap_future(future)), remaining)
+                asyncio.shield(asyncio.wrap_future(future)), wait)
         except (asyncio.TimeoutError, FutureTimeoutError):
             return None
 
@@ -366,6 +353,6 @@ def serve(engine: Engine, host: str = "127.0.0.1", port: int = 8321,
                                max_inflight=max_inflight,
                                max_queue_depth=max_queue_depth)
     except OSError:
-        engine.close()  # bind failed; don't leak the worker pool
+        engine.close()  # bind failed; don't leak the worker threads
         raise
     run_server(server, engine)

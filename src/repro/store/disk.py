@@ -30,7 +30,7 @@ Durability model
   is quarantined at read time and reported as a miss.
 
 Eviction is least-recently-used under ``max_bytes`` of blob-file bytes,
-mirroring :class:`~repro.service.cache.ContentCache` one tier down.  The
+mirroring :class:`~repro.store.memory.ContentCache` one tier down.  The
 store assumes a single writer process (the serving engine); multi-node
 sharing is read-compatible by design but dispatch is a later PR.
 """

@@ -1,7 +1,7 @@
 """The content-fingerprinting scheme shared by every cache and store tier.
 
 One SHA-256 scheme keys everything content-addressed in this repository:
-the in-memory cache tiers (:mod:`repro.service.cache`), the persistent
+the in-memory cache tiers (:mod:`repro.store.memory`), the persistent
 :class:`~repro.store.disk.DiskStore`, and — because the keys name *content*,
 not locations — any future cross-node tier.  The scheme is therefore part of
 the **on-disk format**: a change to any function here invalidates every

@@ -32,7 +32,7 @@ def api():
     from repro.service import Engine
     from repro.service.server import create_server
 
-    engine = Engine(max_workers=1, batch_window=0.001)
+    engine = Engine(max_workers=1)
     server = create_server(engine)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -53,7 +53,7 @@ def error_of(excinfo):
 @pytest.fixture
 def bounded_api():
     """A node with a tiny admission bound: 1 worker, 2 unfinished jobs."""
-    engine = Engine(max_workers=1, batch_window=0.001, max_batch=1)
+    engine = Engine(max_workers=1)
     server = create_server(engine, max_queue_depth=2)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
@@ -68,7 +68,7 @@ def bounded_api():
 @pytest.fixture
 def routed_api():
     """A router over one node; yields (router URL, node URL)."""
-    engine = Engine(max_workers=1, batch_window=0.001)
+    engine = Engine(max_workers=1)
     node_server = create_server(engine, node_name="n0")
     threading.Thread(target=node_server.serve_forever, daemon=True).start()
     node_url = "http://{}:{}".format(*node_server.server_address[:2])
@@ -92,7 +92,7 @@ def routed_api():
 def shedding_fleet():
     """A router over one node that sheds every submission
     (``max_queue_depth=0``); yields (router URL, node URL)."""
-    engine = Engine(max_workers=1, batch_window=0.001)
+    engine = Engine(max_workers=1)
     node_server = create_server(engine, node_name="n0", max_queue_depth=0)
     threading.Thread(target=node_server.serve_forever, daemon=True).start()
     node_url = "http://{}:{}".format(*node_server.server_address[:2])

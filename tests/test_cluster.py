@@ -156,8 +156,7 @@ def fleet(tmp_path):
     """Three live nodes (persistent stores) + a router; yields a handle."""
     engines, servers = [], []
     for i in range(3):
-        engine = Engine(max_workers=1, batch_window=0.0,
-                        store_dir=str(tmp_path / f"node-{i}"))
+        engine = Engine(max_workers=1, store_dir=str(tmp_path / f"node-{i}"))
         server = create_server(engine, node_name=f"node-{i}")
         threading.Thread(target=server.serve_forever, daemon=True).start()
         engines.append(engine)
@@ -699,8 +698,7 @@ def replicated_fleet(tmp_path):
     """Three peer-wired nodes + a replicas=2 router; yields a handle."""
     engines, servers = [], []
     for i in range(3):
-        engine = Engine(max_workers=1, batch_window=0.0,
-                        store_dir=str(tmp_path / f"node-{i}"))
+        engine = Engine(max_workers=1, store_dir=str(tmp_path / f"node-{i}"))
         server = create_server(engine, node_name=f"node-{i}")
         threading.Thread(target=server.serve_forever, daemon=True).start()
         engines.append(engine)
@@ -829,13 +827,11 @@ class TestReplication:
 
 class TestPeerFetch:
     def test_miss_reads_through_peer_store(self, tmp_path):
-        a = Engine(max_workers=1, batch_window=0.0,
-                   store_dir=str(tmp_path / "a"))
+        a = Engine(max_workers=1, store_dir=str(tmp_path / "a"))
         server_a = create_server(a, node_name="a")
         threading.Thread(target=server_a.serve_forever,
                          daemon=True).start()
-        b = Engine(max_workers=1, batch_window=0.0,
-                   store_dir=str(tmp_path / "b"))
+        b = Engine(max_workers=1, store_dir=str(tmp_path / "b"))
         b.set_peers(
             [f"http://127.0.0.1:{server_a.server_address[1]}"],
             timeout=10.0)
@@ -869,8 +865,7 @@ class TestPeerFetch:
             b.close()
 
     def test_dead_peer_degrades_to_recompute(self, tmp_path):
-        b = Engine(max_workers=1, batch_window=0.0,
-                   store_dir=str(tmp_path / "b"))
+        b = Engine(max_workers=1, store_dir=str(tmp_path / "b"))
         b.set_peers(["http://127.0.0.1:9"], timeout=0.5)
         try:
             done = b.result(
@@ -884,13 +879,11 @@ class TestPeerFetch:
 
     def test_obs_off_disables_peer_telemetry(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "off")
-        a = Engine(max_workers=1, batch_window=0.0,
-                   store_dir=str(tmp_path / "a"))
+        a = Engine(max_workers=1, store_dir=str(tmp_path / "a"))
         server_a = create_server(a, node_name="a")
         threading.Thread(target=server_a.serve_forever,
                          daemon=True).start()
-        b = Engine(max_workers=1, batch_window=0.0,
-                   store_dir=str(tmp_path / "b"))
+        b = Engine(max_workers=1, store_dir=str(tmp_path / "b"))
         b.set_peers(
             [f"http://127.0.0.1:{server_a.server_address[1]}"],
             timeout=10.0)
@@ -995,8 +988,7 @@ class TestRebalance:
             result, _ = _await(fleet.router, accepted)
             assert result["status"] == "done", result.get("error")
         # A replacement node joins with an empty store.
-        engine = Engine(max_workers=1, batch_window=0.0,
-                        store_dir=str(tmp_path / "node-3"))
+        engine = Engine(max_workers=1, store_dir=str(tmp_path / "node-3"))
         server = create_server(engine, node_name="node-3")
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:

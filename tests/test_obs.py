@@ -30,6 +30,11 @@ from repro.service.executor import execute_spec, make_exec_spec
 from repro.service.server import create_server
 
 
+def _span(trace, name):
+    """The first top-level span of ``trace`` called ``name``."""
+    return next(span for span in trace["spans"] if span["name"] == name)
+
+
 class TestRegistry:
     def test_counter_inc_and_value(self):
         reg = MetricsRegistry()
@@ -241,11 +246,11 @@ class TestEngineTracing:
     def test_job_result_carries_span_tree(self):
         body = {"dataset": "Uniform100M2:300", "algorithm": "mrd_emst",
                 "k_pts": 4}
-        with Engine(max_workers=1, batch_window=0.001, obs=True) as engine:
+        with Engine(max_workers=1, obs=True) as engine:
             result = self._run(engine, body)
         names = [span["name"] for span in result.trace["spans"]]
-        assert names == ["submit", "queued", "batched", "executed", "served"]
-        executed = result.trace["spans"][3]
+        assert names == ["submit", "queued", "executed", "served"]
+        executed = _span(result.trace, "executed")
         assert executed["duration_s"] > 0
         phases = [child["name"] for child in executed["children"]]
         assert "mst" in phases
@@ -253,22 +258,22 @@ class TestEngineTracing:
         assert counters["distance_evals"] > 0
 
     def test_trace_survives_json_round_trip(self):
-        with Engine(max_workers=1, batch_window=0.001, obs=True) as engine:
+        with Engine(max_workers=1, obs=True) as engine:
             result = self._run(engine, {"dataset": "Uniform100M2:310"})
         wire = json.loads(json.dumps(result.to_dict()))
         assert wire["trace"] == result.trace
 
     def test_obs_off_produces_no_trace(self):
-        with Engine(max_workers=1, batch_window=0.001, obs=False) as engine:
+        with Engine(max_workers=1, obs=False) as engine:
             result = self._run(engine, {"dataset": "Uniform100M2:320"})
         assert result.trace is None
 
     def test_canonical_bytes_identical_with_and_without_obs(self):
         body = {"dataset": "Uniform100M2:330", "algorithm": "mrd_emst",
                 "k_pts": 4}
-        with Engine(max_workers=1, batch_window=0.001, obs=True) as on:
+        with Engine(max_workers=1, obs=True) as on:
             traced = self._run(on, body)
-        with Engine(max_workers=1, batch_window=0.001, obs=False) as off:
+        with Engine(max_workers=1, obs=False) as off:
             plain = self._run(off, body)
         assert traced.trace is not None and plain.trace is None
         assert canonical_payload_bytes(traced.payload) == \
@@ -276,18 +281,18 @@ class TestEngineTracing:
 
     def test_trace_marks_replayed_phases_on_result_hit(self):
         body = {"dataset": "Uniform100M2:340"}
-        with Engine(max_workers=1, batch_window=0.001, obs=True) as engine:
+        with Engine(max_workers=1, obs=True) as engine:
             self._run(engine, body)
             hit = self._run(engine, body)
         assert hit.cache["result_hit"]
-        executed = hit.trace["spans"][3]
+        executed = _span(hit.trace, "executed")
         assert all(child["meta"].get("replayed")
                    for child in executed["children"])
 
     def test_upstream_trace_context_is_prepended(self):
         parent = make_trace(spans=[make_span("route", node="router",
                                              outcome="accepted")])
-        with Engine(max_workers=1, batch_window=0.001, obs=True) as engine:
+        with Engine(max_workers=1, obs=True) as engine:
             job_id = engine.submit(
                 JobSpec.from_dict({"dataset": "Uniform100M2:350"}),
                 trace=parent)
@@ -297,7 +302,7 @@ class TestEngineTracing:
 
     def test_phase_histograms_skip_replayed_work(self):
         body = {"dataset": "Uniform100M2:360"}
-        with Engine(max_workers=1, batch_window=0.001, obs=True) as engine:
+        with Engine(max_workers=1, obs=True) as engine:
             self._run(engine, body)
             fam = engine.registry.histogram("repro_phase_seconds",
                                             labels=("phase",))
@@ -386,8 +391,7 @@ def obs_fleet(tmp_path):
     """Three live nodes + a router HTTP server; yields a handle."""
     engines, servers = [], []
     for i in range(3):
-        engine = Engine(max_workers=1, batch_window=0.0,
-                        store_dir=str(tmp_path / f"node-{i}"))
+        engine = Engine(max_workers=1, store_dir=str(tmp_path / f"node-{i}"))
         server = create_server(engine, node_name=f"node-{i}")
         threading.Thread(target=server.serve_forever, daemon=True).start()
         engines.append(engine)
@@ -446,11 +450,11 @@ class TestRouterTracing:
         assert result["status"] == "done", result.get("error")
         spans = result["trace"]["spans"]
         names = [span["name"] for span in spans]
-        assert names == ["route", "submit", "queued", "batched",
-                         "executed", "served"]
+        assert names == ["route", "submit", "queued", "executed", "served"]
         assert spans[0]["node"] == node
         assert spans[0]["meta"]["outcome"] == "accepted"
-        assert spans[4]["meta"]["counters"]["distance_evals"] > 0
+        executed = _span(result["trace"], "executed")
+        assert executed["meta"]["counters"]["distance_evals"] > 0
 
     def test_failover_trace_records_failed_hop(self, obs_fleet):
         victim = "node-1"

@@ -277,7 +277,7 @@ def _sample_while_running(engine, job_ids, interval=0.004):
 
 class TestEngineAttribution:
     def test_thread_backend_attributes_in_job_samples(self):
-        with Engine(max_workers=2, batch_window=0.001) as engine:
+        with Engine(max_workers=2) as engine:
             job_ids = [engine.submit(JobSpec.from_dict(body))
                        for body in _mixed_bodies(4000, 4)]
             _sample_while_running(engine, job_ids)
@@ -296,8 +296,7 @@ class TestEngineAttribution:
         assert attributed / in_job >= 0.8, (attributed, in_job)
 
     def test_process_backend_attributes_dispatch(self):
-        with Engine(max_workers=2, backend="process",
-                    batch_window=0.001) as engine:
+        with Engine(max_workers=2, backend="process") as engine:
             job_ids = [engine.submit(JobSpec.from_dict(body))
                        for body in _mixed_bodies(3000, 2)]
             _sample_while_running(engine, job_ids)
@@ -308,7 +307,7 @@ class TestEngineAttribution:
         assert set(doc["phases"]) <= ENGINE_PHASES
 
     def test_no_phase_registry_leak_after_engine_close(self):
-        with Engine(max_workers=2, batch_window=0.001) as engine:
+        with Engine(max_workers=2) as engine:
             job_ids = [engine.submit(JobSpec.from_dict(body))
                        for body in _mixed_bodies(2000, 3)]
             for job_id in job_ids:
@@ -317,8 +316,7 @@ class TestEngineAttribution:
 
     def test_dispatch_phase_stays_out_of_timings_and_payload(self):
         body = {"dataset": "Uniform100M2:2000", "algorithm": "emst"}
-        with Engine(max_workers=1, backend="process",
-                    batch_window=0.0) as engine:
+        with Engine(max_workers=1, backend="process") as engine:
             result = engine.result(engine.submit(JobSpec.from_dict(body)),
                                    timeout=120.0)
         assert "dispatch" not in result.timings
@@ -327,10 +325,10 @@ class TestEngineAttribution:
     def test_profiling_does_not_change_payload_bytes(self):
         body = {"dataset": "Uniform100M2:3000", "algorithm": "mrd_emst",
                 "k_pts": 4}
-        with Engine(max_workers=1, batch_window=0.0, obs=False) as engine:
+        with Engine(max_workers=1, obs=False) as engine:
             off = engine.result(engine.submit(JobSpec.from_dict(body)),
                                 timeout=120.0)
-        with Engine(max_workers=1, batch_window=0.0) as engine:
+        with Engine(max_workers=1) as engine:
             job_id = engine.submit(JobSpec.from_dict(body))
             _sample_while_running(engine, [job_id], interval=0.001)
             on = engine.result(job_id, timeout=120.0)

@@ -1,6 +1,7 @@
-"""Tests for the batch-serving subsystem (repro.service)."""
+"""Tests for the job-serving subsystem (repro.service)."""
 
 import pickle
+import sys
 import threading
 import time
 
@@ -13,7 +14,6 @@ from repro.core.emst import build_tree, mutual_reachability_emst
 from repro.errors import InvalidInputError
 from repro.service import (
     BACKENDS,
-    ContentCache,
     Engine,
     JobResult,
     JobSpec,
@@ -22,21 +22,26 @@ from repro.service import (
     emst_result_from_dict,
     emst_result_to_dict,
     execute_spec,
-    fingerprint,
     hdbscan_result_from_dict,
     hdbscan_result_to_dict,
 )
-from repro.service.cache import estimate_nbytes, fingerprint_array
-from repro.service.executor import bvh_from_state, bvh_to_state, make_exec_spec
-from repro.service.scheduler import BatchScheduler
+from repro.service.executor import make_exec_spec
+from repro.service.scheduler import JobTicket, Scheduler
+from repro.store import (
+    ContentCache,
+    bvh_from_state,
+    bvh_to_state,
+    estimate_nbytes,
+    fingerprint,
+    fingerprint_array,
+)
 
 
 @pytest.fixture(params=BACKENDS)
 def engine(request):
     """An engine per execution backend: every engine-level guarantee —
     caching, retention, failure absorption, stats — must hold under both."""
-    with Engine(max_workers=2, batch_window=0.001,
-                backend=request.param) as eng:
+    with Engine(max_workers=2, backend=request.param) as eng:
         yield eng
 
 
@@ -365,7 +370,7 @@ class TestEngine:
         """Stress: many threads race submissions through one engine."""
         point_sets = [rng.random((120 + 10 * i, 2)) for i in range(8)]
         expected = [emst(p).edges for p in point_sets]
-        with Engine(max_workers=4, max_batch=4, batch_window=0.001) as eng:
+        with Engine(max_workers=4) as eng:
             ids = [None] * 24
             errors = []
 
@@ -406,7 +411,7 @@ class TestExecutionBackends:
         with pytest.raises(ValueError, match="backend"):
             Engine(backend="greenlet")
         with pytest.raises(ValueError, match="backend"):
-            BatchScheduler(lambda t: None, backend="fiber")
+            Scheduler(lambda t: None, backend="fiber")
 
     @pytest.mark.parametrize("algorithm,kwargs", [
         ("emst", {}),
@@ -417,8 +422,7 @@ class TestExecutionBackends:
                                               algorithm, kwargs):
         produced = {}
         for backend in BACKENDS:
-            with Engine(max_workers=2, batch_window=0.001,
-                        backend=backend) as eng:
+            with Engine(max_workers=2, backend=backend) as eng:
                 result = eng.result(
                     eng.submit(JobSpec(points=uniform_3d,
                                        algorithm=algorithm, **kwargs)),
@@ -429,8 +433,7 @@ class TestExecutionBackends:
 
     def test_process_backend_matches_direct_call(self, uniform_2d):
         direct = emst(uniform_2d)
-        with Engine(max_workers=2, backend="process",
-                    batch_window=0.001) as eng:
+        with Engine(max_workers=2, backend="process") as eng:
             result = eng.result(eng.submit(JobSpec(points=uniform_2d)),
                                 timeout=120)
         served = result.emst()
@@ -440,8 +443,7 @@ class TestExecutionBackends:
     def test_process_backend_ships_cached_tree_to_workers(self, uniform_2d):
         """A tree built in one worker process must be reusable by the
         next job, which may land in a different process."""
-        with Engine(max_workers=2, backend="process",
-                    batch_window=0.001) as eng:
+        with Engine(max_workers=2, backend="process") as eng:
             first = eng.result(eng.submit(JobSpec(points=uniform_2d)),
                                timeout=120)
             mrd = eng.result(
@@ -458,8 +460,7 @@ class TestExecutionBackends:
         engine: the broken pool is replaced and later jobs compute."""
         import os
 
-        with Engine(max_workers=1, backend="process",
-                    batch_window=0.001) as eng:
+        with Engine(max_workers=1, backend="process") as eng:
             pool = eng.scheduler.compute_pool
             # Hard-kill the worker mid-task: the pool is now broken.
             with pytest.raises(Exception):
@@ -518,8 +519,15 @@ class TestExecutionBackends:
         assert canonical_payload_bytes(a) != canonical_payload_bytes(c)
 
 
-class TestBatchScheduler:
-    def test_batches_and_throughput_accounting(self):
+def _queue(sched, job_id, priority=0):
+    """Submit a payload-less ticket to ``sched``; returns the ticket."""
+    ticket = JobTicket(job_id, None, priority=priority)
+    sched.submit(ticket)
+    return ticket
+
+
+class TestScheduler:
+    def test_throughput_accounting(self):
         release = threading.Event()
 
         def runner(ticket):
@@ -527,25 +535,22 @@ class TestBatchScheduler:
             ticket.features = 100
             return ticket.job_id
 
-        sched = BatchScheduler(runner, max_workers=1, max_batch=4,
-                               batch_window=0.05)
+        sched = Scheduler(runner, max_workers=1)
         try:
-            tickets = [sched.submit(f"j{i}", None) for i in range(8)]
+            tickets = [_queue(sched, f"j{i}") for i in range(8)]
             release.set()
             results = [t.future.result(timeout=30) for t in tickets]
             assert results == [f"j{i}" for i in range(8)]
             stats = sched.stats()
             assert stats["jobs_completed"] == 8
             assert stats["features_done"] == 800
-            assert stats["batches_dispatched"] <= 8
-            assert stats["largest_batch"] >= 1
             assert stats["mfeatures_per_sec"] >= 0.0
             assert stats["jobs_per_sec"] > 0.0
         finally:
             sched.shutdown()
 
-    def test_priority_order_within_batch(self):
-        """Jobs queued in the same window dispatch higher-priority first."""
+    def test_priority_order(self):
+        """Jobs queued behind a busy worker dispatch higher-priority first."""
         order = []
         started = threading.Event()
         gate = threading.Event()
@@ -557,20 +562,18 @@ class TestBatchScheduler:
             else:
                 order.append(ticket.job_id)
 
-        sched = BatchScheduler(runner, max_workers=1, max_batch=2,
-                               batch_window=0.5)
+        sched = Scheduler(runner, max_workers=1)
         try:
-            blocker = sched.submit("blocker", None)
+            blocker = _queue(sched, "blocker")
             assert started.wait(timeout=10)
-            # The worker is busy: these two land in one collection window
-            # and must leave it in priority order despite FIFO submission.
-            low = sched.submit("low", None, priority=0)
-            high = sched.submit("high", None, priority=5)
+            # The worker is busy: these two wait in the queue and must
+            # leave it in priority order despite FIFO submission.
+            low = _queue(sched, "low", priority=0)
+            high = _queue(sched, "high", priority=5)
             gate.set()
             for t in (blocker, low, high):
                 t.future.result(timeout=30)
             assert order == ["high", "low"]
-            assert low.batch_size == 2
         finally:
             sched.shutdown()
 
@@ -587,15 +590,13 @@ class TestBatchScheduler:
             else:
                 order.append(ticket.job_id)
 
-        sched = BatchScheduler(runner, max_workers=1, max_batch=8,
-                               batch_window=0.5)
+        sched = Scheduler(runner, max_workers=1)
         try:
-            blocker = sched.submit("blocker", None)
+            blocker = _queue(sched, "blocker")
             assert started.wait(timeout=10)
             # All queued behind the busy worker with the same priority:
             # dispatch must preserve submission order exactly.
-            tickets = [sched.submit(f"j{i}", None, priority=1)
-                       for i in range(5)]
+            tickets = [_queue(sched, f"j{i}", priority=1) for i in range(5)]
             gate.set()
             for t in [blocker] + tickets:
                 t.future.result(timeout=30)
@@ -603,7 +604,7 @@ class TestBatchScheduler:
         finally:
             sched.shutdown()
 
-    def test_priority_beats_fifo_across_batch(self):
+    def test_priority_beats_fifo(self):
         """Mixed priorities: higher first, FIFO only as the tiebreak."""
         order = []
         started = threading.Event()
@@ -616,14 +617,13 @@ class TestBatchScheduler:
             else:
                 order.append(ticket.job_id)
 
-        sched = BatchScheduler(runner, max_workers=1, max_batch=8,
-                               batch_window=0.5)
+        sched = Scheduler(runner, max_workers=1)
         try:
-            blocker = sched.submit("blocker", None)
+            blocker = _queue(sched, "blocker")
             assert started.wait(timeout=10)
             submitted = [("a0", 0), ("b2", 2), ("c1", 1), ("d2", 2),
                          ("e0", 0)]
-            tickets = [sched.submit(job_id, None, priority=p)
+            tickets = [_queue(sched, job_id, priority=p)
                        for job_id, p in submitted]
             gate.set()
             for t in [blocker] + tickets:
@@ -632,62 +632,13 @@ class TestBatchScheduler:
         finally:
             sched.shutdown()
 
-    def test_batch_window_deadline_flushes_partial_batch(self):
-        """A lone job must not wait for ``max_batch`` peers: the window
-        deadline closes the batch and releases it."""
-        window = 0.25
-        sched = BatchScheduler(lambda ticket: ticket.job_id,
-                               max_workers=1, max_batch=64,
-                               batch_window=window)
+    def test_dispatches_immediately(self):
+        sched = Scheduler(lambda ticket: ticket.job_id, max_workers=1)
         try:
             submitted_at = time.perf_counter()
-            ticket = sched.submit("lone", None)
-            assert ticket.future.result(timeout=30) == "lone"
-            elapsed = time.perf_counter() - submitted_at
-            # The batch was held open for (roughly) the full window waiting
-            # for more jobs, then flushed with just the one.
-            assert elapsed >= 0.8 * window
-            assert ticket.batch_size == 1
-            stats = sched.stats()
-            assert stats["batches_dispatched"] == 1
-            assert stats["largest_batch"] == 1
-        finally:
-            sched.shutdown()
-
-    def test_zero_window_dispatches_immediately(self):
-        sched = BatchScheduler(lambda ticket: ticket.job_id,
-                               max_workers=1, max_batch=64,
-                               batch_window=0.0)
-        try:
-            submitted_at = time.perf_counter()
-            ticket = sched.submit("eager", None)
+            ticket = _queue(sched, "eager")
             assert ticket.future.result(timeout=30) == "eager"
             assert time.perf_counter() - submitted_at < 5.0
-            assert ticket.batch_size == 1
-        finally:
-            sched.shutdown()
-
-    def test_shutdown_without_wait_fails_queued_futures(self):
-        gate = threading.Event()
-
-        def runner(ticket):
-            gate.wait(timeout=10)
-            return "ok"
-
-        sched = BatchScheduler(runner, max_workers=1, max_batch=1,
-                               batch_window=0.5)
-        try:
-            tickets = [sched.submit(f"j{i}", None) for i in range(4)]
-            sched.shutdown(wait=False)
-            gate.set()
-            # Every future resolves: ran jobs return, stranded jobs raise.
-            outcomes = []
-            for t in tickets:
-                try:
-                    outcomes.append(t.future.result(timeout=30))
-                except RuntimeError as exc:
-                    outcomes.append(str(exc))
-            assert len(outcomes) == 4
         finally:
             sched.shutdown()
 
@@ -697,11 +648,10 @@ class TestBatchScheduler:
                 raise RuntimeError("boom")
             return "ok"
 
-        sched = BatchScheduler(runner, max_workers=1, max_batch=2,
-                               batch_window=0.0)
+        sched = Scheduler(runner, max_workers=1)
         try:
-            bad = sched.submit("bad", None)
-            good = sched.submit("good", None)
+            bad = _queue(sched, "bad")
+            good = _queue(sched, "good")
             with pytest.raises(RuntimeError):
                 bad.future.result(timeout=30)
             assert good.future.result(timeout=30) == "ok"
@@ -709,12 +659,94 @@ class TestBatchScheduler:
         finally:
             sched.shutdown()
 
+    def test_light_load_stays_on_the_most_recently_idled_worker(self):
+        """Sequential jobs all land on one thread, so per-thread runner
+        state (the traversal workspace) is allocated once, not per worker."""
+        sched = Scheduler(lambda ticket: threading.current_thread().name,
+                          max_workers=3)
+        try:
+            names = set()
+            for i in range(6):
+                deadline = time.monotonic() + 10
+                while len(sched._idle) < 3:  # every worker back at rest
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                names.add(_queue(sched, f"j{i}").future.result(timeout=30))
+        finally:
+            sched.shutdown()
+        assert len(names) == 1
+
+    def test_every_ticket_runs_once_under_contention(self):
+        """More workers and submitters than cores share one heap: a lost
+        heap update would drop or repeat a job."""
+        ran = []
+        sched = Scheduler(lambda ticket: ran.append(ticket.job_id),
+                          max_workers=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            submitters = [
+                threading.Thread(target=lambda s=s: [
+                    _queue(sched, f"{s}-{i}", priority=i % 3)
+                    for i in range(100)])
+                for s in range(4)]
+            for t in submitters:
+                t.start()
+            for t in submitters:
+                t.join(timeout=30)
+            closer = threading.Thread(target=sched.shutdown)
+            closer.start()
+            closer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not closer.is_alive()
+        assert sorted(ran) == sorted(f"{s}-{i}" for s in range(4)
+                                     for i in range(100))
+        assert sched.stats()["jobs_completed"] == 400
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_close_drains_the_queue_and_joins_named_workers(backend, rng):
+    """Every job thread is a named scheduler worker, close() joins them
+    all, and a job still queued when close() is called gets its result."""
+    engine = Engine(max_workers=2, backend=backend)
+    gate = threading.Event()
+    ran_on = []
+    original = engine._dispatch
+
+    def gated_dispatch(exec_spec):
+        ran_on.append(threading.current_thread())
+        assert gate.wait(timeout=60)
+        return original(exec_spec)
+
+    engine._dispatch = gated_dispatch
+    busy = [engine.submit(JobSpec(points=rng.random((60 + i, 2))))
+            for i in range(2)]
+    deadline = time.monotonic() + 60
+    while len(ran_on) < 2:  # both workers hold a job
+        assert time.monotonic() < deadline, "workers never started"
+        time.sleep(0.01)
+    queued = engine.submit(JobSpec(points=rng.random((90, 2))))
+    closer = threading.Thread(target=engine.close, name="test-closer")
+    closer.start()
+    closer.join(timeout=0.2)
+    assert closer.is_alive()  # close() waits for the busy workers
+    assert engine.status(queued) is JobStatus.PENDING
+    gate.set()
+    closer.join(timeout=120)
+    assert not closer.is_alive()
+    for job_id in busy + [queued]:
+        result = engine.result(job_id, timeout=0)
+        assert result.status is JobStatus.DONE, result.error
+    assert {t.name for t in ran_on} == {"repro-worker-0", "repro-worker-1"}
+    assert not any(t.is_alive() for t in ran_on)
+
 
 class TestRequestCoalescing:
     """Identical in-flight fingerprints share one upstream computation."""
 
     def _gated_engine(self):
-        engine = Engine(max_workers=2, batch_window=0.0)
+        engine = Engine(max_workers=2)
         gate = threading.Event()
         dispatches = []
         original = engine._dispatch
@@ -752,7 +784,7 @@ class TestRequestCoalescing:
             assert engine.stats()["coalesced_hits"] == 1
 
     def test_follower_of_failed_leader_computes_itself(self, uniform_2d):
-        engine = Engine(max_workers=2, batch_window=0.0)
+        engine = Engine(max_workers=2)
         gate = threading.Event()
         original = engine._dispatch
         state = {"calls": 0}
@@ -785,7 +817,7 @@ class TestRequestCoalescing:
             assert engine.stats()["coalesced_hits"] == 0
 
     def test_sequential_repeats_do_not_coalesce(self, uniform_2d):
-        with Engine(max_workers=1, batch_window=0.0) as engine:
+        with Engine(max_workers=1) as engine:
             first = engine.result(engine.submit(JobSpec(points=uniform_2d)),
                                   timeout=60)
             second = engine.result(engine.submit(JobSpec(points=uniform_2d)),

@@ -19,7 +19,7 @@ from repro.service import (
     canonical_payload_bytes,
 )
 from repro.service.executor import execute_spec, make_exec_spec
-from repro.service.scheduler import BatchScheduler
+from repro.service.scheduler import JobTicket, Scheduler
 from repro.store import (
     DiskStore,
     TieredCache,
@@ -58,14 +58,6 @@ class TestFingerprint:
         assert combine_fingerprint(fingerprint_array(a),
                                    "algorithm=emst") == self.PINNED_COMBINED
         assert fingerprint(np.zeros((2, 2)), "core;k_pts=2") == self.PINNED_FP
-
-    def test_service_cache_reexports_the_same_scheme(self):
-        # The former copy in repro.service.cache must BE the store's
-        # functions, not a lookalike — one scheme, one key space.
-        from repro.service import cache as service_cache
-        assert service_cache.fingerprint_array is fingerprint_array
-        assert service_cache.combine_fingerprint is combine_fingerprint
-        assert service_cache.fingerprint is fingerprint
 
     def test_shape_and_dtype_feed_the_digest(self):
         a = np.arange(6, dtype=np.float64)
@@ -416,8 +408,7 @@ def backend(request):
 def engine(request):
     """A memory-only engine per execution backend (core-tier guarantees
     must hold under both, like every other engine-level behavior)."""
-    with Engine(max_workers=2, batch_window=0.001,
-                backend=request.param) as eng:
+    with Engine(max_workers=2, backend=request.param) as eng:
         yield eng
 
 
@@ -428,12 +419,12 @@ class TestEngineWarmRestart:
         spec = dict(dataset="Uniform100M2:400", algorithm="mrd_emst",
                     k_pts=4)
         root = str(tmp_path / "store")
-        with Engine(max_workers=1, batch_window=0.0, backend=backend,
+        with Engine(max_workers=1, backend=backend,
                     store_dir=root) as eng:
             cold = eng.result(eng.submit(JobSpec(**spec)), timeout=120)
             assert cold.status.value == "done", cold.error
             cold_bytes = canonical_payload_bytes(cold.payload)
-        with Engine(max_workers=1, batch_window=0.0, backend=backend,
+        with Engine(max_workers=1, backend=backend,
                     store_dir=root) as eng:
             warm = eng.result(eng.submit(JobSpec(**spec)), timeout=120)
             assert warm.cache["result_hit"]
@@ -449,14 +440,14 @@ class TestEngineWarmRestart:
         root = str(tmp_path / "store")
         warm_spec = JobSpec(dataset="Uniform100M2:400", algorithm="hdbscan",
                             k_pts=4, min_cluster_size=6)
-        with Engine(max_workers=1, batch_window=0.0, backend=backend,
+        with Engine(max_workers=1, backend=backend,
                     store_dir=root) as eng:
             first = eng.result(
                 eng.submit(JobSpec(dataset="Uniform100M2:400",
                                    algorithm="mrd_emst", k_pts=4)),
                 timeout=120)
             assert first.status.value == "done", first.error
-        with Engine(max_workers=1, batch_window=0.0, backend=backend,
+        with Engine(max_workers=1, backend=backend,
                     store_dir=root) as eng:
             warm = eng.result(eng.submit(warm_spec), timeout=120)
             assert warm.status.value == "done", warm.error
@@ -478,8 +469,7 @@ class TestEngineWarmRestart:
 
     def test_flush_forgets_everything(self, tmp_path):
         root = str(tmp_path / "store")
-        with Engine(max_workers=1, batch_window=0.0,
-                    store_dir=root) as eng:
+        with Engine(max_workers=1, store_dir=root) as eng:
             eng.result(eng.submit(JobSpec(dataset="Uniform100M2:300")),
                        timeout=60)
             flushed = eng.flush()
@@ -491,8 +481,7 @@ class TestEngineWarmRestart:
             assert not again.cache["result_disk_hit"]
 
     def test_flush_single_tier_keeps_the_rest(self, tmp_path):
-        with Engine(max_workers=1, batch_window=0.0,
-                    store_dir=str(tmp_path / "store")) as eng:
+        with Engine(max_workers=1, store_dir=str(tmp_path / "store")) as eng:
             eng.result(eng.submit(JobSpec(dataset="Uniform100M2:300",
                                           algorithm="mrd_emst", k_pts=4)),
                        timeout=60)
@@ -518,7 +507,7 @@ class TestEngineWarmRestart:
             assert eng.compact() is None
 
     def test_memory_only_engine_unchanged(self, uniform_2d):
-        with Engine(max_workers=1, batch_window=0.0) as eng:
+        with Engine(max_workers=1) as eng:
             assert eng.store is None
             result = eng.result(eng.submit(JobSpec(points=uniform_2d)),
                                 timeout=60)
@@ -568,10 +557,10 @@ class TestLifecycleErrors:
             eng.submit(JobSpec(points=uniform_2d))
 
     def test_scheduler_submit_after_shutdown(self):
-        sched = BatchScheduler(lambda t: None, max_workers=1)
+        sched = Scheduler(lambda t: None, max_workers=1)
         sched.shutdown()
         with pytest.raises(ServiceError, match="shut down"):
-            sched.submit("late", None)
+            sched.submit(JobTicket("late", None))
 
     def test_service_error_is_clean_and_catchable(self, uniform_2d):
         from repro.errors import ReproError
@@ -586,8 +575,7 @@ class TestServerWithStore:
     def persistent_api(self, tmp_path):
         from repro.service.server import create_server
 
-        engine = Engine(max_workers=1, batch_window=0.001,
-                        store_dir=str(tmp_path / "store"))
+        engine = Engine(max_workers=1, store_dir=str(tmp_path / "store"))
         server = create_server(engine)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -122,8 +122,7 @@ def trace_fleet(tmp_path):
     """Two live nodes (everything retained) + a router HTTP server."""
     engines, servers = [], []
     for i in range(2):
-        engine = Engine(max_workers=1, batch_window=0.0,
-                        store_dir=str(tmp_path / f"node-{i}"),
+        engine = Engine(max_workers=1, store_dir=str(tmp_path / f"node-{i}"),
                         trace_slow_threshold=0.0)  # retain every trace
         server = create_server(engine, node_name=f"node-{i}")
         threading.Thread(target=server.serve_forever, daemon=True).start()

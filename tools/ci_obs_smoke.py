@@ -69,6 +69,11 @@ def _await_job(base, body, timeout):
                              f"{result.get('status')} after {timeout}s")
 
 
+def _span(trace, name):
+    """The first top-level span of ``trace`` called ``name``."""
+    return next(span for span in trace["spans"] if span["name"] == name)
+
+
 def _start_server(port):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", str(port),
@@ -124,15 +129,14 @@ def check_obs_surface(args):
             trace = result.get("trace")
             assert trace and trace["trace_id"].startswith("tr-"), result
             names = [span["name"] for span in trace["spans"]]
-            assert names == ["submit", "queued", "batched", "executed",
-                             "served"], names
-            executed = trace["spans"][3]
+            assert names == ["submit", "queued", "executed", "served"], names
+            executed = _span(trace, "executed")
             assert executed["meta"]["counters"]["scalar_ops"] > 0
         reference = canonical_payload_bytes(execute_spec(make_exec_spec(
             JobSpec.from_dict(specs[0])))["payload"])
         assert canonical_payload_bytes(results[0]["payload"]) == reference, \
             "FAIL: traced payload diverges from in-process reference"
-        replayed = results[-1]["trace"]["spans"][3]["children"]
+        replayed = _span(results[-1]["trace"], "executed")["children"]
         assert all(child["meta"].get("replayed") for child in replayed), \
             "FAIL: result-hit repeat must mark its phases as replayed"
 
