@@ -10,10 +10,11 @@ harness the replication/compiled-engine work will be judged against.
 Three stages, all against real ``python -m repro serve`` subprocesses:
 
 1. **Long-poll concurrency** — park hundreds of concurrent ``wait_s=``
-   waiters on one in-flight job over a 4-worker engine and read the
-   server's ``repro_http_inflight_requests`` gauge mid-park.  The old
-   thread-per-connection server capped this at its thread pool; the
-   asyncio host must hold ≥ 200 (the PR's acceptance bar).
+   waiters on one in-flight job over a 4-worker engine and poll the
+   server's ``repro_http_inflight_requests`` gauge for its peak
+   mid-park.  The old thread-per-connection server capped this at its
+   thread pool; the asyncio host must hold ≥ 200 (the PR's acceptance
+   bar).
 2. **Offered-load sweep** — for each arrival rate, submit distinct cold
    jobs on the Poisson schedule, await each to terminal, and record
    p50/p99 completion latency, throughput, and error/shed rates.  The
@@ -49,6 +50,10 @@ SWEEP_POINTS = 3000
 MAX_ARRIVALS_PER_RATE = 800
 WAITERS = 250
 WAITER_BAR = 200
+#: The park stage polls the inflight gauge this often, for at most this
+#: long (or until the bar is met or the parked-on job finishes).
+PARK_POLL_INTERVAL_S = 0.1
+PARK_POLL_SECONDS = 10.0
 BACKLOG_JOBS = 12
 SEED = 20220822  # ICPP'22 — keeps every arrival schedule reproducible
 
@@ -115,10 +120,17 @@ async def _long_poll_stage(base, n_waiters):
     waiters = [asyncio.ensure_future(aioclient.request_json(
         base, f"/v1/jobs/{target}?wait_s=60", timeout=180))
         for _ in range(n_waiters)]
-    await asyncio.sleep(1.0)  # let every waiter reach the parked state
-    # /v1/metrics is shed-exempt, so the gauge is readable mid-park.
-    inflight = await asyncio.to_thread(
-        _metric, base, "repro_http_inflight_requests")
+    # /v1/metrics is shed-exempt, so the gauge is readable mid-park.  Keep
+    # its peak: waiters connect while the workers hog the CPU, so how many
+    # have parked by any one fixed instant varies from run to run.
+    inflight = 0.0
+    deadline = time.monotonic() + PARK_POLL_SECONDS
+    while (inflight < WAITER_BAR and time.monotonic() < deadline
+           and not any(waiter.done() for waiter in waiters)):
+        await asyncio.sleep(PARK_POLL_INTERVAL_S)
+        gauge = await asyncio.to_thread(
+            _metric, base, "repro_http_inflight_requests")
+        inflight = max(inflight, gauge or 0.0)
     results = await asyncio.gather(*waiters)
     statuses = {body.get("status") for status, _h, body in results
                 if status == 200}

@@ -40,7 +40,7 @@ import asyncio
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
 from repro.errors import (
@@ -420,8 +420,9 @@ class WireAPI:
         raise NotImplementedError
 
     async def job(self, job_id: str, wait: float
-                  ) -> Tuple[Dict[str, Any], Optional[str]]:
-        """Look one job up; returns ``(body, serving node)``."""
+                  ) -> Tuple[Union[Dict[str, Any], bytes], Optional[str]]:
+        """Look one job up; returns ``(body, serving node)``.  ``body``
+        is a dict to encode, or an already-encoded JSON body."""
         raise NotImplementedError
 
     async def flush(self, data: Dict[str, Any]) -> Dict[str, Any]:
@@ -585,9 +586,12 @@ class WireAPI:
     @staticmethod
     async def _encode(status: int, obj: Any,
                       node: Optional[str] = None) -> Response:
-        """JSON-encode off the event loop (job payloads can be ~60 MB)."""
-        body = await asyncio.to_thread(
-            lambda: json.dumps(obj).encode())
+        """JSON-encode off the event loop (job payloads can be ~60 MB);
+        a ``bytes`` body is already encoded and passes through."""
+        if isinstance(obj, bytes):
+            body = obj
+        else:
+            body = await asyncio.to_thread(lambda: json.dumps(obj).encode())
         response = Response(status, body)
         if node:
             response.headers["X-Repro-Node"] = node

@@ -40,12 +40,7 @@ from repro.api.contract import (
 from repro.api.http import AsyncHTTPHost, DEFAULT_MAX_INFLIGHT
 from repro.cluster.client import NodeHTTPError
 from repro.cluster.router import ClusterRouter
-from repro.errors import (
-    ClusterError,
-    InvalidInputError,
-    NodeOverloadedError,
-    NodeUnavailableError,
-)
+from repro.errors import InvalidInputError, NodeOverloadedError
 from repro.obs import EventLog
 from repro.obs.profiler import PAUSE_BUCKETS
 

@@ -15,7 +15,10 @@ the core algorithms.  Per job it:
 5. dispatches the compute to :func:`~repro.service.executor.execute_spec`
    — in-process under ``backend="thread"``, on a ``ProcessPoolExecutor``
    worker under ``backend="process"`` (escaping the GIL for CPU-bound
-   jobs) — and fills the caches from the outcome.
+   jobs) — and fills the caches from the outcome.  The payload is encoded
+   to JSON once, here (:class:`~repro.store.blob.EncodedPayload`); the
+   result tier and every job record hold those bytes, and each read of
+   the job serves them without encoding the payload again.
 
 Both backends run the identical pure execution path, so a job's payload is
 byte-for-byte the same whichever one served it.  All cache state lives in
@@ -81,6 +84,7 @@ from repro.service.scheduler import BACKENDS, JobTicket, Scheduler
 from repro.store import (
     DEFAULT_STORE_BYTES,
     DiskStore,
+    EncodedPayload,
     TieredCache,
     bvh_from_state,
     bvh_to_state,
@@ -105,15 +109,14 @@ class _Inflight:
 
     The first job to miss the result cache for a fingerprint becomes the
     *leader* and computes; followers arriving while it runs block on
-    ``done`` and reuse its payload instead of recomputing.  ``failed``
+    ``done`` and reuse its encoded payload instead of recomputing.  An
+    ``encoded`` still ``None`` at ``done`` means the leader failed, which
     sends followers back to computing for themselves (no stampede
     control — a failed leader is the rare case).
     """
 
     done: threading.Event = field(default_factory=threading.Event)
-    payload: Optional[Dict[str, Any]] = None
-    payload_nbytes: int = 0
-    failed: bool = True  # flipped to False when the leader publishes
+    encoded: Optional[EncodedPayload] = None
 
 
 @dataclass
@@ -124,7 +127,9 @@ class _JobRecord:
     ticket: JobTicket
     status: JobStatus = JobStatus.PENDING
     result: Optional[JobResult] = None
-    payload_nbytes: int = 0
+    #: Bytes this finished record keeps alive, charged against
+    #: ``max_retained_bytes``.
+    retained_nbytes: int = 0
     #: Trace context shipped with the submission (router hops), if any.
     trace_parent: Optional[Dict[str, Any]] = None
     #: Wall-clock submission time — trace spans need epoch timestamps so
@@ -642,19 +647,20 @@ class Engine:
                     algorithm=record.spec.algorithm,
                     duration_s=ticket.run_seconds, node=self.node_name,
                     ts=time.time())
-        # record.payload_nbytes was set by _execute: the computed size for
-        # misses, the cached entry's size for hits (a hit-record keeps the
-        # payload alive even after cache eviction, so it must be charged).
-        # Inline point arrays are retained with the spec and are NOT
-        # shared, so they always count toward the byte bound.
+        # A record keeps its encoded payload alive even after the result
+        # cache evicts it, so every record is charged the payload's exact
+        # byte length, hit or miss.  Inline point arrays are retained
+        # with the spec and are not shared, so they always count too.
+        if result.encoded is not None:
+            record.retained_nbytes = result.encoded.nbytes
         if record.spec.points is not None:
-            record.payload_nbytes += int(
+            record.retained_nbytes += int(
                 np.asarray(record.spec.points).nbytes)
         record.result = result  # before .status: a finished status must
         record.status = result.status  # imply a readable result
         with self._lock:
             self._finished_order.append(ticket.job_id)
-            self._retained_bytes += record.payload_nbytes
+            self._retained_bytes += record.retained_nbytes
             # Keep at least one finished record per worker: with a tiny
             # budget, concurrent completions must not evict a record in
             # the instant between its append and its future resolving.
@@ -663,7 +669,7 @@ class Engine:
                     or self._retained_bytes > self.max_retained_bytes):
                 old = self._records.pop(self._finished_order.popleft(), None)
                 if old is not None:
-                    self._retained_bytes -= old.payload_nbytes
+                    self._retained_bytes -= old.retained_nbytes
         return result
 
     def _replayed_phases(self, result: JobResult) -> set:
@@ -730,10 +736,8 @@ class Engine:
                 "peer_fetch", node=node, start=exec_start,
                 tiers=",".join(record.peer_tiers)))
         exec_meta: Dict[str, Any] = {}
-        if result.payload is not None:
-            inner = result.payload.get("emst", result.payload)
-            totals = CostCounters.summed(
-                (inner.get("counters") or {}).values())
+        if result.encoded is not None:
+            totals = CostCounters(**result.encoded.counters)
             exec_meta["counters"] = totals.as_dict()
             exec_meta["divergence_factor"] = round(
                 totals.divergence_factor, 4)
@@ -772,12 +776,12 @@ class Engine:
                     self._dataset_fp.clear()
                 self._dataset_fp[memo_key] = points_fp
         result_key = combine_fingerprint(points_fp, spec.params_key())
-        payload, result_src = self.result_cache.get_with_source(result_key)
-        result_hit = payload is not None
+        encoded, result_src = self.result_cache.get_with_source(result_key)
+        result_hit = encoded is not None
         tree_src = core_src = None
         tree_hit = core_hit = coalesced = False
         inflight: Optional[_Inflight] = None
-        if payload is None:
+        if encoded is None:
             # Request coalescing: identical in-flight fingerprints share
             # one upstream execution.  The first miss leads and computes;
             # concurrent repeats block on its completion and reuse the
@@ -790,20 +794,16 @@ class Engine:
                     self._inflight[result_key] = inflight
             if inflight is None and leader_entry is not None:
                 leader_entry.done.wait()
-                if not leader_entry.failed:
-                    payload = leader_entry.payload
+                if leader_entry.encoded is not None:
+                    encoded = leader_entry.encoded
                     coalesced = True
                     self._coalesced_c.inc()
-                    self._record(ticket.job_id).payload_nbytes = \
-                        leader_entry.payload_nbytes
-        if payload is None:
+        if encoded is None:
             try:
-                payload, payload_nbytes, outcome = self._compute_miss(
+                encoded, outcome = self._compute_miss(
                     spec, points, points_fp, result_key, ticket)
                 if inflight is not None:
-                    inflight.payload = payload
-                    inflight.payload_nbytes = payload_nbytes
-                    inflight.failed = False
+                    inflight.encoded = encoded
             finally:
                 if inflight is not None:
                     with self._lock:
@@ -815,19 +815,6 @@ class Engine:
             core_src = outcome["core_src"]
             for name, seconds in outcome["phases"].items():
                 timer.add(name, seconds)
-            n_points = outcome["n_points"]
-            dimension = outcome["dimension"]
-        else:
-            # A hit-record keeps the payload alive even after the result
-            # cache evicts it, so it must be charged too — the retention
-            # bound would otherwise under-count shared dicts whose
-            # computing record already aged out.  (Coalesced followers
-            # were charged from the leader's outcome above.)
-            if not coalesced:
-                self._record(ticket.job_id).payload_nbytes = \
-                    self.result_cache.size_of(result_key) or 0
-            inner = payload.get("emst", payload)
-            n_points, dimension = inner["n_points"], inner["dimension"]
 
         peer_tiers = [tier for tier, src in (("result", result_src),
                                              ("tree", tree_src),
@@ -835,14 +822,14 @@ class Engine:
                       if src == "peer"]
         if peer_tiers:
             self._record(ticket.job_id).peer_tiers = peer_tiers
-        for name, seconds in payload.get("phases", {}).items():
+        for name, seconds in encoded.phases.items():
             timer.add(f"algo_{name}", seconds)
         run_seconds = ticket.run_seconds
         return JobResult(
             job_id=ticket.job_id,
             status=JobStatus.DONE,
             algorithm=spec.algorithm,
-            payload=payload,
+            encoded=encoded,
             timings={"queue": ticket.queue_seconds, "run": run_seconds,
                      **timer.as_dict()},
             cache={"result_hit": result_hit, "tree_hit": tree_hit,
@@ -851,14 +838,15 @@ class Engine:
                    "tree_disk_hit": tree_src == "disk",
                    "core_disk_hit": core_src == "disk"},
             mfeatures_per_sec=mfeatures_per_second(
-                n_points, dimension, max(run_seconds, 1e-12)),
+                encoded.n_points, encoded.dimension,
+                max(run_seconds, 1e-12)),
         )
 
     def _compute_miss(self, spec, points, points_fp, result_key, ticket):
         """Execute a result-cache miss end to end; returns
-        ``(payload, payload_nbytes, outcome-extras)``.  Factored out so
-        the coalescing rendezvous in :meth:`_execute` can publish or
-        discard the leader's computation in one place."""
+        ``(encoded payload, outcome-extras)``.  Factored out so the
+        coalescing rendezvous in :meth:`_execute` can publish or discard
+        the leader's computation in one place."""
         tree_key = combine_fingerprint(points_fp, spec.tree_key())
         tree_entry, tree_src = self.tree_cache.get_with_source(tree_key)
         tree_hit = tree_entry is not None
@@ -891,7 +879,10 @@ class Engine:
             tree_counters=tree_entry["counters"] if tree_hit else None,
             core_state=core_entry)
         outcome = self._dispatch(exec_spec)
-        payload = outcome["payload"]
+        # The payload's one encoding: the result tier, coalesced followers
+        # and retained job records all hold these bytes, and every read of
+        # the job serves them as they are.
+        encoded = EncodedPayload.encode(outcome["payload"])
         # Only actually-computed features count toward the scheduler's
         # compute-throughput stat; cache hits would inflate it.
         ticket.features = outcome["features"]
@@ -902,17 +893,13 @@ class Engine:
                  "counters": outcome["tree_counters"]})
         if core_key is not None and outcome["core_state"] is not None:
             self.core_cache.put(core_key, outcome["core_state"])
-        payload_nbytes = outcome["payload_nbytes"]
-        self.result_cache.put(result_key, payload, payload_nbytes)
-        self._record(ticket.job_id).payload_nbytes = payload_nbytes
+        self.result_cache.put(result_key, encoded)
         extras = {
             "tree_hit": tree_hit, "tree_src": tree_src,
             "core_hit": core_hit, "core_src": core_src,
             "phases": outcome["phases"],
-            "n_points": outcome["n_points"],
-            "dimension": outcome["dimension"],
         }
-        return payload, payload_nbytes, extras
+        return encoded, extras
 
     def _dispatch(self, exec_spec: Dict[str, Any]) -> Dict[str, Any]:
         """Run :func:`execute_spec` on the configured backend.

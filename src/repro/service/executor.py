@@ -7,7 +7,9 @@ spatial index and/or core-distance artifact) and returns a plain-dict
 outcome.  It touches no engine state — no caches, no records, no locks —
 so the engine can run it either in-process (thread backend) or ship it to
 a ``ProcessPoolExecutor`` worker (process backend) and get byte-identical
-payloads from both.
+payloads from both.  The payload comes back as a dict; the engine encodes
+it to its one stored form (:class:`~repro.store.blob.EncodedPayload`, whose
+size is its exact byte length) in the parent, after the outcome arrives.
 
 Cache interaction stays in the parent: the engine fingerprints and consults
 its tiers *before* dispatch and inserts the returned artifacts *after*
@@ -37,7 +39,7 @@ from repro.bvh.workspace import TraversalWorkspace
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, emst, mutual_reachability_emst
 from repro.errors import InvalidInputError
-from repro.hdbscan.hdbscan import HDBSCANResult, hdbscan
+from repro.hdbscan.hdbscan import hdbscan
 from repro.service.jobs import (
     JobSpec,
     emst_result_to_dict,
@@ -60,30 +62,6 @@ def _workspace() -> TraversalWorkspace:
         ws = TraversalWorkspace()
         _WORKER_STATE.workspace = ws
     return ws
-
-
-#: A Python list-of-scalars payload costs roughly 4x its raw array buffer.
-_PYLIST_FACTOR = 4
-#: Flat allowance for the payload's small fields (phases, counters, rounds).
-_PAYLOAD_OVERHEAD = 8 << 10
-
-
-def payload_nbytes(computed: Any) -> int:
-    """O(1) size estimate of a serialized result from its source arrays.
-
-    Walking the ``.tolist()``'ed payload element-by-element would cost
-    seconds for large jobs; the array buffer sizes are available for free
-    and the list expansion factor is roughly constant.
-    """
-    if isinstance(computed, HDBSCANResult):
-        cond = computed.condensed
-        own = (computed.labels.nbytes + computed.probabilities.nbytes +
-               computed.linkage.nbytes + cond.parent.nbytes +
-               cond.child.nbytes + cond.lambda_val.nbytes +
-               cond.child_size.nbytes)
-        return _PYLIST_FACTOR * own + payload_nbytes(computed.emst)
-    return (_PYLIST_FACTOR * (computed.edges.nbytes + computed.weights.nbytes)
-            + _PAYLOAD_OVERHEAD)
 
 
 def make_exec_spec(spec: JobSpec, *,
@@ -118,9 +96,9 @@ def make_exec_spec(spec: JobSpec, *,
 def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job to completion; pure function of its argument.
 
-    Returns a dict with the serialized result ``payload``, its estimated
-    ``payload_nbytes``, the execution ``phases`` (``resolve`` /
-    ``tree_build`` / ``compute`` wall seconds), the problem shape
+    Returns a dict with the serialized result ``payload`` (a JSON-safe
+    dict), the execution ``phases`` (``resolve`` / ``tree_build`` /
+    ``compute`` wall seconds), the problem shape
     (``n_points`` / ``dimension`` / ``features``) and — when the worker had
     to build an artifact itself — its ``tree_state``/``tree_counters``
     and/or ``core_state`` so the parent can cache them for the next job
@@ -189,7 +167,6 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
                           "counters": emst_payload["counters"]["core"]}
     return {
         "payload": payload,
-        "payload_nbytes": payload_nbytes(computed),
         "phases": timer.as_dict(),
         "n_points": int(points.shape[0]),
         "dimension": int(points.shape[1]),

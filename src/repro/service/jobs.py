@@ -5,6 +5,8 @@ A :class:`JobSpec` names *what* to compute — a point source (inline array or
 ``hdbscan``), the :class:`~repro.core.boruvka_emst.SingleTreeConfig` knobs
 and a scheduling priority.  A :class:`JobResult` carries the outcome in
 plain-dict form so it survives a JSON round trip through the HTTP front end;
+an engine-built result also carries the payload's stored JSON bytes, which
+:meth:`JobResult.to_json` serves without re-encoding.
 :func:`emst_result_to_dict` / :func:`emst_result_from_dict` (and the HDBSCAN
 pair) losslessly convert the library's result dataclasses.
 """
@@ -24,6 +26,7 @@ from repro.errors import InvalidInputError
 from repro.hdbscan.condense import CondensedTree
 from repro.hdbscan.hdbscan import HDBSCANResult
 from repro.kokkos.counters import CostCounters
+from repro.store.blob import EncodedPayload
 
 #: Algorithms the engine can serve.
 ALGORITHMS = ("emst", "mrd_emst", "hdbscan")
@@ -352,15 +355,38 @@ def hdbscan_result_from_dict(data: Dict[str, Any]) -> HDBSCANResult:
     )
 
 
+class _DecodedOnce:
+    """The ``payload`` field of :class:`JobResult`.
+
+    Holds the dict it was given; a result built from stored bytes
+    (``encoded``) and no dict decodes them on first read and keeps the
+    dict.  The class-level read returns ``None``, the field's default.
+    """
+
+    def __get__(self, result: Any, owner: Any = None) -> Any:
+        if result is None:
+            return None
+        payload = result.__dict__.get("_payload")
+        if payload is None and result.encoded is not None:
+            payload = result.__dict__["_payload"] = result.encoded.decode()
+        return payload
+
+    def __set__(self, result: Any, value: Any) -> None:
+        result.__dict__["_payload"] = value
+
+
 @dataclass
 class JobResult:
     """Terminal outcome of one job, in transport-ready form.
 
     ``payload`` holds the serialized algorithm result (see the
     ``*_result_to_dict`` converters) for ``DONE`` jobs, ``error`` the failure
-    message for ``FAILED`` ones.  The payload dict is shared with the
-    engine's result cache — treat it as immutable and deserialize through
-    :meth:`emst` / :meth:`hdbscan`, which build fresh arrays.  ``timings``
+    message for ``FAILED`` ones.  A result the engine produced carries its
+    payload's one stored form in ``encoded`` (the JSON bytes, shared with
+    the result cache) and decodes ``payload`` from it on first access, once
+    per instance, so the dict is the caller's own; deserialize through
+    :meth:`emst` / :meth:`hdbscan` for arrays.  :meth:`to_json` serves
+    the stored bytes without decoding them.  ``timings``
     includes the scheduler-observed ``queue`` and ``run`` seconds next to
     the algorithm's own phases; ``cache`` records which tiers answered
     (``result_hit`` / ``tree_hit`` / ``core_hit``, plus ``*_disk_hit``
@@ -374,7 +400,7 @@ class JobResult:
     job_id: str
     status: JobStatus
     algorithm: str
-    payload: Optional[Dict[str, Any]] = None
+    payload: Optional[Dict[str, Any]] = _DecodedOnce()
     error: Optional[str] = None
     timings: Dict[str, float] = field(default_factory=dict)
     cache: Dict[str, bool] = field(default_factory=dict)
@@ -385,22 +411,39 @@ class JobResult:
     #: describes *how* the job was served, so
     #: :func:`canonical_payload_bytes` is untouched by its presence.
     trace: Optional[Dict[str, Any]] = None
+    #: The payload as the result tier stores it; ``None`` for failed jobs
+    #: and for results rebuilt by :meth:`from_dict`.
+    encoded: Optional[EncodedPayload] = field(default=None, repr=False,
+                                              compare=False)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
-        out = {
-            "job_id": self.job_id,
-            "status": self.status.value,
-            "algorithm": self.algorithm,
-            "payload": self.payload,
-            "error": self.error,
-            "timings": dict(self.timings),
-            "cache": dict(self.cache),
-            "mfeatures_per_sec": self.mfeatures_per_sec,
-        }
+    def _head(self) -> Dict[str, Any]:
+        return {"job_id": self.job_id, "status": self.status.value,
+                "algorithm": self.algorithm}
+
+    def _tail(self) -> Dict[str, Any]:
+        out = {"error": self.error, "timings": dict(self.timings),
+               "cache": dict(self.cache),
+               "mfeatures_per_sec": self.mfeatures_per_sec}
         if self.trace is not None:
             out["trace"] = self.trace
         return out
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
+        return {**self._head(), "payload": self.payload, **self._tail()}
+
+    def to_json(self) -> bytes:
+        """``json.dumps(self.to_dict()).encode()``, byte for byte.
+
+        The stored payload bytes are spliced between the encoded envelope
+        fields, so serving a finished job never encodes its payload again.
+        """
+        payload = (self.encoded.body if self.encoded is not None
+                   else json.dumps(self.payload).encode())
+        head = json.dumps(self._head()).encode()
+        tail = json.dumps(self._tail()).encode()
+        return b"".join((head[:-1], b', "payload": ', payload, b", ",
+                         tail[1:]))
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobResult":

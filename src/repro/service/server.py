@@ -7,7 +7,9 @@ Endpoints (all JSON):
     ``202 {"job_id": ..., "status": "pending"}``; malformed specs get 400,
     a closed engine 503, a full admission queue 429 + ``Retry-After``.
 ``GET /v1/jobs/<id>[?wait_s=SECONDS]``
-    The job's :class:`~repro.service.jobs.JobResult` once finished, else
+    The job's :class:`~repro.service.jobs.JobResult` once finished
+    (:meth:`~repro.service.jobs.JobResult.to_json`: the payload's stored
+    bytes, encoded once when the job computed), else
     ``{"job_id": ..., "status": "pending" | "running"}``.  ``wait_s``
     blocks up to that many seconds (bounded, default 0) for completion
     (long-poll) — bridged onto the engine future with
@@ -81,7 +83,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 import repro
 from repro.api.contract import (  # noqa: F401 — re-exported wire constants
@@ -98,7 +100,7 @@ from repro.api.contract import (  # noqa: F401 — re-exported wire constants
 )
 from repro.api.http import AsyncHTTPHost, DEFAULT_MAX_INFLIGHT
 from repro.errors import InvalidInputError
-from repro.obs import TRACE_HEADER, EventLog, from_header
+from repro.obs import EventLog, from_header
 from repro.obs.profiler import PAUSE_BUCKETS
 from repro.service.engine import Engine
 from repro.service.jobs import JobSpec
@@ -160,7 +162,7 @@ class EngineAPI(WireAPI):
         return {"job_id": job_id, "status": "pending"}, None
 
     async def job(self, job_id: str, wait: float
-                  ) -> Tuple[Dict[str, Any], Optional[str]]:
+                  ) -> Tuple[Union[Dict[str, Any], bytes], Optional[str]]:
         try:
             result = await asyncio.to_thread(self.engine.poll, job_id)
             if result is None and wait > 0:
@@ -178,7 +180,10 @@ class EngineAPI(WireAPI):
             raise ApiError(404, str(exc), code=ERR_UNKNOWN_JOB)
         if result is None:
             return {"job_id": job_id, "status": status.value}, None
-        return await asyncio.to_thread(result.to_dict), None
+        # The stored payload bytes go out as they are: a finished job's
+        # body is a splice, never a re-encode of its payload.  The splice
+        # still copies the payload once, so it stays off the event loop.
+        return await asyncio.to_thread(result.to_json), None
 
     async def _wait_for_result(self, job_id: str, wait: float):
         """Park on the engine future for up to ``wait`` seconds.

@@ -31,6 +31,7 @@ True
 
 from repro.store.blob import (
     BLOB_FORMAT,
+    EncodedPayload,
     bvh_from_state,
     bvh_to_state,
     codec_for,
@@ -52,6 +53,7 @@ __all__ = [
     "DEFAULT_STORE_BYTES",
     "ContentCache",
     "DiskStore",
+    "EncodedPayload",
     "TieredCache",
     "bvh_from_state",
     "bvh_to_state",

@@ -9,7 +9,9 @@ Everything the serving engine caches flattens to this shape:
   ships between processes (:func:`bvh_to_state` — the canonical
   serialization, re-exported by :mod:`repro.service.executor`), so a tree
   written by one process or node is readable by any other;
-* a **result payload** is pure JSON and travels entirely in the metadata;
+* a **result** is an :class:`EncodedPayload`: the payload's JSON bytes
+  travel as one ``uint8`` array, exactly as the cold job encoded them, and
+  the few small fields a cache hit reads ride in the metadata;
 * a **core-distance artifact** is one float64 array (squared core
   distances in the submitting caller's point order — deliberately
   tree-independent, see :func:`encode_core`) plus its phase counters.
@@ -21,12 +23,14 @@ The per-tier ``encode_*`` / ``decode_*`` pairs below are the codecs the
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, Tuple
 
 import numpy as np
 
 from repro.bvh.bvh import BVH
 from repro.errors import InvalidInputError
+from repro.kokkos.counters import CostCounters
 
 #: Reserved array name carrying the JSON metadata bytes inside a blob.
 META_KEY = "__meta__"
@@ -37,12 +41,15 @@ META_KEY = "__meta__"
 #:
 #: 1. original layout (one point per BVH leaf, no leaf arrays);
 #: 2. blocked leaves — tree blobs add ``leaf_start`` / ``leaf_count``
-#:    arrays and a ``leaf_size`` metadata field.
-BLOB_FORMAT = 2
+#:    arrays and a ``leaf_size`` metadata field;
+#: 3. encoded results — a result blob stores the payload's JSON bytes as
+#:    a ``payload`` array instead of the payload dict in its metadata.
+BLOB_FORMAT = 3
 
 #: Formats :func:`read_blob` still accepts.  A format-1 tree blob decodes
-#: as a ``leaf_size=1`` tree (the arrays it lacks are derivable).
-COMPATIBLE_FORMATS = (1, 2)
+#: as a ``leaf_size=1`` tree (the arrays it lacks are derivable); a
+#: format-1/2 result blob is re-encoded once when decoded.
+COMPATIBLE_FORMATS = (1, 2, 3)
 
 Meta = Dict[str, Any]
 Arrays = Dict[str, np.ndarray]
@@ -159,14 +166,75 @@ def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
     return {"bvh": bvh, "counters": meta.get("counters")}
 
 
-def encode_result(payload: Dict[str, Any]) -> Tuple[Meta, Arrays]:
-    """Codec for the result tier: a serialized (JSON-safe) job payload."""
-    return {"tier": "result", "payload": payload}, {}
+@dataclass(frozen=True)
+class EncodedPayload:
+    """A finished job's payload in its one stored form.
+
+    ``body`` is ``json.dumps(payload).encode()``, made once when the job
+    computes.  The result tier, coalesced followers and retained job
+    records share this object, and the HTTP front end splices ``body``
+    into every response for the job without decoding it.  Beside it sit
+    the few small fields a cache hit reads: the algorithm ``phases``
+    (replayed as ``algo_*`` timings), the problem shape (for
+    ``mfeatures_per_sec``) and the work ``counters`` summed over phases
+    (for the ``executed`` trace span).
+    """
+
+    body: bytes = field(repr=False)
+    phases: Dict[str, float]
+    n_points: int
+    dimension: int
+    counters: Dict[str, int]
+
+    @classmethod
+    def encode(cls, payload: Dict[str, Any]) -> "EncodedPayload":
+        """Encode a JSON-safe payload (``emst_result_to_dict`` or
+        ``hdbscan_result_to_dict`` output)."""
+        inner = payload.get("emst", payload)
+        totals = CostCounters.summed((inner.get("counters") or {}).values())
+        return cls(body=json.dumps(payload).encode(),
+                   phases=dict(payload.get("phases", {})),
+                   n_points=int(inner["n_points"]),
+                   dimension=int(inner["dimension"]),
+                   counters=totals.as_dict())
+
+    def decode(self) -> Dict[str, Any]:
+        """The payload dict, freshly parsed from ``body``."""
+        return json.loads(self.body)
+
+    @property
+    def nbytes(self) -> int:
+        """The stored size: exactly the encoded payload's byte length."""
+        return len(self.body)
 
 
-def decode_result(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
-    """Inverse of :func:`encode_result`."""
-    return meta["payload"]
+def encode_result(value: EncodedPayload) -> Tuple[Meta, Arrays]:
+    """Codec for the result tier: the payload bytes as a ``uint8`` array,
+    the small fields in the metadata.
+
+    ``phases`` and ``counters`` are stored as ``[name, value]`` pairs: the
+    metadata is dumped with sorted keys, and a disk hit must replay them
+    in the order the cold job reported them.
+    """
+    meta = {"tier": "result", "phases": list(value.phases.items()),
+            "n_points": value.n_points, "dimension": value.dimension,
+            "counters": list(value.counters.items())}
+    return meta, {"payload": np.frombuffer(value.body, dtype=np.uint8)}
+
+
+def decode_result(meta: Meta, arrays: Arrays) -> EncodedPayload:
+    """Inverse of :func:`encode_result`.
+
+    Formats 1 and 2 kept the payload dict itself in the (sorted-key)
+    metadata; such a blob is encoded here, once per decode.
+    """
+    if "payload" in meta:
+        return EncodedPayload.encode(meta["payload"])
+    return EncodedPayload(body=arrays["payload"].tobytes(),
+                          phases=dict(meta["phases"]),
+                          n_points=int(meta["n_points"]),
+                          dimension=int(meta["dimension"]),
+                          counters=dict(meta["counters"]))
 
 
 def encode_core(value: Dict[str, Any]) -> Tuple[Meta, Arrays]:

@@ -20,16 +20,17 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.metrics import hit_rate
+from repro.store.blob import EncodedPayload
 
 
 def estimate_nbytes(value: Any) -> int:
     """Approximate heap footprint of a cached value, in bytes.
 
-    Counts array buffers exactly and walks containers and dataclasses
-    (covering :class:`~repro.bvh.bvh.BVH` and serialized result payloads);
+    Counts array buffers and encoded result payloads exactly and walks
+    containers and dataclasses (covering :class:`~repro.bvh.bvh.BVH`);
     everything else falls back to ``sys.getsizeof``.
     """
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, EncodedPayload)):
         return int(value.nbytes)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return sum(estimate_nbytes(getattr(value, f.name))

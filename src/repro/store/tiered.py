@@ -6,7 +6,9 @@ the tier's codec (:mod:`repro.store.blob`) and *promotes* the value into
 the memory tier, so a warm-restarted server pays the deserialization once
 per artifact, not once per request.  Inserts go to both levels (*spill on
 insert*), so anything the memory tier later evicts — or a process restart
-wipes — is still one disk read away.
+wipes — is still one disk read away.  A promoted value is charged its
+:func:`~repro.store.memory.estimate_nbytes` size, the same as at insert:
+cheap and exact for result payloads (their byte length) and arrays.
 
 Without a :class:`~repro.store.disk.DiskStore` the facade degrades to the
 plain in-memory :class:`~repro.store.memory.ContentCache`, which keeps the
@@ -24,7 +26,7 @@ from repro.metrics import hit_rate
 from repro.obs import MetricsRegistry
 from repro.store.blob import codec_for, read_blob
 from repro.store.disk import DiskStore
-from repro.store.memory import ContentCache, estimate_nbytes
+from repro.store.memory import ContentCache
 
 #: ``source`` values :meth:`TieredCache.get_with_source` can report
 #: (``"peer"`` joins them when a :attr:`TieredCache.peer_fetch` hook is
@@ -124,11 +126,7 @@ class TieredCache:
             return self._peer_read_through(key)
         self.disk_hits += 1
         self._lookup[("disk", "hit")].inc()
-        # Promote with the size recorded at insert time: re-walking a large
-        # payload with estimate_nbytes on the serving path would cost more
-        # than the deserialization itself (and drift from the budget
-        # accounting the artifact was inserted under).
-        self.memory.put(key, value, blob[0].get("memory_nbytes"))
+        self.memory.put(key, value)
         return value, "disk"
 
     def _peer_read_through(self, key: str
@@ -158,7 +156,7 @@ class TieredCache:
             except (InvalidInputError, OSError):
                 self.spill_errors += 1
         self.peer_hits += 1
-        self.memory.put(key, value, blob[0].get("memory_nbytes"))
+        self.memory.put(key, value)
         return value, "peer"
 
     def put(self, key: str, value: Any,
@@ -170,14 +168,11 @@ class TieredCache:
         serving path must not fail a job over a cold-cache-on-restart
         degradation.
         """
-        size = int(nbytes) if nbytes is not None else estimate_nbytes(value)
-        stored = self.memory.put(key, value, size)
+        stored = self.memory.put(key, value, nbytes)
         if self.store is not None:
             started = time.perf_counter()
             try:
                 meta, arrays = self._encode(value)
-                meta = dict(meta)
-                meta["memory_nbytes"] = size  # reused on promotion
                 self.store.put(self.tier, key, meta, arrays)
             except OSError:
                 self.spill_errors += 1

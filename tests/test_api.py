@@ -10,7 +10,6 @@ beyond the worker pool size.
 import asyncio
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 

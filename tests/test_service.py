@@ -1,5 +1,6 @@
 """Tests for the job-serving subsystem (repro.service)."""
 
+import json
 import pickle
 import sys
 import threading
@@ -31,6 +32,7 @@ from repro.store import (
     ContentCache,
     bvh_from_state,
     bvh_to_state,
+    combine_fingerprint,
     estimate_nbytes,
     fingerprint,
     fingerprint_array,
@@ -197,13 +199,37 @@ class TestResultSerialization:
         assert np.allclose(back.linkage, direct.linkage)
         assert np.array_equal(back.condensed.parent, direct.condensed.parent)
 
-    def test_job_result_round_trip(self):
+    def test_job_result_round_trip(self, uniform_2d, clustered_3d):
         result = JobResult(job_id="job-7", status=JobStatus.DONE,
                            algorithm="emst", payload={"n_points": 3},
                            timings={"queue": 0.5}, cache={"result_hit": True},
                            mfeatures_per_sec=2.5)
         back = JobResult.from_dict(result.to_dict())
         assert back == result
+        # Engine results splice their stored payload bytes into the
+        # envelope; the body must equal encoding the whole dict, for every
+        # algorithm, for a failure (payload None), traced or not.
+        served = [result]
+        for obs in (True, False):
+            with Engine(max_workers=1, obs=obs) as eng:
+                specs = [JobSpec(points=uniform_2d),
+                         JobSpec(points=uniform_2d, algorithm="mrd_emst",
+                                 k_pts=4),
+                         JobSpec(points=clustered_3d, algorithm="hdbscan"),
+                         JobSpec(points=np.zeros((1, 2)),
+                                 algorithm="hdbscan")]
+                served += [eng.result(eng.submit(spec), timeout=60)
+                           for spec in specs]
+        assert [r.status for r in served[1:]] == \
+            [JobStatus.DONE] * 3 + [JobStatus.FAILED] + \
+            [JobStatus.DONE] * 3 + [JobStatus.FAILED]
+        assert [r.trace is not None for r in served[1:]] == \
+            [True] * 4 + [False] * 4
+        for r in served:
+            body = r.to_json()
+            assert body == json.dumps(r.to_dict()).encode()
+            assert JobResult.from_dict(json.loads(body)) == r
+        assert served[4].payload is None and served[4].encoded is None
 
 
 class TestContentCache:
@@ -295,6 +321,16 @@ class TestEngine:
             "core_disk_hit": False}
         assert second.cache["result_hit"]
         assert np.array_equal(second.emst().edges, first.emst().edges)
+
+    def test_result_tier_charges_exact_payload_bytes(self, engine,
+                                                     uniform_2d):
+        spec = JobSpec(points=uniform_2d)
+        result = engine.result(engine.submit(spec), timeout=60)
+        key = combine_fingerprint(fingerprint_array(uniform_2d),
+                                  spec.params_key())
+        size = engine.result_cache.size_of(key)
+        assert size == result.encoded.nbytes == len(result.encoded.body)
+        assert size == len(json.dumps(result.payload).encode())
 
     def test_tree_reused_across_algorithms(self, engine, uniform_2d):
         engine.result(engine.submit(JobSpec(points=uniform_2d)), timeout=60)
@@ -485,7 +521,6 @@ class TestExecutionBackends:
         assert outcome["features"] == 600
         assert outcome["tree_state"] is not None
         assert "tree_build" in outcome["phases"]
-        assert outcome["payload_nbytes"] > 0
 
     def test_execute_spec_reuses_injected_tree_state(self, uniform_2d):
         spec = JobSpec(points=uniform_2d)

@@ -188,3 +188,39 @@ def test_x_repro_node_header_and_identity(api):
         header = resp.headers.get("X-Repro-Node")
     assert header  # default identity is host:port
     assert body["node"] == header
+
+
+def test_result_hit_body_is_served_without_encoding_its_payload(
+        api, monkeypatch):
+    """A finished job's body is its stored payload bytes spliced into the
+    envelope: serving a result hit neither encodes nor decodes the
+    payload, and every body is exactly ``json.dumps`` of what it holds."""
+    def submit_and_read():
+        _, submitted = post(f"{api}/v1/jobs", {"dataset": "Uniform100M2:300"})
+        with urllib.request.urlopen(
+                f"{api}/v1/jobs/{submitted['job_id']}?wait=60",
+                timeout=120) as resp:
+            return resp.read()
+
+    dumps, loads = json.dumps, json.loads
+    seen = []
+
+    def spy_dumps(obj, *args, **kwargs):
+        out = dumps(obj, *args, **kwargs)
+        seen.append('"edges"' in out)
+        return out
+
+    def spy_loads(text, *args, **kwargs):
+        seen.append(b'"edges"' in (text if isinstance(text, bytes)
+                                   else text.encode()))
+        return loads(text, *args, **kwargs)
+
+    cold = submit_and_read()
+    monkeypatch.setattr(json, "dumps", spy_dumps)
+    monkeypatch.setattr(json, "loads", spy_loads)
+    hit = submit_and_read()
+    monkeypatch.undo()
+    assert seen and not any(seen)  # the spies ran; none saw a payload
+    assert loads(hit)["cache"]["result_hit"]
+    for body in (cold, hit):
+        assert body == dumps(loads(body)).encode()

@@ -1,5 +1,6 @@
 """Tests for the persistent artifact store (repro.store) and its wiring."""
 
+import io
 import json
 import os
 import threading
@@ -17,11 +18,13 @@ from repro.service import (
     Engine,
     JobSpec,
     canonical_payload_bytes,
+    emst_result_to_dict,
 )
 from repro.service.executor import execute_spec, make_exec_spec
 from repro.service.scheduler import JobTicket, Scheduler
 from repro.store import (
     DiskStore,
+    EncodedPayload,
     TieredCache,
     bvh_from_state,
     bvh_to_state,
@@ -34,6 +37,7 @@ from repro.store import (
 from repro.store.blob import (
     BLOB_FORMAT,
     decode_core,
+    decode_result,
     decode_tree,
     encode_core,
     encode_tree,
@@ -343,17 +347,21 @@ class TestTieredCache:
                                       "hit_rate", "spill_errors",
                                       "decode_errors", "read_errors"}
 
-    def test_promotion_reuses_insert_time_size(self, tmp_path):
-        # The engine inserts result payloads with a cheap O(1) size
-        # estimate; a disk-hit promotion must reuse it, not re-walk the
-        # payload (and must charge the memory budget identically).
+    def test_promotion_reuses_insert_time_size(self, tmp_path, uniform_2d):
+        # A result is charged its exact encoded byte length when inserted,
+        # and the same again when a disk hit promotes it.
+        value = EncodedPayload.encode(emst_result_to_dict(emst(uniform_2d)))
         store = DiskStore(str(tmp_path))
         cache = TieredCache("result", 1 << 20, store)
-        cache.put("aa" * 32, {"edges": [[0, 1]]}, nbytes=4096)
-        assert cache.memory.size_of("aa" * 32) == 4096
+        cache.put("aa" * 32, value)
+        assert cache.memory.size_of("aa" * 32) == value.nbytes
+        assert value.nbytes == len(value.body)
         warm = TieredCache("result", 1 << 20, store)
-        assert warm.get_with_source("aa" * 32)[1] == "disk"
-        assert warm.memory.size_of("aa" * 32) == 4096
+        back, source = warm.get_with_source("aa" * 32)
+        assert source == "disk"
+        assert back == value
+        assert list(back.phases) == list(value.phases)
+        assert warm.memory.size_of("aa" * 32) == value.nbytes
 
 
 class TestCoreDistanceInjection:
@@ -505,6 +513,21 @@ class TestEngineWarmRestart:
     def test_compact_memory_only_returns_none(self):
         with Engine(max_workers=1) as eng:
             assert eng.compact() is None
+
+    def test_disk_hit_serves_the_cold_bytes(self, tmp_path):
+        # The payload comes back from disk exactly as the cold job encoded
+        # it — key order included, not just the canonical form.
+        root = str(tmp_path / "store")
+        with Engine(max_workers=1, store_dir=root) as eng:
+            cold = eng.result(eng.submit(JobSpec(dataset="Uniform100M2:1000")),
+                              timeout=120)
+            assert cold.status.value == "done", cold.error
+        with Engine(max_workers=1, store_dir=root) as eng:
+            warm = eng.result(eng.submit(JobSpec(dataset="Uniform100M2:1000")),
+                              timeout=120)
+        assert warm.cache["result_disk_hit"]
+        assert warm.encoded.body == cold.encoded.body
+        assert json.dumps(warm.payload) == json.dumps(cold.payload)
 
     def test_memory_only_engine_unchanged(self, uniform_2d):
         with Engine(max_workers=1) as eng:
@@ -749,6 +772,31 @@ class TestBlobFormatCompatibility:
         # And it drives the solver to the same answer.
         assert np.array_equal(emst(uniform_2d, bvh=back).edges,
                               emst(uniform_2d).edges)
+
+    def test_format2_result_blob_decodes(self, tmp_path, uniform_2d):
+        # Format 2 kept the payload dict inside the sorted-key metadata and
+        # no arrays; it must still decode (and promote at its exact size).
+        payload = emst_result_to_dict(emst(uniform_2d))
+        meta = {"tier": "result", "payload": payload,
+                "memory_nbytes": 4096, "format": 2}
+        meta_bytes = np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+        buffer = io.BytesIO()
+        np.savez(buffer, **{"__meta__": meta_bytes})
+        data = buffer.getvalue()
+        got_meta, arrays = read_blob(io.BytesIO(data))
+        assert got_meta["format"] == 2 and arrays == {}
+        value = decode_result(got_meta, arrays)
+        assert canonical_payload_bytes(value.decode()) == \
+            canonical_payload_bytes(payload)
+        assert (value.n_points, value.dimension) == (200, 2)
+        assert value.phases == payload["phases"]
+        store = DiskStore(str(tmp_path))
+        assert store.put_blob_bytes("result", "aa" * 32, data)
+        cache = TieredCache("result", 1 << 20, store)
+        back, source = cache.get_with_source("aa" * 32)
+        assert source == "disk" and back == value
+        assert cache.memory.size_of("aa" * 32) == value.nbytes
 
     def test_format2_round_trip_carries_blocking(self, uniform_2d,
                                                  tmp_path):

@@ -20,7 +20,8 @@ job, **kills the server** (SIGKILL — a crash, not a drain), starts a new
 one over the same store, and asserts that
 
 * the exact-repeat job is answered from the **disk result tier**
-  (``result_disk_hit``) with bytes matching the in-process reference, and
+  (``result_disk_hit``) with bytes matching the in-process reference and
+  the very payload the cold job served (same phases, same key order), and
 * a different job over the same points skips ``T_tree`` and ``T_core``
   via the **disk BVH and core-distance tiers**, again byte-identical.
 
@@ -155,6 +156,12 @@ def check_restart_warmth(args):
         reference = _reference_bytes(mrd)
         assert warm_bytes == cold_bytes == reference, (
             "FAIL: disk-served repeat diverges from cold/reference bytes")
+        # Beyond the canonical form: the disk tier serves the cold job's
+        # own payload, phases and key order included.
+        assert warm["payload"] == cold["payload"], (
+            "FAIL: disk-served payload differs from the cold payload")
+        assert list(warm["payload"]) == list(cold["payload"]), (
+            "FAIL: disk-served payload reorders the cold payload's keys")
 
         other = _await_job(base, hdb, args.timeout)
         assert other["status"] == "done", other.get("error")
