@@ -6,9 +6,15 @@ Measures end-to-end EMST wall-clock (tree build + Borůvka solve) under:
   traversal engine, adjacent-pairs bound scan, no warm frontier,
   one-point leaves;
 * **new** — the production defaults: ``wavefront`` engine (plan-seeded,
-  multi-pop, distance-carrying stacks), wide bound window, warm frontier;
+  multi-pop, distance-carrying stacks, per-dimension coordinates), wide
+  bound window, warm frontier;
 * a **multi-pop width sweep** and a **leaf-size sweep** around the
-  defaults, quantifying each knob's contribution.
+  defaults on uniform 2D and 3D points, quantifying each knob's
+  contribution;
+* a **headline** old-vs-new run at the acceptance size on uniform 2D,
+  uniform 3D and clustered 3D (``Hacc37M``) points.  Uniform trees are
+  shallow; the clustered one is deep (height 59 at 10k points), which
+  lengthens every lane's query-plan row.
 
 Every measured configuration is asserted *byte-identical* in canonical
 payload form (:func:`repro.service.jobs.canonical_payload_bytes`) to the
@@ -47,6 +53,10 @@ OLD_CONFIG = SingleTreeConfig(leaf_size=1, warm_frontier=False,
 #: path on the fixed N=20k uniform-2D case (full runs on >= 2 cores).
 GATE_SPEEDUP = 1.5
 GATE_N = 20_000
+#: Headline cases: (label, dataset).  The clustered 3D case is the input
+#: family of the ``cold_emst`` perfbench workload.
+HEADLINE_CASES = (("2d", "Uniform100M2"), ("3d", "Uniform100M3"),
+                  ("3d_hacc", "Hacc37M"))
 
 
 def _canonical(result) -> bytes:
@@ -122,16 +132,16 @@ def run_ablation(n_points: int, reps: int = 2):
 
 def run_headline(n_points: int = 50_000):
     """Old-vs-new at the acceptance size (single repetition per cell)."""
-    out = {"n_points": n_points, "dimensions": {}}
-    for dim, dataset in ((2, "Uniform100M2"), (3, "Uniform100M3")):
+    out = {"n_points": n_points, "cases": {}}
+    for label, dataset in HEADLINE_CASES:
         points = generate(dataset, n_points, seed=0)
         old_s, old_bytes = _time_emst(points, OLD_CONFIG, "reference",
                                       reps=1)
         new_s, new_bytes = _time_emst(points, SingleTreeConfig(),
                                       "wavefront", reps=1)
-        assert new_bytes == old_bytes, f"headline diverged ({dim}D)"
-        out["dimensions"][str(dim)] = {
-            "old_seconds": old_s, "new_seconds": new_s,
+        assert new_bytes == old_bytes, f"headline diverged ({dataset})"
+        out["cases"][label] = {
+            "dataset": dataset, "old_seconds": old_s, "new_seconds": new_s,
             "speedup": speedup(old_s, new_s),
         }
     return out
@@ -184,8 +194,8 @@ def main(argv=None):
     headline = run_headline(args.headline_points)
     path = save_json(ablation, headline)
     print(f"\nmeasurements written to {path}")
-    for dim, cell in headline["dimensions"].items():
-        print(f"headline {dim}D n={headline['n_points']}: "
+    for cell in headline["cases"].values():
+        print(f"headline {cell['dataset']} n={headline['n_points']}: "
               f"{cell['old_seconds']:.2f}s -> {cell['new_seconds']:.2f}s "
               f"({cell['speedup']:.2f}x)")
     if not args.smoke:

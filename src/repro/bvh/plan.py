@@ -1,4 +1,9 @@
-"""Per-tree query plans: precomputed root paths for self-queries.
+"""Per-tree traversal artifacts: per-dimension coordinates and query plans.
+
+The wavefront kernels compute every squared distance from
+:class:`TreeCoords`, one contiguous 1D array per dimension for the points
+and for the box corners (see
+:func:`repro.geometry.distance.gathered_points_sq`).
 
 Every Borůvka round — and the core-distance k-NN — issues the *same*
 query batch: the indexed points themselves, one lane per sorted position.
@@ -15,55 +20,86 @@ seeding a traversal stack with exactly the admissible siblings (bound
 traversal — every pruning test the descent would have applied to those
 nodes is applied by the seed filter or by the pop re-test, on identical
 float values.  What disappears is the per-round rediscovery of the path:
-each wavefront launch starts with one vectorized ``(n, depth)`` filter
-instead of popping through the top levels of the tree ``n`` lanes wide.
+each wavefront launch starts with one vectorized filter over the plan's
+entries instead of popping through the top levels of the tree ``n``
+lanes wide.  Rows are ragged (no padding), because path lengths of a
+clustered tree vary widely: a height-59 tree over 10k points has 206k
+real entries, where a dense ``(n, depth)`` table would have 600k cells.
 
-Plans are cached on the :class:`~repro.bvh.workspace.TraversalWorkspace`
-keyed by the tree's identity token, so one plan serves all rounds of an
+Both artifacts are cached on the :class:`~repro.bvh.workspace.TraversalWorkspace`
+keyed by the tree's identity token, so one copy serves all rounds of an
 EMST run and the core-distance pass over the same tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.bvh.bvh import BVH
-from repro.geometry.distance import point_box_sq
+from repro.geometry.distance import gathered_box_sq
+
+
+class TreeCoords(NamedTuple):
+    """Per-dimension copies of a tree's coordinates, ``(d, *)`` each.
+
+    ``points[k]`` is dimension ``k`` of every sorted position, and
+    ``lo[k]``/``hi[k]`` of every node's box; each row is contiguous.
+    """
+
+    points: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.points.nbytes + self.lo.nbytes + self.hi.nbytes
+
+
+def tree_coords(bvh: BVH) -> TreeCoords:
+    """The :class:`TreeCoords` of ``bvh``."""
+    return TreeCoords(np.ascontiguousarray(bvh.points.T),
+                      np.ascontiguousarray(bvh.lo.T),
+                      np.ascontiguousarray(bvh.hi.T))
 
 
 @dataclass
 class QueryPlan:
     """Precomputed path siblings for the self-query batch of one tree.
 
-    ``sib_nodes[i, c]`` is the node id of the sibling subtree at path
-    level ``c`` of sorted position ``i`` (columns ordered root-side
-    first; -1 pads lanes with shorter paths), and the **last** column is
-    the lane's own leaf.  ``sib_dist[i, c]`` is the corresponding
-    point-box squared lower bound (``inf`` at pads, 0 at the own-leaf
-    column).  Seeding pushes columns left to right, so the deepest —
-    nearest — subtrees end on top of the stack and are drained first.
+    Row ``i`` — entries ``offsets[i]:offsets[i + 1]`` of ``nodes`` and
+    ``dist`` — belongs to sorted position ``i``: its path siblings, root
+    side first, then its own leaf, so a row is one longer than the lane's
+    root path.  ``dist`` is each entry's point-box squared lower bound (0
+    at the own leaf) and ``lane`` each entry's row.  Seeding pushes a
+    row's admissible entries in order, so the deepest — nearest —
+    subtrees end on top of the stack and are drained first.
     """
 
-    sib_nodes: np.ndarray
-    sib_dist: np.ndarray
-    #: ``sib_nodes >= 0`` (pads excluded), precomputed for the per-round
-    #: admissibility filter.
-    valid: np.ndarray
-    #: ``maximum(sib_nodes, 0)`` — gather-safe node ids for label lookups.
-    safe_nodes: np.ndarray
-    #: Box distance evaluations performed to build the plan (charged to
-    #: the counters of the kernel launch that built it).
-    build_box_evals: int
+    nodes: np.ndarray
+    dist: np.ndarray
+    #: Row of every entry, for the seed filter's per-entry gathers.
+    lane: np.ndarray
+    offsets: np.ndarray
+    #: Longest row (longest root path + own leaf): the seed filter is
+    #: charged as a dense ``(n, depth)`` pass, the GPU kernel's shape.
+    depth: int
 
     @property
-    def depth(self) -> int:
-        """Number of plan columns (max path length + own leaf)."""
-        return self.sib_nodes.shape[1]
+    def build_box_evals(self) -> int:
+        """Box distance evaluations performed to build the plan (charged
+        to the counters of the kernel launch that built it)."""
+        return int(self.nodes.size)
+
+    @property
+    def nbytes(self) -> int:
+        return (self.nodes.nbytes + self.dist.nbytes + self.lane.nbytes
+                + self.offsets.nbytes)
 
 
-def build_query_plan(bvh: BVH) -> QueryPlan:
+def build_query_plan(bvh: BVH, coords: TreeCoords) -> QueryPlan:
     """Compute the :class:`QueryPlan` of ``bvh`` (requires ``>=2`` leaves)."""
     n = bvh.n
     leaf_base = bvh.leaf_base
@@ -74,33 +110,34 @@ def build_query_plan(bvh: BVH) -> QueryPlan:
                                np.arange(n, dtype=np.int64), side="right") - 1
     own_leaf = leaf_base + block_of
 
-    # Walk the ancestor chain of every lane in lock-step, collecting the
-    # off-path sibling at each level (leaf-side first, reversed below).
-    columns = []
+    # Walk the ancestor chains in lock-step, leaf side first, collecting
+    # the off-path sibling at each level; a lane drops out at the root.
+    level_lanes = []
+    level_nodes = []
+    lanes = np.arange(n, dtype=np.int64)
     cur = own_leaf
     while True:
         par = parent[cur]
         live = par >= 0
-        if not np.any(live):
+        if not np.all(live):
+            lanes = lanes[live]
+            cur = cur[live]
+            par = par[live]
+        if lanes.size == 0:
             break
-        par_safe = np.maximum(par, 0)
-        sibling = left[par_safe] + bvh.right[par_safe] - cur  # the other child
-        columns.append(np.where(live, sibling, -1))
-        cur = np.where(live, par_safe, cur)
+        level_lanes.append(lanes)
+        level_nodes.append(left[par] + bvh.right[par] - cur)  # the other child
+        cur = par
 
-    columns.reverse()  # root-side siblings first
-    depth = len(columns) + 1
-    sib_nodes = np.full((n, depth), -1, dtype=np.int64)
-    for c, col in enumerate(columns):
-        sib_nodes[:, c] = col
-    sib_nodes[:, -1] = own_leaf
-
-    sib_dist = np.full((n, depth), np.inf)
-    valid = sib_nodes >= 0
-    lane_idx, col_idx = np.nonzero(valid)
-    nodes = sib_nodes[lane_idx, col_idx]
-    sib_dist[lane_idx, col_idx] = point_box_sq(
-        bvh.points[lane_idx], bvh.lo[nodes], bvh.hi[nodes])
-    return QueryPlan(sib_nodes=sib_nodes, sib_dist=sib_dist,
-                     valid=valid, safe_nodes=np.maximum(sib_nodes, 0),
-                     build_box_evals=int(lane_idx.size))
+    row_len = np.bincount(np.concatenate(level_lanes), minlength=n) + 1
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_len, out=offsets[1:])
+    leaf_slot = offsets[1:] - 1
+    nodes = np.empty(int(offsets[-1]), dtype=np.int64)
+    nodes[leaf_slot] = own_leaf
+    for level, (lanes, sibling) in enumerate(zip(level_lanes, level_nodes)):
+        nodes[leaf_slot[lanes] - 1 - level] = sibling  # root side first
+    lane = np.repeat(np.arange(n, dtype=np.int64), row_len)
+    dist = gathered_box_sq(coords.points, lane, coords.lo, coords.hi, nodes)
+    return QueryPlan(nodes=nodes, dist=dist, lane=lane, offsets=offsets,
+                     depth=int(row_len.max()))

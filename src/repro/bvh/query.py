@@ -211,8 +211,7 @@ def single_leaf_excluded(bvh: BVH, node: np.ndarray, leaf_mask: np.ndarray,
     """Mask of nodes that are single-point leaves == the excluded position.
 
     Shared by both engines (and the plan seeding): the admissibility rule
-    must stay bit-identical for the byte-identity contract.  Broadcasts,
-    so a ``(n, depth)`` node matrix against ``(n, 1)`` exclusions works.
+    must stay bit-identical for the byte-identity contract.
     """
     block = np.maximum(node - bvh.leaf_base, 0)
     return (leaf_mask & (bvh.leaf_count[block] == 1)

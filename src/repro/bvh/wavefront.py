@@ -6,7 +6,7 @@ is dominated by the iteration count of the *deepest* lane — pure
 interpreter overhead, not arithmetic.  The wavefront kernels drain a
 variable number of stack entries per lane per iteration into one flattened
 ``(lane, node)`` frontier, processing the whole frontier with the same
-vectorized passes.  Three design decisions carry the speedup:
+vectorized passes.  Four design decisions carry the speedup:
 
 * **adaptive drain width** — the per-lane drain is
   ``clamp(FRONTIER_TARGET // active_lanes, 1, width)``: while many lanes
@@ -19,7 +19,13 @@ vectorized passes.  Three design decisions carry the speedup:
   is stored next to its node id, so the mandatory re-test against the
   shrunken radius (Algorithm 2, line 9) is a comparison on remembered
   values instead of a re-gathered, re-computed box distance; the two
-  surviving children are then evaluated in one fused broadcast pass;
+  children of every surviving entry are then bounded in one flat pass;
+* **per-dimension coordinates** — points and box corners are read from
+  one contiguous 1D array per dimension
+  (:class:`~repro.bvh.plan.TreeCoords`, cached per tree on the
+  workspace), so every squared distance is ``d`` cheap 1D gathers summed
+  left to right — bit-identical to the row-layout
+  :func:`~repro.geometry.distance.points_sq` the reference engine uses;
 * **blocked leaves** — a leaf visit evaluates its whole point block with
   per-point admissibility masked before the distance computation, and all
   candidates of a drain fold into the running best via scatter-min passes
@@ -61,6 +67,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.bvh.bvh import BVH
+from repro.bvh.plan import TreeCoords
 from repro.bvh.query import (
     _NO_KEY,
     KnnResult,
@@ -75,7 +82,7 @@ from repro.bvh.query import (
 )
 from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import InvalidInputError
-from repro.geometry.distance import point_box_sq, points_sq
+from repro.geometry.distance import gathered_box_sq, gathered_points_sq
 from repro.kokkos.counters import CostCounters, WarpTrace
 
 #: Default cap on stack entries drained per lane per iteration.  Chosen by
@@ -200,25 +207,44 @@ def _scatter_pushes(
 
 
 
-def _children_box_sq(boxes: np.ndarray, l_child: np.ndarray,
-                     r_child: np.ndarray, qp: np.ndarray
+def _children_box_sq(coords: TreeCoords, qcols: np.ndarray,
+                     lane: np.ndarray, l_child: np.ndarray,
+                     r_child: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused box lower bounds of both children of each frontier entry.
+    """Box lower bounds of both children of each frontier entry, ``(k, 2)``.
 
-    One gather of the packed ``(lo, hi)`` box array replaces two separate
-    gather+evaluate passes.  The reduction is ``np.sum`` over ``d * d`` —
+    Both children are evaluated as one flat ``2k`` batch of 1D gathers per
+    dimension (a ``(k, 1)`` against ``(k, 2)`` broadcast runs NumPy's
+    inner loop two elements at a time), and the squared terms accumulate
+    left to right (:func:`~repro.geometry.distance.gathered_box_sq`) —
     NOT einsum, whose FMA kernels round differently: bound-pair
     candidates sit at *exactly* the initial radius, so a 1-ULP drift here
     flips inclusive ``<=`` pruning decisions and loses exact candidates.
-    This matches :func:`~repro.geometry.distance.point_box_sq` bit for
-    bit (``maximum`` is exact, so the fold order change is immaterial).
+    This matches :func:`~repro.geometry.distance.point_box_sq` bit for bit.
     """
     c2 = np.stack([l_child, r_child], axis=1)
-    cbox = boxes[c2]  # (k, 2, 2, d)
-    p = qp[:, None, :]
-    d = np.maximum(cbox[:, :, 0] - p, p - cbox[:, :, 1])
-    np.maximum(d, 0.0, out=d)
-    return c2, np.sum(d * d, axis=-1)
+    d = gathered_box_sq(qcols, np.repeat(lane, 2), coords.lo, coords.hi,
+                        c2.ravel())
+    return c2, d.reshape(-1, 2)
+
+
+def _query_columns(coords: TreeCoords, query_points: np.ndarray,
+                   self_queries: bool) -> np.ndarray:
+    """Per-dimension query coordinates, ``(d, B)``.
+
+    A self-query batch *is* the tree's sorted points, whose columns the
+    workspace already holds; any other batch gets one copy per call.
+    """
+    if self_queries:
+        return coords.points
+    return np.ascontiguousarray(query_points.T)
+
+
+def _root_box_sq(coords: TreeCoords, qcols: np.ndarray) -> np.ndarray:
+    """Every query's lower bound to the root box (node 0)."""
+    batch = qcols.shape[1]
+    return gathered_box_sq(qcols, np.arange(batch), coords.lo, coords.hi,
+                           np.zeros(batch, dtype=np.int64))
 
 
 def _seed_from_plan(
@@ -241,31 +267,43 @@ def _seed_from_plan(
     excluded single-point leaf) plus its own leaf, deepest on top.  The
     seeded set is a superset of the subtrees a top-down traversal would
     enter, tested on identical float values, so results are exact; the
-    pop re-test prunes the rest as the radius shrinks.
+    pop re-test prunes the rest as the radius shrinks.  The bound test
+    runs first, over every plan entry; labels and exclusions are tested
+    only on the entries that pass it.
     """
     plan, built = ws.plan_for(bvh)
     if built:
         local.box_distance_evals += plan.build_box_evals
-    sib = plan.sib_nodes
+    lane = plan.lane
     if query_core_sq is None:
-        adm = plan.sib_dist <= radius[:, None]
+        adm = plan.dist <= radius[lane]
     else:
-        adm = np.maximum(plan.sib_dist, query_core_sq[:, None]) \
-            <= radius[:, None]
-    adm &= plan.valid  # pads carry inf, but inf <= inf is True
+        adm = np.maximum(plan.dist, query_core_sq[lane]) <= radius[lane]
+    idx = np.flatnonzero(adm)
+    lane = lane[idx]
+    node = plan.nodes[idx]
+    keep = None
     if query_labels is not None:
-        adm &= node_labels[plan.safe_nodes] != query_labels[:, None]
+        keep = node_labels[node] != query_labels[lane]
     if exclude_position is not None:
-        adm &= ~single_leaf_excluded(bvh, sib, sib >= bvh.leaf_base,
-                                     exclude_position[:, None])
-    local.record_bulk(adm.size, ops_per_item=3.0, bytes_per_item=16.0)
-    cols = np.cumsum(adm, axis=1)
-    sp[:] = cols[:, -1]
-    lane_idx, col_idx = np.nonzero(adm)
-    dest = cols[lane_idx, col_idx] - 1
-    stack[lane_idx, dest] = sib[lane_idx, col_idx].astype(np.int32)
-    dstack[lane_idx, dest] = plan.sib_dist[lane_idx, col_idx]
-    local.stack_ops += lane_idx.size
+        ok = ~single_leaf_excluded(bvh, node, node >= bvh.leaf_base,
+                                   exclude_position[lane])
+        keep = ok if keep is None else keep & ok
+    if keep is not None:
+        idx = idx[keep]
+        lane = lane[keep]
+        node = node[keep]
+    local.record_bulk(bvh.n * plan.depth, ops_per_item=3.0,
+                      bytes_per_item=16.0)
+    # Entries stay in row order, so each lane's survivors fill its stack
+    # from slot 0 upwards, root side at the bottom.
+    counts = np.bincount(lane, minlength=bvh.n)
+    sp[:] = counts
+    dest = np.arange(idx.size, dtype=np.int64) \
+        - (np.cumsum(counts) - counts)[lane]
+    stack[lane, dest] = node.astype(np.int32)
+    dstack[lane, dest] = plan.dist[idx]
+    local.stack_ops += idx.size
 
 
 def nearest_wavefront(
@@ -327,6 +365,9 @@ def nearest_wavefront(
     local = counters if counters is not None else CostCounters()
     local.kernel_launches += 1
     local.max_batch = max(local.max_batch, B)
+    ws = workspace if workspace is not None else TraversalWorkspace()
+    coords = ws.coords_for(bvh)
+    qcols = _query_columns(coords, query_points, self_queries)
 
     def eval_leaves(cand_lane: np.ndarray, leaf_nodes: np.ndarray) -> None:
         """Blocked exact evaluation; ``cand_lane`` may repeat lanes."""
@@ -342,7 +383,7 @@ def nearest_wavefront(
             ppos = ppos[ok]
         if lane.size == 0:
             return
-        d = points_sq(query_points[lane], bvh.points[ppos])
+        d = gathered_points_sq(qcols, lane, coords.points, ppos)
         if use_mrd:
             d = np.maximum(d, query_core_sq[lane])
             d = np.maximum(d, point_core_sq[ppos])
@@ -369,7 +410,6 @@ def nearest_wavefront(
             eval_leaves(sub, np.zeros(sub.size, dtype=np.int64))
         return NearestResult(best_pos, best_sq, best_key)
 
-    ws = workspace if workspace is not None else TraversalWorkspace()
     stack, dstack, sp = ws.stacks_for(B, max(bvh.height + 2, 4))
     if self_queries:
         _seed_from_plan(ws, bvh, local, stack, dstack, sp, radius,
@@ -379,14 +419,13 @@ def nearest_wavefront(
         stack[:, 0] = 0  # root
         # Seed the distance stack with the true root bound so pruning
         # decisions are bit-identical to the recomputing reference engine.
-        dstack[:, 0] = point_box_sq(query_points, bvh.lo[0], bvh.hi[0])
+        dstack[:, 0] = _root_box_sq(coords, qcols)
         local.box_distance_evals += B
         sp[:] = 1
         if use_labels:
             sp[node_labels[0] == query_labels] = 0
 
     left, right = bvh.left, bvh.right
-    boxes = ws.boxes_for(bvh)
     single_leaves = bvh.n_leaves == bvh.n
 
     # Lanes only ever *leave* the active set (a push in this drain can
@@ -424,12 +463,11 @@ def nearest_wavefront(
                 node = node[inner]
                 if lane_of.size == 0:
                     continue
-        qp = query_points[lane_of]
         rad = radius[lane_of]
 
         l_child = left[node]
         r_child = right[node]
-        c2, dlr = _children_box_sq(boxes, l_child, r_child, qp)
+        c2, dlr = _children_box_sq(coords, qcols, lane_of, l_child, r_child)
         dl = dlr[:, 0]
         dr = dlr[:, 1]
         local.box_distance_evals += 2 * lane_of.size
@@ -524,6 +562,9 @@ def knn_wavefront(
     local = counters if counters is not None else CostCounters()
     local.kernel_launches += 1
     local.max_batch = max(local.max_batch, B)
+    ws = workspace if workspace is not None else TraversalWorkspace()
+    coords = ws.coords_for(bvh)
+    qcols = _query_columns(coords, query_points, self_queries)
 
     def eval_leaves(cand_lane: np.ndarray, leaf_nodes: np.ndarray) -> None:
         local.leaf_visits += cand_lane.size
@@ -534,7 +575,7 @@ def knn_wavefront(
             ppos = ppos[ok]
         if lane.size == 0:
             return
-        d = points_sq(query_points[lane], bvh.points[ppos])
+        d = gathered_points_sq(qcols, lane, coords.points, ppos)
         local.distance_evals += lane.size
         improving = d < kbest[lane, -1]
         if not np.any(improving):
@@ -547,18 +588,16 @@ def knn_wavefront(
                     np.zeros(B, dtype=np.int64))
         return KnnResult(kpos, kbest)
 
-    ws = workspace if workspace is not None else TraversalWorkspace()
     stack, dstack, sp = ws.stacks_for(B, max(bvh.height + 2, 4))
     if self_queries:
         _seed_from_plan(ws, bvh, local, stack, dstack, sp,
                         kbest[:, -1], None, None, None, exclude_position)
     else:
         stack[:, 0] = 0
-        dstack[:, 0] = point_box_sq(query_points, bvh.lo[0], bvh.hi[0])
+        dstack[:, 0] = _root_box_sq(coords, qcols)
         local.box_distance_evals += B
         sp[:] = 1
     left, right = bvh.left, bvh.right
-    boxes = ws.boxes_for(bvh)
     single_leaves = bvh.n_leaves == bvh.n
     lanes = np.nonzero(sp > 0)[0]
 
@@ -589,12 +628,11 @@ def knn_wavefront(
                 node = node[inner]
                 if lane_of.size == 0:
                     continue
-        qp = query_points[lane_of]
         rad = kbest[lane_of, -1]
 
         l_child = left[node]
         r_child = right[node]
-        c2, dlr = _children_box_sq(boxes, l_child, r_child, qp)
+        _, dlr = _children_box_sq(coords, qcols, lane_of, l_child, r_child)
         dl = dlr[:, 0]
         dr = dlr[:, 1]
         local.box_distance_evals += 2 * lane_of.size
@@ -672,11 +710,14 @@ def radius_wavefront(
 
     found_q: List[np.ndarray] = []
     found_p: List[np.ndarray] = []
+    ws = workspace if workspace is not None else TraversalWorkspace()
+    coords = ws.coords_for(bvh)
+    qcols = _query_columns(coords, query_points, False)
 
     def emit(cand_lane: np.ndarray, leaf_nodes: np.ndarray) -> None:
         local.leaf_visits += cand_lane.size
         lane, ppos = leaf_candidates(bvh, cand_lane, leaf_nodes)
-        d = points_sq(query_points[lane], bvh.points[ppos])
+        d = gathered_points_sq(qcols, lane, coords.points, ppos)
         local.distance_evals += lane.size
         hit = d <= r_sq
         if np.any(hit):
@@ -686,12 +727,10 @@ def radius_wavefront(
     if bvh.n_leaves == 1:
         emit(np.arange(B, dtype=np.int64), np.zeros(B, dtype=np.int64))
     else:
-        ws = workspace if workspace is not None else TraversalWorkspace()
         stack, sp = ws.stack_for(B, max(bvh.height + 2, 4))
         stack[:, 0] = 0
         sp[:] = 1
         left, right = bvh.left, bvh.right
-        boxes = ws.boxes_for(bvh)
         lanes = np.nonzero(sp > 0)[0]
         while True:
             lanes = lanes[sp[lanes] > 0]
@@ -704,11 +743,11 @@ def radius_wavefront(
             total = lane_of.size
             local.nodes_visited += total
             local.stack_ops += total
-            qp = query_points[lane_of]
 
             l_child = left[node]
             r_child = right[node]
-            c2, dlr = _children_box_sq(boxes, l_child, r_child, qp)
+            _, dlr = _children_box_sq(coords, qcols, lane_of, l_child,
+                                      r_child)
             dl = dlr[:, 0]
             dr = dlr[:, 1]
             local.box_distance_evals += 2 * total

@@ -42,10 +42,10 @@ class TraversalWorkspace:
         #: ``(bvh_uid, QueryPlan)`` — one plan serves every Borůvka round
         #: and the core-distance pass over the same tree.
         self._plan = None
-        #: Single-slot cache of the current tree's fused ``(lo, hi)``
-        #: box array, ``(bvh_uid, ndarray)`` — rebuilt per tree, not per
-        #: kernel launch.
-        self._boxes = None
+        #: Single-slot cache of the current tree's per-dimension
+        #: coordinates, ``(bvh_uid, TreeCoords)`` — rebuilt per tree, not
+        #: per kernel launch.
+        self._coords = None
         #: Number of (re)allocations performed, for tests and diagnostics.
         self.allocations = 0
 
@@ -61,24 +61,25 @@ class TraversalWorkspace:
         from repro.bvh.plan import build_query_plan
         if self._plan is not None and self._plan[0] == bvh.uid:
             return self._plan[1], False
-        plan = build_query_plan(bvh)
+        plan = build_query_plan(bvh, self.coords_for(bvh))
         self._plan = (bvh.uid, plan)
         self.allocations += 1
         return plan, True
 
-    def boxes_for(self, bvh) -> np.ndarray:
-        """The tree's packed ``(2m-1, 2, d)`` box array, cached per tree.
+    def coords_for(self, bvh):
+        """The tree's :class:`~repro.bvh.plan.TreeCoords`, cached per tree.
 
-        One gather of this array fetches a node's ``lo`` and ``hi``
-        together; the copy is a pure function of the immutable tree, so
-        it is built once per tree rather than once per kernel launch.
+        The kernels gather each dimension of points and boxes from its own
+        contiguous array; the copy is a pure function of the immutable
+        tree, so it is built once per tree rather than once per launch.
         """
-        if self._boxes is not None and self._boxes[0] == bvh.uid:
-            return self._boxes[1]
-        boxes = np.stack([bvh.lo, bvh.hi], axis=1)
-        self._boxes = (bvh.uid, boxes)
+        from repro.bvh.plan import tree_coords
+        if self._coords is not None and self._coords[0] == bvh.uid:
+            return self._coords[1]
+        coords = tree_coords(bvh)
+        self._coords = (bvh.uid, coords)
         self.allocations += 1
-        return boxes
+        return coords
 
     # ------------------------------------------------------------- flat view
 
@@ -162,5 +163,11 @@ class TraversalWorkspace:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes currently held by the arena."""
-        return self._stack.nbytes + sum(b.nbytes for b in self._flat.values())
+        """Total bytes held: stacks, flat buffers and the cached plan and
+        coordinates."""
+        held = (self._stack.nbytes + self._dist.nbytes
+                + sum(b.nbytes for b in self._flat.values()))
+        for cached in (self._plan, self._coords):
+            if cached is not None:
+                held += cached[1].nbytes
+        return held

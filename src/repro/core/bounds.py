@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.bvh.bvh import BVH
-from repro.geometry.distance import points_sq
+from repro.geometry.distance import gathered_points_sq
 from repro.kokkos.counters import CostCounters
 
 
@@ -61,6 +61,7 @@ def compute_upper_bounds(
     if core_sq is not None:
         core_sq = np.asarray(core_sq, dtype=np.float64)
 
+    cols = np.ascontiguousarray(bvh.points.T)
     pairs = 0
     for off in range(1, min(window, n - 1) + 1):
         la = labels_sorted[:-off]
@@ -68,7 +69,7 @@ def compute_upper_bounds(
         straddling = np.nonzero(la != lb)[0]
         if straddling.size == 0:
             continue
-        d = points_sq(bvh.points[straddling], bvh.points[straddling + off])
+        d = gathered_points_sq(cols, straddling, cols, straddling + off)
         if core_sq is not None:
             d = np.maximum(d, core_sq[straddling])
             d = np.maximum(d, core_sq[straddling + off])

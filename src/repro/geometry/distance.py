@@ -49,6 +49,59 @@ def point_box_sq(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.sum(d * d, axis=-1)
 
 
+def gathered_points_sq(a: np.ndarray, ia: np.ndarray,
+                       b: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Squared distances between points ``a[:, ia]`` and ``b[:, ib]``.
+
+    ``a`` and ``b`` are ``(d, n)`` coordinate arrays with contiguous rows
+    (``np.ascontiguousarray(points.T)``) and ``ia``/``ib`` equal-shaped
+    integer index arrays, so every term is a 1D gather instead of a
+    ``(k, d)`` row gather.  The squared terms accumulate left to right
+    from dimension 0, which is what :func:`points_sq`'s ``np.sum`` does
+    over a last axis shorter than 8 (NumPy's pairwise summation falls
+    back to a plain loop there), so the two agree bit for bit.  No
+    ``einsum``/``dot``: a fused or reassociated sum drifts by an ULP and
+    flips inclusive ``<=`` pruning.
+    """
+    acc = None
+    for ak, bk in zip(a, b):
+        g = np.take(ak, ia)
+        g -= np.take(bk, ib)
+        g *= g
+        if acc is None:
+            acc = g
+        else:
+            acc += g
+    return acc
+
+
+def gathered_box_sq(p: np.ndarray, ip: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Squared distances from points ``p[:, ip]`` to the boxes ``ib``.
+
+    ``p``, ``lo`` and ``hi`` are ``(d, *)`` coordinate arrays with
+    contiguous rows and ``ip``/``ib`` equal-shaped integer index arrays.
+    Accumulates like :func:`gathered_points_sq` and matches
+    :func:`point_box_sq` bit for bit (``maximum`` is exact, so clamping
+    at zero last changes no value).
+    """
+    acc = None
+    for pk, lk, hk in zip(p, lo, hi):
+        q = np.take(pk, ip)
+        g = np.take(lk, ib)
+        g -= q
+        h = np.take(hk, ib)
+        np.subtract(q, h, out=h)
+        np.maximum(g, h, out=g)
+        np.maximum(g, 0.0, out=g)
+        g *= g
+        if acc is None:
+            acc = g
+        else:
+            acc += g
+    return acc
+
+
 def box_box_sq(lo_a: np.ndarray, hi_a: np.ndarray,
                lo_b: np.ndarray, hi_b: np.ndarray) -> np.ndarray:
     """Squared minimum distance between aligned box arrays (0 if overlapping)."""

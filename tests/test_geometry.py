@@ -18,6 +18,8 @@ from repro.geometry.distance import (
     box_box_max_sq,
     box_box_sq,
     gather_pair_sq,
+    gathered_box_sq,
+    gathered_points_sq,
     point_box_sq,
     points_sq,
 )
@@ -114,6 +116,92 @@ class TestPointDistances:
         bound = point_box_sq(q, lo, hi)
         exact = points_sq(q[None, :], pts)
         assert np.all(bound <= exact + 1e-9)
+
+
+#: 2^-27 (1 + 2^-20): from the origin, (1, DELTA, DELTA) sums to 1.0 left
+#: to right but to 1.0000000000000002 under any other association.
+DELTA = 2.0 ** -27 * (1 + 2.0 ** -20)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _cols(x):
+    return np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+
+
+class TestGatheredDistances:
+    """The per-dimension kernels equal the row-layout oracles bit for bit.
+
+    The traversal kernels compute every distance with these helpers while
+    the reference engine uses :func:`points_sq` / :func:`point_box_sq`; the
+    byte-identity contract rests on NumPy summing a short last axis left
+    to right, which these tests pin for every NumPy the suite runs on.
+    """
+
+    @staticmethod
+    def _pairs(a, b):
+        idx = np.arange(len(a))
+        got = gathered_points_sq(_cols(a), idx, _cols(b), idx)
+        want = points_sq(np.asarray(a, float), np.asarray(b, float))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @staticmethod
+    def _boxes(p, lo, hi):
+        idx = np.arange(len(p))
+        got = gathered_box_sq(_cols(p), idx, _cols(lo), _cols(hi), idx)
+        want = point_box_sq(np.asarray(p, float), np.asarray(lo, float),
+                            np.asarray(hi, float))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_delta_pair(self, d):
+        a = np.zeros((2, d))
+        b = np.array([[1.0, DELTA, DELTA][:d], [DELTA, DELTA, 1.0][:d]])
+        self._pairs(a, b)
+        self._pairs(b, a)
+        self._boxes(a, b, b)  # degenerate boxes at the far point
+        self._boxes(a, b, b + 1.0)
+        if d == 3:  # left to right; any other association rounds up
+            assert points_sq(a[0], b[0]) == 1.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_inside_outside_and_on_faces(self, d):
+        lo = np.zeros(d)
+        hi = np.ones(d)
+        points = [np.full(d, 0.5), np.full(d, 2.0), np.full(d, -1.5),
+                  np.full(d, 0.0), np.full(d, 1.0)]
+        for k in range(d):
+            for value in (0.0, 1.0, -0.25, 1.75):
+                q = np.full(d, 0.5)
+                q[k] = value
+                points.append(q)
+        p = np.array(points)
+        self._boxes(p, np.tile(lo, (len(p), 1)), np.tile(hi, (len(p), 1)))
+        self._pairs(p, np.tile(hi, (len(p), 1)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_signed_zeros(self, d):
+        signs = np.array(np.meshgrid(*[[0.0, -0.0, 1.0]] * d)).reshape(d, -1).T
+        a = np.repeat(signs, len(signs), axis=0)
+        b = np.tile(signs, (len(signs), 1))
+        self._pairs(a, b)
+        self._boxes(a, np.minimum(b, 0.0), np.maximum(b, -0.0))
+        self._boxes(a, b, b)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_rows(self, d):
+        rng = np.random.default_rng(20_000 + d)
+        pts = rng.normal(size=(2_000, d)) * 10.0 ** rng.integers(-3, 4, d)
+        ia = rng.integers(0, len(pts), 10_000)
+        ib = rng.integers(0, len(pts), 10_000)
+        got = gathered_points_sq(_cols(pts), ia, _cols(pts), ib)
+        assert np.array_equal(_bits(got), _bits(points_sq(pts[ia], pts[ib])))
+        lo = np.minimum(pts[ia], pts[ib])
+        hi = np.maximum(pts[ia], pts[ib])
+        q = rng.normal(size=(10_000, d)) * pts.std(axis=0)
+        self._boxes(q, lo, hi)
 
 
 class TestBoxBox:

@@ -21,7 +21,7 @@ from repro.bvh import (
     radius_search,
     traversal_engine,
 )
-from repro.bvh.plan import build_query_plan
+from repro.bvh.plan import build_query_plan, tree_coords
 from repro.bvh.traversal import (
     ENGINES,
     get_default_engine,
@@ -30,7 +30,9 @@ from repro.bvh.traversal import (
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import emst, mutual_reachability_emst
 from repro.core.labels import reduce_labels
+from repro.data import generate
 from repro.errors import InvalidInputError
+from repro.geometry.distance import point_box_sq
 from repro.hdbscan.hdbscan import hdbscan
 from repro.kokkos.counters import CostCounters
 from repro.service.jobs import (
@@ -45,6 +47,11 @@ from tests.conftest import finite_points
 OLD_CONFIG = SingleTreeConfig(leaf_size=1, warm_frontier=False,
                               bound_window=1)
 
+#: 2^-27 (1 + 2^-20): the squared distance from the origin to
+#: (1, DELTA, DELTA) is 1.0 summed left to right, as ``np.sum`` does, and
+#: 1.0000000000000002 under any other association of the three terms.
+DELTA = 2.0 ** -27 * (1 + 2.0 ** -20)
+
 
 def adversarial_point_sets():
     rng = np.random.default_rng(7)
@@ -57,6 +64,13 @@ def adversarial_point_sets():
         ("identical", np.zeros((33, 2))),
         ("two-clusters", np.concatenate([uniform * 0.01,
                                          uniform * 0.01 + 5.0])),
+        # A 2D distance sums two terms, which no order can round apart;
+        # these pin the 3D accumulation order the kernels rely on.
+        ("3d-delta-pair", np.concatenate([[[0.0, 0.0, 0.0],
+                                           [1.0, DELTA, DELTA]],
+                                          rng.random((60, 3)) + 3.0])),
+        # Clustered, tree height 42: long, uneven query-plan rows.
+        ("hacc-2000", generate("Hacc37M", 2000)),
     ]
 
 
@@ -272,7 +286,7 @@ class TestWorkspace:
         for _ in range(3):
             batched_knn(bvh, bvh.points, 4, workspace=ws)
         assert ws.allocations == allocations  # steady state: no reallocs
-        assert ws.nbytes > 0
+        assert ws.nbytes == _held_nbytes(ws)
 
     def test_take_grows_and_reuses(self):
         ws = TraversalWorkspace()
@@ -304,14 +318,36 @@ class TestWorkspace:
         assert built_b  # different tree -> new plan
 
 
+def _held_nbytes(obj) -> int:
+    """Summed ``.nbytes`` of every array reachable from ``obj``'s state."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_held_nbytes(v) for v in obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(_held_nbytes(v) for v in obj)
+    if hasattr(obj, "__dict__"):
+        return _held_nbytes(vars(obj))
+    return 0
+
+
+def _root_path_length(bvh, leaf):
+    length = 0
+    while bvh.parent[leaf] >= 0:
+        leaf = int(bvh.parent[leaf])
+        length += 1
+    return length
+
+
 class TestQueryPlan:
     def test_path_siblings_partition_tree(self):
         rng = np.random.default_rng(5)
         bvh = build_bvh(rng.random((37, 2)))
-        plan = build_query_plan(bvh)
+        plan = build_query_plan(bvh, tree_coords(bvh))
         for lane in (0, 17, 36):
-            nodes = [int(x) for x in plan.sib_nodes[lane] if x >= 0]
-            # Own leaf is the last column.
+            row = plan.nodes[plan.offsets[lane]:plan.offsets[lane + 1]]
+            nodes = [int(x) for x in row]
+            # Own leaf is the last entry.
             assert nodes[-1] >= bvh.leaf_base
             # The union of all subtree leaves is every sorted position.
             seen = []
@@ -327,6 +363,36 @@ class TestQueryPlan:
                     else:
                         stack.extend([int(bvh.left[x]), int(bvh.right[x])])
             assert sorted(seen) == list(range(bvh.n))
+
+    @pytest.mark.parametrize("leaf_size", [1, 3])
+    def test_ragged_layout(self, leaf_size):
+        bvh = build_bvh(generate("Hacc37M", 600), leaf_size=leaf_size)
+        plan = build_query_plan(bvh, tree_coords(bvh))
+        rows = np.diff(plan.offsets)
+        assert plan.offsets[0] == 0 and plan.offsets[-1] == plan.nodes.size
+        assert plan.build_box_evals == plan.nodes.size == plan.dist.size
+        assert np.array_equal(plan.lane, np.repeat(np.arange(bvh.n), rows))
+        assert plan.depth == rows.max()
+        for lane in range(bvh.n):
+            row = plan.nodes[plan.offsets[lane]:plan.offsets[lane + 1]]
+            leaf = row[-1]
+            block = leaf - bvh.leaf_base
+            assert bvh.leaf_start[block] <= lane \
+                < bvh.leaf_start[block] + bvh.leaf_count[block]
+            # One sibling per ancestor, root side first, then the leaf.
+            assert row.size == _root_path_length(bvh, leaf) + 1
+            node = leaf
+            for sibling in row[-2::-1]:
+                par = bvh.parent[node]
+                assert sibling in (bvh.left[par], bvh.right[par])
+                assert sibling != node
+                node = par
+            assert node == 0
+        # Plan bounds equal the row-layout oracle bit for bit.
+        want = point_box_sq(bvh.points[plan.lane], bvh.lo[plan.nodes],
+                            bvh.hi[plan.nodes])
+        assert np.array_equal(plan.dist.view(np.uint64),
+                              want.view(np.uint64))
 
     def test_self_queries_requires_full_batch(self):
         rng = np.random.default_rng(6)

@@ -71,11 +71,11 @@ def _headline_load(payload):
 
 def _headline_kernels(payload):
     rows = []
-    dims = payload.get("headline", {}).get("dimensions", {})
-    for dim in sorted(dims):
-        rows.append((f"headline_speedup_{dim}d", dims[dim].get("speedup")))
-        rows.append((f"headline_new_seconds_{dim}d",
-                     dims[dim].get("new_seconds")))
+    cases = payload.get("headline", {}).get("cases", {})
+    for label in sorted(cases):
+        rows.append((f"headline_speedup_{label}", cases[label].get("speedup")))
+        rows.append((f"headline_new_seconds_{label}",
+                     cases[label].get("new_seconds")))
     return rows
 
 
