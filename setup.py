@@ -1,11 +1,25 @@
-"""Setuptools shim.
+"""Package metadata for ``pip install .`` (or ``python setup.py develop``).
 
-The execution environment has no network access and no ``wheel`` package, so
-``pip install -e .`` must use the legacy ``setup.py develop`` path; keeping
-this file (and omitting ``[build-system]`` from ``pyproject.toml``) enables
-that. All metadata lives in ``pyproject.toml``.
+The library is pure Python apart from ``repro/bvh/traverse.c``, which is
+shipped as package data and compiled at run time (see
+``repro.bvh.compiled``), so the package builds without a C toolchain.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.bvh": ["*.c"]},
+    install_requires=["numpy", "scipy"],
+)

@@ -17,14 +17,16 @@ total).  Node ids: internal nodes are ``0 .. m-2`` with the root at 0;
 leaf block ``j`` is node ``m - 1 + j``.
 
 Traversals (:mod:`repro.bvh.traversal`) are *batched*: every query is a
-SIMT lane with its own traversal stack, executed in vectorized
-iterations — the NumPy realization of the paper's one-thread-per-query
-GPU kernels, instrumented for the cost model.  Two engines implement
-them: the production multi-pop ``wavefront`` engine
-(:mod:`repro.bvh.wavefront` — plan-seeded self-queries,
-distance-carrying stacks, reusable :class:`TraversalWorkspace` arenas)
-and the single-pop ``reference`` baseline (:mod:`repro.bvh.reference`),
-byte-identical in every answer.
+SIMT lane with its own traversal stack — the paper's one-thread-per-query
+GPU kernels, instrumented for the cost model.  Three engines implement
+them, byte-identical in every answer: the ``compiled`` engine
+(:mod:`repro.bvh.compiled` — the single-pop loop in C, one lane at a
+time, the default wherever its library builds), the multi-pop NumPy
+``wavefront`` engine (:mod:`repro.bvh.wavefront` — plan-seeded
+self-queries, distance-carrying stacks, reusable
+:class:`TraversalWorkspace` arenas; the fallback without a C compiler)
+and the single-pop NumPy ``reference`` oracle
+(:mod:`repro.bvh.reference`).
 """
 
 from repro.bvh.build import karras_hierarchy, karras_hierarchy_scalar

@@ -1,0 +1,389 @@
+"""Compiled traversal kernels: ``traverse.c`` built once, called via ctypes.
+
+The C file runs the single-pop loop of :mod:`repro.bvh.reference` one
+query lane at a time, so every answer and every :class:`CostCounters`
+field equals the reference engine's (see the comment at the top of
+``traverse.c``).  This module builds it, caches the shared library and
+wraps each kernel with the reference signature, input validation and
+counter accounting.
+
+Building: ``cc -O3 -ffp-contract=off -fPIC -shared``, once per source and
+flag set.  The library is cached per user as
+``~/.cache/repro/traverse-<sha256 of source and flags>.so``, or, when
+that directory cannot be used, under ``repro-<uid>`` in
+:func:`tempfile.gettempdir`.  A build writes a temp file and
+:func:`os.replace` s it into place, so processes building at once each
+load a whole library.  A directory or library that another user owns or
+that group or other can write is never loaded.
+
+:func:`load` returns ``None`` when no compiler, cache directory or
+library is usable; :mod:`repro.bvh.traversal` then falls back to the
+wavefront engine.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import stat
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
+
+from repro.bvh.bvh import BVH
+from repro.bvh.query import (
+    KnnResult,
+    NearestResult,
+    resolve_point_labels,
+    validate_query_points,
+)
+from repro.bvh.workspace import TraversalWorkspace
+from repro.errors import InvalidInputError
+from repro.kokkos.counters import CostCounters
+
+SOURCE = Path(__file__).with_name("traverse.c")
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+#: The :class:`CostCounters` fields of the C counter slots, in order.
+COUNTER_FIELDS = ("nodes_visited", "box_distance_evals", "stack_ops",
+                  "leaf_visits", "distance_evals", "lane_steps",
+                  "warp_steps")
+
+#: The C status codes.
+_ERRORS = {
+    1: "child index out of range",
+    2: "leaf block out of range",
+    3: "traversal stack overflow",
+    4: "a lane popped more nodes than the tree has (cycle)",
+    5: "out of memory",
+}
+
+_P = ctypes.c_void_p
+_I64 = ctypes.c_int64
+
+
+class BuildError(Exception):
+    """The library could not be built or placed safely."""
+
+
+class _Tree(ctypes.Structure):
+    _fields_ = [("n", _I64), ("dim", _I64), ("n_leaves", _I64),
+                ("points", _P), ("lo", _P), ("hi", _P),
+                ("left", _P), ("right", _P),
+                ("leaf_start", _P), ("leaf_count", _P),
+                ("stack", _P), ("bound", _P), ("stack_cap", _I64)]
+
+
+class _Nearest(ctypes.Structure):
+    _fields_ = [("queries", _P), ("init_radius_sq", _P),
+                ("query_labels", _P), ("node_labels", _P),
+                ("point_labels", _P), ("query_ids", _P), ("point_ids", _P),
+                ("query_core_sq", _P), ("point_core_sq", _P),
+                ("exclude", _P), ("best_pos", _P), ("best_sq", _P),
+                ("best_key", _P)]
+
+
+class _Knn(ctypes.Structure):
+    _fields_ = [("queries", _P), ("k", _I64), ("exclude", _P),
+                ("kbest", _P), ("kpos", _P)]
+
+
+class _Radius(ctypes.Structure):
+    _fields_ = [("queries", _P), ("r_sq", ctypes.c_double),
+                ("counts", _P), ("hits", _P), ("n_hits", _I64),
+                ("cap", _I64)]
+
+
+# ------------------------------------------------------------------ build
+
+def cache_dirs() -> List[Path]:
+    """Where the library may be cached, in order of preference."""
+    dirs = [Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"]
+    try:
+        dirs.insert(0, Path.home() / ".cache" / "repro")
+    except RuntimeError:  # no home directory for this uid
+        pass
+    return dirs
+
+
+def _private(path: Path, *, is_dir: bool) -> bool:
+    """Whether ``path`` is ours, of the expected kind, and not writable by
+    group or other (a symlink never qualifies)."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    kind = stat.S_ISDIR if is_dir else stat.S_ISREG
+    return (kind(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _usable_dir(dirs: Iterable[Path]) -> Path:
+    for path in dirs:
+        try:
+            path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
+            continue
+        if _private(path, is_dir=True) and os.access(path, os.W_OK | os.X_OK):
+            return path
+    raise BuildError("no private, writable cache directory")
+
+
+def build(dirs: Optional[Iterable[Path]] = None) -> Path:
+    """Path of the built library, compiling it on a cache miss.
+
+    ``dirs`` overrides :func:`cache_dirs` (tests).  A cached file that
+    fails the ownership and mode check is rebuilt over, never loaded.
+    """
+    directory = _usable_dir(cache_dirs() if dirs is None else dirs)
+    source = SOURCE.read_bytes()
+    digest = hashlib.sha256(
+        source + b"\0" + " ".join(CFLAGS).encode()).hexdigest()
+    target = directory / f"traverse-{digest[:16]}.so"
+    if _private(target, is_dir=False):
+        return target
+    compiler = shutil.which("cc")
+    if compiler is None:
+        raise BuildError("no C compiler (cc) on PATH")
+    fd, tmp = tempfile.mkstemp(prefix=".traverse-", suffix=".so",
+                               dir=directory)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [compiler, *CFLAGS, "-o", tmp, str(SOURCE)],
+            capture_output=True, text=True, errors="replace", timeout=120,
+            check=False)
+        if proc.returncode != 0:
+            raise BuildError(f"cc failed: {proc.stderr.strip()}")
+        os.chmod(tmp, 0o700)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    if not _private(target, is_dir=False):
+        raise BuildError(f"{target} is not private after the build")
+    return target
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    for name in ("repro_nearest", "repro_knn", "repro_radius"):
+        fn = getattr(lib, name)
+        fn.argtypes = [_P, _P, _I64, _P]
+        fn.restype = ctypes.c_int
+    lib.repro_free.argtypes = [_P]
+    lib.repro_free.restype = None
+    return lib
+
+
+_load_lock = threading.Lock()
+_lib: Optional[ctypes.CDLL] = None
+_failure: Optional[str] = None
+
+
+def load() -> Optional[ctypes.CDLL]:
+    """The kernel library, built and loaded on the first call of the
+    process; ``None`` when it cannot be (the reason is kept for
+    :func:`library`'s error)."""
+    global _lib, _failure
+    with _load_lock:
+        if _lib is None and _failure is None:
+            try:
+                _lib = _declare(ctypes.CDLL(str(build())))
+            except Exception as exc:  # noqa: BLE001 — any failure to build
+                # or load (no compiler, no home directory, a bad cached
+                # file) means the wavefront fallback, never a crash.
+                _failure = f"{type(exc).__name__}: {exc}"
+        return _lib
+
+
+def library() -> ctypes.CDLL:
+    """The loaded library, or :class:`InvalidInputError` saying why not."""
+    lib = load()
+    if lib is None:
+        raise InvalidInputError(
+            "the compiled traversal engine is unavailable: "
+            f"{_failure or 'its library did not load'}")
+    return lib
+
+
+# ---------------------------------------------------------------- wrappers
+
+def _array(value, dtype, shape: Tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` as a C-contiguous array of exactly ``dtype`` and
+    ``shape`` — the only form whose pointer reaches C."""
+    arr = np.ascontiguousarray(value, dtype=dtype)
+    if arr.shape != shape:
+        raise InvalidInputError(
+            f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _ptr(arr: Optional[np.ndarray]) -> Optional[int]:
+    return None if arr is None else arr.ctypes.data
+
+
+def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace]) -> _Tree:
+    """The tree struct; it holds the arrays it points into."""
+    n, d, m = bvh.n, bvh.dim, bvh.n_leaves
+    nodes = 2 * m - 1
+    if nodes >= 2 ** 31:
+        raise InvalidInputError("tree too large for 32-bit node ids")
+    depth = max(bvh.height + 2, 4)
+    ws = workspace if workspace is not None else TraversalWorkspace()
+    stack = ws.take("compiled_stack", depth, np.int32)
+    bound = ws.take("compiled_bound", depth, np.float64)
+    arrays = [_array(bvh.points, np.float64, (n, d), "points"),
+              _array(bvh.lo, np.float64, (nodes, d), "lo"),
+              _array(bvh.hi, np.float64, (nodes, d), "hi"),
+              _array(bvh.left, np.int64, (m - 1,), "left"),
+              _array(bvh.right, np.int64, (m - 1,), "right"),
+              _array(bvh.leaf_start, np.int64, (m,), "leaf_start"),
+              _array(bvh.leaf_count, np.int64, (m,), "leaf_count"),
+              stack, bound]
+    tree = _Tree(n, d, m, *(a.ctypes.data for a in arrays), depth)
+    tree.arrays = arrays
+    return tree
+
+
+def _run(fn, tree: _Tree, args: ctypes.Structure, batch: int,
+         counters: Optional[CostCounters]) -> None:
+    """Call a kernel, raise on a malformed tree, charge the counters."""
+    cnt = np.zeros(len(COUNTER_FIELDS), dtype=np.int64)
+    rc = fn(ctypes.byref(tree), ctypes.byref(args), batch, _ptr(cnt))
+    if rc != 0:
+        raise InvalidInputError(
+            f"malformed tree: {_ERRORS.get(rc, f'error {rc}')}")
+    local = counters if counters is not None else CostCounters()
+    local.kernel_launches += 1
+    local.max_batch = max(local.max_batch, batch)
+    for name, value in zip(COUNTER_FIELDS, cnt.tolist()):
+        setattr(local, name, getattr(local, name) + value)
+
+
+def nearest_compiled(
+    bvh: BVH,
+    query_points: np.ndarray,
+    *,
+    query_labels: Optional[np.ndarray] = None,
+    node_labels: Optional[np.ndarray] = None,
+    point_labels: Optional[np.ndarray] = None,
+    init_radius_sq: Optional[np.ndarray] = None,
+    query_ids: Optional[np.ndarray] = None,
+    point_ids: Optional[np.ndarray] = None,
+    query_core_sq: Optional[np.ndarray] = None,
+    point_core_sq: Optional[np.ndarray] = None,
+    exclude_position: Optional[np.ndarray] = None,
+    counters: Optional[CostCounters] = None,
+    workspace: Optional[TraversalWorkspace] = None,
+) -> NearestResult:
+    """Constrained nearest neighbor: the reference loop, compiled."""
+    lib = library()
+    queries = np.ascontiguousarray(validate_query_points(bvh, query_points))
+    B, n = queries.shape[0], bvh.n
+    radius = None
+    if init_radius_sq is not None:
+        radius = np.ascontiguousarray(init_radius_sq, dtype=np.float64)
+        if radius.shape != (B,):
+            raise InvalidInputError(
+                "init_radius_sq must have one entry per query")
+    plabels = resolve_point_labels(bvh, query_labels, node_labels,
+                                   point_labels)
+    if query_core_sq is not None and point_core_sq is None:
+        raise InvalidInputError("query_core_sq requires point_core_sq")
+    if query_ids is not None and point_ids is None:
+        raise InvalidInputError("query_ids requires point_ids")
+
+    labels = (None, None, None)
+    if query_labels is not None:
+        labels = (_array(query_labels, np.int64, (B,), "query_labels"),
+                  _array(node_labels, np.int64, (bvh.n_nodes,),
+                         "node_labels"),
+                  _array(plabels, np.int64, (n,), "point_labels"))
+    ids = (None, None)
+    if query_ids is not None:
+        ids = (_array(query_ids, np.uint64, (B,), "query_ids"),
+               _array(point_ids, np.uint64, (n,), "point_ids"))
+    cores = (None, None)
+    if query_core_sq is not None:
+        cores = (_array(query_core_sq, np.float64, (B,), "query_core_sq"),
+                 _array(point_core_sq, np.float64, (n,), "point_core_sq"))
+    exclude = (None if exclude_position is None else
+               _array(exclude_position, np.int64, (B,), "exclude_position"))
+    best_pos = np.empty(B, dtype=np.int64)
+    best_sq = np.empty(B, dtype=np.float64)
+    best_key = np.empty(B, dtype=np.uint64)
+
+    tree = _tree(bvh, workspace)
+    args = _Nearest(*(_ptr(a) for a in (
+        queries, radius, *labels, *ids, *cores, exclude,
+        best_pos, best_sq, best_key)))
+    _run(lib.repro_nearest, tree, args, B, counters)
+    return NearestResult(best_pos, best_sq, best_key)
+
+
+def knn_compiled(
+    bvh: BVH,
+    query_points: np.ndarray,
+    k: int,
+    *,
+    exclude_position: Optional[np.ndarray] = None,
+    counters: Optional[CostCounters] = None,
+    workspace: Optional[TraversalWorkspace] = None,
+) -> KnnResult:
+    """k nearest neighbors: the reference loop, compiled."""
+    lib = library()
+    queries = np.ascontiguousarray(validate_query_points(bvh, query_points))
+    if k < 1:
+        raise InvalidInputError(f"k must be >= 1, got {k}")
+    B = queries.shape[0]
+    exclude = (None if exclude_position is None else
+               _array(exclude_position, np.int64, (B,), "exclude_position"))
+    kbest = np.empty((B, k), dtype=np.float64)
+    kpos = np.empty((B, k), dtype=np.int64)
+
+    tree = _tree(bvh, workspace)
+    args = _Knn(_ptr(queries), int(k), _ptr(exclude), _ptr(kbest),
+                _ptr(kpos))
+    _run(lib.repro_knn, tree, args, B, counters)
+    return KnnResult(kpos, kbest)
+
+
+def radius_compiled(
+    bvh: BVH,
+    query_points: np.ndarray,
+    radius: float,
+    *,
+    counters: Optional[CostCounters] = None,
+    workspace: Optional[TraversalWorkspace] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All indexed points within ``radius``: the reference loop, compiled.
+
+    Each query's hits come in traversal order, as the reference's stable
+    sort by query leaves them.
+    """
+    lib = library()
+    queries = np.ascontiguousarray(validate_query_points(bvh, query_points))
+    if radius < 0:
+        raise InvalidInputError(f"radius must be >= 0, got {radius}")
+    B = queries.shape[0]
+    counts = np.zeros(B, dtype=np.int64)
+
+    tree = _tree(bvh, workspace)
+    args = _Radius(_ptr(queries), float(radius) * float(radius),
+                   _ptr(counts), None, 0, 0)
+    try:
+        _run(lib.repro_radius, tree, args, B, counters)
+        hits = np.empty(args.n_hits, dtype=np.int64)
+        if args.n_hits:
+            ctypes.memmove(hits.ctypes.data, args.hits, hits.nbytes)
+    finally:
+        lib.repro_free(args.hits)
+    offsets = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, hits, np.repeat(np.arange(B, dtype=np.int64), counts)

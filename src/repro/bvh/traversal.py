@@ -1,20 +1,27 @@
 """Batched BVH traversals: the public kernel API and engine dispatch.
 
-This is the NumPy realization of ArborX's bulk search: every query owns a
-traversal stack and all lanes advance together — exactly Algorithm 2 of the
-paper executed data-parallel.  Two engines implement the kernels:
+Every query owns a traversal stack and walks the tree on its own —
+Algorithm 2 of the paper, which ArborX runs as one GPU thread per query.
+Three engines implement the kernels:
 
-* ``"wavefront"`` (:mod:`repro.bvh.wavefront`, the default) — multi-pop
-  frontier drains over blocked leaves, with reusable kernel workspaces;
-* ``"reference"`` (:mod:`repro.bvh.reference`) — the original single-pop
-  lock-step loop, kept as the semantic baseline for property tests and the
-  ablation benchmark.
+* ``"compiled"`` (:mod:`repro.bvh.compiled`) — the reference loop as C
+  (``traverse.c``), one lane at a time, built once by the system compiler
+  and called through :mod:`ctypes`;
+* ``"wavefront"`` (:mod:`repro.bvh.wavefront`) — multi-pop NumPy frontier
+  drains over blocked leaves, plan-seeded self-queries and reusable
+  kernel workspaces: the engine for hosts without a C compiler;
+* ``"reference"`` (:mod:`repro.bvh.reference`) — the single-pop NumPy
+  lock-step loop, kept as the oracle the others are tested against.
 
-Both produce identical results for every query the EMST pipeline issues
+All three give identical answers to every query the EMST pipeline issues
 (tie-breaks minimize a total order, so candidate visit order is
-immaterial); they differ only in how many stack entries each Python
-iteration drains.  Select per call with ``engine=`` or process-wide with
-:func:`set_default_engine` / the :func:`traversal_engine` context manager.
+immaterial).  ``compiled`` also reproduces every reference work counter;
+``wavefront`` counts its multi-pop drains (see its module docstring).
+
+The process default is resolved once, on first use: ``"compiled"`` when
+its library builds and loads, else ``"wavefront"``.  Select per call with
+``engine=`` or process-wide with :func:`set_default_engine` / the
+:func:`traversal_engine` context manager.
 
 The nearest-neighbor kernel supports every constraint the single-tree EMST
 algorithm needs:
@@ -41,6 +48,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.bvh.bvh import BVH
+from repro.bvh import compiled as _compiled
 from repro.bvh import reference as _reference
 from repro.bvh import wavefront as _wavefront
 from repro.bvh.query import (  # noqa: F401 — public re-exports
@@ -54,24 +62,39 @@ from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 
 #: The engines a traversal call can dispatch to.
-ENGINES = ("wavefront", "reference")
+ENGINES = ("compiled", "wavefront", "reference")
 
-_default_engine = "wavefront"
+#: The process default; ``None`` until :func:`get_default_engine`
+#: resolves it.
+_default_engine: Optional[str] = None
 
 
 def set_default_engine(engine: str) -> str:
-    """Set the process-wide traversal engine; returns the previous one."""
+    """Set the process-wide traversal engine; returns the previous one.
+
+    ``"compiled"`` is refused when its library cannot be loaded.
+    """
     global _default_engine
     if engine not in ENGINES:
         raise InvalidInputError(
             f"unknown traversal engine {engine!r}; use one of {ENGINES}")
-    previous = _default_engine
+    if engine == "compiled":
+        _compiled.library()  # raises, saying why, when it cannot load
+    previous = get_default_engine()
     _default_engine = engine
     return previous
 
 
 def get_default_engine() -> str:
-    """The engine used when a call passes ``engine=None``."""
+    """The engine used when a call passes ``engine=None``.
+
+    The first call of the process resolves it: ``"compiled"`` when the
+    library builds (or is cached) and loads, else ``"wavefront"``.
+    """
+    global _default_engine
+    if _default_engine is None:
+        _default_engine = ("compiled" if _compiled.load() is not None
+                           else "wavefront")
     return _default_engine
 
 
@@ -87,7 +110,7 @@ def traversal_engine(engine: str):
 
 def _resolve(engine: Optional[str]) -> str:
     if engine is None:
-        return _default_engine
+        return get_default_engine()
     if engine not in ENGINES:
         raise InvalidInputError(
             f"unknown traversal engine {engine!r}; use one of {ENGINES}")
@@ -154,7 +177,10 @@ def batched_nearest(
         query_core_sq=query_core_sq, point_core_sq=point_core_sq,
         exclude_position=exclude_position, counters=counters,
         workspace=workspace)
-    if _resolve(engine) == "wavefront":
+    engine = _resolve(engine)
+    if engine == "compiled":
+        return _compiled.nearest_compiled(bvh, query_points, **kwargs)
+    if engine == "wavefront":
         return _wavefront.nearest_wavefront(bvh, query_points, width=width,
                                             self_queries=self_queries,
                                             **kwargs)
@@ -179,7 +205,12 @@ def batched_knn(
     the indexed set should therefore *not* exclude self and the ``k``-th
     column includes the zero self-distance.
     """
-    if _resolve(engine) == "wavefront":
+    engine = _resolve(engine)
+    if engine == "compiled":
+        return _compiled.knn_compiled(
+            bvh, query_points, k, exclude_position=exclude_position,
+            counters=counters, workspace=workspace)
+    if engine == "wavefront":
         return _wavefront.knn_wavefront(
             bvh, query_points, k, exclude_position=exclude_position,
             counters=counters, width=width, workspace=workspace,
@@ -205,7 +236,12 @@ def radius_search(
     query ``i`` are ``positions[offsets[i]:offsets[i+1]]`` (sorted
     positions, unordered within a query).
     """
-    if _resolve(engine) == "wavefront":
+    engine = _resolve(engine)
+    if engine == "compiled":
+        return _compiled.radius_compiled(
+            bvh, query_points, radius, counters=counters,
+            workspace=workspace)
+    if engine == "wavefront":
         return _wavefront.radius_wavefront(
             bvh, query_points, radius, counters=counters, width=width,
             workspace=workspace)

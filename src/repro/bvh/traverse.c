@@ -1,0 +1,540 @@
+/* Algorithm 2 of the paper, compiled: one stack traversal per query.
+ *
+ * The kernels run the single-pop loop of repro/bvh/reference.py for one
+ * query lane at a time, step for step, so every answer and every work
+ * counter equals the reference engine's:
+ *
+ *   - a popped node is re-tested against the lane's cutoff as of the pop
+ *     (the radius kernel, like its reference, skips the re-test);
+ *   - both children are bounded, then kept only if the bound is within
+ *     the cutoff (raised to the query's core distance under the
+ *     mutual-reachability metric), the child's component label differs
+ *     from the query's, and the child is not the excluded single point;
+ *   - a kept left leaf is evaluated before a kept right leaf, then the
+ *     kept inner children are pushed: far first and near on top (left
+ *     then right in the radius kernel);
+ *   - each lane counts its steps, and a warp of 32 consecutive lanes is
+ *     charged the steps of its busiest lane, which is what the reference
+ *     charges by counting every iteration in which any lane is active.
+ *
+ * Two shortcuts change no value and no count: a pushed child's box
+ * distance is kept beside it on the stack, so the pop re-test compares
+ * the very value the reference recomputes, and a child the label or
+ * exclusion rule rejects is not bounded at all.  Both still count the box
+ * distance evaluations the reference makes.
+ *
+ * Floating point: squared terms are added left to right from dimension 0
+ * (what np.sum does over a last axis shorter than 8), clamps use NumPy's
+ * NaN-propagating maximum, and the library is built with
+ * -ffp-contract=off, so no multiply-add is fused and every bit matches.
+ *
+ * Safety: every child index, leaf range and stack push is checked, and a
+ * lane pops at most one node per internal node, so a malformed tree
+ * returns an error code instead of reading out of bounds or looping.
+ * The caller (repro/bvh/compiled.py) validates every array's dtype,
+ * shape and contiguity before passing its pointer.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* Status codes; compiled.py maps them to error messages. */
+enum {
+    TRV_OK = 0,
+    TRV_BAD_CHILD = 1,
+    TRV_BAD_LEAF = 2,
+    TRV_STACK_OVERFLOW = 3,
+    TRV_CYCLE = 4,
+    TRV_NO_MEMORY = 5,
+};
+
+#define WARP_SIZE 32
+#define NO_KEY UINT64_MAX
+#define INLINE static inline __attribute__((always_inline))
+
+/* A BVH (see repro/bvh/bvh.py): with m leaves, internal nodes are
+ * 0..m-2 (root 0) and leaf block j is node m-1+j. */
+typedef struct {
+    int64_t n;                  /* points */
+    int64_t dim;
+    int64_t n_leaves;           /* m */
+    const double *points;       /* (n, dim), sorted order */
+    const double *lo;           /* (2m-1, dim) node boxes */
+    const double *hi;
+    const int64_t *left;        /* (m-1,) children of internal nodes */
+    const int64_t *right;
+    const int64_t *leaf_start;  /* (m,) first sorted position of a leaf */
+    const int64_t *leaf_count;  /* (m,) points in a leaf */
+    int32_t *stack;             /* one lane's traversal stack: nodes */
+    double *bound;              /* and their box distances, as pushed */
+    int64_t stack_cap;
+} tree_t;
+
+/* Work counters, in the order of compiled.py's COUNTER_FIELDS. */
+typedef struct {
+    int64_t nodes_visited;
+    int64_t box_distance_evals;
+    int64_t stack_ops;
+    int64_t leaf_visits;
+    int64_t distance_evals;
+    int64_t lane_steps;
+    int64_t warp_steps;
+} work_t;
+
+typedef struct {
+    const double *queries;        /* (B, dim) */
+    const double *init_radius_sq; /* (B,) or NULL: unbounded */
+    const int64_t *query_labels;  /* (B,) or NULL: no component constraint */
+    const int64_t *node_labels;   /* (2m-1,) */
+    const int64_t *point_labels;  /* (n,) */
+    const uint64_t *query_ids;    /* (B,) or NULL: ties keep the first found */
+    const uint64_t *point_ids;    /* (n,) */
+    const double *query_core_sq;  /* (B,) or NULL: Euclidean metric */
+    const double *point_core_sq;  /* (n,) */
+    const int64_t *exclude;       /* (B,) or NULL: no self-exclusion */
+    int64_t *best_pos;            /* (B,) outputs */
+    double *best_sq;
+    uint64_t *best_key;
+} nearest_t;
+
+typedef struct {
+    const double *queries;  /* (B, dim) */
+    int64_t k;
+    const int64_t *exclude; /* (B,) or NULL */
+    double *kbest;          /* (B, k) outputs, ascending */
+    int64_t *kpos;
+} knn_t;
+
+typedef struct {
+    const double *queries;  /* (B, dim) */
+    double r_sq;
+    int64_t *counts;        /* (B,) hits per query */
+    int64_t *hits;          /* grown with realloc; free with repro_free */
+    int64_t n_hits;
+    int64_t cap;
+} radius_t;
+
+INLINE double np_max(double a, double b) { return (a >= b || a != a) ? a : b; }
+INLINE double np_min(double a, double b) { return (a <= b || a != a) ? a : b; }
+
+INLINE double point_sq(const tree_t *t, const double *q, int64_t p)
+{
+    const double *x = t->points + p * t->dim;
+    double acc = 0.0;
+    for (int64_t k = 0; k < t->dim; k++) {
+        double g = q[k] - x[k];
+        acc += g * g;
+    }
+    return acc;
+}
+
+INLINE double box_sq(const tree_t *t, const double *q, int64_t node)
+{
+    const double *lo = t->lo + node * t->dim, *hi = t->hi + node * t->dim;
+    double acc = 0.0;
+    for (int64_t k = 0; k < t->dim; k++) {
+        double g = np_max(lo[k] - q[k], 0.0);
+        g = np_max(g, q[k] - hi[k]);
+        acc += g * g;
+    }
+    return acc;
+}
+
+INLINE uint64_t pair_key(uint64_t a, uint64_t b)
+{
+    return a < b ? (a << 32) | b : (b << 32) | a;
+}
+
+/* The point block of leaf node `node` as [*start, *start + *count). */
+INLINE int leaf_range(const tree_t *t, int64_t node, int64_t *start,
+                      int64_t *count)
+{
+    int64_t block = node - (t->n_leaves - 1);
+    int64_t s = t->leaf_start[block], c = t->leaf_count[block];
+    if (s < 0 || c < 0 || s > t->n - c)
+        return TRV_BAD_LEAF;
+    *start = s;
+    *count = c;
+    return TRV_OK;
+}
+
+/* The children of popped inner node `node`; never the root. */
+INLINE int children(const tree_t *t, int64_t node, int64_t *l, int64_t *r)
+{
+    int64_t n_nodes = 2 * t->n_leaves - 1;
+    *l = t->left[node];
+    *r = t->right[node];
+    if (*l < 1 || *l >= n_nodes || *r < 1 || *r >= n_nodes)
+        return TRV_BAD_CHILD;
+    return TRV_OK;
+}
+
+/* A one-point leaf holding exactly the excluded position
+ * (query.py's single_leaf_excluded). */
+INLINE int single_excluded(const tree_t *t, int64_t node, int64_t excl)
+{
+    int64_t block = node - (t->n_leaves - 1);
+    return block >= 0 && t->leaf_count[block] == 1
+           && t->leaf_start[block] == excl;
+}
+
+/* Put the root on an empty stack; like the reference, not a stack op. */
+INLINE int seed_root(const tree_t *t, int64_t *sp, double bound)
+{
+    if (t->stack_cap < 1)
+        return TRV_STACK_OVERFLOW;
+    t->stack[0] = 0;
+    t->bound[0] = bound;
+    *sp = 1;
+    return TRV_OK;
+}
+
+INLINE int push(const tree_t *t, int64_t *sp, int64_t node, double bound,
+                work_t *w)
+{
+    if (*sp >= t->stack_cap)
+        return TRV_STACK_OVERFLOW;
+    t->stack[*sp] = (int32_t)node;
+    t->bound[*sp] = bound;
+    (*sp)++;
+    w->stack_ops++;
+    return TRV_OK;
+}
+
+/* Pop the top node.  A lane pops each inner node at most once, so more
+ * pops than inner nodes mean the tree has a cycle. */
+INLINE int pop(const tree_t *t, int64_t *sp, int64_t *steps, int64_t *node,
+               double *bound, work_t *w)
+{
+    if (++*steps > t->n_leaves - 1)
+        return TRV_CYCLE;
+    (*sp)--;
+    *node = t->stack[*sp];
+    *bound = t->bound[*sp];
+    w->nodes_visited++;
+    w->stack_ops++;
+    return TRV_OK;
+}
+
+/* Push the kept inner children: far first, near on top when both. */
+INLINE int push_near_last(const tree_t *t, int64_t *sp, int push_l,
+                          int push_r, int64_t l, int64_t r, double dl,
+                          double dr, work_t *w)
+{
+    if (push_l && push_r) {
+        int near_is_l = dl <= dr;
+        int rc = push(t, sp, near_is_l ? r : l, near_is_l ? dr : dl, w);
+        return rc ? rc : push(t, sp, near_is_l ? l : r,
+                              near_is_l ? dl : dr, w);
+    }
+    if (push_l)
+        return push(t, sp, l, dl, w);
+    if (push_r)
+        return push(t, sp, r, dr, w);
+    return TRV_OK;
+}
+
+/* ------------------------------------------------------------- nearest */
+
+typedef struct {
+    double radius;
+    double best;
+    int64_t pos;
+    uint64_t key;
+} best_t;
+
+INLINE int nearest_leaf(const tree_t *t, const nearest_t *a, int64_t lane,
+                        const double *q, int64_t node, best_t *b, work_t *w)
+{
+    int64_t s, c;
+    if (leaf_range(t, node, &s, &c))
+        return TRV_BAD_LEAF;
+    w->leaf_visits++;
+    for (int64_t p = s; p < s + c; p++) {
+        if (a->query_labels && a->point_labels[p] == a->query_labels[lane])
+            continue;
+        if (a->exclude && p == a->exclude[lane])
+            continue;
+        w->distance_evals++;
+        double d = point_sq(t, q, p);
+        if (a->query_core_sq) {
+            d = np_max(d, a->query_core_sq[lane]);
+            d = np_max(d, a->point_core_sq[p]);
+        }
+        if (!(d <= b->radius))
+            continue;
+        if (a->query_ids) {
+            /* Minimize (d, key); an equal pair replaces the incumbent,
+             * as the reference's scatter does. */
+            uint64_t key = pair_key(a->query_ids[lane], a->point_ids[p]);
+            if (!(d < b->best || (d == b->best && key <= b->key)))
+                continue;
+            b->key = key;
+        } else if (!(d < b->best)) {
+            continue;
+        }
+        b->best = d;
+        b->pos = p;
+        b->radius = np_min(b->radius, d);
+    }
+    return TRV_OK;
+}
+
+INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
+                        int64_t *steps, work_t *w)
+{
+    const double *q = a->queries + lane * t->dim;
+    const int64_t leaf_base = t->n_leaves - 1;
+    const int use_labels = a->query_labels != NULL;
+    const int64_t qlab = use_labels ? a->query_labels[lane] : 0;
+    const double qcore = a->query_core_sq ? a->query_core_sq[lane] : 0.0;
+    const int64_t excl = a->exclude ? a->exclude[lane] : 0;
+    best_t b = {a->init_radius_sq ? a->init_radius_sq[lane] : INFINITY,
+                INFINITY, -1, NO_KEY};
+    int64_t sp = 0;
+    int rc = TRV_OK;
+
+    /* A lane whose component spans the whole tree has nothing to find. */
+    if (!(use_labels && a->node_labels[0] == qlab))
+        rc = leaf_base == 0 ? nearest_leaf(t, a, lane, q, 0, &b, w)
+                            : seed_root(t, &sp, box_sq(t, q, 0));
+    while (!rc && sp > 0) {
+        int64_t node, l, r;
+        double bound;
+        const double rad = b.radius;
+        if ((rc = pop(t, &sp, steps, &node, &bound, w)))
+            break;
+        w->box_distance_evals++;
+        if (!(bound <= rad))
+            continue;
+        if ((rc = children(t, node, &l, &r)))
+            break;
+        const int leaf_l = l >= leaf_base, leaf_r = r >= leaf_base;
+        int ok_l = 1, ok_r = 1;
+        if (use_labels) {
+            ok_l = a->node_labels[l] != qlab;
+            ok_r = a->node_labels[r] != qlab;
+        }
+        if (a->exclude) {
+            ok_l = ok_l && !single_excluded(t, l, excl);
+            ok_r = ok_r && !single_excluded(t, r, excl);
+        }
+        double dl = 0.0, dr = 0.0;
+        w->box_distance_evals += 2;
+        if (ok_l) {  /* mrd(u, v) >= core(u) bounds the subtree too */
+            dl = box_sq(t, q, l);
+            ok_l = (a->query_core_sq ? np_max(dl, qcore) : dl) <= rad;
+        }
+        if (ok_r) {
+            dr = box_sq(t, q, r);
+            ok_r = (a->query_core_sq ? np_max(dr, qcore) : dr) <= rad;
+        }
+        if (ok_l && leaf_l && (rc = nearest_leaf(t, a, lane, q, l, &b, w)))
+            break;
+        if (ok_r && leaf_r && (rc = nearest_leaf(t, a, lane, q, r, &b, w)))
+            break;
+        rc = push_near_last(t, &sp, ok_l && !leaf_l, ok_r && !leaf_r, l, r,
+                            dl, dr, w);
+    }
+    a->best_pos[lane] = b.pos;
+    a->best_sq[lane] = b.best;
+    a->best_key[lane] = b.key;
+    return rc;
+}
+
+/* ----------------------------------------------------------------- knn */
+
+INLINE int knn_leaf(const tree_t *t, const knn_t *a, int64_t lane,
+                    const double *q, int64_t node, double *kb, int64_t *kp,
+                    work_t *w)
+{
+    const int64_t k = a->k;
+    int64_t s, c;
+    if (leaf_range(t, node, &s, &c))
+        return TRV_BAD_LEAF;
+    w->leaf_visits++;
+    for (int64_t p = s; p < s + c; p++) {
+        if (a->exclude && p == a->exclude[lane])
+            continue;
+        w->distance_evals++;
+        double d = point_sq(t, q, p);
+        if (!(d < kb[k - 1]))
+            continue;
+        /* Insert after every entry <= d: incumbents and earlier
+         * candidates win ties, as in the reference's stable merge. */
+        int64_t j = k - 1;
+        for (; j > 0 && kb[j - 1] > d; j--) {
+            kb[j] = kb[j - 1];
+            kp[j] = kp[j - 1];
+        }
+        kb[j] = d;
+        kp[j] = p;
+    }
+    return TRV_OK;
+}
+
+INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
+                    int64_t *steps, work_t *w)
+{
+    const double *q = a->queries + lane * t->dim;
+    const int64_t leaf_base = t->n_leaves - 1, k = a->k;
+    const int64_t excl = a->exclude ? a->exclude[lane] : 0;
+    double *kb = a->kbest + lane * k;
+    int64_t *kp = a->kpos + lane * k;
+    int64_t sp = 0;
+
+    for (int64_t j = 0; j < k; j++) {
+        kb[j] = INFINITY;
+        kp[j] = -1;
+    }
+    int rc = leaf_base == 0 ? knn_leaf(t, a, lane, q, 0, kb, kp, w)
+                            : seed_root(t, &sp, box_sq(t, q, 0));
+    while (!rc && sp > 0) {
+        int64_t node, l, r;
+        double bound;
+        const double rad = kb[k - 1];
+        if ((rc = pop(t, &sp, steps, &node, &bound, w)))
+            break;
+        w->box_distance_evals++;
+        if (!(bound <= rad))
+            continue;
+        if ((rc = children(t, node, &l, &r)))
+            break;
+        const double dl = box_sq(t, q, l), dr = box_sq(t, q, r);
+        w->box_distance_evals += 2;
+        int ok_l = dl <= rad, ok_r = dr <= rad;
+        const int leaf_l = l >= leaf_base, leaf_r = r >= leaf_base;
+        if (a->exclude) {
+            ok_l = ok_l && !single_excluded(t, l, excl);
+            ok_r = ok_r && !single_excluded(t, r, excl);
+        }
+        if (ok_l && leaf_l && (rc = knn_leaf(t, a, lane, q, l, kb, kp, w)))
+            break;
+        if (ok_r && leaf_r && (rc = knn_leaf(t, a, lane, q, r, kb, kp, w)))
+            break;
+        rc = push_near_last(t, &sp, ok_l && !leaf_l, ok_r && !leaf_r, l, r,
+                            dl, dr, w);
+    }
+    return rc;
+}
+
+/* -------------------------------------------------------------- radius */
+
+INLINE int radius_leaf(const tree_t *t, radius_t *a, int64_t lane,
+                       const double *q, int64_t node, work_t *w)
+{
+    int64_t s, c;
+    if (leaf_range(t, node, &s, &c))
+        return TRV_BAD_LEAF;
+    w->leaf_visits++;
+    for (int64_t p = s; p < s + c; p++) {
+        w->distance_evals++;
+        if (!(point_sq(t, q, p) <= a->r_sq))
+            continue;
+        if (a->n_hits == a->cap) {
+            int64_t cap = a->cap ? 2 * a->cap : 1024;
+            int64_t *grown = realloc(a->hits, (size_t)cap * sizeof(int64_t));
+            if (!grown)
+                return TRV_NO_MEMORY;
+            a->hits = grown;
+            a->cap = cap;
+        }
+        a->hits[a->n_hits++] = p;
+        a->counts[lane]++;
+    }
+    return TRV_OK;
+}
+
+INLINE int radius_lane(const tree_t *t, radius_t *a, int64_t lane,
+                       int64_t *steps, work_t *w)
+{
+    const double *q = a->queries + lane * t->dim;
+    const int64_t leaf_base = t->n_leaves - 1;
+    int64_t sp = 0;
+
+    a->counts[lane] = 0;
+    /* No pop re-test in this kernel, so the root needs no bound. */
+    int rc = leaf_base == 0 ? radius_leaf(t, a, lane, q, 0, w)
+                            : seed_root(t, &sp, 0.0);
+    while (!rc && sp > 0) {
+        int64_t node, l, r;
+        double bound;
+        if ((rc = pop(t, &sp, steps, &node, &bound, w)))
+            break;
+        if ((rc = children(t, node, &l, &r)))
+            break;
+        const double dl = box_sq(t, q, l), dr = box_sq(t, q, r);
+        w->box_distance_evals += 2;
+        const int ok_l = dl <= a->r_sq, ok_r = dr <= a->r_sq;
+        const int leaf_l = l >= leaf_base, leaf_r = r >= leaf_base;
+        if (ok_l && leaf_l && (rc = radius_leaf(t, a, lane, q, l, w)))
+            break;
+        if (ok_r && leaf_r && (rc = radius_leaf(t, a, lane, q, r, w)))
+            break;
+        if (ok_l && !leaf_l && (rc = push(t, &sp, l, dl, w)))
+            break;
+        if (ok_r && !leaf_r)
+            rc = push(t, &sp, r, dr, w);
+    }
+    return rc;
+}
+
+/* ------------------------------------------------------------- entries */
+
+/* Run LANE over every query, charging lane and warp steps, then add the
+ * work to `out` (seven int64 slots in work_t's order).  The tree and the
+ * arguments are read through local copies, so no store through an output
+ * pointer can make the compiler reload them. */
+#define RUN_LANES(LANE, tree, args, n_queries, out)                        \
+    do {                                                                   \
+        const tree_t t = *(tree);                                          \
+        work_t w = {0};                                                    \
+        int64_t warp_max = 0;                                              \
+        int rc = TRV_OK;                                                   \
+        for (int64_t i = 0; i < (n_queries) && !rc; i++) {                 \
+            int64_t steps = 0;                                             \
+            rc = LANE(&t, &(args), i, &steps, &w);                         \
+            w.lane_steps += steps;                                         \
+            if (steps > warp_max)                                          \
+                warp_max = steps;                                          \
+            if (i % WARP_SIZE == WARP_SIZE - 1 || i == (n_queries) - 1) {  \
+                w.warp_steps += warp_max;                                  \
+                warp_max = 0;                                              \
+            }                                                              \
+        }                                                                  \
+        const int64_t add[] = {w.nodes_visited, w.box_distance_evals,      \
+                               w.stack_ops, w.leaf_visits,                 \
+                               w.distance_evals, w.lane_steps,             \
+                               w.warp_steps};                              \
+        for (int j = 0; j < 7; j++)                                        \
+            (out)[j] += add[j];                                            \
+        return rc;                                                         \
+    } while (0)
+
+int repro_nearest(const tree_t *tree, const nearest_t *args,
+                  int64_t n_queries, int64_t *out)
+{
+    const nearest_t a = *args;
+    RUN_LANES(nearest_lane, tree, a, n_queries, out);
+}
+
+int repro_knn(const tree_t *tree, const knn_t *args, int64_t n_queries,
+              int64_t *out)
+{
+    const knn_t a = *args;
+    RUN_LANES(knn_lane, tree, a, n_queries, out);
+}
+
+int repro_radius(const tree_t *tree, radius_t *args, int64_t n_queries,
+                 int64_t *out)
+{
+    /* The hit buffer stays in *args, so the caller frees it even when a
+     * lane fails. */
+    RUN_LANES(radius_lane, tree, *args, n_queries, out);
+}
+
+void repro_free(void *p)
+{
+    free(p);
+}

@@ -50,7 +50,7 @@ from collections import deque
 import numpy as np
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import InvalidInputError, ReproError, ServiceError
@@ -86,9 +86,9 @@ from repro.store import (
     DiskStore,
     EncodedPayload,
     TieredCache,
-    bvh_from_state,
-    bvh_to_state,
     combine_fingerprint,
+    compact_tree_state,
+    expand_tree_state,
     fingerprint_array,
 )
 from repro.timing import PhaseTimer
@@ -647,15 +647,15 @@ class Engine:
                     algorithm=record.spec.algorithm,
                     duration_s=ticket.run_seconds, node=self.node_name,
                     ts=time.time())
-        # A record keeps its encoded payload alive even after the result
-        # cache evicts it, so every record is charged the payload's exact
-        # byte length, hit or miss.  Inline point arrays are retained
-        # with the spec and are not shared, so they always count too.
+        # A finished record keeps only its encoded payload alive (even
+        # after the result cache evicts it), so it is charged exactly the
+        # payload's byte length, hit or miss.  Nothing reads a finished
+        # job's inline points, so the record and the ticket drop them.
+        if record.spec.points is not None:
+            record.spec = replace(record.spec, points=None)
+        ticket.payload = record.spec
         if result.encoded is not None:
             record.retained_nbytes = result.encoded.nbytes
-        if record.spec.points is not None:
-            record.retained_nbytes += int(
-                np.asarray(record.spec.points).nbytes)
         record.result = result  # before .status: a finished status must
         record.status = result.status  # imply a readable result
         with self._lock:
@@ -874,7 +874,7 @@ class Engine:
             send_points = None
         exec_spec = make_exec_spec(
             spec, points=send_points,
-            tree_state=bvh_to_state(tree_entry["bvh"])
+            tree_state=expand_tree_state(tree_entry["state"])
             if tree_hit else None,
             tree_counters=tree_entry["counters"] if tree_hit else None,
             core_state=core_entry)
@@ -889,7 +889,7 @@ class Engine:
         if outcome["tree_state"] is not None:
             self.tree_cache.put(
                 tree_key,
-                {"bvh": bvh_from_state(outcome["tree_state"]),
+                {"state": compact_tree_state(outcome["tree_state"]),
                  "counters": outcome["tree_counters"]})
         if core_key is not None and outcome["core_state"] is not None:
             self.core_cache.put(core_key, outcome["core_state"])

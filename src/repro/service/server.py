@@ -21,8 +21,10 @@ Endpoints (all JSON):
     rates, memory and disk (tree / result / core-distance tiers and the
     persistent store's occupancy, when one is configured).
 ``GET /v1/healthz``
-    Liveness probe (reports the node name, the backend and whether a
-    store is attached).  Exempt from admission shedding.
+    Liveness probe (reports the node name, the backend, the resolved
+    traversal engine — ``"wavefront"`` on a node whose compiled kernels
+    did not build — and whether a store is attached).  Exempt from
+    admission shedding.
 ``GET /v1/metrics``
     Prometheus text exposition of the engine's metrics registry —
     latency histograms (job, queue-wait, per-phase, store I/O, HTTP),
@@ -99,6 +101,7 @@ from repro.api.contract import (  # noqa: F401 — re-exported wire constants
     parse_wait_param,
 )
 from repro.api.http import AsyncHTTPHost, DEFAULT_MAX_INFLIGHT
+from repro.bvh.traversal import get_default_engine
 from repro.errors import InvalidInputError
 from repro.obs import EventLog, from_header
 from repro.obs.profiler import PAUSE_BUCKETS
@@ -132,6 +135,7 @@ class EngineAPI(WireAPI):
                 "version": repro.__version__,
                 "node": self.node_name,
                 "backend": self.engine.backend,
+                "traversal": get_default_engine(),
                 "persistent": self.engine.store is not None}
 
     async def stats(self) -> Dict[str, Any]:
@@ -288,6 +292,9 @@ def create_server(engine: Engine, host: str = "127.0.0.1", port: int = 0,
     The caller owns the lifecycle: run ``serve_forever()`` (typically on a
     thread), later ``shutdown()`` + ``server_close()``, and close the engine.
     """
+    # Resolve the traversal engine (building the compiled kernels on a
+    # cold cache) before serving, so no request waits on a compiler.
+    get_default_engine()
     api = EngineAPI(engine, max_queue_depth=max_queue_depth)
     server = AsyncHTTPHost(api, host, port, max_inflight=max_inflight)
     server.engine = engine  # type: ignore[attr-defined]

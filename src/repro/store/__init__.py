@@ -35,6 +35,8 @@ from repro.store.blob import (
     bvh_from_state,
     bvh_to_state,
     codec_for,
+    compact_tree_state,
+    expand_tree_state,
     read_blob,
     write_blob,
 )
@@ -59,7 +61,9 @@ __all__ = [
     "bvh_to_state",
     "codec_for",
     "combine_fingerprint",
+    "compact_tree_state",
     "estimate_nbytes",
+    "expand_tree_state",
     "fingerprint",
     "fingerprint_array",
     "fingerprint_spec",

@@ -8,7 +8,8 @@ Everything the serving engine caches flattens to this shape:
 * a **BVH** becomes the same dict of arrays the process backend already
   ships between processes (:func:`bvh_to_state` — the canonical
   serialization, re-exported by :mod:`repro.service.executor`), so a tree
-  written by one process or node is readable by any other;
+  written by one process or node is readable by any other.  The memory
+  tier holds the smaller :func:`compact_tree_state` form of it;
 * a **result** is an :class:`EncodedPayload`: the payload's JSON bytes
   travel as one ``uint8`` array, exactly as the cold job encoded them, and
   the few small fields a cache hit reads ride in the metadata;
@@ -123,16 +124,76 @@ def bvh_from_state(state: Dict[str, Any]) -> BVH:
     return BVH(**state)
 
 
+def _parents(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The parent array the Karras build derives from the children."""
+    inner = np.arange(left.shape[0])
+    parent = np.full(2 * left.shape[0] + 1, -1, dtype=np.int64)
+    parent[left] = inner
+    parent[right] = inner
+    return parent
+
+
+def _same(a: Any, b: np.ndarray) -> bool:
+    """Whether ``a`` is an array with exactly the dtype, shape and bytes
+    of ``b``."""
+    return (isinstance(a, np.ndarray) and a.dtype == b.dtype
+            and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def compact_tree_state(state: Dict[str, Any]) -> Dict[str, Any]:
+    """``state`` without what :func:`expand_tree_state` rebuilds exactly.
+
+    The tree tier's memory level holds this form.  The parent array
+    follows from the children; with one point per leaf, the leaf arrays are
+    ``arange``/``ones`` and the leaf rows of ``lo`` and ``hi`` repeat the
+    sorted points.  That is ~40% of a tree's bytes, which would otherwise
+    be held once per cached tree.  Each part is dropped only when its
+    rebuild matches it bit for bit.
+    """
+    out = dict(state)
+    left, points = state["left"], state["points"]
+    n_inner, n = left.shape[0], points.shape[0]
+    if _same(state["parent"], _parents(left, state["right"])):
+        out["parent"] = None
+    if (n_inner > 0 and _same(state["lo"][n_inner:], points)
+            and _same(state["hi"][n_inner:], points)):
+        out["lo"] = state["lo"][:n_inner].copy()
+        out["hi"] = state["hi"][:n_inner].copy()
+    if (_same(state["leaf_start"], np.arange(n, dtype=np.int64))
+            and _same(state["leaf_count"], np.ones(n, dtype=np.int64))):
+        out["leaf_start"] = out["leaf_count"] = None
+    return out
+
+
+def expand_tree_state(compact: Dict[str, Any]) -> Dict[str, Any]:
+    """The full :func:`bvh_to_state` form of a :func:`compact_tree_state`
+    (new arrays for the rebuilt parts, references for the rest)."""
+    state = dict(compact)
+    left, points = state["left"], state["points"]
+    n_inner = left.shape[0]
+    if state["parent"] is None:
+        state["parent"] = _parents(left, state["right"])
+    if n_inner > 0 and state["lo"].shape[0] == n_inner:
+        state["lo"] = np.concatenate([state["lo"], points])
+        state["hi"] = np.concatenate([state["hi"], points])
+    if state["leaf_start"] is None:
+        state["leaf_start"] = np.arange(points.shape[0], dtype=np.int64)
+        state["leaf_count"] = np.ones(points.shape[0], dtype=np.int64)
+    return state
+
+
 # -------------------------------------------------------------------- codecs
 
 def encode_tree(value: Dict[str, Any]) -> Tuple[Meta, Arrays]:
-    """Codec for the tree tier: ``{"bvh": BVH, "counters": dict | None}``.
+    """Codec for the tree tier: ``{"state": compact tree state, "counters":
+    dict | None}`` (see :func:`compact_tree_state`); the blob holds the
+    full state.
 
     The cached construction-phase counters ride in the metadata so a warm
     tree replays the exact work numbers of its original build — keeping
     warm results byte-identical to cold ones.
     """
-    state = bvh_to_state(value["bvh"])
+    state = expand_tree_state(value["state"])
     arrays = {name: state[name]
               for name in ("points", "order", "codes",
                            "left", "right", "parent", "lo", "hi",
@@ -151,19 +212,20 @@ def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
     """Inverse of :func:`encode_tree`.
 
     Format-1 blobs carry no leaf arrays; they decode as ``leaf_size=1``
-    trees (``BVH.__post_init__`` synthesizes the implied blocking).
+    trees (the implied blocking is synthesized).
     """
     schedule = [arrays[f"schedule_{level:03d}"]
                 for level in range(int(meta["n_schedule"]))]
-    bvh = BVH(points=arrays["points"], order=arrays["order"],
-              codes=arrays["codes"], left=arrays["left"],
-              right=arrays["right"], parent=arrays["parent"],
-              lo=arrays["lo"], hi=arrays["hi"], schedule=schedule,
-              codes_lo=arrays.get("codes_lo"),
-              leaf_start=arrays.get("leaf_start"),
-              leaf_count=arrays.get("leaf_count"),
-              leaf_size=int(meta.get("leaf_size", 1)))
-    return {"bvh": bvh, "counters": meta.get("counters")}
+    state = bvh_to_state(BVH(
+        points=arrays["points"], order=arrays["order"],
+        codes=arrays["codes"], left=arrays["left"], right=arrays["right"],
+        parent=arrays["parent"], lo=arrays["lo"], hi=arrays["hi"],
+        schedule=schedule, codes_lo=arrays.get("codes_lo"),
+        leaf_start=arrays.get("leaf_start"),
+        leaf_count=arrays.get("leaf_count"),
+        leaf_size=int(meta.get("leaf_size", 1))))
+    return {"state": compact_tree_state(state),
+            "counters": meta.get("counters")}
 
 
 @dataclass(frozen=True)

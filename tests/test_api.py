@@ -17,6 +17,7 @@ import pytest
 
 from repro.api import aioclient
 from repro.api.contract import parse_error_envelope
+from repro.bvh import traversal_engine
 from repro.client import Client
 from repro.cluster import (
     ClusterRouter,
@@ -51,13 +52,19 @@ def error_of(excinfo):
 
 @pytest.fixture
 def bounded_api():
-    """A node with a tiny admission bound: 1 worker, 2 unfinished jobs."""
+    """A node with a tiny admission bound: 1 worker, 2 unfinished jobs.
+
+    Its tests need ``_slow_spec`` jobs to outlast their parking and
+    shedding windows.  Those sizes were set on the wavefront engine, which
+    the compiled engine beats about threefold, so the node runs wavefront.
+    """
     engine = Engine(max_workers=1)
     server = create_server(engine, max_queue_depth=2)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
     try:
-        yield f"http://{host}:{port}", engine
+        with traversal_engine("wavefront"):
+            yield f"http://{host}:{port}", engine
     finally:
         server.shutdown()
         server.server_close()

@@ -390,6 +390,21 @@ class TestEngine:
                 eng.status(ids[0])
             assert eng.status(ids[-1]) is JobStatus.DONE
 
+    def test_finished_inline_job_holds_no_points(self, rng):
+        spec = JobSpec(points=rng.random((60, 2)))
+        submitted = spec.points
+        with Engine(max_workers=1) as eng:
+            job_id = eng.submit(spec)
+            result = eng.result(job_id, timeout=60)
+            assert result.status is JobStatus.DONE
+            record = eng._record(job_id)
+            assert record.spec.points is None
+            assert record.ticket.payload.points is None
+            # Charged for the encoded payload alone.
+            assert record.retained_nbytes == result.encoded.nbytes
+            assert eng._retained_bytes == result.encoded.nbytes
+        assert spec.points is submitted  # the caller's spec is untouched
+
     def test_finished_job_retention_bounded(self, rng):
         with Engine(max_workers=1, max_retained_jobs=3) as eng:
             ids = [eng.submit(JobSpec(points=rng.random((40 + i, 2))))

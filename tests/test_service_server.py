@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import emst
+from repro.bvh import get_default_engine
 
 
 def get(url):
@@ -30,6 +31,9 @@ def test_healthz(api):
     # The probe names the execution backend so deployment smoke checks can
     # assert the server runs the one they asked for.
     assert body["backend"] == "thread"
+    # ... and the traversal engine it resolved, so a node that fell back
+    # from the compiled kernels to the wavefront engine is visible.
+    assert body["traversal"] == get_default_engine()
 
 
 def test_job_round_trip_dataset(api):

@@ -29,6 +29,8 @@ from repro.store import (
     bvh_from_state,
     bvh_to_state,
     combine_fingerprint,
+    compact_tree_state,
+    expand_tree_state,
     fingerprint,
     fingerprint_array,
     read_blob,
@@ -42,6 +44,17 @@ from repro.store.blob import (
     encode_core,
     encode_tree,
 )
+
+
+def _tree_value(tree, counters):
+    """A tree-tier value: the compact state plus build counters."""
+    return {"state": compact_tree_state(bvh_to_state(tree)),
+            "counters": counters}
+
+
+def _tree_of(value):
+    """The BVH a tree-tier value holds."""
+    return bvh_from_state(expand_tree_state(value["state"]))
 
 
 class TestFingerprint:
@@ -73,14 +86,14 @@ class TestFingerprint:
 class TestBlob:
     def test_tree_codec_round_trip(self, uniform_3d):
         tree = build_tree(uniform_3d)
-        value = {"bvh": tree, "counters": {"scalar_ops": 123}}
+        value = _tree_value(tree, {"scalar_ops": 123})
         meta, arrays = encode_tree(value)
         back = decode_tree(meta, arrays)
         assert back["counters"] == {"scalar_ops": 123}
-        assert np.array_equal(back["bvh"].points, tree.points)
-        assert len(back["bvh"].schedule) == len(tree.schedule)
+        assert np.array_equal(_tree_of(back).points, tree.points)
+        assert len(_tree_of(back).schedule) == len(tree.schedule)
         # A decoded tree drives the solver to the same answer.
-        assert np.array_equal(emst(uniform_3d, bvh=back["bvh"]).edges,
+        assert np.array_equal(emst(uniform_3d, bvh=_tree_of(back)).edges,
                               emst(uniform_3d).edges)
 
     def test_core_codec_round_trip(self):
@@ -114,8 +127,8 @@ class TestDiskStore:
     def test_round_trip_and_persistence(self, tmp_path, uniform_2d):
         root = str(tmp_path / "store")
         store = DiskStore(root)
-        meta, arrays = encode_tree({"bvh": build_tree(uniform_2d),
-                                    "counters": {"ops": 7}})
+        meta, arrays = encode_tree(_tree_value(build_tree(uniform_2d),
+                                               {"ops": 7}))
         assert store.put("tree", "a" * 64, meta, arrays)
         assert ("tree", "a" * 64) in store
 
@@ -125,7 +138,7 @@ class TestDiskStore:
         back = decode_tree(*blob)
         assert back["counters"] == {"ops": 7}
         assert np.array_equal(
-            emst(uniform_2d, bvh=back["bvh"]).edges,
+            emst(uniform_2d, bvh=_tree_of(back)).edges,
             emst(uniform_2d).edges)
         assert reopened.get("tree", "b" * 64) is None
         assert reopened.stats()["hits"] == 1
@@ -717,6 +730,52 @@ class TestServerWithStore:
         assert body["compacted"] is None
 
 
+class TestCompactTreeState:
+    """The tree tier's memory level holds the compact state; expanding it
+    must give back every array bit for bit."""
+
+    @pytest.mark.parametrize("points,leaf_size", [
+        (np.random.default_rng(0).random((3000, 3)), 1),
+        (np.random.default_rng(1).random((500, 2)), 1),
+        (np.random.default_rng(2).random((500, 2)), 4),
+        (np.repeat(np.random.default_rng(3).random((40, 2)), 3, axis=0), 1),
+        (np.zeros((1, 3)), 1),
+        (np.random.default_rng(4).random((3, 2)), 8),  # one leaf
+    ])
+    def test_expand_restores_every_array(self, points, leaf_size):
+        state = bvh_to_state(build_tree(
+            points, config=SingleTreeConfig(leaf_size=leaf_size)))
+        back = expand_tree_state(compact_tree_state(state))
+        assert back.keys() == state.keys()
+        for name, want in state.items():
+            got = back[name]
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+            elif name == "schedule":
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(got, want))
+            else:
+                assert got == want, name
+
+    def test_one_point_leaves_shrink_by_two_fifths(self):
+        from repro.store.memory import estimate_nbytes
+        state = bvh_to_state(build_tree(
+            np.random.default_rng(5).random((10_000, 3))))
+        compact = compact_tree_state(state)
+        assert estimate_nbytes(compact) < 0.6 * estimate_nbytes(state)
+
+    def test_a_part_that_does_not_rebuild_exactly_is_kept(self):
+        state = bvh_to_state(build_tree(
+            np.random.default_rng(6).random((200, 2))))
+        state["lo"] = state["lo"].copy()
+        state["lo"][-1] -= 1.0  # a leaf row that is not its point
+        compact = compact_tree_state(state)
+        assert compact["lo"] is state["lo"]
+        assert compact["parent"] is None  # the parts that do rebuild go
+        assert expand_tree_state(compact)["lo"] is state["lo"]
+
+
 class TestBvhStateCompat:
     def test_executor_reexports_store_serialization(self):
         # The process-backend wire format and the on-disk format must stay
@@ -729,11 +788,10 @@ class TestBvhStateCompat:
     def test_state_written_by_one_layout_loads_in_another(self, uniform_3d):
         state = bvh_to_state(build_tree(
             uniform_3d, config=SingleTreeConfig(high_resolution=True)))
-        meta, arrays = encode_tree({"bvh": bvh_from_state(state),
-                                    "counters": None})
-        back = decode_tree(meta, arrays)
-        assert back["bvh"].codes_lo is not None
-        assert np.array_equal(back["bvh"].codes_lo, state["codes_lo"])
+        meta, arrays = encode_tree(_tree_value(bvh_from_state(state), None))
+        back = _tree_of(decode_tree(meta, arrays))
+        assert back.codes_lo is not None
+        assert np.array_equal(back.codes_lo, state["codes_lo"])
 
 
 class TestBlobFormatCompatibility:
@@ -764,7 +822,7 @@ class TestBlobFormatCompatibility:
         self._write_format1_tree(path, tree)
         meta, arrays = read_blob(path)
         assert meta["format"] == 1
-        back = decode_tree(meta, arrays)["bvh"]
+        back = _tree_of(decode_tree(meta, arrays))
         # The synthesized blocking is the implied one-point-per-leaf.
         assert back.leaf_size == 1
         assert np.array_equal(back.leaf_start, np.arange(back.n))
@@ -802,14 +860,14 @@ class TestBlobFormatCompatibility:
                                                  tmp_path):
         tree = build_tree(uniform_2d,
                           config=SingleTreeConfig(leaf_size=4))
-        meta, arrays = encode_tree({"bvh": tree, "counters": None})
+        meta, arrays = encode_tree(_tree_value(tree, None))
         path = tmp_path / "new.npz"
         with open(path, "wb") as fh:
             write_blob(fh, meta, arrays)
         got_meta, got_arrays = read_blob(str(path))
         assert got_meta["format"] == BLOB_FORMAT
         assert got_meta["leaf_size"] == 4
-        back = decode_tree(got_meta, got_arrays)["bvh"]
+        back = _tree_of(decode_tree(got_meta, got_arrays))
         assert back.leaf_size == 4
         assert np.array_equal(back.leaf_start, tree.leaf_start)
         assert np.array_equal(back.leaf_count, tree.leaf_count)

@@ -1,13 +1,16 @@
-"""Wavefront traversal engine: equivalence, counters, workspaces, plans.
+"""Traversal engines: equivalence, counters, workspaces, plans.
 
-The wavefront kernels must be *indistinguishable by answer* from the
+Every engine in ``ENGINES`` must be *indistinguishable by answer* from the
 single-pop reference engine on every query the EMST pipeline issues —
 including adversarial inputs (duplicate points, collinear sets,
 all-identical points) under every constraint combination (component
 labels x mutual-reachability x self-exclusion x initial radius).  The
-canonical payload bytes certify that end to end; a pinned-counter
-regression keeps the multi-pop accounting semantics from drifting.
+canonical payload bytes certify that end to end; pinned-counter
+regressions keep the multi-pop accounting semantics from drifting, and
+the compiled engine must match the reference on every counter too.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.bvh import (
     radius_search,
     traversal_engine,
 )
+from repro.bvh import compiled
 from repro.bvh.plan import build_query_plan, tree_coords
 from repro.bvh.traversal import (
     ENGINES,
@@ -75,9 +79,10 @@ def adversarial_point_sets():
 
 
 class TestEngineSelection:
-    def test_default_is_wavefront(self):
-        assert get_default_engine() == "wavefront"
-        assert set(ENGINES) == {"wavefront", "reference"}
+    def test_default_is_compiled_when_loadable(self):
+        want = "compiled" if compiled.load() is not None else "wavefront"
+        assert get_default_engine() == want
+        assert set(ENGINES) == {"compiled", "wavefront", "reference"}
 
     def test_context_manager_restores(self):
         before = get_default_engine()
@@ -138,71 +143,137 @@ class TestByteIdentity:
 
     @given(finite_points(min_n=2, max_n=60))
     def test_property_engines_agree_on_emst(self, pts):
-        results = []
+        with traversal_engine("reference"):
+            want = emst(pts)
         for engine in ENGINES:
             with traversal_engine(engine):
-                results.append(emst(pts))
-        assert np.array_equal(results[0].edges, results[1].edges)
-        assert np.array_equal(results[0].weights, results[1].weights)
+                got = emst(pts)
+            assert np.array_equal(got.edges, want.edges), engine
+            assert np.array_equal(got.weights, want.weights), engine
 
     @pytest.mark.parametrize("name,pts", adversarial_point_sets())
     def test_constrained_nearest_all_combos(self, name, pts):
         """labels x mrd x exclude x init-radius, keyed: identical answers."""
-        rng = np.random.default_rng(11)
         bvh = build_bvh(pts)
-        n = bvh.n
-        labels = rng.integers(0, 3, size=n)
-        node_labels = reduce_labels(bvh, labels)
-        core = rng.random(n) * 0.05
-        combos = []
-        for use_labels in (False, True):
-            for use_mrd in (False, True):
-                for use_excl in (False, True):
-                    for use_radius in (False, True):
-                        combos.append(
-                            (use_labels, use_mrd, use_excl, use_radius))
-        for use_labels, use_mrd, use_excl, use_radius in combos:
-            kwargs = dict(query_ids=bvh.order, point_ids=bvh.order)
-            if use_labels:
-                kwargs.update(query_labels=labels, node_labels=node_labels,
-                              point_labels=labels)
-            if use_mrd:
-                kwargs.update(query_core_sq=core, point_core_sq=core)
-            if use_excl:
-                kwargs.update(exclude_position=np.arange(n))
-            if use_radius:
-                kwargs.update(init_radius_sq=np.full(n, 0.3))
-            outs = []
+        for combo, kwargs in constraint_combos(bvh):
+            want = batched_nearest(bvh, bvh.points, engine="reference",
+                                   **kwargs)
             for engine in ENGINES:
-                outs.append(batched_nearest(bvh, bvh.points, engine=engine,
-                                            **kwargs))
-            combo = (use_labels, use_mrd, use_excl, use_radius)
-            assert np.array_equal(outs[0].position, outs[1].position), \
-                (name, combo)
-            assert np.array_equal(outs[0].distance_sq, outs[1].distance_sq), \
-                (name, combo)
-            assert np.array_equal(outs[0].key, outs[1].key), (name, combo)
+                got = batched_nearest(bvh, bvh.points, engine=engine,
+                                      **kwargs)
+                where = (name, combo, engine)
+                assert np.array_equal(got.position, want.position), where
+                assert np.array_equal(got.distance_sq, want.distance_sq), \
+                    where
+                assert np.array_equal(got.key, want.key), where
 
     def test_knn_distances_agree(self):
         for name, pts in adversarial_point_sets():
             bvh = build_bvh(pts)
             for k in (1, 4):
-                a = batched_knn(bvh, bvh.points, k, engine="wavefront")
-                b = batched_knn(bvh, bvh.points, k, engine="reference")
-                assert np.array_equal(a.distance_sq, b.distance_sq), \
-                    (name, k)
+                want = batched_knn(bvh, bvh.points, k, engine="reference")
+                for engine in ENGINES:
+                    got = batched_knn(bvh, bvh.points, k, engine=engine)
+                    assert np.array_equal(got.distance_sq,
+                                          want.distance_sq), (name, k, engine)
 
     def test_radius_sets_agree(self):
         for name, pts in adversarial_point_sets():
             bvh = build_bvh(pts)
-            offs_a, pos_a, _ = radius_search(bvh, bvh.points, 0.2,
-                                             engine="wavefront")
             offs_b, pos_b, _ = radius_search(bvh, bvh.points, 0.2,
                                              engine="reference")
-            assert np.array_equal(offs_a, offs_b), name
-            for i in range(bvh.n):
-                assert set(pos_a[offs_a[i]:offs_a[i + 1]]) == \
-                    set(pos_b[offs_b[i]:offs_b[i + 1]]), (name, i)
+            for engine in ENGINES:
+                offs_a, pos_a, _ = radius_search(bvh, bvh.points, 0.2,
+                                                 engine=engine)
+                assert np.array_equal(offs_a, offs_b), (name, engine)
+                for i in range(bvh.n):
+                    assert set(pos_a[offs_a[i]:offs_a[i + 1]]) == \
+                        set(pos_b[offs_b[i]:offs_b[i + 1]]), (name, i, engine)
+
+
+def constraint_combos(bvh):
+    """``(combo, kwargs)`` for labels x mrd x exclude x init-radius, keyed."""
+    rng = np.random.default_rng(11)
+    n = bvh.n
+    labels = rng.integers(0, 3, size=n)
+    node_labels = reduce_labels(bvh, labels)
+    core = rng.random(n) * 0.05
+    for combo in itertools.product((False, True), repeat=4):
+        use_labels, use_mrd, use_excl, use_radius = combo
+        kwargs = dict(query_ids=bvh.order, point_ids=bvh.order)
+        if use_labels:
+            kwargs.update(query_labels=labels, node_labels=node_labels,
+                          point_labels=labels)
+        if use_mrd:
+            kwargs.update(query_core_sq=core, point_core_sq=core)
+        if use_excl:
+            kwargs.update(exclude_position=np.arange(n))
+        if use_radius:
+            kwargs.update(init_radius_sq=np.full(n, 0.3))
+        yield combo, kwargs
+
+
+def _with_counters(kernel, *args, engine, **kwargs):
+    counters = CostCounters()
+    out = kernel(*args, engine=engine, counters=counters, **kwargs)
+    return out, counters.as_dict()
+
+
+class TestCompiledCounters:
+    """The compiled engine runs the reference loop: every answer (tie
+    positions and output order included) and every counter agree."""
+
+    @pytest.mark.parametrize("name,pts", adversarial_point_sets())
+    @pytest.mark.parametrize("leaf_size", [1, 3])
+    def test_nearest_all_combos(self, name, pts, leaf_size):
+        bvh = build_bvh(pts, leaf_size=leaf_size)
+        for (combo, kwargs), keyed in itertools.product(
+                constraint_combos(bvh), (True, False)):
+            if not keyed:  # unkeyed ties keep the first found
+                kwargs = {key: value for key, value in kwargs.items()
+                          if key not in ("query_ids", "point_ids")}
+            got, got_c = _with_counters(batched_nearest, bvh, bvh.points,
+                                        engine="compiled", **kwargs)
+            want, want_c = _with_counters(batched_nearest, bvh, bvh.points,
+                                          engine="reference", **kwargs)
+            where = (name, leaf_size, combo, keyed)
+            assert np.array_equal(got.position, want.position), where
+            assert np.array_equal(got.distance_sq, want.distance_sq), where
+            assert np.array_equal(got.key, want.key), where
+            assert got_c == want_c, where
+
+    @pytest.mark.parametrize("leaf_size", [1, 3])
+    def test_knn_with_tie_positions(self, leaf_size):
+        for name, pts in adversarial_point_sets():
+            bvh = build_bvh(pts, leaf_size=leaf_size)
+            for k, exclude in itertools.product(
+                    (1, 4), (None, np.arange(bvh.n))):
+                got, got_c = _with_counters(
+                    batched_knn, bvh, bvh.points, k, engine="compiled",
+                    exclude_position=exclude)
+                want, want_c = _with_counters(
+                    batched_knn, bvh, bvh.points, k, engine="reference",
+                    exclude_position=exclude)
+                where = (name, leaf_size, k, exclude is not None)
+                assert np.array_equal(got.positions, want.positions), where
+                assert np.array_equal(got.distance_sq, want.distance_sq), \
+                    where
+                assert got_c == want_c, where
+
+    @pytest.mark.parametrize("leaf_size", [1, 3])
+    def test_radius_in_output_order(self, leaf_size):
+        for name, pts in adversarial_point_sets():
+            bvh = build_bvh(pts, leaf_size=leaf_size)
+            for radius in (0.0, 0.2):
+                got, got_c = _with_counters(radius_search, bvh, bvh.points,
+                                            radius, engine="compiled")
+                want, want_c = _with_counters(radius_search, bvh,
+                                              bvh.points, radius,
+                                              engine="reference")
+                where = (name, leaf_size, radius)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), where
+                assert got_c == want_c, where
 
 
 def _grid16():
@@ -223,6 +294,12 @@ class TestCounterRegression:
 
     def test_reference_counts(self):
         c = self._count(build_bvh(_grid16()), "reference")
+        assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
+                c.distance_evals, c.leaf_visits, c.lane_steps,
+                c.warp_steps) == (136, 256, 376, 48, 48, 136, 10)
+
+    def test_compiled_counts_equal_reference(self):
+        c = self._count(build_bvh(_grid16()), "compiled")
         assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
                 c.distance_evals, c.leaf_visits, c.lane_steps,
                 c.warp_steps) == (136, 256, 376, 48, 48, 136, 10)

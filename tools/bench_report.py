@@ -76,6 +76,10 @@ def _headline_kernels(payload):
         rows.append((f"headline_speedup_{label}", cases[label].get("speedup")))
         rows.append((f"headline_new_seconds_{label}",
                      cases[label].get("new_seconds")))
+        rows.append((f"headline_compiled_seconds_{label}",
+                     cases[label].get("compiled_seconds")))
+        rows.append((f"headline_compiled_vs_wavefront_{label}",
+                     cases[label].get("compiled_vs_wavefront")))
     return rows
 
 
