@@ -119,6 +119,40 @@ def _walk_stack(frame: Any) -> Tuple[str, ...]:
     return tuple(frames)
 
 
+#: One stack read at a time, process-wide: each engine runs its own
+#: sampler, and a read that finished first must not resume the collector
+#: under one still in progress.
+_READ_LOCK = threading.Lock()
+
+
+def _other_thread_stacks() -> Dict[int, Tuple[str, ...]]:
+    """The stack of every thread but the caller's, keyed by thread ident.
+
+    Garbage collection is paused while other threads' frames are read.
+    Reading them creates frame objects, and on CPython 3.11 the
+    allocation runs a due collection on the spot; its ``gc.callbacks``
+    and finalizers run Python code, which can hand the GIL to other
+    threads in mid-read.  That crashes the process (the owning thread
+    pops the frame being read, or exits while ``sys._current_frames``
+    walks the thread list) or deadlocks it (``sys._current_frames``
+    holds the runtime's thread-list lock, which an exiting or starting
+    thread needs while it holds the GIL).  An enabled collector resumes
+    as soon as the stacks are copied out.
+    """
+    own = threading.get_ident()
+    with _READ_LOCK:
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            return {ident: _walk_stack(frame)
+                    for ident, frame in sys._current_frames().items()
+                    if ident != own}  # the sampler observing itself is noise
+        finally:
+            if paused:
+                gc.enable()
+
+
 class SamplingProfiler:
     """Always-on wall-clock sampler with on-demand burst captures."""
 
@@ -199,15 +233,11 @@ class SamplingProfiler:
         """
         t0 = time.perf_counter()
         now = time.monotonic()
-        frames = sys._current_frames()
+        stacks = _other_thread_stacks()
         phases = active_phases()
         names = {t.ident: t.name for t in threading.enumerate()}
-        own = threading.get_ident()
         sampled = 0
-        for ident, frame in frames.items():
-            if ident == own:
-                continue  # the sampler observing itself is pure noise
-            stack = _walk_stack(frame)
+        for ident, stack in stacks.items():
             if not stack:
                 continue
             phase = phases.get(ident)
@@ -216,7 +246,6 @@ class SamplingProfiler:
             (self._in_phase_h if phase is not None
              else self._idle_h).inc()
             sampled += 1
-        del frames  # drop the frame references promptly
         self._sampling_seconds += time.perf_counter() - t0
         return sampled
 

@@ -3,16 +3,22 @@
 ``/v1/profile`` wire surface."""
 
 import contextlib
+import gc
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.api.contract import ApiError, parse_profile_query
 from repro.obs import MetricsRegistry
+from repro.obs import profiler as profiler_module
 from repro.obs.profiler import (
     DEFAULT_PROFILE_HZ,
     MAX_PROFILE_HZ,
@@ -204,6 +210,83 @@ class TestSamplingProfiler:
         (metric,) = [m for m in doc["metrics"]
                      if m["name"] == "repro_profile_sampling_seconds_total"]
         assert metric["samples"][0]["value"] > 0
+
+    def test_collector_is_paused_while_other_threads_are_read(
+            self, monkeypatch):
+        real = sys._current_frames
+        seen = []
+
+        def recording():
+            seen.append(gc.isenabled())
+            return real()
+
+        def collector_enabled():
+            # Read between stack reads: another engine's sampler may be
+            # running, and it pauses the collector while it reads.
+            with profiler_module._READ_LOCK:
+                return gc.isenabled()
+
+        monkeypatch.setattr(sys, "_current_frames", recording)
+        profiler = SamplingProfiler(MetricsRegistry(), auto_start=False)
+        assert collector_enabled()
+        with _idle_thread():
+            assert profiler.sample_once() >= 1
+        assert seen and not any(seen)
+        assert collector_enabled()  # resumed afterwards
+        gc.disable()
+        try:
+            profiler.sample_once()
+            assert not collector_enabled()  # a paused collector stays paused
+        finally:
+            gc.enable()
+
+    def test_collections_that_switch_threads_cannot_break_sampling(self):
+        # A gc callback that releases the GIL, collections on almost every
+        # allocation, threads that start and exit while stacks are read,
+        # and two samplers reading at once: without the collector paused
+        # for each whole read this deadlocks or crashes within seconds.
+        # A subprocess, so either shows as its status.
+        proc = subprocess.run(
+            [sys.executable, "-c", _SWITCHING_COLLECTIONS, "3"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.split() == ["ok"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_SWITCHING_COLLECTIONS = """
+import faulthandler, gc, sys, threading, time
+faulthandler.dump_traceback_later(30, exit=True)  # a deadlock fails
+from repro.obs.profiler import _other_thread_stacks
+
+def switch_threads(phase, info):
+    if phase == "stop":
+        time.sleep(0)  # as any Python callback may, at a GIL switch
+
+gc.callbacks.append(switch_threads)
+gc.set_threshold(5, 1, 1)
+stop = time.monotonic() + float(sys.argv[1])
+
+def churn():
+    while time.monotonic() < stop:
+        thread = threading.Thread(target=lambda: [[]] * 3)
+        thread.start()
+        thread.join()
+
+def sample():
+    while time.monotonic() < stop:
+        _other_thread_stacks()
+
+threads = [threading.Thread(target=churn) for _ in range(3)]
+threads += [threading.Thread(target=sample) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print("ok")
+"""
 
 
 # --------------------------------------------- collapsed render and merge
