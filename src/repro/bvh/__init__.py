@@ -18,15 +18,13 @@ leaf block ``j`` is node ``m - 1 + j``.
 
 Traversals (:mod:`repro.bvh.traversal`) are *batched*: every query is a
 SIMT lane with its own traversal stack — the paper's one-thread-per-query
-GPU kernels, instrumented for the cost model.  Three engines implement
-them, byte-identical in every answer: the ``compiled`` engine
-(:mod:`repro.bvh.compiled` — the single-pop loop in C, one lane at a
-time, the default wherever its library builds), the multi-pop NumPy
-``wavefront`` engine (:mod:`repro.bvh.wavefront` — plan-seeded
-self-queries, distance-carrying stacks, reusable
-:class:`TraversalWorkspace` arenas; the fallback without a C compiler)
-and the single-pop NumPy ``reference`` oracle
-(:mod:`repro.bvh.reference`).
+GPU kernels, instrumented for the cost model.  Two engines implement
+them, identical in every answer and every work counter: the
+``compiled`` engine (:mod:`repro.bvh.compiled` — the single-pop loop in
+C, one lane at a time, the default wherever its library builds) and the
+single-pop NumPy ``reference`` oracle (:mod:`repro.bvh.reference`, the
+fallback without a C compiler).  Both take their scratch memory from a
+reusable :class:`TraversalWorkspace`.
 """
 
 from repro.bvh.build import karras_hierarchy, karras_hierarchy_scalar

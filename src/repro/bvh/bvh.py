@@ -15,7 +15,6 @@ counterpart of ArborX's bulk search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -26,9 +25,6 @@ from repro.geometry.morton import morton_encode, morton_encode_high
 from repro.bvh.build import karras_hierarchy
 from repro.bvh.refit import bottom_up_schedule, refit_bounds
 from repro.kokkos.counters import CostCounters
-
-#: Monotone source of :attr:`BVH.uid` identity tokens.
-_BVH_UIDS = itertools.count(1)
 
 
 @dataclass
@@ -75,10 +71,6 @@ class BVH:
             self.leaf_start = np.arange(n, dtype=np.int64)
             self.leaf_count = np.ones(n, dtype=np.int64)
             self.leaf_size = 1
-        # Identity token for workspace-cached per-tree artifacts (query
-        # plans).  Deliberately not part of the serialized state: a
-        # deserialized tree gets a fresh token.
-        self.uid = next(_BVH_UIDS)
 
     @property
     def n(self) -> int:

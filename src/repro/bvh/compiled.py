@@ -18,7 +18,7 @@ that group or other can write is never loaded.
 
 :func:`load` returns ``None`` when no compiler, cache directory or
 library is usable; :mod:`repro.bvh.traversal` then falls back to the
-wavefront engine.
+reference engine.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def load() -> Optional[ctypes.CDLL]:
                 _lib = _declare(ctypes.CDLL(str(build())))
             except Exception as exc:  # noqa: BLE001 — any failure to build
                 # or load (no compiler, no home directory, a bad cached
-                # file) means the wavefront fallback, never a crash.
+                # file) means the reference fallback, never a crash.
                 _failure = f"{type(exc).__name__}: {exc}"
         return _lib
 

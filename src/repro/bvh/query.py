@@ -1,10 +1,11 @@
 """Shared machinery of the batched traversal kernels.
 
-Both traversal engines — the production :mod:`repro.bvh.wavefront`
-multi-pop kernels and the single-pop :mod:`repro.bvh.reference` kernels the
-tests compare against — share their result types, the tie-break key
-encoding, argument validation, and the vectorized building blocks for
-blocked-leaf evaluation (block expansion, per-lane segmented reductions).
+Both traversal engines — :mod:`repro.bvh.compiled` and the NumPy
+:mod:`repro.bvh.reference` kernels it is tested against — share their
+result types, the tie-break key encoding and argument validation.  The
+reference engine also takes its vectorized building blocks for
+blocked-leaf evaluation from here (block expansion, per-lane segmented
+reductions); ``traverse.c`` mirrors each rule it must reproduce.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def update_nearest_best(
     """Fold leaf candidates into the per-lane running best, in place.
 
     ``lane`` may repeat (one lane can contribute many candidates per
-    drain).  Implemented as scatter-min passes (``np.minimum.at`` has a
+    step).  Implemented as scatter-min passes (``np.minimum.at`` has a
     fast inner loop) instead of a per-candidate sort:
 
     * **keyed** — minimizes the total order ``(distance, pair key)``
@@ -210,8 +211,8 @@ def single_leaf_excluded(bvh: BVH, node: np.ndarray, leaf_mask: np.ndarray,
                          excl: np.ndarray) -> np.ndarray:
     """Mask of nodes that are single-point leaves == the excluded position.
 
-    Shared by both engines (and the plan seeding): the admissibility rule
-    must stay bit-identical for the byte-identity contract.
+    ``traverse.c`` applies the same rule: the admissibility test must stay
+    identical for the byte-identity contract.
     """
     block = np.maximum(node - bvh.leaf_base, 0)
     return (leaf_mask & (bvh.leaf_count[block] == 1)

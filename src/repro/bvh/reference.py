@@ -1,15 +1,15 @@
 """Reference single-pop traversal kernels (Algorithm 2, one node per step).
 
-This is the original NumPy realization of ArborX's bulk search: every query
-owns a traversal stack and all lanes advance together, popping exactly one
-node and examining its two children per Python iteration.  It is kept as
-the *semantic reference* for the production multi-pop kernels in
-:mod:`repro.bvh.wavefront`: the property tests drive both engines over the
-same adversarial inputs and assert identical results, and the ablation
-benchmark quantifies the speedup of draining wider frontiers.
+This is the NumPy realization of ArborX's bulk search: every query owns a
+traversal stack and all lanes advance together, popping exactly one node
+and examining its two children per Python iteration.  It is the
+*semantic reference* for the compiled kernels of
+:mod:`repro.bvh.compiled` — the property tests drive both engines over
+the same adversarial inputs and assert identical answers and counters —
+and the engine a host without a C compiler runs.
 
-Both engines share one policy for blocked leaves (``leaf_size > 1``): a
-leaf visit evaluates the whole block of exact distances, with per-point
+Blocked leaves (``leaf_size > 1``) follow one policy: a leaf visit
+evaluates the whole block of exact distances, with per-point
 admissibility (component labels, self-exclusion) masked *before* the
 distance computation so ``distance_evals`` counts only admissible
 candidates.  A single-point leaf that is exactly the excluded position is

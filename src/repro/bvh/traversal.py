@@ -2,24 +2,20 @@
 
 Every query owns a traversal stack and walks the tree on its own —
 Algorithm 2 of the paper, which ArborX runs as one GPU thread per query.
-Three engines implement the kernels:
+Two engines implement the kernels:
 
 * ``"compiled"`` (:mod:`repro.bvh.compiled`) — the reference loop as C
   (``traverse.c``), one lane at a time, built once by the system compiler
   and called through :mod:`ctypes`;
-* ``"wavefront"`` (:mod:`repro.bvh.wavefront`) — multi-pop NumPy frontier
-  drains over blocked leaves, plan-seeded self-queries and reusable
-  kernel workspaces: the engine for hosts without a C compiler;
 * ``"reference"`` (:mod:`repro.bvh.reference`) — the single-pop NumPy
-  lock-step loop, kept as the oracle the others are tested against.
+  lock-step loop, kept as the oracle the compiled engine is tested
+  against and as the engine for hosts without a C compiler.
 
-All three give identical answers to every query the EMST pipeline issues
-(tie-breaks minimize a total order, so candidate visit order is
-immaterial).  ``compiled`` also reproduces every reference work counter;
-``wavefront`` counts its multi-pop drains (see its module docstring).
+Both give the same answer to every query and the same count in every
+work counter.
 
 The process default is resolved once, on first use: ``"compiled"`` when
-its library builds and loads, else ``"wavefront"``.  Select per call with
+its library builds and loads, else ``"reference"``.  Select per call with
 ``engine=`` or process-wide with :func:`set_default_engine` / the
 :func:`traversal_engine` context manager.
 
@@ -50,7 +46,6 @@ import numpy as np
 from repro.bvh.bvh import BVH
 from repro.bvh import compiled as _compiled
 from repro.bvh import reference as _reference
-from repro.bvh import wavefront as _wavefront
 from repro.bvh.query import (  # noqa: F401 — public re-exports
     INVALID_LABEL,
     KnnResult,
@@ -62,7 +57,7 @@ from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 
 #: The engines a traversal call can dispatch to.
-ENGINES = ("compiled", "wavefront", "reference")
+ENGINES = ("compiled", "reference")
 
 #: The process default; ``None`` until :func:`get_default_engine`
 #: resolves it.
@@ -89,12 +84,12 @@ def get_default_engine() -> str:
     """The engine used when a call passes ``engine=None``.
 
     The first call of the process resolves it: ``"compiled"`` when the
-    library builds (or is cached) and loads, else ``"wavefront"``.
+    library builds (or is cached) and loads, else ``"reference"``.
     """
     global _default_engine
     if _default_engine is None:
         _default_engine = ("compiled" if _compiled.load() is not None
-                           else "wavefront")
+                           else "reference")
     return _default_engine
 
 
@@ -132,9 +127,7 @@ def batched_nearest(
     exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
     engine: Optional[str] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
-    self_queries: bool = False,
 ) -> NearestResult:
     """Constrained nearest neighbor for a batch of queries (Algorithm 2).
 
@@ -161,11 +154,9 @@ def batched_nearest(
         queries drawn from the indexed set, without the label machinery).
     counters:
         Work accounting (node visits, distance evals, warp steps).
-    engine / width / workspace:
-        Kernel engine selection (``None`` = process default), the
-        multi-pop drain width cap (``None`` = the wavefront module's
-        ``DEFAULT_WIDTH``, resolved at call time), and a reusable
-        :class:`~repro.bvh.workspace.TraversalWorkspace`.
+    engine / workspace:
+        Kernel engine selection (``None`` = process default) and a
+        reusable :class:`~repro.bvh.workspace.TraversalWorkspace`.
 
     Returns positions in *sorted* order; ``position == -1`` where no
     admissible neighbor exists within the initial radius.
@@ -180,10 +171,6 @@ def batched_nearest(
     engine = _resolve(engine)
     if engine == "compiled":
         return _compiled.nearest_compiled(bvh, query_points, **kwargs)
-    if engine == "wavefront":
-        return _wavefront.nearest_wavefront(bvh, query_points, width=width,
-                                            self_queries=self_queries,
-                                            **kwargs)
     return _reference.nearest_reference(bvh, query_points, **kwargs)
 
 
@@ -195,9 +182,7 @@ def batched_knn(
     exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
     engine: Optional[str] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
-    self_queries: bool = False,
 ) -> KnnResult:
     """k nearest neighbors for each query (used for HDBSCAN* core distances).
 
@@ -210,11 +195,6 @@ def batched_knn(
         return _compiled.knn_compiled(
             bvh, query_points, k, exclude_position=exclude_position,
             counters=counters, workspace=workspace)
-    if engine == "wavefront":
-        return _wavefront.knn_wavefront(
-            bvh, query_points, k, exclude_position=exclude_position,
-            counters=counters, width=width, workspace=workspace,
-            self_queries=self_queries)
     return _reference.knn_reference(
         bvh, query_points, k, exclude_position=exclude_position,
         counters=counters, workspace=workspace)
@@ -227,7 +207,6 @@ def radius_search(
     *,
     counters: Optional[CostCounters] = None,
     engine: Optional[str] = None,
-    width: Optional[int] = None,
     workspace: Optional[TraversalWorkspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All indexed points within ``radius`` of each query (spatial query).
@@ -241,10 +220,6 @@ def radius_search(
         return _compiled.radius_compiled(
             bvh, query_points, radius, counters=counters,
             workspace=workspace)
-    if engine == "wavefront":
-        return _wavefront.radius_wavefront(
-            bvh, query_points, radius, counters=counters, width=width,
-            workspace=workspace)
     return _reference.radius_reference(
         bvh, query_points, radius, counters=counters, workspace=workspace)
 
@@ -252,10 +227,9 @@ def radius_search(
 def radius_count(bvh: BVH, query_points: np.ndarray, radius: float,
                  *, counters: Optional[CostCounters] = None,
                  engine: Optional[str] = None,
-                 width: Optional[int] = None,
                  workspace: Optional[TraversalWorkspace] = None) -> np.ndarray:
     """Number of indexed points within ``radius`` of each query."""
     offsets, _, _ = radius_search(bvh, query_points, radius,
                                   counters=counters, engine=engine,
-                                  width=width, workspace=workspace)
+                                  workspace=workspace)
     return np.diff(offsets)

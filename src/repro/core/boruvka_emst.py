@@ -34,8 +34,8 @@ from repro.core.outgoing import find_components_outgoing_edges
 from repro.kokkos.counters import CostCounters
 
 #: Default points-per-leaf blocking factor, chosen by the
-#: ``bench_kernels`` leaf-size sweep (see README "Performance"): on the
-#: NumPy substrate, blocking defeats the component-label leaf skipping of
+#: ``bench_kernels`` leaf-size sweep on the compiled engine (see README
+#: "Performance"): blocking defeats the component-label leaf skipping of
 #: Optimization 1 (a mixed block cannot be skipped and costs a whole
 #: block of exact distances), so single-point leaves win for the
 #: label-constrained EMST kernel and blocking stays an opt-in knob.
@@ -116,8 +116,8 @@ def run_boruvka(
     ``core_sq`` switches the metric to mutual reachability (squared core
     distances per sorted position).  Returned edges are sorted positions;
     :func:`repro.core.emst.emst` translates to caller indices.
-    ``workspace`` supplies reusable traversal scratch (stacks, frontier
-    buffers); one is created — and reused across every round — when
+    ``workspace`` supplies reusable traversal scratch (stacks and stack
+    pointers); one is created — and reused across every round — when
     omitted.
     """
     n = bvh.n

@@ -260,8 +260,7 @@ def mutual_reachability_emst(
     if core_sq is None:
         with timer.phase("core"):
             knn = batched_knn(bvh, bvh.points, k_pts,
-                              counters=core_counters, workspace=workspace,
-                              self_queries=True)
+                              counters=core_counters, workspace=workspace)
             core_sorted = knn.kth_distance_sq.copy()
         core_caller = np.empty(points.shape[0], dtype=np.float64)
         core_caller[bvh.order] = core_sorted

@@ -90,7 +90,6 @@ def find_components_outgoing_edges(
         point_core_sq=core_sq,
         counters=counters,
         workspace=workspace,
-        self_queries=True,
     )
 
     found = result.found

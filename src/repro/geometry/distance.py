@@ -75,33 +75,6 @@ def gathered_points_sq(a: np.ndarray, ia: np.ndarray,
     return acc
 
 
-def gathered_box_sq(p: np.ndarray, ip: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Squared distances from points ``p[:, ip]`` to the boxes ``ib``.
-
-    ``p``, ``lo`` and ``hi`` are ``(d, *)`` coordinate arrays with
-    contiguous rows and ``ip``/``ib`` equal-shaped integer index arrays.
-    Accumulates like :func:`gathered_points_sq` and matches
-    :func:`point_box_sq` bit for bit (``maximum`` is exact, so clamping
-    at zero last changes no value).
-    """
-    acc = None
-    for pk, lk, hk in zip(p, lo, hi):
-        q = np.take(pk, ip)
-        g = np.take(lk, ib)
-        g -= q
-        h = np.take(hk, ib)
-        np.subtract(q, h, out=h)
-        np.maximum(g, h, out=g)
-        np.maximum(g, 0.0, out=g)
-        g *= g
-        if acc is None:
-            acc = g
-        else:
-            acc += g
-    return acc
-
-
 def box_box_sq(lo_a: np.ndarray, hi_a: np.ndarray,
                lo_b: np.ndarray, hi_b: np.ndarray) -> np.ndarray:
     """Squared minimum distance between aligned box arrays (0 if overlapping)."""

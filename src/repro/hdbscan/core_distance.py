@@ -45,7 +45,7 @@ def core_distances_sq(points: np.ndarray, k_pts: int, *,
     if bvh is None:
         bvh = build_bvh(points, counters=counters)
     result = batched_knn(bvh, bvh.points, k_pts, counters=counters,
-                         workspace=workspace, self_queries=True)
+                         workspace=workspace)
     out = np.empty(n, dtype=np.float64)
     out[bvh.order] = result.kth_distance_sq
     return out

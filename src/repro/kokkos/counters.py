@@ -191,22 +191,6 @@ class WarpTrace:
         warps = padded.reshape(-1, WARP_SIZE)
         self.warp_steps += int(np.count_nonzero(warps.any(axis=1)))
 
-    def step_lanes(self, lanes: np.ndarray) -> None:
-        """Record one iteration from the *sorted active lane list* directly.
-
-        Equivalent to :meth:`step` on the corresponding boolean mask — a
-        warp is charged iff any of its lanes appears — but costs
-        ``O(active)`` instead of ``O(batch)``, which is what makes the
-        wavefront kernels' traversal tail cheap to account.
-        """
-        n_active = lanes.size
-        if n_active == 0:
-            return
-        self.lane_steps += n_active
-        warp_of = lanes // WARP_SIZE
-        self.warp_steps += 1 + int(np.count_nonzero(warp_of[1:]
-                                                    != warp_of[:-1]))
-
     def flush(self, counters: CostCounters) -> None:
         """Add accumulated steps into ``counters`` and reset the trace."""
         counters.lane_steps += self.lane_steps

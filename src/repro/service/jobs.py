@@ -248,8 +248,8 @@ class JobSpec:
 
 #: Payload keys excluded from the canonical form: wall-clock ``phases``
 #: vary run to run, and ``counters`` / ``rounds`` describe *how* a result
-#: was computed (visit counts, divergence traces) — the wavefront and
-#: reference traversal engines produce identical answers with different
+#: was computed (visit counts, divergence traces) — tree backends, leaf
+#: sizes and bound settings produce identical answers with different
 #: work profiles, and the canonical bytes must certify the answer.
 _NON_CANONICAL_KEYS = frozenset({"phases", "counters", "rounds"})
 

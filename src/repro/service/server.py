@@ -22,7 +22,7 @@ Endpoints (all JSON):
     persistent store's occupancy, when one is configured).
 ``GET /v1/healthz``
     Liveness probe (reports the node name, the backend, the resolved
-    traversal engine — ``"wavefront"`` on a node whose compiled kernels
+    traversal engine — ``"reference"`` on a node whose compiled kernels
     did not build — and whether a store is attached).  Exempt from
     admission shedding.
 ``GET /v1/metrics``

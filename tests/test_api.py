@@ -17,7 +17,6 @@ import pytest
 
 from repro.api import aioclient
 from repro.api.contract import parse_error_envelope
-from repro.bvh import traversal_engine
 from repro.client import Client
 from repro.cluster import (
     ClusterRouter,
@@ -51,21 +50,37 @@ def error_of(excinfo):
 
 
 @pytest.fixture
-def bounded_api():
-    """A node with a tiny admission bound: 1 worker, 2 unfinished jobs.
+def slow_gate(monkeypatch):
+    """An Event that holds the node's ``_slow_spec`` jobs until it is set.
 
-    Its tests need ``_slow_spec`` jobs to outlast their parking and
-    shedding windows.  Those sizes were set on the wavefront engine, which
-    the compiled engine beats about threefold, so the node runs wavefront.
+    Tests of parking and shedding windows need those jobs to stay
+    unfinished however fast the kernels run, so every ``mrd_emst``
+    execution (only ``_slow_spec`` uses that algorithm) waits on the
+    gate.  A test sets it once its observation is made.
     """
+    gate = threading.Event()
+
+    def gated_execute_spec(exec_spec):
+        if exec_spec["algorithm"] == "mrd_emst":
+            gate.wait()
+        return execute_spec(exec_spec)
+
+    monkeypatch.setattr("repro.service.engine.execute_spec",
+                        gated_execute_spec)
+    return gate
+
+
+@pytest.fixture
+def bounded_api(slow_gate):
+    """A node with a tiny admission bound: 1 worker, 2 unfinished jobs."""
     engine = Engine(max_workers=1)
     server = create_server(engine, max_queue_depth=2)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
     try:
-        with traversal_engine("wavefront"):
-            yield f"http://{host}:{port}", engine
+        yield f"http://{host}:{port}", engine
     finally:
+        slow_gate.set()  # engine.close() runs the queued jobs
         server.shutdown()
         server.server_close()
         engine.close()
@@ -214,7 +229,7 @@ def _slow_spec(n, seed):
             "k_pts": 4}
 
 
-def test_admission_queue_sheds_with_429(bounded_api):
+def test_admission_queue_sheds_with_429(bounded_api, slow_gate):
     base, engine = bounded_api
     # Two slow jobs fill the bound (1 running + 1 queued on 1 worker)...
     accepted = [post(f"{base}/v1/jobs", _slow_spec(20000, seed))[1]
@@ -232,6 +247,7 @@ def test_admission_queue_sheds_with_429(bounded_api):
     # stays reachable under overload (shed-exempt endpoint).
     assert metric_value(base, "repro_admission_queue_depth") >= 2
     assert metric_value(base, "repro_http_shed_total") >= 1
+    slow_gate.set()
     # Accepted jobs complete byte-identically to in-process execution.
     for body, submitted in zip((_slow_spec(20000, 1), _slow_spec(20000, 2)),
                                accepted):
@@ -259,7 +275,7 @@ def test_healthz_and_metrics_exempt_from_shedding(bounded_api):
 
 # ------------------------------------------------------ long-poll concurrency
 
-def test_long_polls_beyond_worker_pool(bounded_api):
+def test_long_polls_beyond_worker_pool(bounded_api, slow_gate):
     """More concurrent ``wait_s=`` waiters than worker threads.
 
     The old thread-per-connection server queued (or deadlocked) here;
@@ -277,6 +293,7 @@ def test_long_polls_beyond_worker_pool(bounded_api):
         await asyncio.sleep(0.3)  # everyone is parked on the future now
         observed_inflight.append(metric_value(
             base, "repro_http_inflight_requests"))
+        slow_gate.set()
         return await asyncio.gather(*waiters)
 
     results = asyncio.run(drive())

@@ -1,11 +1,11 @@
 """The compiled engine's native path: malformed input, fallback, loader.
 
-Answer and counter identity with the reference engine lives in
-``test_wavefront.py``; this file covers what only native code can get
-wrong — a malformed tree or argument must raise (never crash the
-process), a host whose build fails must fall back to the wavefront
-engine, and the loader must never load a library another user could
-have written.
+Answer and counter identity with the reference engine lives in the
+engine-equivalence tests (``TestCompiledCounters``); this file covers
+what only native code can get wrong — a malformed tree or argument must
+raise (never crash the process), a host whose build fails must fall back
+to the reference engine, and the loader must never load a library
+another user could have written.
 """
 
 import ctypes
@@ -135,7 +135,7 @@ def test_any_layout_and_dtype_is_copied_to_the_exact_one():
     assert np.array_equal(got.key, want.key)
 
 
-def test_failed_build_falls_back_to_wavefront(monkeypatch):
+def test_failed_build_falls_back_to_reference(monkeypatch):
     def no_compiler(dirs=None):
         raise compiled.BuildError("no C compiler (cc) on PATH")
 
@@ -144,10 +144,10 @@ def test_failed_build_falls_back_to_wavefront(monkeypatch):
     monkeypatch.setattr(compiled, "_failure", None)
     monkeypatch.setattr(traversal, "_default_engine", None)
 
-    assert get_default_engine() == "wavefront"
+    assert get_default_engine() == "reference"
     with pytest.raises(InvalidInputError, match="no C compiler"):
         set_default_engine("compiled")
-    assert get_default_engine() == "wavefront"
+    assert get_default_engine() == "reference"
 
     rng = np.random.default_rng(3)
     pts = rng.random((200, 2))

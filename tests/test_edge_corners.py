@@ -30,21 +30,6 @@ class TestCountersConsistency:
         # per iteration).
         assert counters.lane_steps == counters.nodes_visited
 
-    def test_traversal_counter_relationships_wavefront(self, rng):
-        pts = rng.random((500, 3))
-        bvh = build_bvh(pts)
-        counters = CostCounters()
-        batched_nearest(bvh, pts[:100], counters=counters,
-                        engine="wavefront")
-        # Re-tests reuse remembered bounds: one root seed per lane plus
-        # at most two child evaluations per popped node.
-        assert counters.box_distance_evals <= \
-            2 * counters.nodes_visited + 100
-        assert counters.distance_evals == counters.leaf_visits
-        # Multi-pop drains: a lane advances one step per drain but may
-        # pop several nodes in it.
-        assert counters.lane_steps <= counters.nodes_visited
-
     def test_emst_counters_monotone_in_n(self):
         rng = np.random.default_rng(0)
         small = emst(rng.random((500, 2))).total_counters

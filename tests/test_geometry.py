@@ -18,7 +18,6 @@ from repro.geometry.distance import (
     box_box_max_sq,
     box_box_sq,
     gather_pair_sq,
-    gathered_box_sq,
     gathered_points_sq,
     point_box_sq,
     points_sq,
@@ -132,12 +131,14 @@ def _cols(x):
 
 
 class TestGatheredDistances:
-    """The per-dimension kernels equal the row-layout oracles bit for bit.
+    """The per-dimension pair kernel equals the row-layout oracle bit for
+    bit.
 
-    The traversal kernels compute every distance with these helpers while
-    the reference engine uses :func:`points_sq` / :func:`point_box_sq`; the
-    byte-identity contract rests on NumPy summing a short last axis left
-    to right, which these tests pin for every NumPy the suite runs on.
+    The Optimization-2 bound scan computes its pair distances with
+    :func:`gathered_points_sq` while the reference traversal uses
+    :func:`points_sq`; the byte-identity contract rests on NumPy summing a
+    short last axis left to right, which these tests pin for every NumPy
+    the suite runs on.
     """
 
     @staticmethod
@@ -147,28 +148,17 @@ class TestGatheredDistances:
         want = points_sq(np.asarray(a, float), np.asarray(b, float))
         assert np.array_equal(_bits(got), _bits(want))
 
-    @staticmethod
-    def _boxes(p, lo, hi):
-        idx = np.arange(len(p))
-        got = gathered_box_sq(_cols(p), idx, _cols(lo), _cols(hi), idx)
-        want = point_box_sq(np.asarray(p, float), np.asarray(lo, float),
-                            np.asarray(hi, float))
-        assert np.array_equal(_bits(got), _bits(want))
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_delta_pair(self, d):
         a = np.zeros((2, d))
         b = np.array([[1.0, DELTA, DELTA][:d], [DELTA, DELTA, 1.0][:d]])
         self._pairs(a, b)
         self._pairs(b, a)
-        self._boxes(a, b, b)  # degenerate boxes at the far point
-        self._boxes(a, b, b + 1.0)
         if d == 3:  # left to right; any other association rounds up
             assert points_sq(a[0], b[0]) == 1.0
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_inside_outside_and_on_faces(self, d):
-        lo = np.zeros(d)
         hi = np.ones(d)
         points = [np.full(d, 0.5), np.full(d, 2.0), np.full(d, -1.5),
                   np.full(d, 0.0), np.full(d, 1.0)]
@@ -178,7 +168,6 @@ class TestGatheredDistances:
                 q[k] = value
                 points.append(q)
         p = np.array(points)
-        self._boxes(p, np.tile(lo, (len(p), 1)), np.tile(hi, (len(p), 1)))
         self._pairs(p, np.tile(hi, (len(p), 1)))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -187,8 +176,6 @@ class TestGatheredDistances:
         a = np.repeat(signs, len(signs), axis=0)
         b = np.tile(signs, (len(signs), 1))
         self._pairs(a, b)
-        self._boxes(a, np.minimum(b, 0.0), np.maximum(b, -0.0))
-        self._boxes(a, b, b)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_rows(self, d):
@@ -198,10 +185,6 @@ class TestGatheredDistances:
         ib = rng.integers(0, len(pts), 10_000)
         got = gathered_points_sq(_cols(pts), ia, _cols(pts), ib)
         assert np.array_equal(_bits(got), _bits(points_sq(pts[ia], pts[ib])))
-        lo = np.minimum(pts[ia], pts[ib])
-        hi = np.maximum(pts[ia], pts[ib])
-        q = rng.normal(size=(10_000, d)) * pts.std(axis=0)
-        self._boxes(q, lo, hi)
 
 
 class TestBoxBox:

@@ -32,7 +32,7 @@ def test_healthz(api):
     # assert the server runs the one they asked for.
     assert body["backend"] == "thread"
     # ... and the traversal engine it resolved, so a node that fell back
-    # from the compiled kernels to the wavefront engine is visible.
+    # from the compiled kernels to the reference engine is visible.
     assert body["traversal"] == get_default_engine()
 
 

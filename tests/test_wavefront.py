@@ -1,13 +1,13 @@
-"""Traversal engines: equivalence, counters, workspaces, plans.
+"""Traversal engines: equivalence, counters, workspaces.
 
 Every engine in ``ENGINES`` must be *indistinguishable by answer* from the
 single-pop reference engine on every query the EMST pipeline issues —
 including adversarial inputs (duplicate points, collinear sets,
 all-identical points) under every constraint combination (component
 labels x mutual-reachability x self-exclusion x initial radius).  The
-canonical payload bytes certify that end to end; pinned-counter
-regressions keep the multi-pop accounting semantics from drifting, and
-the compiled engine must match the reference on every counter too.
+canonical payload bytes certify that end to end; the compiled engine
+must match the reference on every counter too, and pinned counts on a
+fixed grid keep the shared counter semantics from drifting.
 """
 
 import itertools
@@ -25,7 +25,6 @@ from repro.bvh import (
     traversal_engine,
 )
 from repro.bvh import compiled
-from repro.bvh.plan import build_query_plan, tree_coords
 from repro.bvh.traversal import (
     ENGINES,
     get_default_engine,
@@ -36,7 +35,6 @@ from repro.core.emst import emst, mutual_reachability_emst
 from repro.core.labels import reduce_labels
 from repro.data import generate
 from repro.errors import InvalidInputError
-from repro.geometry.distance import point_box_sq
 from repro.hdbscan.hdbscan import hdbscan
 from repro.kokkos.counters import CostCounters
 from repro.service.jobs import (
@@ -46,7 +44,8 @@ from repro.service.jobs import (
 )
 from tests.conftest import finite_points
 
-#: The pre-wavefront configuration: the semantics every new knob must
+#: The paper's configuration (one-point leaves, no warm frontier,
+#: adjacent-pairs bounds): the answer every other configuration must
 #: reproduce byte for byte.
 OLD_CONFIG = SingleTreeConfig(leaf_size=1, warm_frontier=False,
                               bound_window=1)
@@ -73,16 +72,16 @@ def adversarial_point_sets():
         ("3d-delta-pair", np.concatenate([[[0.0, 0.0, 0.0],
                                            [1.0, DELTA, DELTA]],
                                           rng.random((60, 3)) + 3.0])),
-        # Clustered, tree height 42: long, uneven query-plan rows.
+        # Clustered, tree height 42: deep, uneven traversals.
         ("hacc-2000", generate("Hacc37M", 2000)),
     ]
 
 
 class TestEngineSelection:
     def test_default_is_compiled_when_loadable(self):
-        want = "compiled" if compiled.load() is not None else "wavefront"
+        want = "compiled" if compiled.load() is not None else "reference"
         assert get_default_engine() == want
-        assert set(ENGINES) == {"compiled", "wavefront", "reference"}
+        assert set(ENGINES) == {"compiled", "reference"}
 
     def test_context_manager_restores(self):
         before = get_default_engine()
@@ -283,13 +282,12 @@ def _grid16():
 
 class TestCounterRegression:
     """Exact visit counts on a fixed 16-point grid — pinned so the
-    multi-pop counter semantics cannot silently drift."""
+    single-pop counter semantics cannot silently drift."""
 
-    def _count(self, bvh, engine, width=None, **kwargs):
+    def _count(self, bvh, engine):
         counters = CostCounters()
-        extra = {} if width is None else {"width": width}
         batched_nearest(bvh, bvh.points, engine=engine, counters=counters,
-                        exclude_position=np.arange(bvh.n), **extra, **kwargs)
+                        exclude_position=np.arange(bvh.n))
         return counters
 
     def test_reference_counts(self):
@@ -304,45 +302,14 @@ class TestCounterRegression:
                 c.distance_evals, c.leaf_visits, c.lane_steps,
                 c.warp_steps) == (136, 256, 376, 48, 48, 136, 10)
 
-    def test_wavefront_width1_matches_reference_pops(self):
-        # Single-pop wavefront: identical traversal, remembered bounds
-        # (the only divergence is box evals: root seed + 2 per survivor
-        # instead of 3 recomputes per pop).
-        c = self._count(build_bvh(_grid16()), "wavefront", width=1)
-        assert (c.nodes_visited, c.stack_ops, c.distance_evals,
-                c.leaf_visits, c.lane_steps, c.warp_steps) \
-            == (136, 256, 48, 48, 136, 10)
-        assert c.box_distance_evals == 256
-
-    def test_wavefront_multi_pop_counts(self):
-        # Draining 2 entries per lane per iteration halves the lane steps
-        # and overvisits nodes against the per-drain (staler) radii —
-        # both effects pinned exactly.
-        c = self._count(build_bvh(_grid16()), "wavefront", width=2)
-        assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
-                c.distance_evals, c.leaf_visits, c.lane_steps,
-                c.warp_steps) == (184, 352, 288, 64, 64, 104, 7)
-
-    def test_wavefront_seeded_counts(self):
-        # Plan seeding starts each lane at its path siblings: node visits
-        # drop from 136 to 88 and lane steps from 136 to 36 on the grid.
-        c = CostCounters()
-        bvh = build_bvh(_grid16())
-        batched_nearest(bvh, bvh.points, engine="wavefront", width=4,
-                        workspace=TraversalWorkspace(),
-                        exclude_position=np.arange(16), counters=c,
-                        self_queries=True)
-        assert (c.nodes_visited, c.stack_ops, c.distance_evals,
-                c.leaf_visits, c.lane_steps, c.warp_steps) \
-            == (88, 176, 48, 48, 36, 3)
-
     def test_blocked_leaves_counts(self):
         # leaf_size=4: a quarter of the leaves, whole-block evaluation.
-        c = self._count(build_bvh(_grid16(), leaf_size=4), "wavefront",
-                        width=2)
-        assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
-                c.distance_evals, c.leaf_visits, c.lane_steps,
-                c.warp_steps) == (48, 80, 112, 240, 64, 32, 2)
+        bvh = build_bvh(_grid16(), leaf_size=4)
+        for engine in ENGINES:
+            c = self._count(bvh, engine)
+            assert (c.nodes_visited, c.stack_ops, c.box_distance_evals,
+                    c.distance_evals, c.leaf_visits, c.lane_steps,
+                    c.warp_steps) == (48, 80, 128, 144, 40, 48, 3), engine
 
     def test_emst_round_counters_populated(self):
         # RoundStats survive the new kernels (used by the figure benches).
@@ -383,17 +350,6 @@ class TestWorkspace:
         second = emst(pts, workspace=ws)
         assert np.array_equal(first.edges, second.edges)
 
-    def test_plan_cached_per_tree(self):
-        rng = np.random.default_rng(3)
-        ws = TraversalWorkspace()
-        bvh_a = build_bvh(rng.random((64, 2)))
-        plan_a, built_a = ws.plan_for(bvh_a)
-        plan_a2, built_a2 = ws.plan_for(bvh_a)
-        assert built_a and not built_a2 and plan_a is plan_a2
-        bvh_b = build_bvh(rng.random((64, 2)))
-        _, built_b = ws.plan_for(bvh_b)
-        assert built_b  # different tree -> new plan
-
 
 def _held_nbytes(obj) -> int:
     """Summed ``.nbytes`` of every array reachable from ``obj``'s state."""
@@ -406,74 +362,3 @@ def _held_nbytes(obj) -> int:
     if hasattr(obj, "__dict__"):
         return _held_nbytes(vars(obj))
     return 0
-
-
-def _root_path_length(bvh, leaf):
-    length = 0
-    while bvh.parent[leaf] >= 0:
-        leaf = int(bvh.parent[leaf])
-        length += 1
-    return length
-
-
-class TestQueryPlan:
-    def test_path_siblings_partition_tree(self):
-        rng = np.random.default_rng(5)
-        bvh = build_bvh(rng.random((37, 2)))
-        plan = build_query_plan(bvh, tree_coords(bvh))
-        for lane in (0, 17, 36):
-            row = plan.nodes[plan.offsets[lane]:plan.offsets[lane + 1]]
-            nodes = [int(x) for x in row]
-            # Own leaf is the last entry.
-            assert nodes[-1] >= bvh.leaf_base
-            # The union of all subtree leaves is every sorted position.
-            seen = []
-            for node in nodes:
-                stack = [node]
-                while stack:
-                    x = stack.pop()
-                    if x >= bvh.leaf_base:
-                        block = x - bvh.leaf_base
-                        start = int(bvh.leaf_start[block])
-                        seen.extend(range(start,
-                                          start + int(bvh.leaf_count[block])))
-                    else:
-                        stack.extend([int(bvh.left[x]), int(bvh.right[x])])
-            assert sorted(seen) == list(range(bvh.n))
-
-    @pytest.mark.parametrize("leaf_size", [1, 3])
-    def test_ragged_layout(self, leaf_size):
-        bvh = build_bvh(generate("Hacc37M", 600), leaf_size=leaf_size)
-        plan = build_query_plan(bvh, tree_coords(bvh))
-        rows = np.diff(plan.offsets)
-        assert plan.offsets[0] == 0 and plan.offsets[-1] == plan.nodes.size
-        assert plan.build_box_evals == plan.nodes.size == plan.dist.size
-        assert np.array_equal(plan.lane, np.repeat(np.arange(bvh.n), rows))
-        assert plan.depth == rows.max()
-        for lane in range(bvh.n):
-            row = plan.nodes[plan.offsets[lane]:plan.offsets[lane + 1]]
-            leaf = row[-1]
-            block = leaf - bvh.leaf_base
-            assert bvh.leaf_start[block] <= lane \
-                < bvh.leaf_start[block] + bvh.leaf_count[block]
-            # One sibling per ancestor, root side first, then the leaf.
-            assert row.size == _root_path_length(bvh, leaf) + 1
-            node = leaf
-            for sibling in row[-2::-1]:
-                par = bvh.parent[node]
-                assert sibling in (bvh.left[par], bvh.right[par])
-                assert sibling != node
-                node = par
-            assert node == 0
-        # Plan bounds equal the row-layout oracle bit for bit.
-        want = point_box_sq(bvh.points[plan.lane], bvh.lo[plan.nodes],
-                            bvh.hi[plan.nodes])
-        assert np.array_equal(plan.dist.view(np.uint64),
-                              want.view(np.uint64))
-
-    def test_self_queries_requires_full_batch(self):
-        rng = np.random.default_rng(6)
-        bvh = build_bvh(rng.random((50, 2)))
-        with pytest.raises(InvalidInputError):
-            batched_nearest(bvh, bvh.points[:10], engine="wavefront",
-                            self_queries=True)

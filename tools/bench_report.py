@@ -74,12 +74,10 @@ def _headline_kernels(payload):
     cases = payload.get("headline", {}).get("cases", {})
     for label in sorted(cases):
         rows.append((f"headline_speedup_{label}", cases[label].get("speedup")))
-        rows.append((f"headline_new_seconds_{label}",
-                     cases[label].get("new_seconds")))
+        rows.append((f"headline_old_seconds_{label}",
+                     cases[label].get("old_seconds")))
         rows.append((f"headline_compiled_seconds_{label}",
                      cases[label].get("compiled_seconds")))
-        rows.append((f"headline_compiled_vs_wavefront_{label}",
-                     cases[label].get("compiled_vs_wavefront")))
     return rows
 
 
