@@ -17,7 +17,7 @@ Package map
 -----------
 ``repro.core``      the paper's single-tree Borůvka EMST (+ m.r.d. metric)
 ``repro.bvh``       linear BVH substrate (ArborX analogue)
-``repro.kokkos``    execution-space layer with simulated device cost models
+``repro.kokkos``    work counters priced by simulated device cost models
 ``repro.baselines`` MLPACK dual-tree, MemoGFK/WSPD, Bentley–Friedman, oracles
 ``repro.hdbscan``   HDBSCAN* on the mutual-reachability EMST
 ``repro.data``      generators mirroring the paper's 12 datasets

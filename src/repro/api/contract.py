@@ -16,9 +16,9 @@ Every non-2xx response body is::
 ``code`` is a stable machine-readable name (see the ``ERR_*`` constants),
 ``message`` the human-readable detail (what the legacy ``{"error": str}``
 shape carried), and ``retryable`` tells a client whether the same request
-may succeed elsewhere or later — the cluster client keys failover on it
-instead of guessing from the status class.  2xx bodies are unchanged, so
-the envelope is additive for well-behaved clients.
+may succeed elsewhere or later — :class:`repro.client.Client` keys
+failover on it instead of guessing from the status class.  2xx bodies
+are unchanged, so the envelope is additive for well-behaved clients.
 
 Dispatch
 --------

@@ -34,7 +34,12 @@ import numpy as np
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import emst, mutual_reachability_emst
 from repro.data import DATASETS, dataset_dimension, generate_from_spec
-from repro.errors import InvalidInputError
+from repro.errors import (
+    InvalidInputError,
+    NodeHTTPError,
+    NodeOverloadedError,
+    NodeUnavailableError,
+)
 from repro.metrics import mfeatures_per_second
 
 
@@ -202,8 +207,6 @@ def _print_job_result(result_dict: dict) -> None:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError, NodeOverloadedError
-    from repro.errors import NodeUnavailableError
 
     if args.points.startswith("dataset:"):
         body: dict = {"dataset": args.points}
@@ -314,13 +317,12 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
     second pass must be answered entirely from the warm tiers of the
     nodes the ring pinned each point set to.
     """
-    import json
     import shutil
     import tempfile
     import threading
     import time
-    import urllib.request
 
+    from repro.client import Client
     from repro.cluster import ClusterRouter, Node, create_router_server
     from repro.service import Engine
     from repro.service.server import create_server
@@ -347,17 +349,10 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
         threading.Thread(target=router_server.serve_forever,
                          daemon=True).start()
         servers.append(router_server)
-        base = f"http://127.0.0.1:{router_server.server_address[1]}"
-        print(f"{args.nodes} node(s) + router up at {base} "
+        client = Client(
+            f"http://127.0.0.1:{router_server.server_address[1]}")
+        print(f"{args.nodes} node(s) + router up at {client.url} "
               f"(stores under {store_root})")
-
-        def request(url, body=None):
-            req = urllib.request.Request(
-                url, data=json.dumps(body).encode() if body else None,
-                headers={"Content-Type": "application/json"} if body
-                else {})
-            with urllib.request.urlopen(req, timeout=120) as resp:
-                return json.loads(resp.read())
 
         specs = []
         for j in range(args.jobs):
@@ -367,8 +362,8 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
                           "k_pts": 4})
         for label in ("cold", "warm"):
             started = time.perf_counter()
-            accepted = [request(f"{base}/v1/jobs", spec) for spec in specs]
-            results = [request(f"{base}/v1/jobs/{a['job_id']}?wait_s=60")
+            accepted = [client.submit(spec) for spec in specs]
+            results = [client.wait(a["job_id"], timeout=60.0)
                        for a in accepted]
             wall = time.perf_counter() - started
             done = sum(r["status"] == "done" for r in results)
@@ -380,7 +375,7 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
                 print(f"    {spec['dataset']:24s} {spec['algorithm']:8s} "
                       f"-> {result.get('node')} "
                       f"(result_hit={result['cache']['result_hit']})")
-        stats = request(f"{base}/v1/stats")
+        stats = client.stats()
         fleet = stats["fleet"]
         print(f"fleet: {fleet['jobs']['done']} jobs done, result tier "
               f"hit rate {fleet['result_cache']['hit_rate']:.0%}, "
@@ -541,8 +536,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     import time
 
     from repro.client import Client
-    from repro.cluster import NodeHTTPError
-    from repro.errors import NodeUnavailableError
 
     client = Client(args.url)
     base = client.url
@@ -598,8 +591,6 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_slo(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError
-    from repro.errors import NodeUnavailableError
 
     client = Client(args.url)
     base = client.url
@@ -658,8 +649,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError
-    from repro.errors import NodeUnavailableError
     from repro.obs import format_trace
 
     client = Client(args.url)
@@ -685,8 +674,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.client import Client
-    from repro.cluster import NodeHTTPError, NodeOverloadedError
-    from repro.errors import NodeUnavailableError
     from repro.obs import render_collapsed
 
     if args.seconds < 0:

@@ -13,13 +13,17 @@ Layers
 ------
 ``repro.cluster.topology``  ``Node`` descriptors + the consistent-hash
                             ring with rendezvous-ordered failover
-``repro.cluster.client``    stdlib HTTP client for one node's ``/v1`` API
 ``repro.cluster.router``    ``ClusterRouter`` — validate/fingerprint
                             locally, route by ring position, fail over at
                             most once, recover lost jobs by resubmission,
                             aggregate fleet stats
 ``repro.cluster.server``    the router's own HTTP front end (same API as
                             a node — clients can't tell them apart)
+``repro.cluster.rebalance`` re-home stored artifacts after a membership
+                            change
+
+Every call to a node goes through :class:`repro.client.Client`, the one
+blocking client of the ``/v1`` API.
 
 Example
 -------
@@ -34,30 +38,15 @@ fronts running nodes, and ``python -m repro cluster-demo`` boots a whole
 fleet locally to watch the routing happen.
 """
 
-from repro.cluster.client import (
-    DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT,
-    NodeClient,
-    NodeHTTPError,
-    backoff_delay,
-)
 from repro.cluster.rebalance import plan_rebalance, run_rebalance
 from repro.cluster.router import ClusterRouter
 from repro.cluster.server import create_router_server, run_router_server
 from repro.cluster.topology import HashRing, Node, stable_hash
-from repro.errors import NodeOverloadedError, NodeUnavailableError
 
 __all__ = [
     "ClusterRouter",
-    "DEFAULT_RETRIES",
-    "DEFAULT_TIMEOUT",
     "HashRing",
     "Node",
-    "NodeClient",
-    "NodeHTTPError",
-    "NodeOverloadedError",
-    "NodeUnavailableError",
-    "backoff_delay",
     "create_router_server",
     "plan_rebalance",
     "run_rebalance",

@@ -32,9 +32,9 @@ import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.client import NodeClient, NodeHTTPError
+from repro.client import Client
 from repro.cluster.topology import HashRing, Node
-from repro.errors import InvalidInputError, ReproError
+from repro.errors import InvalidInputError, NodeHTTPError, ReproError
 
 #: One copy-journal record per line: ``{"tier", "key", "target"}``.
 JOURNAL_SUFFIX = ".journal.jsonl"
@@ -120,13 +120,13 @@ def run_rebalance(nodes: List[Node], *, replicas: int = 1,
     ``{"planned", "copied", "skipped", "failed", "unreachable"}``.
     """
     ring = HashRing(list(nodes))
-    clients = {node.name: NodeClient(node, timeout=timeout, retries=0)
+    clients = {node.name: Client(node.base_url, timeout=timeout, retries=0)
                for node in ring.nodes}
     inventories: Dict[str, List[Dict[str, Any]]] = {}
     unreachable: List[str] = []
     for node in ring.nodes:
         try:
-            doc = clients[node.name].artifact_list()
+            doc = clients[node.name].artifacts()
         except ReproError as exc:
             unreachable.append(node.name)
             log(f"warning: {node.name} unreachable, skipping its "

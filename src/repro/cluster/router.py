@@ -47,16 +47,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import repro
 from repro.api.contract import DEFAULT_TRACE_LIMIT, ERR_UNKNOWN_TRACE
-from repro.cluster.client import (
-    DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT,
-    NodeClient,
-    NodeHTTPError,
-)
+from repro.client import DEFAULT_RETRIES, DEFAULT_TIMEOUT, Client
 from repro.cluster.topology import HashRing, Node
 from repro.errors import (
     ClusterError,
     InvalidInputError,
+    NodeHTTPError,
     NodeOverloadedError,
     NodeUnavailableError,
     ReproError,
@@ -143,8 +139,9 @@ class ClusterRouter:
         self.probe_timeout = min(probe_timeout, timeout)
         self.replicas = replicas
         self.ring = HashRing(nodes)
-        self.clients: Dict[str, NodeClient] = {
-            node.name: NodeClient(node, timeout=timeout, retries=retries)
+        self.clients: Dict[str, Client] = {
+            node.name: Client(node.base_url, timeout=timeout,
+                              retries=retries)
             for node in nodes}
         self.max_routes = max_routes
         self.retry_down_after = retry_down_after
@@ -379,7 +376,7 @@ class ClusterRouter:
                 trace["spans"].append(hop)
             started = time.perf_counter()
             try:
-                accepted, _header = client.submit(body, trace=trace)
+                accepted = client.submit(body, trace=trace)
             except NodeUnavailableError as exc:
                 # A shed (429) is failover-eligible but the node is alive:
                 # record the hop, try the next candidate, never mark_down.
@@ -437,7 +434,7 @@ class ClusterRouter:
         client = self.clients[observed_node]
         node = self.ring.get(observed_node)
         try:
-            body, _header = client.job(route.upstream_id, wait_s)
+            body = client.poll(route.upstream_id, wait_s)
         except NodeOverloadedError:
             # The node is alive and still owns the job — shedding a poll
             # is not job loss, so no mark_down and no recovery
@@ -501,8 +498,7 @@ class ClusterRouter:
                 self._resubmits_c.inc()
                 self._routed_by_node_c[node.name].inc()
             current_node, current_id = route.node_name, route.upstream_id
-        body, _header = self.clients[current_node].job(current_id, wait_s)
-        return body
+        return self.clients[current_node].poll(current_id, wait_s)
 
     # ------------------------------------------------------- replication
 
@@ -622,7 +618,7 @@ class ClusterRouter:
         nodes: List[Dict[str, Any]] = []
         for node in self.ring.nodes:
             try:
-                doc = self.clients[node.name].artifact_list(
+                doc = self.clients[node.name].artifacts(
                     timeout=self.probe_timeout)
             except NodeUnavailableError as exc:
                 if not isinstance(exc, NodeOverloadedError):
@@ -833,7 +829,7 @@ class ClusterRouter:
         per_node: Dict[str, Any] = {}
         for node in self.ring.nodes:
             try:
-                doc = self.clients[node.name].traces(params)
+                doc = self.clients[node.name].traces(**params)
             except NodeUnavailableError as exc:
                 node.mark_down(str(exc))
                 per_node[node.name] = {"error": str(exc)}
@@ -862,7 +858,7 @@ class ClusterRouter:
         """
         for node in self.ring.nodes:
             try:
-                record, served_by = self.clients[node.name].trace(trace_id)
+                record = self.clients[node.name].archived_trace(trace_id)
             except NodeUnavailableError as exc:
                 node.mark_down(str(exc))
                 continue
@@ -872,7 +868,7 @@ class ClusterRouter:
                 if exc.error_code == ERR_UNKNOWN_TRACE or exc.code == 404:
                     continue
                 raise
-            return record, served_by or node.name
+            return record, node.name
         return None
 
     def profile(self, seconds: Optional[float] = None,

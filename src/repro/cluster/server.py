@@ -38,9 +38,8 @@ from repro.api.contract import (
     WireAPI,
 )
 from repro.api.http import AsyncHTTPHost, DEFAULT_MAX_INFLIGHT
-from repro.cluster.client import NodeHTTPError
 from repro.cluster.router import ClusterRouter
-from repro.errors import InvalidInputError, NodeOverloadedError
+from repro.errors import InvalidInputError, NodeHTTPError, NodeOverloadedError
 from repro.obs import EventLog
 from repro.obs.profiler import PAUSE_BUCKETS
 

@@ -38,10 +38,6 @@ class ConvergenceError(ReproError, RuntimeError):
     """
 
 
-class ExecutionSpaceError(ReproError, RuntimeError):
-    """Raised for misuse of the :mod:`repro.kokkos` execution-space layer."""
-
-
 class ServiceError(ReproError, RuntimeError):
     """Raised for lifecycle misuse of the :mod:`repro.service` engine.
 
@@ -65,6 +61,25 @@ class NodeUnavailableError(ClusterError):
     """One node could not serve a request (connection error, timeout or a
     5xx response).  The router treats this as a failover trigger: the job
     moves to the next node in ring order rather than failing."""
+
+
+class NodeHTTPError(ClusterError):
+    """A server answered with a non-retryable error — the request is bad.
+
+    ``code`` is the HTTP status, ``error_code`` the envelope's
+    machine-readable name (``unknown_job``, ``bad_request``, ... or
+    ``None`` from a legacy server), ``retryable`` always ``False`` —
+    retryable errors raise :class:`NodeUnavailableError` /
+    :class:`NodeOverloadedError` instead.
+    """
+
+    def __init__(self, code: int, message: str, *,
+                 error_code: str | None = None,
+                 retryable: bool = False) -> None:
+        super().__init__(message)
+        self.code = code
+        self.error_code = error_code
+        self.retryable = retryable
 
 
 class NodeOverloadedError(NodeUnavailableError):

@@ -1,7 +1,6 @@
-"""Kokkos-like performance-portability layer with simulated devices.
+"""Work counters and simulated devices standing in for Kokkos.
 
 The paper implements its EMST on top of `Kokkos <https://github.com/kokkos/kokkos>`_
-(execution/memory-space abstractions, ``parallel_for/reduce/scan`` patterns)
 and runs the same source on an AMD EPYC 7763 CPU, an Nvidia A100 GPU, and an
 AMD MI250X GPU.  This repository has no GPU, so the portability layer is
 reproduced as follows:
@@ -17,10 +16,6 @@ reproduced as follows:
   simulated seconds via :func:`~repro.kokkos.costmodel.simulate_seconds`.
   Device constants are calibrated against the paper's published rates; see
   ``EXPERIMENTS.md``.
-
-The package also provides semantic ``parallel_for/reduce/scan`` patterns and
-a ``View`` memory-space abstraction mirroring the Kokkos API so that the
-algorithm drivers in :mod:`repro.core` read like the paper's Figure 3.
 """
 
 from repro.kokkos.counters import CostCounters, WarpTrace
@@ -33,15 +28,6 @@ from repro.kokkos.devices import (
     device_registry,
 )
 from repro.kokkos.costmodel import CostBreakdown, simulate_seconds
-from repro.kokkos.spaces import (
-    ExecutionSpace,
-    GPUSim,
-    OpenMPSim,
-    Serial,
-    default_space,
-)
-from repro.kokkos.patterns import parallel_for, parallel_reduce, parallel_scan
-from repro.kokkos.views import View, create_mirror_view, deep_copy
 
 __all__ = [
     "CostCounters",
@@ -54,15 +40,4 @@ __all__ = [
     "device_registry",
     "CostBreakdown",
     "simulate_seconds",
-    "ExecutionSpace",
-    "Serial",
-    "OpenMPSim",
-    "GPUSim",
-    "default_space",
-    "parallel_for",
-    "parallel_reduce",
-    "parallel_scan",
-    "View",
-    "create_mirror_view",
-    "deep_copy",
 ]

@@ -53,7 +53,12 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from repro.errors import InvalidInputError, ReproError, ServiceError
+from repro.errors import (
+    InvalidInputError,
+    NodeHTTPError,
+    ReproError,
+    ServiceError,
+)
 from repro.kokkos.counters import CostCounters
 from repro.metrics import mfeatures_per_second
 from repro.obs import (
@@ -509,19 +514,16 @@ class Engine:
         only known once every sibling has bound its port (dynamic-port
         tests, orchestrators) wires the mesh here.
         """
-        # Function-level import: cluster imports service (the router
-        # speaks JobSpec), so the reverse edge must not exist at
-        # module load.
-        from repro.cluster.client import NodeClient
-        from repro.cluster.topology import Node
+        # Function-level import: a node started without peers never
+        # loads the HTTP client (``urllib.request`` costs start-up time).
+        from repro.client import Client
 
         self.peers = [url.rstrip("/") for url in peers]
         if hasattr(self, "_config"):  # absent during __init__'s own call
             self._config["peers"] = list(self.peers)
         self._peer_clients = [
-            NodeClient(Node(url),
-                       timeout=timeout if timeout is not None
-                       else self._peer_timeout, retries=0)
+            Client(url, timeout=timeout if timeout is not None
+                   else self._peer_timeout, retries=0)
             for url in self.peers]
         hook = self._fetch_from_peers if self._peer_clients else None
         for cache in (self.tree_cache, self.result_cache,
@@ -536,7 +538,6 @@ class Engine:
         continues — a dead replica must degrade to recompute, never fail
         the job.
         """
-        from repro.cluster.client import NodeHTTPError
         for client in self._peer_clients:
             try:
                 data = client.artifact(tier, key)

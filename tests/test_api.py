@@ -9,23 +9,21 @@ beyond the worker pool size.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.api import aioclient
 from repro.api.contract import parse_error_envelope
 from repro.client import Client
-from repro.cluster import (
-    ClusterRouter,
-    Node,
-    NodeClient,
-    NodeHTTPError,
-    NodeOverloadedError,
-    create_router_server,
-)
+from repro.cluster import ClusterRouter, Node, create_router_server
+from repro.errors import NodeHTTPError, NodeOverloadedError
 from repro.service import Engine, JobSpec, canonical_payload_bytes
 from repro.service.executor import execute_spec, make_exec_spec
 from repro.service.server import create_server
@@ -309,12 +307,15 @@ def test_long_polls_beyond_worker_pool(bounded_api, slow_gate):
 
 def test_node_client_typed_errors(bounded_api):
     base, _engine = bounded_api
-    client = NodeClient(Node(base))
-    with pytest.raises(NodeHTTPError) as excinfo:
-        client.job("job-999999")
-    assert excinfo.value.code == 404
-    assert excinfo.value.error_code == "unknown_job"
-    assert excinfo.value.retryable is False
+    client = Client(base)
+    # A caller-supplied id with a space is percent-encoded, not an
+    # invalid URL: the server answers it as one more unknown job.
+    for job_id in ("job-999999", "job 1"):
+        with pytest.raises(NodeHTTPError) as excinfo:
+            client.poll(job_id)
+        assert excinfo.value.code == 404
+        assert excinfo.value.error_code == "unknown_job"
+        assert excinfo.value.retryable is False
     with pytest.raises(NodeHTTPError) as excinfo:
         client.submit({"dataset": "Uniform100M2:50", "algorithm": "kmeans"})
     assert excinfo.value.code == 400
@@ -323,7 +324,7 @@ def test_node_client_typed_errors(bounded_api):
 
 def test_node_client_overload_is_typed_and_retry_hinted(bounded_api):
     base, _engine = bounded_api
-    client = NodeClient(Node(base))
+    client = Client(base)
     for seed in (20, 21):
         client.submit(_slow_spec(20000, seed))
     with pytest.raises(NodeOverloadedError) as excinfo:
@@ -383,6 +384,40 @@ def test_client_sdk_against_router(routed_api):
     assert result["node"] == "n0"
 
 
+# ------------------------------------------------------------------ layering
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _loaded_modules(code):
+    """``sys.modules`` of a fresh interpreter after running ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_client_imports_no_server_side_package():
+    loaded = _loaded_modules("import repro.client")
+    server_side = sorted(m for m in loaded if m.startswith(
+        ("repro.cluster", "repro.service")))
+    assert server_side == []
+
+
+def test_node_without_peers_never_loads_the_client():
+    loaded = _loaded_modules(
+        "from repro.service import Engine\n"
+        "from repro.service.server import create_server\n"
+        "engine = Engine()\n"
+        "server = create_server(engine)\n"
+        "server.server_close()\n"
+        "engine.close()")
+    assert "repro.client" not in loaded
+    assert "urllib.request" not in loaded
+
+
 # ------------------------------------------------------------- wire fidelity
 
 def test_legacy_error_shape_still_parses():
@@ -406,7 +441,7 @@ def test_legacy_error_shape_still_parses():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = "http://{}:{}".format(*server.server_address[:2])
     try:
-        client = NodeClient(Node(base), retries=0)
+        client = Client(base, retries=0)
         with pytest.raises(NodeHTTPError) as excinfo:
             client.healthz()
         assert excinfo.value.code == 400

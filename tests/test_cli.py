@@ -170,6 +170,15 @@ class TestServiceCommands:
         assert main(["submit", str(tmp_path / "absent.npy")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_cluster_demo_warm_pass_hits_every_job(self, capsys):
+        assert main(["cluster-demo", "--nodes", "2", "--jobs", "3",
+                     "--points", "200"]) == 0
+        warm = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warm")]
+        assert len(warm) == 1
+        assert "3/3 done" in warm[0]
+        assert "3 result-cache hit(s)" in warm[0]
+
 
 class TestParser:
     def test_requires_command(self):

@@ -9,22 +9,26 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.client import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    RETRY_AFTER_CAP,
+    Client,
+    backoff_delay,
+)
 from repro.cluster import (
     ClusterRouter,
     HashRing,
     Node,
-    NodeClient,
-    NodeHTTPError,
-    backoff_delay,
     plan_rebalance,
     run_rebalance,
 )
-from repro.cluster.client import BACKOFF_BASE, BACKOFF_CAP, RETRY_AFTER_CAP
 from repro.cluster.rebalance import append_journal, load_journal
 from repro.cluster.server import create_router_server
 from repro.errors import (
     ClusterError,
     InvalidInputError,
+    NodeHTTPError,
     NodeUnavailableError,
 )
 from repro.service import Engine, JobSpec, canonical_payload_bytes
@@ -476,17 +480,15 @@ class TestFingerprintSpec:
 
 class TestNodeClient:
     def test_unreachable_node_raises_unavailable(self):
-        client = NodeClient(Node("http://127.0.0.1:9", name="void"),
-                            timeout=0.5, retries=0)
+        client = Client("http://127.0.0.1:9", timeout=0.5, retries=0)
         with pytest.raises(NodeUnavailableError):
             client.healthz()
 
     def test_rejects_bad_config(self):
-        node = Node("http://h:1")
         with pytest.raises(ClusterError):
-            NodeClient(node, timeout=0.0)
+            Client("http://h:1", timeout=0.0)
         with pytest.raises(ClusterError):
-            NodeClient(node, retries=-1)
+            Client("http://h:1", retries=-1)
 
 
 class TestRouterCoalescing:
@@ -918,8 +920,8 @@ class TestArtifactAPI:
     def test_blob_roundtrip_over_http(self, fleet):
         key, node = self._warm_key(fleet)
         holder = next(n for n in fleet.nodes if n.name == node)
-        client = NodeClient(holder, timeout=10.0, retries=0)
-        listing = client.artifact_list()
+        client = Client(holder.base_url, timeout=10.0, retries=0)
+        listing = client.artifacts()
         assert listing["node"] == node
         assert any(entry["tier"] == "result" and entry["key"] == key
                    for entry in listing["artifacts"])
@@ -928,13 +930,13 @@ class TestArtifactAPI:
         assert data == engine.artifact_bytes("result", key)
         # Push the blob to a sibling, read it back byte-identically.
         other = next(n for n in fleet.nodes if n.name != node)
-        sibling = NodeClient(other, timeout=10.0, retries=0)
+        sibling = Client(other.base_url, timeout=10.0, retries=0)
         receipt = sibling.artifact_put("result", key, data)
         assert receipt["stored"] is True
         assert sibling.artifact("result", key) == data
 
     def test_bad_refs_rejected(self, fleet):
-        client = NodeClient(fleet.nodes[0], timeout=10.0, retries=0)
+        client = Client(fleet.nodes[0].base_url, timeout=10.0, retries=0)
         with pytest.raises(NodeHTTPError) as excinfo:
             client.artifact("blobs", "0" * 64)  # unknown tier
         assert excinfo.value.code == 400

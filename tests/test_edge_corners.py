@@ -10,7 +10,6 @@ from repro.core.emst import emst
 from repro.kokkos.counters import CostCounters
 from repro.kokkos.costmodel import simulate_phases
 from repro.kokkos.devices import A100, EPYC_7763_SEQ
-from repro.kokkos.views import View
 from repro.mst.boruvka import boruvka_graph
 from repro.mst.kruskal import kruskal
 
@@ -98,19 +97,6 @@ class TestDelaunayCorners:
                                         np.zeros(5)], axis=1)])
         u, v, w = delaunay_emst_2d(pts)
         assert w.sum() == pytest.approx(5.0)
-
-
-class TestViewCorners:
-    def test_repr(self):
-        v = View("labels", 4, dtype=np.int64)
-        text = repr(v)
-        assert "labels" in text and "Host" in text
-
-    def test_wrap_shares_memory(self):
-        arr = np.arange(3.0)
-        v = View.wrap("x", arr)
-        v.data[0] = 99.0
-        assert arr[0] == 99.0
 
 
 class TestPublicAPI:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import (
     ConvergenceError,
     DimensionError,
-    ExecutionSpaceError,
     InvalidInputError,
     NotBuiltError,
     ReproError,
@@ -14,7 +13,7 @@ from repro.errors import (
 
 def test_all_derive_from_repro_error():
     for exc in (InvalidInputError, DimensionError, NotBuiltError,
-                ConvergenceError, ExecutionSpaceError):
+                ConvergenceError):
         assert issubclass(exc, ReproError)
 
 
@@ -29,7 +28,6 @@ def test_dimension_is_invalid_input():
 def test_runtime_family():
     assert issubclass(ConvergenceError, RuntimeError)
     assert issubclass(NotBuiltError, RuntimeError)
-    assert issubclass(ExecutionSpaceError, RuntimeError)
 
 
 def test_catchable_as_base():

@@ -1,9 +1,8 @@
-"""Tests for the execution-model layer (repro.kokkos)."""
+"""Tests for the work counters and device cost models (repro.kokkos)."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionSpaceError
 from repro.kokkos import (
     A100,
     EPYC_7763_MT,
@@ -11,22 +10,12 @@ from repro.kokkos import (
     MI250X_GCD,
     CostCounters,
     DeviceSpec,
-    GPUSim,
-    OpenMPSim,
-    Serial,
-    View,
     WarpTrace,
-    create_mirror_view,
-    deep_copy,
     device_registry,
-    parallel_for,
-    parallel_reduce,
-    parallel_scan,
     simulate_seconds,
 )
 from repro.kokkos.costmodel import traversal_ops, weighted_ops
 from repro.kokkos.counters import WARP_SIZE
-from repro.kokkos.patterns import fused_map
 
 
 class TestCounters:
@@ -199,104 +188,3 @@ class TestCostModel:
         from dataclasses import replace
         parallel = replace(EPYC_7763_MT, serial_sort=False)
         assert simulate_seconds(c, parallel).sort_seconds < mt
-
-
-class TestSpaces:
-    def test_serial_defaults(self):
-        assert not Serial().is_gpu
-        assert Serial().warp_size == 1
-
-    def test_gpu_warp(self):
-        assert GPUSim().is_gpu
-        assert GPUSim().warp_size == WARP_SIZE
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ExecutionSpaceError):
-            Serial(A100)
-        with pytest.raises(ExecutionSpaceError):
-            GPUSim(EPYC_7763_SEQ)
-        with pytest.raises(ExecutionSpaceError):
-            OpenMPSim(A100)
-
-    def test_simulate_dispatch(self):
-        c = CostCounters(scalar_ops=1000)
-        assert GPUSim().simulate(c).seconds > 0
-
-
-class TestPatterns:
-    def test_parallel_for(self):
-        out = []
-        parallel_for(5, out.append)
-        assert out == [0, 1, 2, 3, 4]
-
-    def test_parallel_for_counters(self):
-        c = CostCounters()
-        parallel_for(10, lambda i: None, counters=c)
-        assert c.kernel_launches == 1
-        assert c.scalar_ops == 10
-
-    def test_parallel_for_rejects_negative(self):
-        with pytest.raises(ValueError):
-            parallel_for(-1, lambda i: None)
-
-    def test_parallel_reduce(self):
-        total = parallel_reduce(10, lambda i: i, lambda a, b: a + b, 0)
-        assert total == 45
-
-    def test_parallel_scan_exclusive(self):
-        out = parallel_scan(np.array([1, 2, 3]))
-        assert out.tolist() == [0, 1, 3]
-
-    def test_parallel_scan_inclusive(self):
-        out = parallel_scan(np.array([1, 2, 3]), exclusive=False)
-        assert out.tolist() == [1, 3, 6]
-
-    def test_parallel_scan_rejects_2d(self):
-        with pytest.raises(ValueError):
-            parallel_scan(np.zeros((2, 2)))
-
-    def test_fused_map(self):
-        c = CostCounters()
-        out = fused_map([np.arange(4.0), np.ones(4)],
-                        lambda a, b: a + b, counters=c)
-        assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert c.max_batch == 4
-
-    def test_fused_map_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fused_map([np.zeros(3), np.zeros(4)], lambda a, b: a)
-
-
-class TestViews:
-    def test_alloc_and_wrap(self):
-        v = View("labels", 10, dtype=np.int64)
-        assert v.shape == (10,)
-        w = View.wrap("data", np.arange(5))
-        assert len(w) == 5
-
-    def test_invalid_space(self):
-        with pytest.raises(ExecutionSpaceError):
-            View("x", 3, space="Nowhere")
-
-    def test_mirror_and_deep_copy(self):
-        device = View("d", 8, dtype=np.float64, space="Device")
-        device.data[:] = 7.0
-        mirror = create_mirror_view(device)
-        c = CostCounters()
-        deep_copy(mirror, device, counters=c)
-        assert np.all(mirror.data == 7.0)
-        assert c.bytes_moved == device.nbytes
-        assert c.kernel_launches == 1  # crossing memory spaces
-
-    def test_deep_copy_same_space_no_launch(self):
-        a = View("a", 4)
-        b = View("b", 4)
-        b.data[:] = 3.0
-        c = CostCounters()
-        deep_copy(a, b, counters=c)
-        assert c.kernel_launches == 0
-        assert np.all(a.data == 3.0)
-
-    def test_deep_copy_shape_mismatch(self):
-        with pytest.raises(ExecutionSpaceError):
-            deep_copy(View("a", 3), View("b", 4))
