@@ -56,11 +56,12 @@ import time
 import urllib.error
 import urllib.request
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
-from urllib.parse import quote, urlencode
+from urllib.parse import quote, urlencode, urlsplit
 
 from repro.api.contract import parse_error_envelope
 from repro.errors import (
     ClusterError,
+    InvalidInputError,
     NodeHTTPError,
     NodeOverloadedError,
     NodeUnavailableError,
@@ -128,6 +129,13 @@ class Client:
 
     def __init__(self, url: str, *, timeout: float = DEFAULT_TIMEOUT,
                  retries: int = DEFAULT_RETRIES) -> None:
+        if not url.startswith(("http://", "https://")):
+            raise InvalidInputError(
+                f"node URL must be http(s)://, got {url!r}")
+        try:
+            urlsplit(url).port  # a bad port raises here, not on every call
+        except ValueError as exc:
+            raise InvalidInputError(f"bad node URL {url!r}: {exc}") from None
         if timeout <= 0:
             raise ClusterError(f"timeout must be positive, got {timeout}")
         if retries < 0:
@@ -311,14 +319,20 @@ class Client:
         """The Prometheus text exposition (``/v1/metrics``)."""
         return self._request("/v1/metrics", decode=False)
 
-    def traces(self, **filters: Any) -> Dict[str, Any]:
+    def traces(self, *, since: Optional[float] = None,
+               min_duration_ms: Optional[float] = None,
+               outcome: Optional[str] = None,
+               algorithm: Optional[str] = None,
+               limit: Optional[int] = None) -> Dict[str, Any]:
         """``GET /v1/traces`` — archived (tail-sampled) trace records.
 
         Against a router this answers fleet-wide, node-tagged and merged
-        slowest-first.  Filters use the wire names: ``since`` (unix
-        seconds), ``min_duration_ms``, ``outcome`` (``done``/``failed``),
-        ``algorithm``, ``limit``; ``None`` values are dropped.
+        slowest-first.  Filters: ``since`` (unix seconds),
+        ``min_duration_ms``, ``outcome`` (``done``/``failed``),
+        ``algorithm``, ``limit``; ``None`` means unfiltered.
         """
+        filters = dict(since=since, min_duration_ms=min_duration_ms,
+                       outcome=outcome, algorithm=algorithm, limit=limit)
         params = {k: v for k, v in filters.items() if v is not None}
         path = "/v1/traces"
         if params:

@@ -375,6 +375,13 @@ def test_client_sdk_wait_timeout(bounded_api):
         client.wait(job_id, timeout=0.05)
 
 
+def test_client_traces_rejects_unknown_filter():
+    # A misspelt filter fails loudly instead of going out as a query
+    # parameter the server ignores.
+    with pytest.raises(TypeError):
+        Client("http://127.0.0.1:9").traces(min_duration=100)
+
+
 def test_client_sdk_against_router(routed_api):
     router_url, _node_url = routed_api
     client = Client(router_url)

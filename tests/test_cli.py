@@ -170,6 +170,11 @@ class TestServiceCommands:
         assert main(["submit", str(tmp_path / "absent.npy")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_url_without_scheme_exit_code(self, capsys):
+        assert main(["trace", "myhost", "job-1"]) == 2
+        assert "error: node URL must be http(s)://" in \
+            capsys.readouterr().err
+
     def test_cluster_demo_warm_pass_hits_every_job(self, capsys):
         assert main(["cluster-demo", "--nodes", "2", "--jobs", "3",
                      "--points", "200"]) == 0

@@ -489,6 +489,10 @@ class TestNodeClient:
             Client("http://h:1", timeout=0.0)
         with pytest.raises(ClusterError):
             Client("http://h:1", retries=-1)
+        with pytest.raises(InvalidInputError, match="http"):
+            Client("localhost:8321")
+        with pytest.raises(InvalidInputError, match="port"):
+            Client("http://localhost:port")
 
 
 class TestRouterCoalescing:
@@ -878,6 +882,12 @@ class TestPeerFetch:
                                          outcome="error") >= 1
         finally:
             b.close()
+
+    def test_rejects_peer_url_without_scheme(self):
+        # Caught at start-up: a schemeless peer would otherwise fail every
+        # local miss instead of degrading to recompute.
+        with pytest.raises(InvalidInputError, match="http"):
+            Engine(max_workers=1, peers=["peerhost"])
 
     def test_obs_off_disables_peer_telemetry(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "off")
