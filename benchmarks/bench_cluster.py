@@ -4,9 +4,9 @@ Drives the same batch of *distinct* CPU-bound jobs (different dataset
 seeds, so no tier can answer from cache) through a
 :class:`~repro.cluster.router.ClusterRouter` fronting first 1 and then K
 ``repro.service`` nodes.  Nodes are real subprocesses (``python -m repro
-serve``), so K nodes mean K processes on K cores — the single-process
-thread backend would serialize the pure-Python Borůvka phases on the GIL
-and fake the scaling.
+serve``), so K nodes mean K processes on K cores — one process's worker
+threads share the GIL through the Python parts of every job and would
+understate the scaling.
 
 Measured per fleet size: wall time for the whole batch (submit-all, then
 await-all through the router), jobs/s, and the fleet's pooled
@@ -155,8 +155,7 @@ def _check(measurements):
     assert len(used) >= 2, biggest["routed_by_node"]
     # The throughput claim needs real cores: K single-worker node
     # processes on fewer than K cores just take turns on the scheduler
-    # (and pay dispatch overhead), so the ratio is only recorded there —
-    # same gating as bench_service's process-vs-thread check.
+    # (and pay dispatch overhead), so the ratio is only recorded there.
     cores = os.cpu_count() or 1
     if cores >= max(sizes):
         # Conservative bar (perfect would be K) for slow CI boxes.

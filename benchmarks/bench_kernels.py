@@ -144,8 +144,7 @@ def save_json(ablation, headline):
 
 
 def _check_gate(ablation):
-    # The gate mirrors bench_service's guard: perf bars only bind when
-    # the host has real cores to measure on.
+    # Perf bars only bind when the host has real cores to measure on.
     cores = os.cpu_count() or 1
     if cores < 2:
         return

@@ -144,7 +144,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         engine = Engine(max_workers=args.workers,
-                        backend=args.backend,
                         tree_cache_bytes=args.cache_mb << 20,
                         result_cache_bytes=args.result_cache_mb << 20,
                         store_dir=args.store_dir,
@@ -332,12 +331,14 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
     store_root = args.store_dir or tempfile.mkdtemp(prefix="repro-cluster-")
     cleanup_store = args.store_dir is None
     engines, servers = [], []
+    router = None
     try:
         for i in range(args.nodes):
             engine = Engine(max_workers=1,
                             store_dir=f"{store_root}/node-{i}")
             server = create_server(engine, node_name=f"node-{i}")
             threading.Thread(target=server.serve_forever,
+                             name=f"repro-http-node-{i}",
                              daemon=True).start()
             engines.append(engine)
             servers.append(server)
@@ -347,7 +348,7 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
         router = ClusterRouter(nodes)
         router_server = create_router_server(router)
         threading.Thread(target=router_server.serve_forever,
-                         daemon=True).start()
+                         name="repro-http-router", daemon=True).start()
         servers.append(router_server)
         client = Client(
             f"http://127.0.0.1:{router_server.server_address[1]}")
@@ -387,6 +388,8 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
         for server in servers:
             server.shutdown()
             server.server_close()
+        if router is not None:
+            router.close()
         for engine in engines:
             engine.close()
         if cleanup_store:
@@ -793,11 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8321)
     p_serve.add_argument("--workers", type=int, default=2,
                          help="worker thread count")
-    p_serve.add_argument("--backend", choices=("thread", "process"),
-                         default="thread",
-                         help="execution backend: 'process' runs jobs in a "
-                              "process pool so CPU-bound jobs use real "
-                              "cores instead of serializing on the GIL")
     p_serve.add_argument("--cache-mb", type=int, default=256,
                          help="tree-cache budget in MiB")
     p_serve.add_argument("--result-cache-mb", type=int, default=64,

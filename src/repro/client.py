@@ -28,8 +28,7 @@ fall back to the status class: 5xx retryable, 4xx not.
 
 Retries apply only to idempotent GETs (a lookup repeated is harmless); a
 ``POST /v1/jobs`` is never retried against the *same* server —
-re-dispatch on a different node is the router's at-most-one failover,
-mirroring the engine's crashed-worker policy.
+re-dispatch on a different node is the router's at-most-one failover.
 
 Retry pacing is :func:`backoff_delay`: capped exponential backoff with
 *deterministic* jitter (a multiplicative hash of the attempt counter —

@@ -15,8 +15,7 @@ one engine.  Per job it:
    adds location *affinity* on top);
 3. **fails over at most once** — on a connection error or 5xx the target
    is marked down and the job goes to the next node in preference order
-   (ring primary, then rendezvous-ranked survivors), mirroring the
-   engine's crashed-worker retry policy;
+   (ring primary, then rendezvous-ranked survivors);
 4. **recovers results across node death** — the router remembers each
    routed job's spec (bounded, like the engine's retention); if the
    owning node dies before the result is read, the next poll transparently
@@ -349,9 +348,8 @@ class ClusterRouter:
 
         Bounded retry: the primary plus ``max(2, replicas) - 1``
         failovers — exactly the key's home set when replication is on,
-        mirroring the engine's crashed-worker policy otherwise (a job
-        that breaks *every* node it touches should fail loudly, not walk
-        the whole fleet).
+        one failover otherwise (a job that breaks *every* node it touches
+        should fail loudly, not walk the whole fleet).
 
         With ``trace`` set, each attempt appends a ``route`` hop span and
         the whole context travels in the ``X-Repro-Trace`` header — the
@@ -682,7 +680,6 @@ class ClusterRouter:
             node.mark_up()
             up += 1
             nodes.append({**node.as_dict(), "reachable": True,
-                          "backend": health.get("backend"),
                           "persistent": health.get("persistent")})
         status = "ok" if up == len(nodes) else \
             "degraded" if up else "down"

@@ -15,16 +15,15 @@ obs layer (``REPRO_OBS=off`` / ``Engine(obs=False)``):
     :meth:`repro.timing.PhaseTimer.phase` maintains — phase names are
     exactly the span-child names the trace layer emits (``resolve``,
     ``tree``, ``core``, ``mst``, ``tree_build``, ``compute``,
-    ``dispatch``), which is what ties a wall-clock sample back to the
+    ``encode``), which is what ties a wall-clock sample back to the
     span a job was in.  ``GET /v1/profile?seconds=&hz=`` bursts the
     sampling rate for an on-demand capture; without ``seconds=`` the
     endpoint answers instantly from the ring of recent samples.
 
 :class:`ResourceCollector`
-    ``/proc``-based RSS and CPU for the parent process and any
-    process-pool workers (collect-on-scrape gauges, so an idle process
-    pays nothing), plus GC pause timing via ``gc.callbacks`` into a
-    ``repro_gc_pause_seconds`` histogram.
+    ``/proc``-based RSS and CPU of the serving process (collect-on-scrape
+    gauges, so an idle process pays nothing), plus GC pause timing via
+    ``gc.callbacks`` into a ``repro_gc_pause_seconds`` histogram.
 
 The profile wire document is JSON; :func:`render_collapsed` turns it
 (or a router-merged fleet document) into standard collapsed-stack text
@@ -406,17 +405,14 @@ def merge_profiles(per_node: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
 class ResourceCollector:
     """``/proc``-based process telemetry + GC pause histograms.
 
-    Registers collect-on-scrape gauges for parent/worker RSS and CPU (an
-    idle process pays nothing; hosts without ``/proc`` read zeros) and a
-    ``gc.callbacks`` hook timing every collector pause.  ``worker_pids``
-    is a zero-arg callable yielding the current process-pool worker pids
-    (the pool can be replaced after a crash, so pids are read live).
+    Registers collect-on-scrape gauges for the process's RSS and CPU,
+    labelled ``role="parent"`` (an idle process pays nothing; hosts
+    without ``/proc`` read zeros) and a ``gc.callbacks`` hook timing
+    every collector pause.
     """
 
-    def __init__(self, registry: MetricsRegistry, *,
-                 worker_pids: Optional[Any] = None) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._worker_pids = worker_pids or (lambda: [])
         try:
             self._page_size = os.sysconf("SC_PAGE_SIZE")
         except (ValueError, OSError, AttributeError):
@@ -464,30 +460,11 @@ class ResourceCollector:
         except (OSError, IndexError, ValueError):
             return None
 
-    def _pids(self) -> Dict[str, List[int]]:
-        try:
-            workers = [int(p) for p in self._worker_pids()]
-        except Exception:  # noqa: BLE001 — a dying pool must not break scrapes
-            workers = []
-        return {"parent": [os.getpid()], "worker": workers}
-
     def _collect_rss(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for role, pids in self._pids().items():
-            values = [v for v in (self._read_rss(p) for p in pids)
-                      if v is not None]
-            if values or role == "parent":
-                out[role] = float(sum(values))
-        return out
+        return {"parent": float(self._read_rss(os.getpid()) or 0)}
 
     def _collect_cpu(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for role, pids in self._pids().items():
-            values = [v for v in (self._read_cpu(p) for p in pids)
-                      if v is not None]
-            if values or role == "parent":
-                out[role] = float(sum(values))
-        return out
+        return {"parent": float(self._read_cpu(os.getpid()) or 0.0)}
 
     # ------------------------------------------------------------------ gc
 
@@ -502,10 +479,6 @@ class ResourceCollector:
 
     def snapshot(self) -> Dict[str, Any]:
         """One JSON-safe resource snapshot for ``/v1/admin/dump``."""
-        workers = []
-        for pid in self._pids()["worker"]:
-            workers.append({"pid": pid, "rss_bytes": self._read_rss(pid),
-                            "cpu_seconds": self._read_cpu(pid)})
         parent_pid = os.getpid()
         gc_hist = self._gc_pause_h.histogram()
         return {
@@ -513,7 +486,6 @@ class ResourceCollector:
             "parent": {"pid": parent_pid,
                        "rss_bytes": self._read_rss(parent_pid),
                        "cpu_seconds": self._read_cpu(parent_pid)},
-            "workers": workers,
             "gc": {"collections": int(gc_hist.count),
                    "pause_seconds_sum": float(gc_hist.sum)},
         }

@@ -12,8 +12,7 @@ Layers
 ------
 ``repro.service.jobs``       job specs, statuses and serializable results
 ``repro.service.scheduler``  priority queue drained by owned worker threads
-                             (thread or process execution backend)
-``repro.service.executor``   the pure, picklable per-job execution path
+``repro.service.executor``   the pure per-job execution path
 ``repro.service.engine``     the embeddable façade (submit/result/stats)
 ``repro.service.server``     the HTTP front end (no extra dependencies)
 
@@ -44,12 +43,11 @@ from repro.service.jobs import (
     hdbscan_result_from_dict,
     hdbscan_result_to_dict,
 )
-from repro.service.scheduler import BACKENDS, JobTicket, Scheduler
+from repro.service.scheduler import JobTicket, Scheduler
 from repro.service.server import create_server, serve
 
 __all__ = [
     "ALGORITHMS",
-    "BACKENDS",
     "Engine",
     "JobResult",
     "JobSpec",

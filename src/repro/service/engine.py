@@ -12,19 +12,15 @@ the core algorithms.  Per job it:
 4. for m.r.d./HDBSCAN jobs, consults the **core-distance tier** — keyed by
    ``(points, k_pts)`` only, so a repeat point set skips the batched k-NN
    (the paper's ``T_core``) even under a different tree configuration,
-5. dispatches the compute to :func:`~repro.service.executor.execute_spec`
-   — in-process under ``backend="thread"``, on a ``ProcessPoolExecutor``
-   worker under ``backend="process"`` (escaping the GIL for CPU-bound
-   jobs) — and fills the caches from the outcome.  The payload is encoded
-   to JSON once, here (:class:`~repro.store.blob.EncodedPayload`); the
-   result tier and every job record hold those bytes, and each read of
-   the job serves them without encoding the payload again.
+5. runs the compute, :func:`~repro.service.executor.execute_spec`, on the
+   scheduler worker thread that took the job, and fills the caches from
+   the outcome.  The payload is encoded to JSON once, here
+   (:class:`~repro.store.blob.EncodedPayload`, timed as the ``encode``
+   phase); the result tier and every job record hold those bytes, and
+   each read of the job serves them without encoding the payload again.
 
-Both backends run the identical pure execution path, so a job's payload is
-byte-for-byte the same whichever one served it.  All cache state lives in
-the parent process: lookups happen before dispatch, insertions after
-completion, and artifacts built by a process worker come back serialized
-for the parent to cache and re-ship to later jobs over the same points.
+:func:`~repro.service.executor.execute_spec` touches no engine state:
+cache lookups happen before it runs and insertions after it returns.
 
 With ``store_dir`` set, every tier is backed by a persistent
 :class:`~repro.store.disk.DiskStore`: inserts spill to disk, restarts warm
@@ -48,7 +44,7 @@ import time
 from collections import deque
 
 import numpy as np
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence
@@ -85,7 +81,7 @@ from repro.service.jobs import (
     JobSpec,
     JobStatus,
 )
-from repro.service.scheduler import BACKENDS, JobTicket, Scheduler
+from repro.service.scheduler import JobTicket, Scheduler
 from repro.store import (
     DEFAULT_STORE_BYTES,
     DiskStore,
@@ -148,7 +144,7 @@ class _JobRecord:
 class Engine:
     """Serving engine over the single-tree EMST algorithms."""
 
-    def __init__(self, *, max_workers: int = 2, backend: str = "thread",
+    def __init__(self, *, max_workers: int = 2,
                  tree_cache_bytes: int = DEFAULT_TREE_CACHE_BYTES,
                  result_cache_bytes: int = DEFAULT_RESULT_CACHE_BYTES,
                  core_cache_bytes: int = DEFAULT_CORE_CACHE_BYTES,
@@ -170,10 +166,6 @@ class Engine:
         if max_retained_bytes < 1:
             raise ValueError(
                 f"max_retained_bytes must be >= 1, got {max_retained_bytes}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}")
-        self.backend = backend
         #: One registry per engine — several engines share a test process
         #: (and the cluster demo), so instrumentation must not pool across
         #: them.  ``obs=None`` defers to the ``REPRO_OBS`` env knob;
@@ -209,9 +201,6 @@ class Engine:
         self._peer_timeout = peer_timeout
         if self.peers:
             self.set_peers(self.peers, timeout=peer_timeout)
-        self.scheduler = Scheduler(
-            self._run_job, max_workers=max_workers, backend=backend,
-            registry=self.registry)
         self._coalesced_c = self.registry.counter(
             "repro_coalesced_total",
             "Jobs answered by riding an identical in-flight computation.")
@@ -252,9 +241,6 @@ class Engine:
         self.profiler: Optional[SamplingProfiler] = None
         self.resources: Optional[ResourceCollector] = None
         if self.registry.enabled:
-            self.profiler = SamplingProfiler(self.registry, hz=profile_hz)
-            self.resources = ResourceCollector(
-                self.registry, worker_pids=self._worker_pids)
             archive_dir = os.path.join(store_dir, "traces") \
                 if store_dir is not None else None
             self.trace_archive = TraceArchive(
@@ -265,6 +251,8 @@ class Engine:
                 registry=self.registry)
             self.slo_engine = SloEngine(
                 self.registry, slos=tuple(slos) if slos else DEFAULT_SLOS)
+            self.profiler = SamplingProfiler(self.registry, hz=profile_hz,
+                                             auto_start=False)
         #: Only the newest finished jobs stay queryable, bounded both by
         #: count and by total payload bytes (specs can carry inline point
         #: arrays and payloads can be large, so retention must be bounded
@@ -289,7 +277,7 @@ class Engine:
         #: The construction-time configuration, verbatim, for the flight
         #: recorder — a dump must show what the process was booted with.
         self._config: Dict[str, Any] = {
-            "max_workers": max_workers, "backend": backend,
+            "max_workers": max_workers,
             "tree_cache_bytes": tree_cache_bytes,
             "result_cache_bytes": result_cache_bytes,
             "core_cache_bytes": core_cache_bytes,
@@ -304,18 +292,14 @@ class Engine:
             "peers": list(self.peers),
             "peer_timeout": peer_timeout,
         }
-
-    def _worker_pids(self) -> list:
-        """Live process-pool worker pids (empty for the thread backend).
-
-        Read through the scheduler on every call — a broken pool gets
-        replaced, and the replacement's workers are the ones that exist.
-        """
-        pool = self.scheduler.compute_pool
-        if pool is None:
-            return []
-        processes = getattr(pool, "_processes", None) or {}
-        return list(processes.keys())
+        # Threads start and the gc hook goes in only after every argument
+        # above was accepted: a rejected one must leave nothing running.
+        # Scheduler checks max_workers before it starts a worker.
+        self.scheduler = Scheduler(
+            self._run_job, max_workers=max_workers, registry=self.registry)
+        if self.profiler is not None:
+            self.profiler.start()
+            self.resources = ResourceCollector(self.registry)
 
     # ---------------------------------------------------------------- submit
 
@@ -412,7 +396,6 @@ class Engine:
         coalesced = int(self._coalesced_c.value())
         return {
             "uptime_seconds": time.perf_counter() - self._started_at,
-            "backend": self.backend,
             "jobs": {"total": total, **by_status},
             "coalesced_hits": coalesced,
             "scheduler": self.scheduler.stats(),
@@ -802,7 +785,7 @@ class Engine:
         if encoded is None:
             try:
                 encoded, outcome = self._compute_miss(
-                    spec, points, points_fp, result_key, ticket)
+                    spec, points, points_fp, result_key, ticket, timer)
                 if inflight is not None:
                     inflight.encoded = encoded
             finally:
@@ -814,8 +797,6 @@ class Engine:
             tree_src = outcome["tree_src"]
             core_hit = outcome["core_hit"]
             core_src = outcome["core_src"]
-            for name, seconds in outcome["phases"].items():
-                timer.add(name, seconds)
 
         peer_tiers = [tier for tier, src in (("result", result_src),
                                              ("tree", tree_src),
@@ -843,11 +824,13 @@ class Engine:
                 max(run_seconds, 1e-12)),
         )
 
-    def _compute_miss(self, spec, points, points_fp, result_key, ticket):
+    def _compute_miss(self, spec, points, points_fp, result_key, ticket,
+                      timer):
         """Execute a result-cache miss end to end; returns
-        ``(encoded payload, outcome-extras)``.  Factored out so the
-        coalescing rendezvous in :meth:`_execute` can publish or discard
-        the leader's computation in one place."""
+        ``(encoded payload, outcome-extras)`` and adds the executed phases,
+        ``encode`` last, to ``timer``.  Factored out so the coalescing
+        rendezvous in :meth:`_execute` can publish or discard the leader's
+        computation in one place."""
         tree_key = combine_fingerprint(points_fp, spec.tree_key())
         tree_entry, tree_src = self.tree_cache.get_with_source(tree_key)
         tree_hit = tree_entry is not None
@@ -864,26 +847,20 @@ class Engine:
             core_entry, core_src = \
                 self.core_cache.get_with_source(core_key)
             core_hit = core_entry is not None
-        # Dataset-backed jobs never ship the array to a process worker
-        # — regenerating from the deterministic spec is cheaper than
-        # pickling a large buffer across the boundary (the thread
-        # backend passes the parent-resolved array by reference, which
-        # is free).  Inline-point jobs have no spec to regenerate from,
-        # so their array always travels.
-        send_points = points
-        if spec.dataset is not None and self.backend == "process":
-            send_points = None
         exec_spec = make_exec_spec(
-            spec, points=send_points,
+            spec, points=points,
             tree_state=expand_tree_state(tree_entry["state"])
             if tree_hit else None,
             tree_counters=tree_entry["counters"] if tree_hit else None,
             core_state=core_entry)
-        outcome = self._dispatch(exec_spec)
+        outcome = execute_spec(exec_spec)
+        for name, seconds in outcome["phases"].items():
+            timer.add(name, seconds)
         # The payload's one encoding: the result tier, coalesced followers
         # and retained job records all hold these bytes, and every read of
         # the job serves them as they are.
-        encoded = EncodedPayload.encode(outcome["payload"])
+        with timer.phase("encode"):
+            encoded = EncodedPayload.encode(outcome["payload"])
         # Only actually-computed features count toward the scheduler's
         # compute-throughput stat; cache hits would inflate it.
         ticket.features = outcome["features"]
@@ -898,47 +875,8 @@ class Engine:
         extras = {
             "tree_hit": tree_hit, "tree_src": tree_src,
             "core_hit": core_hit, "core_src": core_src,
-            "phases": outcome["phases"],
         }
         return encoded, extras
-
-    def _dispatch(self, exec_spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Run :func:`execute_spec` on the configured backend.
-
-        The thread backend calls it in-process; the process backend submits
-        it to the scheduler's process pool and blocks this worker thread on
-        the pickled outcome (the GIL is released while waiting, which is
-        the whole point).  A worker-side exception propagates and is
-        absorbed by :meth:`_run_job` like any other job failure.
-
-        A ``BrokenProcessPool`` (a worker died: OOM kill, segfault) would
-        otherwise poison the executor permanently, so the pool is replaced
-        and the job retried once on the fresh pool — a job that was merely
-        sharing a pool another job broke then succeeds, while a job whose
-        own compute crashes the worker fails its retry and is reported
-        FAILED without taking the engine down with it.
-        """
-        pool = self.scheduler.compute_pool
-        if pool is None:
-            return execute_spec(exec_spec)
-        # The worker process's frames are invisible to this process's
-        # sampling profiler, so tag the blocking wait with a "dispatch"
-        # phase: parent-side samples of a process-backend job then
-        # attribute to a named phase instead of reading as idle.  The
-        # throwaway timer keeps the tag out of the job's reported
-        # timings (payload bytes and span trees must not change).
-        with PhaseTimer().phase("dispatch"):
-            try:
-                return pool.submit(execute_spec, exec_spec).result()
-            except BrokenExecutor:
-                self.scheduler.replace_broken_compute_pool(pool)
-                retry_pool = self.scheduler.compute_pool
-                try:
-                    return retry_pool.submit(execute_spec,
-                                             exec_spec).result()
-                except BrokenExecutor:
-                    self.scheduler.replace_broken_compute_pool(retry_pool)
-                    raise
 
     # ---------------------------------------------------------------- close
 

@@ -1,24 +1,24 @@
-"""Pure, picklable job execution for the serving engine.
+"""Pure job execution for the serving engine.
 
-:func:`execute_spec` is the compute half of what used to be
-``Engine._execute``: it takes a plain-dict *execution spec* (points or a
-dataset spec, the algorithm and its parameters, optionally a serialized
-spatial index and/or core-distance artifact) and returns a plain-dict
-outcome.  It touches no engine state — no caches, no records, no locks —
-so the engine can run it either in-process (thread backend) or ship it to
-a ``ProcessPoolExecutor`` worker (process backend) and get byte-identical
-payloads from both.  The payload comes back as a dict; the engine encodes
-it to its one stored form (:class:`~repro.store.blob.EncodedPayload`, whose
-size is its exact byte length) in the parent, after the outcome arrives.
+:func:`execute_spec` is the compute half of a job: it takes a plain-dict
+*execution spec* (points or a dataset spec, the algorithm and its
+parameters, optionally a serialized spatial index and/or core-distance
+artifact) and returns a plain-dict outcome.  It touches no engine state —
+no caches, no records, no locks — so the engine's worker threads call it
+concurrently, and the plain-dict form is also what the benchmark oracle
+calls to recompute a served answer.  The payload comes back as a dict; the
+engine encodes it to its one stored form
+(:class:`~repro.store.blob.EncodedPayload`, whose size is its exact byte
+length) after the outcome arrives.
 
-Cache interaction stays in the parent: the engine fingerprints and consults
-its tiers *before* dispatch and inserts the returned artifacts *after*
-completion.  A :class:`~repro.bvh.bvh.BVH` crosses the process boundary as
-a plain dict of arrays (:func:`~repro.store.blob.bvh_to_state` /
-:func:`~repro.store.blob.bvh_from_state`) — the same
-serialization the persistent :mod:`repro.store` writes to disk, so a tree
-built by one process (or node) is readable by any other.  Core distances
-travel as one caller-order float64 array.
+Cache interaction stays in the engine: it fingerprints and consults its
+tiers *before* the call and inserts the returned artifacts *after* it.  A
+:class:`~repro.bvh.bvh.BVH` goes in and comes out as a plain dict of
+arrays (:func:`~repro.store.blob.bvh_to_state` /
+:func:`~repro.store.blob.bvh_from_state`) — the serialization the
+persistent :mod:`repro.store` writes to disk, so a tree built by one
+process (or node) is readable by any other.  Core distances travel as one
+caller-order float64 array.
 
 Injected artifacts *replay* the phase counters recorded when they were
 first computed (cached alongside the arrays), so a payload served warm is
@@ -49,8 +49,7 @@ from repro.store.blob import bvh_from_state, bvh_to_state
 from repro.timing import PhaseTimer
 
 #: Per-worker reusable traversal scratch.  A workspace is not thread safe,
-#: so each worker thread (thread backend) or process (process backend,
-#: single-threaded workers) leases its own through :func:`_workspace`;
+#: so each worker thread leases its own through :func:`_workspace`;
 #: consecutive jobs on the same worker then skip stack reallocation and
 #: the kernels' grow-only arenas stay warm.
 _WORKER_STATE = threading.local()
@@ -73,9 +72,9 @@ def make_exec_spec(spec: JobSpec, *,
     """The plain-dict execution spec for ``spec``.
 
     ``points`` forwards an already-resolved array (the engine resolves when
-    it needs the content fingerprint); left ``None`` for a dataset job, the
-    worker resolves it instead — regenerating from the deterministic spec
-    is cheaper than pickling a large array across the process boundary.
+    it needs the content fingerprint); left ``None`` for a dataset job,
+    :func:`execute_spec` regenerates it from the deterministic spec (the
+    engine does so when a memoized fingerprint let it skip resolving).
     ``tree_state``/``tree_counters`` inject a cached spatial index and the
     work counters of its original build; ``core_state`` injects a cached
     core-distance artifact (``{"core_sq": array, "counters": dict}``).

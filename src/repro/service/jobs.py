@@ -267,10 +267,10 @@ def canonical_payload_bytes(payload: Dict[str, Any]) -> bytes:
     Drops the wall-clock ``phases`` dicts plus the ``counters`` /
     ``rounds`` work accounting, keeping the algorithmic output — edges,
     weights, labels, iteration count — which is a pure function of the
-    spec, identical across execution backends, traversal engines and
-    cache temperature.  Dumps sorted-key compact JSON; the
-    backend-equivalence tests, the engine-equivalence property tests and
-    the CI smoke checks all assert on exactly these bytes.
+    spec, identical across traversal engines, cache temperature and the
+    node that served it.  Dumps sorted-key compact JSON; the warm-vs-cold
+    tests, the engine-equivalence property tests and the CI smoke checks
+    all assert on exactly these bytes.
     """
     return json.dumps(_strip_noncanonical(payload), sort_keys=True,
                       separators=(",", ":")).encode()

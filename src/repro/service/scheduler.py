@@ -17,50 +17,25 @@ callable per job and accounts wall time and features processed, reporting
 throughput in MFeatures/s (via :func:`repro.metrics.mfeatures_per_second`)
 so service numbers sit on the same axis as the figure benchmarks.
 
-Execution backends
-------------------
-Orchestration (bookkeeping, futures) always runs on the worker threads.
-With ``backend="process"`` the scheduler additionally owns a
-``ProcessPoolExecutor`` of the same width, exposed as :attr:`compute_pool`;
-the runner dispatches its CPU-bound phase there (see
-:func:`repro.service.executor.execute_spec`) and the worker thread merely
-blocks on the process future — releasing the GIL, so concurrent jobs use
-real cores instead of serializing on one.  ``backend="thread"`` keeps
-``compute_pool`` as ``None`` and the runner computes in-process.
+Every job runs on these threads, in this process.  Concurrent jobs use
+more than one core wherever their compute releases the GIL: the compiled
+traversal kernel (called through ``ctypes.CDLL``) and large NumPy
+operations do, HDBSCAN's Python post-processing does not.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import multiprocessing
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ServiceError
 from repro.metrics import jobs_per_second, mfeatures_per_second
 from repro.obs import MetricsRegistry
-
-#: Execution backends a scheduler (and the engine above it) can run.
-BACKENDS = ("thread", "process")
-
-
-def _process_context() -> multiprocessing.context.BaseContext:
-    """The safest available multiprocessing start method.
-
-    Plain ``fork`` is unsafe here: the engine always has live threads (the
-    workers, HTTP handlers) whose locks would be cloned mid-flight, and
-    CPython 3.12+ deprecates forking a multi-threaded process.
-    ``forkserver`` (Linux) forks workers from a clean single-threaded
-    helper; elsewhere ``spawn`` starts fresh interpreters.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "forkserver" if "forkserver" in methods else "spawn")
-
 
 @dataclass
 class JobTicket:
@@ -111,22 +86,12 @@ class Scheduler:
     """
 
     def __init__(self, runner: Callable[[JobTicket], Any], *,
-                 max_workers: int = 2, backend: str = "thread",
+                 max_workers: int = 2,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {backend!r}")
         self._runner = runner
         self.max_workers = max_workers
-        self.backend = backend
-        #: ``ProcessPoolExecutor`` the runner dispatches compute to under the
-        #: process backend; ``None`` under the thread backend.
-        self.compute_pool: Optional[ProcessPoolExecutor] = None
-        if backend == "process":
-            self.compute_pool = ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=_process_context())
         self._heap: List[Any] = []
         self._seq = itertools.count()
         self._lock = threading.Lock()
@@ -170,23 +135,6 @@ class Scheduler:
             for i in range(max_workers)]
         for worker in self._workers:
             worker.start()
-
-    def replace_broken_compute_pool(
-            self, broken: ProcessPoolExecutor) -> None:
-        """Swap in a fresh process pool after ``broken`` lost a worker.
-
-        A crashed worker (OOM kill, segfault) marks the whole
-        ``ProcessPoolExecutor`` broken forever; without replacement every
-        later job on a long-running server would fail instantly.  The
-        identity check makes concurrent calls idempotent: only the first
-        observer of a given broken pool replaces it.
-        """
-        with self._lock:
-            if self._shutdown or self.compute_pool is not broken:
-                return
-            self.compute_pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=_process_context())
-        broken.shutdown(wait=False)
 
     def submit(self, ticket: JobTicket) -> None:
         """Queue one ticket; its result arrives on ``ticket.future``."""
@@ -258,8 +206,6 @@ class Scheduler:
             self._idle.clear()
         for worker in self._workers:
             worker.join()
-        if self.compute_pool is not None:
-            self.compute_pool.shutdown()
 
     def stats(self) -> Dict[str, Any]:
         """Queue depth and throughput counters, JSON-safe.
@@ -281,7 +227,6 @@ class Scheduler:
             queue_depth = len(self._heap)
         return {
             "queue_depth": queue_depth,
-            "backend": self.backend,
             "max_workers": self.max_workers,
             "jobs_submitted": jobs_submitted,
             "jobs_completed": jobs_completed,

@@ -21,7 +21,7 @@ Endpoints (all JSON):
     rates, memory and disk (tree / result / core-distance tiers and the
     persistent store's occupancy, when one is configured).
 ``GET /v1/healthz``
-    Liveness probe (reports the node name, the backend, the resolved
+    Liveness probe (reports the node name, the resolved
     traversal engine — ``"reference"`` on a node whose compiled kernels
     did not build — and whether a store is attached).  Exempt from
     admission shedding.
@@ -134,7 +134,6 @@ class EngineAPI(WireAPI):
         return {"status": "ok",
                 "version": repro.__version__,
                 "node": self.node_name,
-                "backend": self.engine.backend,
                 "traversal": get_default_engine(),
                 "persistent": self.engine.store is not None}
 
@@ -339,7 +338,6 @@ def run_server(server: AsyncHTTPHost, engine: Engine) -> None:
     bound_host, bound_port = server.server_address[:2]
     print(f"repro.service listening on http://{bound_host}:{bound_port} "
           f"[node {getattr(server, 'node_name', '?')}, "
-          f"{engine.backend} backend, "
           f"{engine.scheduler.max_workers} workers] "
           f"(POST /v1/jobs, GET /v1/jobs/<id>, /v1/stats, /v1/healthz)")
     try:

@@ -5,11 +5,11 @@ metadata document (stored as a ``uint8`` byte array under ``__meta__``, so
 the container stays pure-array and loads with ``allow_pickle=False``).
 Everything the serving engine caches flattens to this shape:
 
-* a **BVH** becomes the same dict of arrays the process backend already
-  ships between processes (:func:`bvh_to_state` — the canonical
-  serialization, re-exported by :mod:`repro.service.executor`), so a tree
-  written by one process or node is readable by any other.  The memory
-  tier holds the smaller :func:`compact_tree_state` form of it;
+* a **BVH** becomes the dict of arrays :func:`bvh_to_state` returns (the
+  canonical serialization, which :mod:`repro.service.executor` hands the
+  engine for every tree it builds), so a tree written by one process or
+  node is readable by any other.  The memory tier holds the smaller
+  :func:`compact_tree_state` form of it;
 * a **result** is an :class:`EncodedPayload`: the payload's JSON bytes
   travel as one ``uint8`` array, exactly as the cold job encoded them, and
   the few small fields a cache hit reads ride in the metadata;
@@ -99,11 +99,11 @@ def read_blob(path: str) -> Tuple[Meta, Arrays]:
 def bvh_to_state(tree: BVH) -> Dict[str, Any]:
     """Flatten a :class:`BVH` to a dict of arrays (references, no copies).
 
-    This is the canonical serialized form of a tree: the engine ships it to
-    process-pool workers, and :func:`encode_tree` writes exactly these
-    arrays to disk — plain ndarrays and a list of ndarrays pickle and store
-    efficiently (raw buffers, no per-element boxing), and reconstruction is
-    allocation-free.
+    This is the canonical serialized form of a tree: the engine's tree
+    tier keeps it (as :func:`compact_tree_state`), and :func:`encode_tree`
+    writes exactly these arrays to disk — plain ndarrays and a list of
+    ndarrays store efficiently (raw buffers, no per-element boxing), and
+    reconstruction is allocation-free.
     """
     return {
         "points": tree.points, "order": tree.order, "codes": tree.codes,

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,6 +21,39 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def _repro_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("repro-")}
+
+
+def _repro_gc_hooks():
+    """``gc.callbacks`` entries bound to an object of a ``repro`` module."""
+    return [hook for hook in gc.callbacks
+            if type(getattr(hook, "__self__", None)).__module__
+            .startswith("repro.")]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads_or_hooks():
+    """Whatever a test starts, its owner's close() stops: no new
+    ``repro-*`` thread, repro-owned gc hook or phase-registry entry
+    outlives the test (threads get 2 s to finish exiting)."""
+    from repro.timing import phase_registry_size
+
+    threads = _repro_threads()
+    hooks = _repro_gc_hooks()
+    yield
+    deadline = time.monotonic() + 2.0
+    while True:
+        leaked = sorted(t.name for t in _repro_threads() - threads)
+        if not leaked or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    assert not leaked, f"threads outlived the test: {leaked}"
+    new_hooks = [hook for hook in _repro_gc_hooks() if hook not in hooks]
+    assert not new_hooks, f"gc hooks outlived the test: {new_hooks}"
+    assert phase_registry_size() == 0
 
 
 @pytest.fixture

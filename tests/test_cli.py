@@ -194,18 +194,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "fig99"])
 
-    def test_serve_backend_flag(self):
-        args = build_parser().parse_args(
-            ["serve", "--backend", "process", "--workers", "3"])
-        assert args.backend == "process"
+    def test_serve_workers_flag(self):
+        args = build_parser().parse_args(["serve", "--workers", "3"])
         assert args.workers == 3
-        # Thread is the default (process pays worker startup and pickling;
-        # it only wins on CPU-bound concurrent batches).
-        assert build_parser().parse_args(["serve"]).backend == "thread"
-
-    def test_serve_backend_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "greenlet"])
 
     def test_serve_store_flags(self):
         args = build_parser().parse_args(

@@ -135,6 +135,14 @@ def test_any_layout_and_dtype_is_copied_to_the_exact_one():
     assert np.array_equal(got.key, want.key)
 
 
+def test_kernel_calls_release_the_gil():
+    # The engine runs every job on its worker threads. They share cores
+    # only because a ctypes.CDLL call releases the GIL while the kernel
+    # runs; a ctypes.PyDLL call holds it, which would put every worker's
+    # kernel on one core.
+    assert not isinstance(compiled.library(), ctypes.PyDLL)
+
+
 def test_failed_build_falls_back_to_reference(monkeypatch):
     def no_compiler(dirs=None):
         raise compiled.BuildError("no C compiler (cc) on PATH")

@@ -282,12 +282,21 @@ class TestEngineTracing:
     def test_trace_marks_replayed_phases_on_result_hit(self):
         body = {"dataset": "Uniform100M2:340"}
         with Engine(max_workers=1, obs=True) as engine:
-            self._run(engine, body)
+            cold = self._run(engine, body)
             hit = self._run(engine, body)
+        # The cold job's one payload encode is its own executed phase.
+        (encode,) = [child for child in _span(cold.trace, "executed")
+                     ["children"] if child["name"] == "encode"]
+        assert encode["duration_s"] > 0
+        assert "meta" not in encode  # executed here, not replayed
         assert hit.cache["result_hit"]
         executed = _span(hit.trace, "executed")
         assert all(child["meta"].get("replayed")
                    for child in executed["children"])
+        # A hit serves the stored bytes: nothing is encoded again.
+        assert "encode" not in hit.timings
+        assert canonical_payload_bytes(hit.payload) == \
+            canonical_payload_bytes(cold.payload)
 
     def test_upstream_trace_context_is_prepended(self):
         parent = make_trace(spans=[make_span("route", node="router",
@@ -307,8 +316,10 @@ class TestEngineTracing:
             fam = engine.registry.histogram("repro_phase_seconds",
                                             labels=("phase",))
             cold = fam.histogram(phase="mst").count
+            assert fam.histogram(phase="encode").count == 1
             self._run(engine, body)  # result hit: phases replayed, not run
             assert fam.histogram(phase="mst").count == cold
+            assert fam.histogram(phase="encode").count == 1
 
 
 class TestMetricsEndpoint:

@@ -30,6 +30,7 @@ from repro.obs.profiler import (
     render_collapsed,
 )
 from repro.service import Engine, JobSpec, canonical_payload_bytes
+from repro.store import EncodedPayload
 from repro.timing import (
     PhaseTimer,
     active_phase,
@@ -40,7 +41,7 @@ from repro.timing import (
 #: Engine phase names the trace layer emits — samples may only ever
 #: attribute to these.
 ENGINE_PHASES = {"resolve", "tree", "core", "mst", "tree_build",
-                 "compute", "dispatch"}
+                 "compute", "encode"}
 
 
 def _spin_in_phase(name, entered, release):
@@ -378,16 +379,23 @@ class TestEngineAttribution:
         assert in_job > 0
         assert attributed / in_job >= 0.8, (attributed, in_job)
 
-    def test_process_backend_attributes_dispatch(self):
-        with Engine(max_workers=2, backend="process") as engine:
-            job_ids = [engine.submit(JobSpec.from_dict(body))
-                       for body in _mixed_bodies(3000, 2)]
-            _sample_while_running(engine, job_ids)
-            doc = engine.profile()
-        # worker frames live in other processes; the parent's pool wait
-        # is what carries the attribution
-        assert doc["phases"].get("dispatch", 0) >= 1
-        assert set(doc["phases"]) <= ENGINE_PHASES
+    def test_payload_encode_runs_in_the_encode_phase(self, monkeypatch):
+        """What the sampler reads for a thread encoding a cold payload."""
+        seen = []
+        original = EncodedPayload.encode.__func__
+
+        def recording(cls, payload):
+            seen.append(active_phase(threading.get_ident()))
+            return original(cls, payload)
+
+        monkeypatch.setattr(EncodedPayload, "encode",
+                            classmethod(recording))
+        with Engine(max_workers=1) as engine:
+            body = {"dataset": "Uniform100M2:500"}
+            for _ in range(2):  # cold, then a result hit
+                engine.result(engine.submit(JobSpec.from_dict(body)),
+                              timeout=60.0)
+        assert seen == ["encode"]
 
     def test_no_phase_registry_leak_after_engine_close(self):
         with Engine(max_workers=2) as engine:
@@ -396,14 +404,6 @@ class TestEngineAttribution:
             for job_id in job_ids:
                 assert engine.result(job_id, timeout=60.0) is not None
         assert phase_registry_size() == 0
-
-    def test_dispatch_phase_stays_out_of_timings_and_payload(self):
-        body = {"dataset": "Uniform100M2:2000", "algorithm": "emst"}
-        with Engine(max_workers=1, backend="process") as engine:
-            result = engine.result(engine.submit(JobSpec.from_dict(body)),
-                                   timeout=120.0)
-        assert "dispatch" not in result.timings
-        assert b"dispatch" not in canonical_payload_bytes(result.payload)
 
     def test_profiling_does_not_change_payload_bytes(self):
         body = {"dataset": "Uniform100M2:3000", "algorithm": "mrd_emst",
@@ -467,19 +467,6 @@ class TestResourceCollector:
         assert snap["gc"]["collections"] >= 1
         assert snap["gc"]["pause_seconds_sum"] >= 0.0
         assert snap["parent"]["rss_bytes"] > 0
-
-    def test_worker_pids_callable_failure_is_tolerated(self):
-        reg = MetricsRegistry()
-
-        def exploding():
-            raise RuntimeError("pool is broken")
-
-        collector = ResourceCollector(reg, worker_pids=exploding)
-        try:
-            snap = collector.snapshot()
-            assert snap["workers"] == []
-        finally:
-            collector.close()
 
     def test_disabled_registry_installs_no_gc_hook(self):
         import gc

@@ -1,7 +1,7 @@
 """Tests for the job-serving subsystem (repro.service)."""
 
+import gc
 import json
-import pickle
 import sys
 import threading
 import time
@@ -13,8 +13,8 @@ from repro import emst, hdbscan
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, mutual_reachability_emst
 from repro.errors import InvalidInputError
+from repro.obs import SLO
 from repro.service import (
-    BACKENDS,
     Engine,
     JobResult,
     JobSpec,
@@ -26,6 +26,7 @@ from repro.service import (
     hdbscan_result_from_dict,
     hdbscan_result_to_dict,
 )
+from repro.service import engine as engine_module
 from repro.service.executor import make_exec_spec
 from repro.service.scheduler import JobTicket, Scheduler
 from repro.store import (
@@ -39,11 +40,11 @@ from repro.store import (
 )
 
 
-@pytest.fixture(params=BACKENDS)
-def engine(request):
-    """An engine per execution backend: every engine-level guarantee —
-    caching, retention, failure absorption, stats — must hold under both."""
-    with Engine(max_workers=2, backend=request.param) as eng:
+@pytest.fixture
+def engine():
+    """A two-worker engine for the engine-level guarantees: caching,
+    retention, failure absorption, stats."""
+    with Engine(max_workers=2) as eng:
         yield eng
 
 
@@ -454,79 +455,12 @@ class TestEngine:
 
 
 class TestExecutionBackends:
-    """The process backend must be indistinguishable from the thread one
-    (modulo wall-clock), and its moving parts — the pure executor, the
-    tree-state round trip — must hold on their own."""
+    """The pure executor and the tree-state round trip must hold on their
+    own, outside any engine."""
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            Engine(backend="greenlet")
-        with pytest.raises(ValueError, match="backend"):
-            Scheduler(lambda t: None, backend="fiber")
-
-    @pytest.mark.parametrize("algorithm,kwargs", [
-        ("emst", {}),
-        ("mrd_emst", {"k_pts": 4}),
-        ("hdbscan", {"min_cluster_size": 6, "k_pts": 4}),
-    ])
-    def test_backends_payloads_byte_identical(self, uniform_3d,
-                                              algorithm, kwargs):
-        produced = {}
-        for backend in BACKENDS:
-            with Engine(max_workers=2, backend=backend) as eng:
-                result = eng.result(
-                    eng.submit(JobSpec(points=uniform_3d,
-                                       algorithm=algorithm, **kwargs)),
-                    timeout=120)
-                assert result.status is JobStatus.DONE, result.error
-                produced[backend] = canonical_payload_bytes(result.payload)
-        assert produced["thread"] == produced["process"]
-
-    def test_process_backend_matches_direct_call(self, uniform_2d):
-        direct = emst(uniform_2d)
-        with Engine(max_workers=2, backend="process") as eng:
-            result = eng.result(eng.submit(JobSpec(points=uniform_2d)),
-                                timeout=120)
-        served = result.emst()
-        assert served.edges.tobytes() == direct.edges.tobytes()
-        assert served.weights.tobytes() == direct.weights.tobytes()
-
-    def test_process_backend_ships_cached_tree_to_workers(self, uniform_2d):
-        """A tree built in one worker process must be reusable by the
-        next job, which may land in a different process."""
-        with Engine(max_workers=2, backend="process") as eng:
-            first = eng.result(eng.submit(JobSpec(points=uniform_2d)),
-                               timeout=120)
-            mrd = eng.result(
-                eng.submit(JobSpec(points=uniform_2d, algorithm="mrd_emst",
-                                   k_pts=4)), timeout=120)
-            assert not first.cache["tree_hit"]
-            assert mrd.cache["tree_hit"]
-            assert "tree_build" not in mrd.timings
-            direct = mutual_reachability_emst(uniform_2d, 4)
-            assert np.array_equal(mrd.emst().edges, direct.edges)
-
-    def test_engine_survives_a_crashed_worker_process(self, uniform_2d):
-        """A dead pool worker (OOM kill, segfault) must not poison the
-        engine: the broken pool is replaced and later jobs compute."""
-        import os
-
-        with Engine(max_workers=1, backend="process") as eng:
-            pool = eng.scheduler.compute_pool
-            # Hard-kill the worker mid-task: the pool is now broken.
-            with pytest.raises(Exception):
-                pool.submit(os._exit, 1).result(timeout=60)
-            result = eng.result(eng.submit(JobSpec(points=uniform_2d)),
-                                timeout=120)
-            assert result.status is JobStatus.DONE, result.error
-            assert eng.scheduler.compute_pool is not pool
-            served = result.emst()
-            assert np.array_equal(served.edges, emst(uniform_2d).edges)
-
-    def test_execute_spec_is_pure_and_picklable(self, uniform_3d):
+    def test_execute_spec_is_pure(self, uniform_3d):
         """The extracted worker function computes the same answer as the
-        library and survives pickling (the process-pool contract)."""
-        assert pickle.loads(pickle.dumps(execute_spec)) is execute_spec
+        library."""
         spec = JobSpec(points=uniform_3d)
         spec.validate()
         outcome = execute_spec(make_exec_spec(spec, points=uniform_3d))
@@ -755,21 +689,20 @@ class TestScheduler:
         assert sched.stats()["jobs_completed"] == 400
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_close_drains_the_queue_and_joins_named_workers(backend, rng):
+def test_close_drains_the_queue_and_joins_named_workers(monkeypatch, rng):
     """Every job thread is a named scheduler worker, close() joins them
     all, and a job still queued when close() is called gets its result."""
-    engine = Engine(max_workers=2, backend=backend)
+    engine = Engine(max_workers=2)
     gate = threading.Event()
     ran_on = []
-    original = engine._dispatch
+    original = engine_module.execute_spec
 
-    def gated_dispatch(exec_spec):
+    def gated_execute(exec_spec):
         ran_on.append(threading.current_thread())
         assert gate.wait(timeout=60)
         return original(exec_spec)
 
-    engine._dispatch = gated_dispatch
+    monkeypatch.setattr(engine_module, "execute_spec", gated_execute)
     busy = [engine.submit(JobSpec(points=rng.random((60 + i, 2))))
             for i in range(2)]
     deadline = time.monotonic() + 60
@@ -792,25 +725,45 @@ def test_close_drains_the_queue_and_joins_named_workers(backend, rng):
     assert not any(t.is_alive() for t in ran_on)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"trace_archive_bytes": 0},
+    {"trace_sample": 2.0},
+    {"trace_slow_threshold": -1.0},
+    # A latency SLO must sit on a repro_job_seconds bucket bound.
+    {"slos": (SLO("p95", "latency", 0.95, threshold_s=0.123),)},
+    {"profile_hz": 0},
+], ids=lambda kwargs: next(iter(kwargs)))
+def test_rejected_argument_leaves_nothing_running(kwargs):
+    """An Engine(...) that raises started no thread and installed no hook:
+    an embedding caller has no object to close()."""
+    threads = set(threading.enumerate())
+    hooks = list(gc.callbacks)
+    with pytest.raises(ValueError):
+        Engine(max_workers=2, obs=True, **kwargs)
+    assert [t.name for t in threading.enumerate() if t not in threads] == []
+    assert gc.callbacks == hooks
+
+
 class TestRequestCoalescing:
     """Identical in-flight fingerprints share one upstream computation."""
 
-    def _gated_engine(self):
+    def _gated_engine(self, monkeypatch):
         engine = Engine(max_workers=2)
         gate = threading.Event()
         dispatches = []
-        original = engine._dispatch
+        original = engine_module.execute_spec
 
-        def slow_dispatch(exec_spec):
+        def slow_execute(exec_spec):
             dispatches.append(1)
             assert gate.wait(timeout=30)
             return original(exec_spec)
 
-        engine._dispatch = slow_dispatch
+        monkeypatch.setattr(engine_module, "execute_spec", slow_execute)
         return engine, gate, dispatches
 
-    def test_concurrent_identical_jobs_compute_once(self, uniform_2d):
-        engine, gate, dispatches = self._gated_engine()
+    def test_concurrent_identical_jobs_compute_once(self, monkeypatch,
+                                                    uniform_2d):
+        engine, gate, dispatches = self._gated_engine(monkeypatch)
         with engine:
             leader = engine.submit(JobSpec(points=uniform_2d))
             follower = engine.submit(JobSpec(points=uniform_2d))
@@ -829,14 +782,19 @@ class TestRequestCoalescing:
             assert flags == [False, True]
             rider = first if first.cache["coalesced"] else second
             assert not rider.cache["result_hit"]
+            # Only the leader encoded the payload; the rider shares it.
+            leader_result = second if rider is first else first
+            assert "encode" in leader_result.timings
+            assert "encode" not in rider.timings
             assert canonical_payload_bytes(second.payload) == \
                 canonical_payload_bytes(first.payload)
             assert engine.stats()["coalesced_hits"] == 1
 
-    def test_follower_of_failed_leader_computes_itself(self, uniform_2d):
+    def test_follower_of_failed_leader_computes_itself(self, monkeypatch,
+                                                      uniform_2d):
         engine = Engine(max_workers=2)
         gate = threading.Event()
-        original = engine._dispatch
+        original = engine_module.execute_spec
         state = {"calls": 0}
 
         def failing_first(exec_spec):
@@ -847,7 +805,7 @@ class TestRequestCoalescing:
                 raise RuntimeError("leader died")
             return original(exec_spec)
 
-        engine._dispatch = failing_first
+        monkeypatch.setattr(engine_module, "execute_spec", failing_first)
         with engine:
             leader = engine.submit(JobSpec(points=uniform_2d))
             follower = engine.submit(JobSpec(points=uniform_2d))

@@ -28,11 +28,9 @@ def test_healthz(api):
     status, body = get(f"{api}/v1/healthz")
     assert status == 200
     assert body["status"] == "ok"
-    # The probe names the execution backend so deployment smoke checks can
-    # assert the server runs the one they asked for.
-    assert body["backend"] == "thread"
-    # ... and the traversal engine it resolved, so a node that fell back
-    # from the compiled kernels to the reference engine is visible.
+    # The probe names the traversal engine the node resolved, so a node
+    # that fell back from the compiled kernels to the reference engine is
+    # visible.
     assert body["traversal"] == get_default_engine()
 
 

@@ -14,7 +14,6 @@ from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, mutual_reachability_emst
 from repro.errors import InvalidInputError, ServiceError
 from repro.service import (
-    BACKENDS,
     Engine,
     JobSpec,
     canonical_payload_bytes,
@@ -420,33 +419,25 @@ class TestCoreDistanceInjection:
         assert emst(uniform_2d).core_sq is None
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
-@pytest.fixture(params=BACKENDS)
-def engine(request):
-    """A memory-only engine per execution backend (core-tier guarantees
-    must hold under both, like every other engine-level behavior)."""
-    with Engine(max_workers=2, backend=request.param) as eng:
+@pytest.fixture
+def engine():
+    """A memory-only two-worker engine for the core-tier guarantees."""
+    with Engine(max_workers=2) as eng:
         yield eng
 
 
 class TestEngineWarmRestart:
     """The acceptance path: serve → kill → serve with the same store."""
 
-    def test_exact_repeat_served_from_disk(self, tmp_path, backend):
+    def test_exact_repeat_served_from_disk(self, tmp_path):
         spec = dict(dataset="Uniform100M2:400", algorithm="mrd_emst",
                     k_pts=4)
         root = str(tmp_path / "store")
-        with Engine(max_workers=1, backend=backend,
-                    store_dir=root) as eng:
+        with Engine(max_workers=1, store_dir=root) as eng:
             cold = eng.result(eng.submit(JobSpec(**spec)), timeout=120)
             assert cold.status.value == "done", cold.error
             cold_bytes = canonical_payload_bytes(cold.payload)
-        with Engine(max_workers=1, backend=backend,
-                    store_dir=root) as eng:
+        with Engine(max_workers=1, store_dir=root) as eng:
             warm = eng.result(eng.submit(JobSpec(**spec)), timeout=120)
             assert warm.cache["result_hit"]
             assert warm.cache["result_disk_hit"]
@@ -454,22 +445,19 @@ class TestEngineWarmRestart:
             assert eng.stats()["scheduler"]["features_done"] == 0
             assert canonical_payload_bytes(warm.payload) == cold_bytes
 
-    def test_tree_and_core_warm_from_disk_byte_identical(self, tmp_path,
-                                                         backend):
+    def test_tree_and_core_warm_from_disk_byte_identical(self, tmp_path):
         """A *different* job over known points skips T_tree and T_core via
         the disk tiers and still matches cold execution byte-for-byte."""
         root = str(tmp_path / "store")
         warm_spec = JobSpec(dataset="Uniform100M2:400", algorithm="hdbscan",
                             k_pts=4, min_cluster_size=6)
-        with Engine(max_workers=1, backend=backend,
-                    store_dir=root) as eng:
+        with Engine(max_workers=1, store_dir=root) as eng:
             first = eng.result(
                 eng.submit(JobSpec(dataset="Uniform100M2:400",
                                    algorithm="mrd_emst", k_pts=4)),
                 timeout=120)
             assert first.status.value == "done", first.error
-        with Engine(max_workers=1, backend=backend,
-                    store_dir=root) as eng:
+        with Engine(max_workers=1, store_dir=root) as eng:
             warm = eng.result(eng.submit(warm_spec), timeout=120)
             assert warm.status.value == "done", warm.error
             assert not warm.cache["result_hit"]
@@ -778,8 +766,9 @@ class TestCompactTreeState:
 
 class TestBvhStateCompat:
     def test_executor_reexports_store_serialization(self):
-        # The process-backend wire format and the on-disk format must stay
-        # the same functions forever (cross-process == cross-restart).
+        # The executor's tree format and the on-disk format must stay the
+        # same functions forever (a tree the engine caches is the tree a
+        # restart or a peer reads).
         from repro.service import executor
         from repro.store import blob
         assert executor.bvh_to_state is blob.bvh_to_state

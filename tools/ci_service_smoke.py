@@ -6,13 +6,8 @@ Default mode submits a deterministic dataset job to a running
 through the pure executor (:func:`repro.service.executor.execute_spec`),
 and asserts the two payloads are byte-identical in canonical form
 (wall-clock ``phases`` stripped — see
-:func:`repro.service.jobs.canonical_payload_bytes`).
-
-Both legs of the CI backend matrix (``--backend thread`` and
-``--backend process``) run this against the same spec; each leg agreeing
-with the common in-process reference proves the backends agree with each
-other, without shipping artifacts between jobs.  The canonical SHA-256 is
-printed so the two legs' logs can also be compared directly.
+:func:`repro.service.jobs.canonical_payload_bytes`).  The canonical
+SHA-256 is printed so runs' logs can also be compared directly.
 
 ``--restart-warmth`` instead runs the persistence acceptance path
 end-to-end: it starts its *own* server with ``--store-dir``, submits a
@@ -28,9 +23,8 @@ one over the same store, and asserts that
 Usage::
 
     python tools/ci_service_smoke.py --url http://127.0.0.1:8321 \
-        --dataset Uniform100M2:10000 --expect-backend process
-    python tools/ci_service_smoke.py --restart-warmth \
-        --backend process --port 8422
+        --dataset Uniform100M2:10000
+    python tools/ci_service_smoke.py --restart-warmth --port 8422
 """
 
 import argparse
@@ -80,12 +74,6 @@ def _reference_bytes(body):
 def check_served_vs_reference(args):
     """The original smoke: served payload == in-process execution."""
     base = args.url.rstrip("/")
-    health = _request(f"{base}/v1/healthz")
-    if args.expect_backend and health.get("backend") != args.expect_backend:
-        print(f"FAIL: server runs backend {health.get('backend')!r}, "
-              f"expected {args.expect_backend!r}", file=sys.stderr)
-        return 1
-
     body = {"dataset": args.dataset, "algorithm": args.algorithm}
     result = _await_job(base, body, args.timeout)
     if result["status"] != "done":
@@ -102,8 +90,7 @@ def check_served_vs_reference(args):
               f"{hashlib.sha256(reference).hexdigest()}", file=sys.stderr)
         return 1
     print(f"ok: served payload is byte-identical to in-process execution\n"
-          f"  backend={health.get('backend')} dataset={args.dataset} "
-          f"algorithm={args.algorithm}\n"
+          f"  dataset={args.dataset} algorithm={args.algorithm}\n"
           f"  canonical sha256={served_sha}")
     return 0
 
@@ -111,7 +98,7 @@ def check_served_vs_reference(args):
 def _start_server(args, store_dir):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", str(args.port),
-         "--backend", args.backend, "--workers", "1",
+         "--workers", "1",
          "--store-dir", store_dir],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     base = f"http://127.0.0.1:{args.port}"
@@ -177,7 +164,7 @@ def check_restart_warmth(args):
         for tier in ("result_cache", "tree_cache", "core_cache"):
             assert stats[tier]["disk"]["hits"] >= 1, (tier, stats[tier])
         print(f"ok: restart warmth verified "
-              f"(backend={args.backend}, dataset={args.dataset})\n"
+              f"(dataset={args.dataset})\n"
               f"  repeat: disk result hit, sha256="
               f"{hashlib.sha256(warm_bytes).hexdigest()}\n"
               f"  new job: T_tree and T_core skipped via disk tiers, "
@@ -196,15 +183,10 @@ def main(argv=None):
     parser.add_argument("--dataset", default="Uniform100M2:10000")
     parser.add_argument("--algorithm", default="emst",
                         choices=("emst", "mrd_emst", "hdbscan"))
-    parser.add_argument("--expect-backend", default=None,
-                        help="fail unless /v1/healthz reports this backend")
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--restart-warmth", action="store_true",
                         help="run the serve → kill → serve persistence "
                              "check (starts its own servers)")
-    parser.add_argument("--backend", default="thread",
-                        choices=("thread", "process"),
-                        help="backend for --restart-warmth servers")
     parser.add_argument("--port", type=int, default=8422,
                         help="port for --restart-warmth servers")
     args = parser.parse_args(argv)
