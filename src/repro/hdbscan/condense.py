@@ -18,6 +18,7 @@ Representation (column arrays, one row per event):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -46,23 +47,39 @@ class CondensedTree:
         return np.unique(np.concatenate([ids, kids]))
 
 
-def _leaves_of(linkage: np.ndarray, n: int, node: int) -> list:
-    """Point ids under dendrogram ``node`` (iterative DFS)."""
-    out = []
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        if x < n:
-            out.append(x)
-        else:
-            row = x - n
-            stack.append(int(linkage[row, 0]))
-            stack.append(int(linkage[row, 1]))
-    return out
+def _validated(linkage: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Child ids and sizes of a SciPy-convention linkage, as int64.
+
+    Row ``r`` (dendrogram id ``n + r``) may only name points and earlier
+    rows, each id at most once, and its size must be its children's
+    summed.  That makes the rows one tree under the top merge, so the
+    walk below visits every node once and returns, and makes every size
+    a true point count.
+    """
+    n = linkage.shape[0] + 1
+    ids = linkage[:, :2]
+    limit = (n + np.arange(n - 1, dtype=np.float64))[:, None]
+    if not ((ids >= 0.0) & (ids < limit) & (ids == np.floor(ids))).all():
+        raise InvalidInputError(
+            "linkage row r may only name ids in [0, n + r)")
+    ids = ids.astype(np.int64)
+    if ids.size and np.bincount(ids.ravel()).max() > 1:
+        raise InvalidInputError("linkage names a child id twice")
+    sizes = linkage[:, 3]
+    kid_sizes = np.where(ids < n, 1.0, sizes[np.maximum(ids - n, 0)])
+    if not (sizes == kid_sizes.sum(axis=1)).all():
+        raise InvalidInputError(
+            "a linkage row's size must be its children's sizes summed")
+    return ids, sizes.astype(np.int64)
 
 
 def condense_tree(linkage: np.ndarray, min_cluster_size: int) -> CondensedTree:
-    """Condense a SciPy-convention linkage under ``min_cluster_size``."""
+    """Condense a SciPy-convention linkage under ``min_cluster_size``.
+
+    Rows come out in the order of a top-down stack walk of the
+    dendrogram, which visits a node's right side first; an undersized
+    side's points leave in the same right-first order.
+    """
     if min_cluster_size < 2:
         raise InvalidInputError(
             f"min_cluster_size must be >= 2, got {min_cluster_size}")
@@ -70,60 +87,65 @@ def condense_tree(linkage: np.ndarray, min_cluster_size: int) -> CondensedTree:
     if linkage.ndim != 2 or linkage.shape[1] != 4:
         raise InvalidInputError("linkage must be an (n-1, 4) matrix")
     n = linkage.shape[0] + 1
+    ids, row_sizes = _validated(linkage)
 
-    parents, children, lambdas, sizes = [], [], [], []
+    # Per dendrogram id (points first, then rows): children, size and,
+    # for rows, lambda = 1/distance (infinite at distance 0).
+    left = [0] * n + ids[:, 0].tolist()
+    right = [0] * n + ids[:, 1].tolist()
+    size = np.concatenate([np.ones(n, dtype=np.int64), row_sizes])
+    big = (size >= min_cluster_size).tolist()
+    dist = linkage[:, 2]
+    lam = np.full(2 * n - 1, np.inf)
+    np.divide(1.0, dist, out=lam[n:], where=dist > 0.0)
+
+    # Every walked node emits one run of consecutive rows, all with the
+    # node's cluster as parent and its lambda: two new clusters at a true
+    # split, else the points of its undersized side(s).
+    children, heads = [], []  # heads: dendrogram node of each new cluster
+    run_cluster, run_node, run_length = [], [], []
     next_cluster = n + 1  # n is the root's condensed id
-    root_dendro = 2 * n - 2  # dendrogram id of the top merge
-
-    def size_of(node: int) -> int:
-        return 1 if node < n else int(linkage[node - n, 3])
-
-    def lam_of(row: int) -> float:
-        d = linkage[row, 2]
-        return 1.0 / d if d > 0.0 else np.inf
-
-    # Stack of (dendrogram node, condensed cluster it belongs to).
-    stack = [(root_dendro, n)]
+    # Stack of (dendrogram node, condensed cluster it belongs to).  Only
+    # rows are pushed: a pushed side holds >= min_cluster_size >= 2 points.
+    stack = [(2 * n - 2, n)] if n > 1 else []
     while stack:
         node, cluster = stack.pop()
-        if node < n:
-            # A singleton reached the top of its cluster: it exits when its
-            # parent merge dissolves; handled by the caller pushing it with
-            # the right lambda below, so a bare leaf here means n == 1.
-            continue
-        row = node - n
-        left = int(linkage[row, 0])
-        right = int(linkage[row, 1])
-        lam = lam_of(row)
-        big_l = size_of(left) >= min_cluster_size
-        big_r = size_of(right) >= min_cluster_size
-        if big_l and big_r:
-            # True split: two new condensed clusters are born.
-            for side in (left, right):
-                nonlocal_id = next_cluster
-                next_cluster += 1
-                parents.append(cluster)
-                children.append(nonlocal_id)
-                lambdas.append(lam)
-                sizes.append(size_of(side))
-                stack.append((side, nonlocal_id))
+        kid_l, kid_r = left[node], right[node]
+        start = len(children)
+        if big[kid_l] and big[kid_r]:
+            children += (next_cluster, next_cluster + 1)
+            heads += (kid_l, kid_r)
+            stack.append((kid_l, next_cluster))
+            stack.append((kid_r, next_cluster + 1))
+            next_cluster += 2
         else:
-            # Undersized side(s) fall out as points at this lambda; a
-            # surviving big side continues as the same condensed cluster.
-            for side, big in ((left, big_l), (right, big_r)):
-                if big:
+            # A surviving big side continues as the same cluster.
+            for side in (kid_l, kid_r):
+                if big[side]:
                     stack.append((side, cluster))
+                elif side < n:
+                    children.append(side)
                 else:
-                    for p in _leaves_of(linkage, n, side):
-                        parents.append(cluster)
-                        children.append(p)
-                        lambdas.append(lam)
-                        sizes.append(1)
+                    todo = [side]
+                    while todo:
+                        x = todo.pop()
+                        if x < n:
+                            children.append(x)
+                        else:
+                            todo += (left[x], right[x])
+        run_cluster.append(cluster)
+        run_node.append(node)
+        run_length.append(len(children) - start)
 
+    child = np.asarray(children, dtype=np.int64)
+    run_length = np.asarray(run_length, dtype=np.int64)
+    child_size = np.ones(child.size, dtype=np.int64)
+    child_size[child > n] = size[heads]
     return CondensedTree(
-        parent=np.asarray(parents, dtype=np.int64),
-        child=np.asarray(children, dtype=np.int64),
-        lambda_val=np.asarray(lambdas, dtype=np.float64),
-        child_size=np.asarray(sizes, dtype=np.int64),
+        parent=np.repeat(np.asarray(run_cluster, dtype=np.int64),
+                         run_length),
+        child=child,
+        lambda_val=np.repeat(lam[run_node], run_length),
+        child_size=child_size,
         n_points=n,
     )

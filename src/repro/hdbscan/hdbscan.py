@@ -15,6 +15,7 @@ from repro.errors import InvalidInputError
 from repro.hdbscan.condense import CondensedTree, condense_tree
 from repro.hdbscan.single_linkage import single_linkage_tree
 from repro.hdbscan.stability import extract_clusters
+from repro.timing import PhaseTimer
 
 
 @dataclass
@@ -24,7 +25,9 @@ class HDBSCANResult:
     ``labels`` are 0-based cluster ids with -1 for noise; ``probabilities``
     in [0, 1]; ``emst`` is the mutual-reachability spanning tree result
     (with its phase counters, so HDBSCAN* runs can be repriced on the
-    simulated devices like any EMST run).
+    simulated devices like any EMST run).  ``phases`` holds the EMST's
+    phases, then ``linkage`` (single linkage) and ``condense``
+    (condensing and cluster extraction).
     """
 
     labels: np.ndarray
@@ -80,15 +83,18 @@ def hdbscan(
     result = mutual_reachability_emst(points, k_pts, config=config, bvh=bvh,
                                       check_tree=check_tree, core_sq=core_sq,
                                       workspace=workspace)
-    linkage = single_linkage_tree(n, result.edges[:, 0], result.edges[:, 1],
-                                  result.weights)
-    condensed = condense_tree(linkage, min_cluster_size)
-    labels, probabilities = extract_clusters(condensed)
+    timer = PhaseTimer(dict(result.phases))
+    with timer.phase("linkage"):
+        linkage = single_linkage_tree(n, result.edges[:, 0],
+                                      result.edges[:, 1], result.weights)
+    with timer.phase("condense"):
+        condensed = condense_tree(linkage, min_cluster_size)
+        labels, probabilities = extract_clusters(condensed)
     return HDBSCANResult(
         labels=labels,
         probabilities=probabilities,
         emst=result,
         linkage=linkage,
         condensed=condensed,
-        phases=dict(result.phases),
+        phases=timer.as_dict(),
     )

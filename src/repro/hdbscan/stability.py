@@ -19,27 +19,46 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.errors import InvalidInputError
 from repro.hdbscan.condense import CondensedTree
 
 
-def cluster_stabilities(tree: CondensedTree) -> Dict[int, float]:
-    """Stability sigma(c) for every condensed cluster id."""
-    births: Dict[int, float] = {tree.root: 0.0}
-    cluster_children = tree.child >= tree.n_points
-    for child, lam in zip(tree.child[cluster_children],
-                          tree.lambda_val[cluster_children]):
-        births[int(child)] = float(lam)
+def _stabilities(tree: CondensedTree):
+    """``(ids, stability, row_cluster)`` over the tree's clusters.
 
-    stabilities: Dict[int, float] = {cid: 0.0 for cid in births}
+    ``ids`` are the cluster ids, ascending (children after parents);
+    ``stability[i]`` belongs to ``ids[i]``; ``row_cluster`` maps every
+    row's parent to its index in ``ids``.
+    """
+    cluster_rows = tree.child >= tree.n_points
+    born = tree.child[cluster_rows]
+    ids = np.unique(np.concatenate([[tree.root], born]))
+    row_cluster = np.searchsorted(ids, tree.parent)
+    if not (ids[np.minimum(row_cluster, ids.size - 1)] == tree.parent).all():
+        raise InvalidInputError("condensed tree names an unknown parent")
+
     finite_lambda = tree.lambda_val[np.isfinite(tree.lambda_val)]
     lam_cap = float(finite_lambda.max()) if finite_lambda.size else 0.0
-    for parent, lam, size in zip(tree.parent, tree.lambda_val,
-                                 tree.child_size):
-        lam_eff = float(lam) if np.isfinite(lam) else lam_cap
-        birth = births[int(parent)]
-        birth_eff = birth if np.isfinite(birth) else lam_cap
-        stabilities[int(parent)] += (lam_eff - birth_eff) * float(size)
-    return stabilities
+    birth = np.zeros(ids.size)  # the root is born at lambda 0
+    birth[np.searchsorted(ids, born)] = tree.lambda_val[cluster_rows]
+    birth[~np.isfinite(birth)] = lam_cap
+    lam = np.where(np.isfinite(tree.lambda_val), tree.lambda_val, lam_cap)
+    # bincount adds each cluster's terms in row order, as a running sum
+    # over the rows would (and gives integers when there are no rows).
+    stability = np.bincount(
+        row_cluster, weights=(lam - birth[row_cluster]) * tree.child_size,
+        minlength=ids.size).astype(np.float64)
+    return ids, stability, row_cluster
+
+
+def cluster_stabilities(tree: CondensedTree) -> Dict[int, float]:
+    """Stability sigma(c) for every condensed cluster id.
+
+    Keys are the root, then each cluster in the order its row appears.
+    """
+    ids, stability, _ = _stabilities(tree)
+    keys = [tree.root] + tree.child[tree.child >= tree.n_points].tolist()
+    return dict(zip(keys, stability[np.searchsorted(ids, keys)].tolist()))
 
 
 def extract_clusters(tree: CondensedTree) -> Tuple[np.ndarray, np.ndarray]:
@@ -50,92 +69,56 @@ def extract_clusters(tree: CondensedTree) -> Tuple[np.ndarray, np.ndarray]:
     exit lambda over its cluster's maximum (1.0 for the densest members).
     """
     n = tree.n_points
-    stabilities = cluster_stabilities(tree)
-
-    # Children clusters per parent.
-    kids: Dict[int, list] = {cid: [] for cid in stabilities}
+    ids, stability, row_cluster = _stabilities(tree)
+    root = int(np.searchsorted(ids, tree.root))
     cluster_rows = tree.child >= n
-    for parent, child in zip(tree.parent[cluster_rows],
-                             tree.child[cluster_rows]):
-        kids[int(parent)].append(int(child))
+    kids = [[] for _ in range(ids.size)]
+    for p, k in zip(row_cluster[cluster_rows].tolist(),
+                    np.searchsorted(ids, tree.child[cluster_rows]).tolist()):
+        kids[p].append(k)
 
-    # Bottom-up (descending id = children first): excess of mass.
-    selected: Dict[int, bool] = {}
-    subtree_value: Dict[int, float] = {}
-    for cid in sorted(stabilities, reverse=True):
-        child_sum = sum(subtree_value[k] for k in kids[cid])
-        if cid == tree.root:
-            selected[cid] = False
-            subtree_value[cid] = child_sum
-        elif stabilities[cid] >= child_sum and not kids[cid] == []:
-            # An internal cluster beating its children absorbs them.
-            selected[cid] = True
-            subtree_value[cid] = stabilities[cid]
-        elif not kids[cid]:
-            selected[cid] = True  # leaves of the condensed tree
-            subtree_value[cid] = stabilities[cid]
+    # Bottom-up (children first): a cluster is selected when it is a leaf
+    # or beats the summed value of its children; the root never is.
+    stability = stability.tolist()
+    selected = [False] * ids.size
+    value = [0.0] * ids.size
+    for c in reversed(range(ids.size)):
+        child_sum = sum(value[k] for k in kids[c])
+        if c != root and (not kids[c] or stability[c] >= child_sum):
+            selected[c] = True
+            value[c] = stability[c]
         else:
-            selected[cid] = False
-            subtree_value[cid] = child_sum
+            value[c] = child_sum
 
-    # Deselect descendants of selected clusters (top-down).
-    for cid in sorted(stabilities):
-        if not selected.get(cid, False):
-            continue
-        stack = list(kids[cid])
-        while stack:
-            k = stack.pop()
-            selected[k] = False
-            stack.extend(kids[k])
-
-    chosen = sorted(cid for cid, sel in selected.items() if sel)
-    index_of = {cid: i for i, cid in enumerate(chosen)}
-
-    # Map every condensed cluster to its owning selected ancestor (if any).
-    owner: Dict[int, int] = {}
-    for cid in sorted(stabilities):
-        if cid in index_of:
-            owner[cid] = cid
-        else:
-            parent_owner = owner.get(_parent_of(tree, cid), None) \
-                if cid != tree.root else None
-            if parent_owner is not None and not selected.get(cid, False):
-                # Inside a selected ancestor only if that ancestor is
-                # selected; otherwise unowned.
-                owner[cid] = parent_owner
+    # Top-down (parents first): the topmost selected cluster on each path
+    # is chosen and owns every cluster below it.
+    owner = [-1] * ids.size
+    for c in range(ids.size):
+        if owner[c] < 0 and selected[c]:
+            owner[c] = c
+        if owner[c] >= 0:
+            for k in kids[c]:
+                owner[k] = owner[c]
+    owner = np.asarray(owner, dtype=np.int64)
+    chosen = owner == np.arange(ids.size)
+    label_of = np.cumsum(chosen) - 1  # a chosen cluster's label
 
     labels = np.full(n, -1, dtype=np.int64)
     probabilities = np.zeros(n, dtype=np.float64)
-    point_rows = tree.child < n
-    parents = tree.parent[point_rows]
-    points = tree.child[point_rows]
-    lams = tree.lambda_val[point_rows]
+    point_rows = ~cluster_rows
+    own = owner[row_cluster[point_rows]]
+    owned = own >= 0
+    own = own[owned]
+    points = tree.child[point_rows][owned]
+    lam = tree.lambda_val[point_rows][owned]
 
     # Per-cluster max lambda for probability normalization.
-    max_lam: Dict[int, float] = {}
-    for parent, lam in zip(parents, lams):
-        own = owner.get(int(parent))
-        if own is None:
-            continue
-        lam_eff = float(lam) if np.isfinite(lam) else 1.0
-        max_lam[own] = max(max_lam.get(own, 0.0), lam_eff)
-
-    for parent, point, lam in zip(parents, points, lams):
-        own = owner.get(int(parent))
-        if own is None:
-            continue
-        labels[int(point)] = index_of[own]
-        denom = max_lam.get(own, 0.0)
-        if denom <= 0.0 or not np.isfinite(lam):
-            probabilities[int(point)] = 1.0
-        else:
-            probabilities[int(point)] = min(float(lam) / denom, 1.0)
+    max_lam = np.zeros(ids.size)
+    np.maximum.at(max_lam, own, np.where(np.isfinite(lam), lam, 1.0))
+    denom = max_lam[own]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(lam / denom, 1.0)
+    labels[points] = label_of[own]
+    probabilities[points] = np.where(
+        (denom <= 0.0) | ~np.isfinite(lam), 1.0, ratio)
     return labels, probabilities
-
-
-def _parent_of(tree: CondensedTree, cid: int) -> int:
-    """Condensed parent of cluster ``cid`` (root returns itself)."""
-    rows = np.nonzero(tree.child == cid)[0]
-    if rows.size == 0:
-        return cid
-    return int(tree.parent[rows[0]])

@@ -298,6 +298,35 @@ class TestEngineTracing:
         assert canonical_payload_bytes(hit.payload) == \
             canonical_payload_bytes(cold.payload)
 
+    def test_hdbscan_post_processing_phases_are_traced(self):
+        body = {"dataset": "Uniform100M2:370", "algorithm": "hdbscan",
+                "k_pts": 4}
+        post = ("linkage", "condense")
+        with Engine(max_workers=1, obs=True) as engine:
+            cold = self._run(engine, body)
+            hit = self._run(engine, body)
+            fam = engine.registry.histogram("repro_phase_seconds",
+                                            labels=("phase",))
+            # observed once, for the cold run; the hit replays them
+            assert [fam.histogram(phase=name).count for name in post] == \
+                [1, 1]
+        executed = {child["name"]: child for child in
+                    _span(cold.trace, "executed")["children"]}
+        replayed = {child["name"]: child for child in
+                    _span(hit.trace, "executed")["children"]}
+        for name in post:
+            assert executed[name]["duration_s"] > 0
+            assert "meta" not in executed[name]
+            assert replayed[name]["meta"]["replayed"]
+        # Timings are not part of the answer.
+        phases = cold.payload["phases"]
+        assert list(phases)[-2:] == list(post)
+        bare = dict(cold.payload, phases={
+            k: v for k, v in phases.items() if k not in post})
+        assert canonical_payload_bytes(bare) == \
+            canonical_payload_bytes(cold.payload) == \
+            canonical_payload_bytes(hit.payload)
+
     def test_upstream_trace_context_is_prepended(self):
         parent = make_trace(spans=[make_span("route", node="router",
                                              outcome="accepted")])

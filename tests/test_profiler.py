@@ -40,8 +40,8 @@ from repro.timing import (
 
 #: Engine phase names the trace layer emits — samples may only ever
 #: attribute to these.
-ENGINE_PHASES = {"resolve", "tree", "core", "mst", "tree_build",
-                 "compute", "encode"}
+ENGINE_PHASES = {"resolve", "tree", "core", "mst", "linkage", "condense",
+                 "tree_build", "compute", "encode"}
 
 
 def _spin_in_phase(name, entered, release):

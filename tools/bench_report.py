@@ -15,9 +15,17 @@ Outputs, next to the inputs:
 * ``reports/BENCH_report.md``   — one markdown table per benchmark;
 * ``reports/BENCH_report.json`` — the same rows, machine-readable.
 
+With ``--baseline`` it instead prints the last row of the committed
+``BENCH_trajectory.json``: for every workload and end-to-end metric of
+``BENCHMARK.json``, the parent and change medians of the perfbench pairs
+that row records, their relative delta, and a mark on any delta worse
+than the metric's bound.  A malformed row exits 1.  Neither file is
+written.
+
 Usage::
 
     python tools/bench_report.py [--reports-dir reports]
+    python tools/bench_report.py --baseline
 """
 
 import argparse
@@ -29,6 +37,10 @@ import sys
 #: Cap on fallback rows per benchmark, so a deeply nested report cannot
 #: drown the table; curated extractors are exempt.
 MAX_GENERIC_ROWS = 8
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRAJECTORY = os.path.join(ROOT, "BENCH_trajectory.json")
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 # --------------------------------------------------------------- extractors
@@ -198,12 +210,93 @@ def render_markdown(report):
     return "\n".join(lines).rstrip() + "\n"
 
 
+# ----------------------------------------------------------- trajectory
+
+def _number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def baseline_deltas(rows, benchmark):
+    """``(row, lines)`` for the last trajectory row.
+
+    Each line is ``(workload, metric, unit, pairs, parent, change, delta,
+    beyond)``: ``delta`` is ``change / parent - 1`` and ``beyond`` is true
+    when the change is worse than the parent by more than the metric's
+    bound.  A malformed row raises ``ValueError``, ``LookupError`` or
+    ``TypeError``.
+    """
+    row = rows[-1]
+    if not isinstance(row["pr"], int) or not isinstance(row["parent"], str):
+        raise ValueError("'pr' must be an integer and 'parent' a commit id")
+    _number(row["run_seconds"], "'run_seconds'")
+    lines = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        entry = row["workloads"][workload]
+        pairs = entry["pairs"]
+        if not isinstance(pairs, int) or pairs < 1:
+            raise ValueError(f"{workload}: 'pairs' must be a count >= 1")
+        for spec in benchmark["end_to_end"]:
+            name, at = spec["name"], f"{workload}.{spec['name']}"
+            metric = entry["metrics"][name]
+            if metric["unit"] != spec["unit"]:
+                raise ValueError(f"{at}: unit {metric['unit']!r}, "
+                                 f"BENCHMARK.json says {spec['unit']!r}")
+            parent = _number(metric["parent"], f"{at}.parent")
+            change = _number(metric["change"], f"{at}.change")
+            if parent:
+                delta = change / parent - 1.0
+            else:
+                delta = 0.0 if change == parent else float("inf")
+            worse = delta if spec["better"] == "lower" else -delta
+            lines.append((workload, name, spec["unit"], pairs, parent,
+                          change, delta, worse > spec["bound"]))
+    return row, lines
+
+
+def render_baseline(row, lines):
+    out = [f"# Last trajectory row: PR {row['pr']} against parent "
+           f"{row['parent'][:12]}, {_fmt(row['run_seconds'])}-s runs", "",
+           "| workload | metric | pairs | parent | change | delta | |",
+           "| --- | --- | ---: | ---: | ---: | ---: | --- |"]
+    for workload, name, unit, pairs, parent, change, delta, beyond in lines:
+        mark = "worse than its bound" if beyond else ""
+        out.append(f"| {workload} | {name} ({unit}) | {pairs} | "
+                   f"{_fmt(parent)} | {_fmt(change)} | {delta:+.1%} | "
+                   f"{mark} |")
+    return "\n".join(out) + "\n"
+
+
+def print_baseline(trajectory_path, benchmark_path):
+    """Print the last row's deltas; 0 when it is well formed, else 1."""
+    try:
+        with open(trajectory_path, encoding="utf-8") as fh:
+            rows = json.load(fh)
+        with open(benchmark_path, encoding="utf-8") as fh:
+            benchmark = json.load(fh)
+        row, lines = baseline_deltas(rows, benchmark)
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        # JSONDecodeError is a ValueError; a missing key or an empty list
+        # is a LookupError; a wrong container type is a TypeError.
+        print(f"error: malformed {trajectory_path}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    print(render_baseline(row, lines))
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--reports-dir", default="reports",
                         help="directory holding the BENCH_*.json inputs "
                              "(outputs land beside them)")
+    parser.add_argument("--baseline", action="store_true",
+                        help="print the last BENCH_trajectory.json row's "
+                             "parent -> change deltas instead")
     args = parser.parse_args(argv)
+    if args.baseline:
+        return print_baseline(TRAJECTORY, BENCHMARK)
     if not os.path.isdir(args.reports_dir):
         print(f"note: no reports directory at {args.reports_dir!r}; "
               f"nothing to aggregate")
