@@ -3,11 +3,11 @@
 Measures end-to-end EMST wall-clock (tree build + Borůvka solve) under:
 
 * **old** — the paper's configuration on the NumPy ``reference``
-  engine: single-pop lock-step traversal, adjacent-pairs bound scan, no
-  warm frontier, one-point leaves;
+  engine: single-pop lock-step traversal, NumPy LBVH build and round
+  steps, adjacent-pairs bound scan, no warm frontier, one-point leaves;
 * **new** — the ``compiled`` engine (the C traversal, one query lane at
-  a time) under the production configuration: wide bound window, warm
-  frontier;
+  a time, and the C LBVH build and round steps of ``steps.c``) under the
+  production configuration: wide bound window, warm frontier;
 * a **leaf-size sweep** on the compiled engine around the default, on
   uniform 2D and 3D points — the evidence for
   :data:`repro.core.boruvka_emst.DEFAULT_LEAF_SIZE`;

@@ -1,8 +1,9 @@
 """Package metadata for ``pip install .`` (or ``python setup.py develop``).
 
-The library is pure Python apart from ``repro/bvh/traverse.c``, which is
-shipped as package data and compiled at run time (see
-``repro.bvh.compiled``), so the package builds without a C toolchain.
+The library is pure Python apart from ``repro/bvh/traverse.c`` and
+``repro/bvh/steps.c``, which are shipped as package data and compiled at
+run time into one library (see ``repro.bvh.compiled``), so the package
+builds without a C toolchain.
 """
 
 import re

@@ -6,8 +6,9 @@ Construction follows the approach the paper inherits from ArborX
 1. points are linearized along a Z-order space-filling curve
    (:mod:`repro.geometry.morton`),
 2. the binary hierarchy over the sorted codes is produced with Karras'
-   fully parallel algorithm [Karras 2012] (vectorized over all internal
-   nodes simultaneously; a scalar reference implementation backs the tests),
+   fully parallel algorithm [Karras 2012] (one node at a time in C, or
+   vectorized over all internal nodes; a scalar reference implementation
+   backs the tests),
 3. bounding boxes are filled by a bottom-up refit pass.
 
 Given ``n`` points and a blocking factor ``leaf_size`` (default 1) the
@@ -24,7 +25,10 @@ them, identical in every answer and every work counter: the
 C, one lane at a time, the default wherever its library builds) and the
 single-pop NumPy ``reference`` oracle (:mod:`repro.bvh.reference`, the
 fallback without a C compiler).  Both take their scratch memory from a
-reusable :class:`TraversalWorkspace`.
+reusable :class:`TraversalWorkspace`.  Steps 2 and 3 and the Borůvka
+round steps of :mod:`repro.core` follow the same engine switch: C
+(``steps.c``, built into the same library) under ``compiled``, NumPy
+under ``reference``, with identical arrays and counters.
 """
 
 from repro.bvh.build import karras_hierarchy, karras_hierarchy_scalar

@@ -2,9 +2,10 @@
 
 Given Morton codes sorted along the Z-curve, every internal node's vertex
 range, split position and children can be computed *independently* — this is
-what makes the construction GPU-friendly [Karras 2012].  The vectorized
-implementation runs the per-node binary searches for all ``n - 1`` internal
-nodes in lock-step NumPy passes (``O(log n)`` passes of ``O(n)`` work).
+what makes the construction GPU-friendly [Karras 2012].  The ``compiled``
+engine runs each node's searches in C (``steps.c``); the ``reference``
+engine runs them for all ``n - 1`` internal nodes in lock-step NumPy
+passes (``O(log n)`` passes of ``O(n)`` work).  Both give the same arrays.
 
 Duplicate Morton codes are handled by the index tie-break inside
 :func:`repro.geometry.morton.common_prefix_length`, which conceptually
@@ -52,9 +53,6 @@ def karras_hierarchy(
     if codes_lo is None:
         if np.any(codes[:-1] > codes[1:]):
             raise InvalidInputError("Morton codes must be sorted")
-
-        def _delta(c, i, j):
-            return common_prefix_length(c, i, j)
     else:
         codes_lo = np.asarray(codes_lo, dtype=np.uint64)
         if codes_lo.shape != codes.shape:
@@ -64,6 +62,29 @@ def karras_hierarchy(
         if not np.all(order_ok):
             raise InvalidInputError("(hi, lo) codes must be lexsorted")
 
+    from repro.bvh import compiled  # compiled -> query -> bvh -> here
+    if compiled.selected():
+        left, right, parent = compiled.karras_compiled(codes, codes_lo)
+    else:
+        left, right, parent = _karras_vectorized(codes, codes_lo)
+
+    if counters is not None:
+        # One thread per internal node, O(log n) probes each.
+        log_n = max(int(np.ceil(np.log2(n))), 1)
+        counters.record_bulk(n - 1, ops_per_item=12.0 * log_n,
+                             bytes_per_item=48.0)
+    return left, right, parent
+
+
+def _karras_vectorized(codes: np.ndarray, codes_lo: Optional[np.ndarray]
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reference engine's :func:`karras_hierarchy`: every internal
+    node's searches in lock-step NumPy passes."""
+    n = codes.shape[0]
+    if codes_lo is None:
+        def _delta(c, i, j):
+            return common_prefix_length(c, i, j)
+    else:
         def _delta(c, i, j):
             return common_prefix_length_high(c, codes_lo, i, j)
 
@@ -120,12 +141,6 @@ def karras_hierarchy(
     parent = np.full(2 * n - 1, -1, dtype=np.int64)
     parent[left] = t
     parent[right] = t
-
-    if counters is not None:
-        # One thread per internal node, O(log n) probes each.
-        log_n = max(int(np.ceil(np.log2(n))), 1)
-        counters.record_bulk(n - 1, ops_per_item=12.0 * log_n,
-                             bytes_per_item=48.0)
     return left, right, parent
 
 
@@ -133,7 +148,7 @@ def karras_hierarchy_scalar(codes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference per-node implementation of :func:`karras_hierarchy`.
 
     Follows Karras' pseudo-code literally, one internal node at a time.
-    Used only by the test suite to validate the vectorized construction.
+    Used only by the test suite to validate both engines' construction.
     """
     codes = np.asarray(codes, dtype=np.uint64)
     n = codes.shape[0]

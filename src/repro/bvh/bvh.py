@@ -192,8 +192,10 @@ def build_bvh(points: np.ndarray, *, bits: Optional[int] = None,
     left, right, parent = karras_hierarchy(block_codes, counters,
                                            codes_lo=block_codes_lo)
     schedule = bottom_up_schedule(left, right, m)
+    # One-point leaves take their boxes from the points without a
+    # reduction (the same bits).
     lo, hi = refit_bounds(sorted_points, left, right, schedule, counters,
-                          leaf_start=leaf_start)
+                          leaf_start=leaf_start if m < n else None)
     return BVH(points=sorted_points, order=order, codes=codes,
                left=left, right=right, parent=parent,
                lo=lo, hi=hi, schedule=schedule, codes_lo=codes_lo,

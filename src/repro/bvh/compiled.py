@@ -1,15 +1,19 @@
-"""Compiled traversal kernels: ``traverse.c`` built once, called via ctypes.
+"""Compiled kernels: ``traverse.c`` and ``steps.c`` built once into one
+library, called via ctypes.
 
-The C file runs the single-pop loop of :mod:`repro.bvh.reference` one
-query lane at a time, so every answer and every :class:`CostCounters`
-field equals the reference engine's (see the comment at the top of
-``traverse.c``).  This module builds it, caches the shared library and
-wraps each kernel with the reference signature, input validation and
-counter accounting.
+``traverse.c`` runs the single-pop loop of :mod:`repro.bvh.reference`
+one query lane at a time, so every answer and every
+:class:`CostCounters` field equals the reference engine's (see the
+comment at the top of ``traverse.c``).  ``steps.c`` runs the LBVH build
+(Karras' hierarchy, the level schedule, the refit) and the loops of the
+Borůvka round steps, each equal byte for byte to the NumPy function it
+replaces (see the comment at the top of ``steps.c``).  This module
+builds the library, caches it and wraps each kernel with the NumPy
+signature, input validation and counter accounting.
 
-Building: ``cc -O3 -ffp-contract=off -fPIC -shared``, once per source and
-flag set.  The library is cached per user as
-``~/.cache/repro/traverse-<sha256 of source and flags>.so``, or, when
+Building: ``cc -O3 -ffp-contract=off -fPIC -shared`` over both sources,
+once per source and flag set.  The library is cached per user as
+``~/.cache/repro/kernels-<sha256 of sources and flags>.so``, or, when
 that directory cannot be used, under ``repro-<uid>`` in
 :func:`tempfile.gettempdir`.  A build writes a temp file and
 :func:`os.replace` s it into place, so processes building at once each
@@ -17,8 +21,8 @@ load a whole library.  A directory or library that another user owns or
 that group or other can write is never loaded.
 
 :func:`load` returns ``None`` when no compiler, cache directory or
-library is usable; :mod:`repro.bvh.traversal` then falls back to the
-reference engine.
+library is usable; :mod:`repro.bvh.traversal` then resolves the
+``reference`` engine, and the build and round steps run their NumPy code.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ from repro.bvh.query import (
     validate_query_points,
 )
 from repro.bvh.workspace import TraversalWorkspace
-from repro.errors import InvalidInputError
+from repro.errors import ConvergenceError, InvalidInputError
 from repro.kokkos.counters import CostCounters
 
-SOURCE = Path(__file__).with_name("traverse.c")
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("traverse.c", "steps.c"))
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: The :class:`CostCounters` fields of the C counter slots, in order.
@@ -55,14 +60,21 @@ COUNTER_FIELDS = ("nodes_visited", "box_distance_evals", "stack_ops",
                   "leaf_visits", "distance_evals", "lane_steps",
                   "warp_steps")
 
-#: The C status codes.
+#: The C status codes (``traverse.c`` 1-5, ``steps.c`` from 6).
 _ERRORS = {
     1: "child index out of range",
     2: "leaf block out of range",
     3: "traversal stack overflow",
     4: "a lane popped more nodes than the tree has (cycle)",
     5: "out of memory",
+    6: "Morton codes must be sorted",
+    7: "hierarchy contains a cycle or a node with two parents",
+    8: "schedule entry out of range",
+    9: "component label out of range",
+    10: "neighbor position out of range",
 }
+#: ``steps.c``'s status for a successor cycle longer than 2.
+_LONG_CYCLE = 11
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -142,21 +154,22 @@ def build(dirs: Optional[Iterable[Path]] = None) -> Path:
     fails the ownership and mode check is rebuilt over, never loaded.
     """
     directory = _usable_dir(cache_dirs() if dirs is None else dirs)
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(
-        source + b"\0" + " ".join(CFLAGS).encode()).hexdigest()
-    target = directory / f"traverse-{digest[:16]}.so"
+    digest = hashlib.sha256()
+    for source in SOURCES:
+        digest.update(source.read_bytes() + b"\0")
+    digest.update(" ".join(CFLAGS).encode())
+    target = directory / f"kernels-{digest.hexdigest()[:16]}.so"
     if _private(target, is_dir=False):
         return target
     compiler = shutil.which("cc")
     if compiler is None:
         raise BuildError("no C compiler (cc) on PATH")
-    fd, tmp = tempfile.mkstemp(prefix=".traverse-", suffix=".so",
+    fd, tmp = tempfile.mkstemp(prefix=".kernels-", suffix=".so",
                                dir=directory)
     os.close(fd)
     try:
         proc = subprocess.run(
-            [compiler, *CFLAGS, "-o", tmp, str(SOURCE)],
+            [compiler, *CFLAGS, "-o", tmp, *map(str, SOURCES)],
             capture_output=True, text=True, errors="replace", timeout=120,
             check=False)
         if proc.returncode != 0:
@@ -171,10 +184,27 @@ def build(dirs: Optional[Iterable[Path]] = None) -> Path:
     return target
 
 
+#: ``steps.c``'s entries and their argument types.
+_STEPS = {
+    "repro_karras": [_P, _P, _I64, _P, _P, _P],
+    "repro_schedule": [_P, _P, _I64, _P, _P, _P],
+    "repro_refit": [_P, _P, _I64, _I64, _P, _I64, _P, _P],
+    "repro_reduce_labels": [_P, _P, _I64, _P, _I64, _P],
+    "repro_upper_bounds": [_P, _I64, _I64, _P, _P, _I64, _P, _P],
+    "repro_component_min": [_I64, _P, _P, _P, _P, _P, _P, _P, _P, _P,
+                            _P],
+    "repro_merge": [_I64, _P, _I64, _I64, _P, _P, _P, _P],
+}
+
+
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     for name in ("repro_nearest", "repro_knn", "repro_radius"):
         fn = getattr(lib, name)
         fn.argtypes = [_P, _P, _I64, _P]
+        fn.restype = ctypes.c_int
+    for name, argtypes in _STEPS.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
         fn.restype = ctypes.c_int
     lib.repro_free.argtypes = [_P]
     lib.repro_free.restype = None
@@ -387,3 +417,171 @@ def radius_compiled(
     offsets = np.zeros(B + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, hits, np.repeat(np.arange(B, dtype=np.int64), counts)
+
+
+# ------------------------------------------------------ build and rounds
+
+def selected() -> bool:
+    """Whether the build and round steps run in C: they follow the
+    traversal engine resolution, so ``compiled`` runs ``steps.c`` and
+    ``reference`` the NumPy code it is tested against."""
+    from repro.bvh.traversal import get_default_engine  # imports this module
+    return get_default_engine() == "compiled"
+
+
+def _check(rc: int) -> None:
+    """Raise on a ``steps.c`` status, as the NumPy step would."""
+    if rc == _LONG_CYCLE:
+        raise ConvergenceError(
+            "component chains failed to collapse; the selected edges "
+            "contain a cycle longer than 2 (broken tie-breaking)")
+    if rc != 0:
+        raise InvalidInputError(
+            f"malformed input: {_ERRORS.get(rc, f'error {rc}')}")
+
+
+def _buffer(arr: np.ndarray, dtype, shape: Tuple[int, ...],
+            name: str) -> np.ndarray:
+    """``arr`` itself, which C writes into: it must already have exactly
+    ``dtype`` and ``shape`` and be C-contiguous."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.shape == shape and arr.flags.c_contiguous
+            and arr.flags.writeable):
+        raise InvalidInputError(
+            f"{name} must be a writable C-contiguous {np.dtype(dtype)} "
+            f"array of shape {shape}")
+    return arr
+
+
+def _order(schedule: List[np.ndarray]) -> np.ndarray:
+    """The schedule's groups as one array, in processing order."""
+    if not schedule:
+        return np.empty(0, dtype=np.int64)
+    return np.ascontiguousarray(np.concatenate(schedule), dtype=np.int64)
+
+
+def karras_compiled(codes: np.ndarray, codes_lo: Optional[np.ndarray]
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(left, right, parent)`` of the LBVH over sorted codes (``n >= 2``;
+    ``codes_lo`` for 128-bit codes)."""
+    lib = library()
+    n = codes.shape[0]
+    hi = _array(codes, np.uint64, (n,), "codes")
+    lo = None if codes_lo is None else _array(codes_lo, np.uint64, (n,),
+                                              "codes_lo")
+    left = np.empty(n - 1, dtype=np.int64)
+    right = np.empty(n - 1, dtype=np.int64)
+    parent = np.empty(2 * n - 1, dtype=np.int64)
+    _check(lib.repro_karras(_ptr(hi), _ptr(lo), n, _ptr(left), _ptr(right),
+                            _ptr(parent)))
+    return left, right, parent
+
+
+def schedule_compiled(left: np.ndarray, right: np.ndarray,
+                      m: int) -> List[np.ndarray]:
+    """The bottom-up level schedule of a tree with ``m >= 2`` leaves: one
+    array, cut into a view per level."""
+    lib = library()
+    left = _array(left, np.int64, (m - 1,), "left")
+    right = _array(right, np.int64, (m - 1,), "right")
+    flat = np.empty(m - 1, dtype=np.int64)
+    starts = np.empty(m, dtype=np.int64)
+    levels = _I64()
+    _check(lib.repro_schedule(_ptr(left), _ptr(right), m, _ptr(flat),
+                              _ptr(starts), ctypes.byref(levels)))
+    bounds = starts[:levels.value + 1].tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def refit_compiled(left: np.ndarray, right: np.ndarray,
+                   schedule: List[np.ndarray], lo: np.ndarray,
+                   hi: np.ndarray) -> None:
+    """Fill the inner rows of ``lo``/``hi`` (``(2m - 1, d)``, leaf rows
+    filled) bottom-up along ``schedule``."""
+    lib = library()
+    nodes, dim = lo.shape
+    m = (nodes + 1) // 2
+    lo = _buffer(lo, np.float64, (2 * m - 1, dim), "lo")
+    hi = _buffer(hi, np.float64, (2 * m - 1, dim), "hi")
+    left = _array(left, np.int64, (m - 1,), "left")
+    right = _array(right, np.int64, (m - 1,), "right")
+    order = _order(schedule)
+    _check(lib.repro_refit(_ptr(left), _ptr(right), m, dim, _ptr(order),
+                           order.shape[0], _ptr(lo), _ptr(hi)))
+
+
+def reduce_labels_compiled(bvh: BVH, node_labels: np.ndarray) -> None:
+    """Fill the inner entries of ``node_labels`` (leaf entries filled)."""
+    lib = library()
+    m = bvh.n_leaves
+    node_labels = _buffer(node_labels, np.int64, (2 * m - 1,),
+                          "node_labels")
+    left = _array(bvh.left, np.int64, (m - 1,), "left")
+    right = _array(bvh.right, np.int64, (m - 1,), "right")
+    order = _order(bvh.schedule)
+    _check(lib.repro_reduce_labels(_ptr(left), _ptr(right), m, _ptr(order),
+                                   order.shape[0], _ptr(node_labels)))
+
+
+def upper_bounds_compiled(points: np.ndarray, labels: np.ndarray,
+                          core_sq: Optional[np.ndarray], window: int,
+                          bounds: np.ndarray) -> int:
+    """Lower ``bounds`` (``(n,)``, by label) by every cross-component
+    Z-curve pair up to ``window`` apart; returns the pairs evaluated."""
+    lib = library()
+    n, dim = points.shape
+    points = _array(points, np.float64, (n, dim), "points")
+    labels = _array(labels, np.int64, (n,), "labels")
+    core = None if core_sq is None else _array(core_sq, np.float64, (n,),
+                                               "core_sq")
+    bounds = _buffer(bounds, np.float64, (n,), "bounds")
+    pairs = _I64()
+    _check(lib.repro_upper_bounds(_ptr(points), n, dim, _ptr(labels),
+                                  _ptr(core), int(window), _ptr(bounds),
+                                  ctypes.byref(pairs)))
+    return pairs.value
+
+
+def component_min_compiled(labels: np.ndarray, position: np.ndarray,
+                           distance_sq: np.ndarray, key: np.ndarray
+                           ) -> Tuple[Tuple[int, int, int],
+                                      Tuple[np.ndarray, ...]]:
+    """Each component's minimum lane candidate under ``(distance, key)``.
+
+    Returns ``(found, picked, active)`` — lanes with a candidate,
+    components with one, distinct labels — and the rows ``(component,
+    source, target, weight_sq, target_component)`` in ascending label
+    order.
+    """
+    lib = library()
+    n = labels.shape[0]
+    labels = _array(labels, np.int64, (n,), "labels")
+    position = _array(position, np.int64, (n,), "position")
+    distance_sq = _array(distance_sq, np.float64, (n,), "distance_sq")
+    key = _array(key, np.uint64, (n,), "key")
+    rows = [np.empty(n, dtype=dtype) for dtype in (
+        np.int64, np.int64, np.int64, np.float64, np.int64)]
+    counts = np.zeros(3, dtype=np.int64)
+    _check(lib.repro_component_min(
+        n, _ptr(labels), _ptr(position), _ptr(distance_sq), _ptr(key),
+        *map(_ptr, rows), _ptr(counts)))
+    found, picked, active = counts.tolist()
+    return (found, picked, active), tuple(row[:picked] for row in rows)
+
+
+def merge_compiled(labels: np.ndarray, n: int, component: np.ndarray,
+                   target_component: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(new_labels, n_components)`` after merging every component into
+    the terminal of its successor chain; labels lie in ``[0, n)``."""
+    lib = library()
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    k = component.shape[0]
+    component = _array(component, np.int64, (k,), "component")
+    target_component = _array(target_component, np.int64, (k,),
+                              "target_component")
+    new_labels = np.empty(labels.shape, dtype=np.int64)
+    count = _I64()
+    _check(lib.repro_merge(n, _ptr(labels), labels.size, k, _ptr(component),
+                           _ptr(target_component), _ptr(new_labels),
+                           ctypes.byref(count)))
+    return new_labels, count.value

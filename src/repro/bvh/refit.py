@@ -1,12 +1,13 @@
 """Bottom-up passes over the LBVH: level schedule and bounding-box refit.
 
 The GPU construction fills internal-node boxes bottom-up with atomic
-"second-arriving thread proceeds" flags.  The NumPy equivalent computes a
-*level schedule* once — internal nodes grouped by height above the leaves —
-and then processes one level per vectorized pass.  The same schedule drives
-the per-iteration component-label reduction of the EMST algorithm
-(:mod:`repro.core.labels`), which is exactly the paper's ``reduceLabels``
-bottom-up traversal reused.
+"second-arriving thread proceeds" flags.  Here a *level schedule* is
+computed once — internal nodes grouped by height above the leaves — and
+the refit walks it bottom-up: the ``compiled`` engine in one C pass
+(``steps.c``), the ``reference`` engine one vectorized NumPy pass per
+level.  The same schedule drives the per-iteration component-label
+reduction of the EMST algorithm (:mod:`repro.core.labels`), which is
+exactly the paper's ``reduceLabels`` bottom-up traversal reused.
 """
 
 from __future__ import annotations
@@ -25,10 +26,20 @@ def bottom_up_schedule(left: np.ndarray, right: np.ndarray,
 
     ``schedule[h]`` contains every internal node whose children are all
     either leaves or internal nodes from earlier groups.  Processing groups
-    in order guarantees children are finalized before their parent.
+    in order guarantees children are finalized before their parent.  A
+    child outside ``1 .. 2n - 2``, a node with two parents or a cycle
+    raises :class:`~repro.errors.InvalidInputError`.
     """
     if n < 2:
         raise InvalidInputError("schedule requires n >= 2")
+    from repro.bvh import compiled  # compiled -> query -> bvh -> here
+    if compiled.selected():
+        return compiled.schedule_compiled(left, right, n)
+    children = np.concatenate([left, right]).astype(np.int64)
+    if children.min() < 1 or children.max() >= 2 * n - 1:
+        raise InvalidInputError("child index out of range")
+    if np.bincount(children[children < n - 1]).max(initial=0) > 1:
+        raise InvalidInputError("hierarchy has a node with two parents")
     n_internal = n - 1
     leaf_base = n - 1
     ready = np.zeros(n_internal, dtype=bool)
@@ -51,6 +62,17 @@ def bottom_up_schedule(left: np.ndarray, right: np.ndarray,
     return schedule
 
 
+def block_reduce(ufunc: np.ufunc, values: np.ndarray,
+                 leaf_start: np.ndarray) -> np.ndarray:
+    """``ufunc.reduceat`` of ``values`` over the leaf blocks starting at
+    ``leaf_start``; a start outside ``values`` raises
+    :class:`~repro.errors.InvalidInputError`."""
+    if leaf_start.size and (leaf_start.min() < 0
+                            or leaf_start.max() >= values.shape[0]):
+        raise InvalidInputError("leaf block out of range")
+    return ufunc.reduceat(values, leaf_start, axis=0)
+
+
 def refit_bounds(
     points: np.ndarray,
     left: np.ndarray,
@@ -66,7 +88,8 @@ def refit_bounds(
     leaf ``j`` covers sorted positions ``leaf_start[j]`` up to the next
     block start and gets the union box of its block; without it every leaf
     is one point and gets a degenerate box.  Each internal node is the
-    union of its children, processed level by level.
+    union of its children, processed level by level.  Boxes keep NumPy's
+    zero signs on both engines: ``np.minimum(0.0, -0.0)`` is ``-0.0``.
     """
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
@@ -76,18 +99,22 @@ def refit_bounds(
         leaf_hi = points
     else:
         m = leaf_start.shape[0]
-        leaf_lo = np.minimum.reduceat(points, leaf_start, axis=0)
-        leaf_hi = np.maximum.reduceat(points, leaf_start, axis=0)
+        leaf_lo = block_reduce(np.minimum, points, leaf_start)
+        leaf_hi = block_reduce(np.maximum, points, leaf_start)
     leaf_base = m - 1
     lo = np.empty((2 * m - 1, dim), dtype=np.float64)
     hi = np.empty((2 * m - 1, dim), dtype=np.float64)
     lo[leaf_base:] = leaf_lo
     hi[leaf_base:] = leaf_hi
-    for ids in schedule:
-        l_ids = left[ids]
-        r_ids = right[ids]
-        lo[ids] = np.minimum(lo[l_ids], lo[r_ids])
-        hi[ids] = np.maximum(hi[l_ids], hi[r_ids])
+    from repro.bvh import compiled  # compiled -> query -> bvh -> here
+    if compiled.selected():
+        compiled.refit_compiled(left, right, schedule, lo, hi)
+    else:
+        for ids in schedule:
+            l_ids = left[ids]
+            r_ids = right[ids]
+            lo[ids] = np.minimum(lo[l_ids], lo[r_ids])
+            hi[ids] = np.maximum(hi[l_ids], hi[r_ids])
     if counters is not None:
         counters.record_bulk(n - 1, ops_per_item=4.0 * dim,
                              bytes_per_item=4.0 * dim * 8.0)

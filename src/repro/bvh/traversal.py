@@ -12,7 +12,8 @@ Two engines implement the kernels:
   against and as the engine for hosts without a C compiler.
 
 Both give the same answer to every query and the same count in every
-work counter.
+work counter.  The LBVH build and the Borůvka round steps follow the
+resolved engine too (:func:`repro.bvh.compiled.selected`).
 
 The process default is resolved once, on first use: ``"compiled"`` when
 its library builds and loads, else ``"reference"``.  Select per call with

@@ -174,15 +174,18 @@ def run_boruvka(
         prev_pos = edges.lane_position
         prev_d = edges.lane_distance_sq
 
-        # Each undirected MST edge may be selected by both of its
-        # components (mutual pairs select the identical edge — Section 2's
-        # total-order argument); keep one copy.
-        lo = np.minimum(edges.source, edges.target)
-        hi = np.maximum(edges.source, edges.target)
-        uniq = np.unique(np.stack([lo, hi], axis=1), axis=0, return_index=True)[1]
-        out_u.append(lo[uniq])
-        out_v.append(hi[uniq])
-        out_w.append(edges.weight_sq[uniq])
+        # Two components select the same edge only when they are a
+        # mutual pair (Section 2's total-order argument); keep the copy
+        # of the smaller label.  _finalize puts the edges in canonical
+        # order.
+        comp, target = edges.component, edges.target_component
+        succ = np.empty(n, dtype=np.int64)
+        succ[comp] = target
+        keep = ~((succ[target] == comp) & (comp > target))
+        source, dest = edges.source[keep], edges.target[keep]
+        out_u.append(np.minimum(source, dest))
+        out_v.append(np.maximum(source, dest))
+        out_w.append(edges.weight_sq[keep])
 
         labels, new_count = merge_components(labels, n, edges,
                                              counters=counters)

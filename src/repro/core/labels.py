@@ -3,10 +3,12 @@
 Figure 4 of the paper: an internal node whose two children carry the same
 component label inherits it; otherwise it is marked invalid, meaning its
 subtree spans multiple components and cannot be skipped.  The real GPU
-kernel runs one thread per leaf walking upwards with an atomic hand-off; the
-NumPy equivalent processes the precomputed bottom-up level schedule
-(:func:`repro.bvh.refit.bottom_up_schedule`), one vectorized pass per level
-— identical results, identical per-node work.
+kernel runs one thread per leaf walking upwards with an atomic hand-off;
+here the precomputed bottom-up level schedule
+(:func:`repro.bvh.refit.bottom_up_schedule`) is processed in order — by
+one C pass under the ``compiled`` engine (``steps.c``), by one
+vectorized NumPy pass per level under ``reference`` — identical results,
+identical per-node work.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.bvh import compiled
 from repro.bvh.bvh import BVH
+from repro.bvh.refit import block_reduce
 from repro.bvh.traversal import INVALID_LABEL
 from repro.kokkos.counters import CostCounters
 
@@ -59,8 +63,8 @@ def reduce_labels(
     if bvh.n_leaves == n:
         node_labels[leaf_base:] = labels_sorted
     else:
-        lab_min = np.minimum.reduceat(labels_sorted, bvh.leaf_start)
-        lab_max = np.maximum.reduceat(labels_sorted, bvh.leaf_start)
+        lab_min = block_reduce(np.minimum, labels_sorted, bvh.leaf_start)
+        lab_max = block_reduce(np.maximum, labels_sorted, bvh.leaf_start)
         node_labels[leaf_base:] = np.where(lab_min == lab_max, lab_min,
                                            INVALID_LABEL)
     if bvh.n_leaves == 1:
@@ -72,11 +76,15 @@ def reduce_labels(
             counters.record_bulk(n - 1, ops_per_item=1.0, bytes_per_item=8.0)
         return node_labels
 
-    left, right = bvh.left, bvh.right
-    for ids in bvh.schedule:
-        lab_l = node_labels[left[ids]]
-        lab_r = node_labels[right[ids]]
-        node_labels[ids] = np.where(lab_l == lab_r, lab_l, INVALID_LABEL)
+    if compiled.selected():
+        compiled.reduce_labels_compiled(bvh, node_labels)
+    else:
+        left, right = bvh.left, bvh.right
+        for ids in bvh.schedule:
+            lab_l = node_labels[left[ids]]
+            lab_r = node_labels[right[ids]]
+            node_labels[ids] = np.where(lab_l == lab_r, lab_l,
+                                        INVALID_LABEL)
     if counters is not None:
         # One thread per leaf walking to the root: ~2(n-1) node updates.
         counters.record_bulk(n - 1, ops_per_item=4.0, bytes_per_item=24.0)

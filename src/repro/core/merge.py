@@ -6,9 +6,11 @@ under a strict total order, the functional graph's only cycles are mutual
 pairs (two components whose shortest outgoing edges point at each other —
 Section 2).  Each chain therefore terminates in exactly one mutual pair;
 the paper merges whole chains at once by relabelling every point to the
-minimum-index component of its chain's terminal pair.  The NumPy
-realization pointer-jumps the successor array (``O(log chain length)``
-vectorized passes) — embarrassingly parallel, as the paper notes.
+minimum-index component of its chain's terminal pair.  The ``compiled``
+engine resolves each chain to its terminal in one C pass (``steps.c``);
+the ``reference`` engine pointer-jumps the successor array
+(``O(log chain length)`` vectorized passes) — embarrassingly parallel, as
+the paper notes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.bvh import compiled
 from repro.errors import ConvergenceError
 from repro.kokkos.counters import CostCounters
 from repro.core.outgoing import OutgoingEdges
@@ -35,6 +38,19 @@ def merge_components(
     representatives' sorted positions; the new label of a chain is the
     minimum label of its terminal mutual pair, matching the paper.
     """
+    if compiled.selected():
+        new_labels, n_components = compiled.merge_compiled(
+            labels_sorted, n, edges.component, edges.target_component)
+    else:
+        new_labels, n_components = _merge_by_jumping(labels_sorted, n, edges)
+    if counters is not None:
+        counters.record_bulk(n, ops_per_item=4.0, bytes_per_item=16.0)
+    return new_labels, n_components
+
+
+def _merge_by_jumping(labels_sorted: np.ndarray, n: int,
+                      edges: OutgoingEdges) -> Tuple[np.ndarray, int]:
+    """The reference engine's merge: pointer jumping to a fixed point."""
     succ = np.arange(n, dtype=np.int64)
     succ[edges.component] = edges.target_component
 
@@ -60,6 +76,4 @@ def merge_components(
 
     new_labels = succ[labels_sorted]
     n_components = int(np.unique(new_labels).size)
-    if counters is not None:
-        counters.record_bulk(n, ops_per_item=4.0, bytes_per_item=16.0)
     return new_labels, n_components

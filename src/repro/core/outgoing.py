@@ -2,9 +2,11 @@
 
 Every point (SIMT lane) runs the constrained nearest-neighbor traversal of
 Algorithm 2 over the shared BVH, producing a candidate edge per point; a
-vectorized segmented reduction then selects, for every component, the
-minimum candidate under the tie-broken total order ``(weight, min, max)``
-— Figure 2 (c) and (d) of the paper.
+segmented reduction then selects, for every component, the minimum
+candidate under the tie-broken total order ``(weight, min, max)`` —
+Figure 2 (c) and (d) of the paper.  The ``compiled`` engine reduces in
+one C pass into per-component slots (``steps.c``); the ``reference``
+engine sorts the candidates and takes each component's head.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.bvh import compiled
 from repro.bvh.bvh import BVH
-from repro.bvh.traversal import batched_nearest
+from repro.bvh.traversal import NearestResult, batched_nearest
 from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import ConvergenceError
 from repro.kokkos.counters import CostCounters
@@ -67,9 +70,7 @@ def find_components_outgoing_edges(
     candidate — impossible for a complete distance graph, so it indicates
     corrupted labels or non-finite data.
     """
-    n = bvh.n
-    positions = np.arange(n, dtype=np.int64)
-    init_radius = upper_bounds_sq[labels_sorted]
+    init_radius = np.take(upper_bounds_sq, labels_sorted)
     if extra_radius_sq is not None:
         init_radius = np.minimum(init_radius, extra_radius_sq)
 
@@ -92,36 +93,52 @@ def find_components_outgoing_edges(
         workspace=workspace,
     )
 
-    found = result.found
-    if not np.any(found):
+    if compiled.selected():
+        (found, picked, active), rows = compiled.component_min_compiled(
+            labels_sorted, result.position, result.distance_sq, result.key)
+    else:
+        (found, picked, active), rows = _component_min(labels_sorted, result)
+    if found == 0:
         raise ConvergenceError("no outgoing edges found for any component")
-    lanes = positions[found]
-    comp = labels_sorted[lanes]
-    dist = result.distance_sq[found]
-    key = result.key[found]
+    if counters is not None:
+        counters.record_sort(found, bytes_per_item=24.0)
+        counters.record_bulk(found, ops_per_item=2.0, bytes_per_item=16.0)
+    if picked != active:
+        raise ConvergenceError(
+            "a component found no outgoing edge; labels are inconsistent")
+    component, source, target, weight_sq, target_component = rows
+    return OutgoingEdges(
+        component=component,
+        source=source,
+        target=target,
+        weight_sq=weight_sq,
+        target_component=target_component,
+        lane_position=result.position,
+        lane_distance_sq=result.distance_sq,
+    )
 
-    # Segmented min by component under (weight, key): sort and take heads.
+
+def _component_min(labels_sorted: np.ndarray, result: NearestResult):
+    """The reference engine's selection: sort the lane candidates by
+    ``(component, weight, key)`` and take each component's head.
+
+    Returns ``(found, picked, active)`` — lanes with a candidate,
+    components with one, distinct labels — and the rows ``(component,
+    source, target, weight_sq, target_component)`` in ascending label
+    order, as :func:`repro.bvh.compiled.component_min_compiled` does.
+    """
+    lanes = np.nonzero(result.found)[0]
+    comp = labels_sorted[lanes]
+    dist = result.distance_sq[lanes]
+    key = result.key[lanes]
+
     order = np.lexsort((key, dist, comp))
     comp_sorted = comp[order]
     heads = np.ones(comp_sorted.size, dtype=bool)
     heads[1:] = comp_sorted[1:] != comp_sorted[:-1]
     pick = order[heads]
-    if counters is not None:
-        counters.record_sort(comp.size, bytes_per_item=24.0)
-        counters.record_bulk(comp.size, ops_per_item=2.0, bytes_per_item=16.0)
 
-    source = lanes[pick]
-    target = result.position[found][pick]
-    active_components = np.unique(labels_sorted)
-    if comp_sorted[heads].size != active_components.size:
-        raise ConvergenceError(
-            "a component found no outgoing edge; labels are inconsistent")
-    return OutgoingEdges(
-        component=comp[pick],
-        source=source,
-        target=target,
-        weight_sq=dist[pick],
-        target_component=labels_sorted[target],
-        lane_position=result.position,
-        lane_distance_sq=result.distance_sq,
-    )
+    target = result.position[lanes][pick]
+    counts = (lanes.size, pick.size, np.unique(labels_sorted).size)
+    return counts, (comp[pick], lanes[pick], target, dist[pick],
+                    labels_sorted[target])

@@ -40,12 +40,6 @@ class CondensedTree:
         """Condensed id of the root cluster."""
         return self.n_points
 
-    def cluster_ids(self) -> np.ndarray:
-        """All condensed cluster ids (root first, ascending)."""
-        ids = np.unique(self.parent)
-        kids = np.unique(self.child[self.child >= self.n_points])
-        return np.unique(np.concatenate([ids, kids]))
-
 
 def _validated(linkage: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Child ids and sizes of a SciPy-convention linkage, as int64.

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Dict, Tuple
+from typing import Any, BinaryIO, Dict, List, Tuple
 
 import numpy as np
 
 from repro.bvh.bvh import BVH
+from repro.bvh.refit import bottom_up_schedule, refit_bounds
 from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 
@@ -135,32 +136,58 @@ def _parents(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _same(a: Any, b: np.ndarray) -> bool:
     """Whether ``a`` is an array with exactly the dtype, shape and bytes
-    of ``b``."""
+    of ``b`` (bytes, not values: ``-0.0 == 0.0``)."""
     return (isinstance(a, np.ndarray) and a.dtype == b.dtype
-            and a.shape == b.shape and a.tobytes() == b.tobytes())
+            and a.shape == b.shape
+            and np.array_equal(a.reshape(-1).view(np.uint8),
+                               b.reshape(-1).view(np.uint8)))
+
+
+def _same_levels(a: Any, b: List[np.ndarray]) -> bool:
+    """Whether schedule ``a`` has ``b``'s levels, each with the dtype,
+    shape and bytes of ``b``'s (compared in one piece)."""
+    return (len(a) == len(b) and all(
+        isinstance(x, np.ndarray) and x.dtype == y.dtype
+        and x.shape == y.shape for x, y in zip(a, b))
+        and (not b or _same(np.concatenate(a), np.concatenate(b))))
+
+
+def _boxes(state: Dict[str, Any], one_point: bool
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """The node boxes the refit builds from ``state``'s points, leaves,
+    children and schedule (one-point leaves copy their points, which
+    ``build_bvh`` does too)."""
+    return refit_bounds(state["points"], state["left"], state["right"],
+                        state["schedule"],
+                        leaf_start=None if one_point else state["leaf_start"])
 
 
 def compact_tree_state(state: Dict[str, Any]) -> Dict[str, Any]:
     """``state`` without what :func:`expand_tree_state` rebuilds exactly.
 
     The tree tier's memory level holds this form.  The parent array
-    follows from the children; with one point per leaf, the leaf arrays are
-    ``arange``/``ones`` and the leaf rows of ``lo`` and ``hi`` repeat the
-    sorted points.  That is ~40% of a tree's bytes, which would otherwise
-    be held once per cached tree.  Each part is dropped only when its
-    rebuild matches it bit for bit.
+    follows from the children, the level schedule from the children, and
+    every node box from the points by the refit; with one point per leaf,
+    the leaf arrays are ``arange``/``ones``.  That is ~70% of a tree's
+    bytes, which would otherwise be held once per cached tree.  Each part
+    is dropped only when its rebuild matches it bit for bit.
     """
     out = dict(state)
-    left, points = state["left"], state["points"]
+    left, right, points = state["left"], state["right"], state["points"]
     n_inner, n = left.shape[0], points.shape[0]
-    if _same(state["parent"], _parents(left, state["right"])):
+    one_point = (_same(state["leaf_start"], np.arange(n, dtype=np.int64))
+                 and _same(state["leaf_count"], np.ones(n, dtype=np.int64)))
+    if n_inner > 0:
+        # First, because the schedule's rebuild range-checks every child.
+        schedule = bottom_up_schedule(left, right, n_inner + 1)
+        if _same_levels(state["schedule"], schedule):
+            out["schedule"] = None
+        lo, hi = _boxes(state, one_point)
+        if _same(state["lo"], lo) and _same(state["hi"], hi):
+            out["lo"] = out["hi"] = None
+    if _same(state["parent"], _parents(left, right)):
         out["parent"] = None
-    if (n_inner > 0 and _same(state["lo"][n_inner:], points)
-            and _same(state["hi"][n_inner:], points)):
-        out["lo"] = state["lo"][:n_inner].copy()
-        out["hi"] = state["hi"][:n_inner].copy()
-    if (_same(state["leaf_start"], np.arange(n, dtype=np.int64))
-            and _same(state["leaf_count"], np.ones(n, dtype=np.int64))):
+    if one_point:
         out["leaf_start"] = out["leaf_count"] = None
     return out
 
@@ -169,16 +196,18 @@ def expand_tree_state(compact: Dict[str, Any]) -> Dict[str, Any]:
     """The full :func:`bvh_to_state` form of a :func:`compact_tree_state`
     (new arrays for the rebuilt parts, references for the rest)."""
     state = dict(compact)
-    left, points = state["left"], state["points"]
-    n_inner = left.shape[0]
+    left, right, points = state["left"], state["right"], state["points"]
+    one_point = state["leaf_start"] is None
     if state["parent"] is None:
-        state["parent"] = _parents(left, state["right"])
-    if n_inner > 0 and state["lo"].shape[0] == n_inner:
-        state["lo"] = np.concatenate([state["lo"], points])
-        state["hi"] = np.concatenate([state["hi"], points])
-    if state["leaf_start"] is None:
+        state["parent"] = _parents(left, right)
+    if one_point:
         state["leaf_start"] = np.arange(points.shape[0], dtype=np.int64)
         state["leaf_count"] = np.ones(points.shape[0], dtype=np.int64)
+    if state["schedule"] is None:
+        state["schedule"] = bottom_up_schedule(left, right,
+                                               left.shape[0] + 1)
+    if state["lo"] is None:
+        state["lo"], state["hi"] = _boxes(state, one_point)
     return state
 
 

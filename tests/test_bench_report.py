@@ -88,6 +88,42 @@ def test_malformed_last_row_fails(tmp_path, capsys, breakage):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_kernel_headline_is_printed_and_optional(tmp_path, capsys):
+    rows = _rows()
+    rows[-1]["kernels"] = {"n_points": 50000, "cases": {
+        "2d": {"dataset": "Uniform100M2", "old_seconds": 3.0,
+               "compiled_seconds": 0.5}}}
+    assert _print_baseline(tmp_path, rows) == 0
+    assert "| 2d | Uniform100M2 | 3 | 0.5 | 6.00x |" in \
+        capsys.readouterr().out
+    del rows[-1]["kernels"]  # rows before the headline was recorded
+    assert _print_baseline(tmp_path, rows) == 0
+    assert "bench_kernels" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kernels", [
+    {"n_points": 50000, "cases": {}},
+    {"n_points": "50k", "cases": {"2d": {
+        "dataset": "Uniform100M2", "old_seconds": 3.0,
+        "compiled_seconds": 0.5}}},
+    {"n_points": 50000, "cases": {"2d": {
+        "dataset": "Uniform100M2", "old_seconds": "3.0",
+        "compiled_seconds": 0.5}}},
+    {"n_points": 50000, "cases": {"2d": {
+        "dataset": "Uniform100M2", "old_seconds": 3.0}}},
+    {"n_points": 50000, "cases": {"2d": {
+        "dataset": "Uniform100M2", "old_seconds": 3.0,
+        "compiled_seconds": 0.0}}},
+    {"cases": {}},
+    [],
+])
+def test_malformed_kernel_headline_fails(tmp_path, capsys, kernels):
+    rows = _rows()
+    rows[-1]["kernels"] = kernels
+    assert _print_baseline(tmp_path, rows) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["[]", "{", "{}"])
 def test_unreadable_trajectory_fails(tmp_path, capsys, text):
     assert _print_baseline(tmp_path, text) == 1

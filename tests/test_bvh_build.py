@@ -9,8 +9,10 @@ from repro.bvh import (
     check_bvh_invariants,
     karras_hierarchy,
     karras_hierarchy_scalar,
+    traversal_engine,
 )
 from repro.bvh.refit import bottom_up_schedule, refit_bounds
+from repro.bvh.traversal import ENGINES
 from repro.errors import InvalidInputError
 from repro.geometry.morton import morton_encode
 from repro.kokkos.counters import CostCounters
@@ -21,7 +23,28 @@ def sorted_codes(pts):
     return np.sort(morton_encode(pts))
 
 
+#: Figure 3 of Karras (2012): eight sorted 5-bit codes and the hierarchy
+#: drawn over them, with leaf j as node 7 + j.  kwohlfahrt/collision pins
+#: its generateBVH kernel on the same figure.
+FIGURE3_CODES = [0b00001, 0b00010, 0b00100, 0b00101,
+                 0b10011, 0b11000, 0b11001, 0b11110]
+FIGURE3_LEFT = [3, 7, 9, 1, 11, 6, 12]
+FIGURE3_RIGHT = [4, 8, 10, 2, 5, 14, 13]
+
+
 class TestKarras:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_figure_3_of_karras(self, engine):
+        with traversal_engine(engine):
+            left, right, parent = karras_hierarchy(
+                np.array(FIGURE3_CODES, dtype=np.uint64))
+        assert left.tolist() == FIGURE3_LEFT
+        assert right.tolist() == FIGURE3_RIGHT
+        assert parent[0] == -1
+        assert all(parent[child] == node
+                   for node in range(7)
+                   for child in (left[node], right[node]))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 255, 1000])
     def test_matches_scalar_reference(self, rng, n):
         codes = sorted_codes(rng.random((n, 3)))

@@ -72,6 +72,101 @@ for name, bvh in bad.items():
             print("answered", name, kernel)
 """
 
+MALFORMED_STEPS = r"""
+import numpy as np
+from repro.bvh import build_bvh, compiled
+from repro.bvh.refit import bottom_up_schedule, refit_bounds
+from repro.core.bounds import compute_upper_bounds
+from repro.core.labels import reduce_labels
+from repro.core.merge import merge_components
+from repro.core.outgoing import OutgoingEdges
+from repro.errors import ConvergenceError, InvalidInputError
+from repro.store.blob import bvh_to_state, decode_tree, encode_tree
+
+assert compiled.selected()
+good = build_bvh(np.random.default_rng(0).random((64, 2)))
+blocked = build_bvh(good.points, leaf_size=3)
+n, left, right, schedule = good.n, good.left, good.right, good.schedule
+labels = np.arange(n)
+
+
+def changed(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+def tree(**arrays):
+    state = bvh_to_state(good)
+    state.update(arrays)
+    return type(good)(**state)
+
+
+def edges(component, target_component):
+    component = np.asarray(component, dtype=np.int64)
+    target_component = np.asarray(target_component, dtype=np.int64)
+    return OutgoingEdges(component, component, target_component,
+                         np.ones(component.size), target_component)
+
+
+# A non-root inner node whose left child is inner too: that child's
+# left child becomes the node, which closes a cycle.
+inner = next(t for t in range(1, n - 1) if left[t] < n - 1)
+cycle = changed(left, int(left[inner]), inner)
+bad_left = changed(left, 5, 10 ** 6)
+meta, blob = encode_tree({"state": bvh_to_state(good), "counters": None})
+blob["left"] = changed(blob["left"], 3, 10 ** 6)
+position = np.zeros(n, dtype=np.int64)
+
+steps = {
+    "karras: unsorted codes": lambda: compiled.karras_compiled(
+        np.array([3, 1, 2], dtype=np.uint64), None),
+    "schedule: child out of range": lambda: bottom_up_schedule(
+        bad_left, right, n),
+    "schedule: negative child": lambda: bottom_up_schedule(
+        left, changed(right, 9, -3), n),
+    "schedule: cycle in left/right": lambda: bottom_up_schedule(
+        cycle, right, n),
+    "refit: child out of range": lambda: refit_bounds(
+        good.points, bad_left, right, schedule),
+    "refit: schedule entry out of range": lambda: refit_bounds(
+        good.points, left, right, [np.array([10 ** 6])]),
+    "refit: leaf range past n": lambda: refit_bounds(
+        good.points, blocked.left, blocked.right, blocked.schedule,
+        leaf_start=changed(blocked.leaf_start, 2, n + 5)),
+    "labels: child out of range": lambda: reduce_labels(
+        tree(left=bad_left), labels),
+    "labels: leaf range past n": lambda: reduce_labels(
+        type(blocked)(**dict(bvh_to_state(blocked), leaf_start=changed(
+            blocked.leaf_start, 2, n + 5))), labels),
+    "bounds: label outside [0, n)": lambda: compute_upper_bounds(
+        good, changed(labels, 7, n + 3), window=4),
+    "outgoing: label outside [0, n)": lambda: compiled.component_min_compiled(
+        changed(labels, 0, -1), position, np.zeros(n),
+        np.zeros(n, dtype=np.uint64)),
+    "outgoing: neighbor outside [0, n)": lambda:
+        compiled.component_min_compiled(
+            labels, changed(position, 4, n), np.zeros(n),
+            np.zeros(n, dtype=np.uint64)),
+    "merge: successor outside [0, n)": lambda: merge_components(
+        labels, n, edges([0, 1], [1, n + 7])),
+    "merge: point label outside [0, n)": lambda: merge_components(
+        changed(labels, 3, -5), n, edges([0, 1], [1, 0])),
+    "tree blob: child out of range": lambda: decode_tree(meta, blob),
+    "merge: successor cycle of 3": lambda: merge_components(
+        labels, n, edges([0, 1, 2], [1, 2, 0])),
+}
+for name, run in steps.items():
+    try:
+        run()
+    except InvalidInputError as exc:
+        print("raised", name, exc)
+    except ConvergenceError as exc:
+        print("diverged", name, exc)
+    else:
+        print("answered", name)
+"""
+
 
 def _python(*args: str, **kwargs) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -81,14 +176,24 @@ def _python(*args: str, **kwargs) -> subprocess.Popen:
 
 
 def test_malformed_tree_raises_instead_of_crashing():
-    # A subprocess, so a segfault shows as its exit status rather than
-    # taking the test run down.
+    # Subprocesses, so a segfault shows as an exit status rather than
+    # taking the test run down.  The second runs the build and round
+    # steps, and a peer's tree blob with a bad child, which decode_tree
+    # rebuilds from.
     proc = _python("-c", MALFORMED_TREES)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     lines = out.splitlines()
     assert len(lines) == 6 * 3, out
     assert all(line.startswith("raised") for line in lines), out
+
+    proc = _python("-c", MALFORMED_STEPS)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 16, out
+    assert all(line.startswith("raised") for line in lines[:-1]), out
+    assert lines[-1].startswith("diverged merge: successor cycle of 3"), out
 
 
 def test_arguments_are_validated_before_any_pointer():

@@ -753,6 +753,36 @@ class TestCompactTreeState:
         compact = compact_tree_state(state)
         assert estimate_nbytes(compact) < 0.6 * estimate_nbytes(state)
 
+    def test_boxes_and_schedule_are_rebuilt_not_held(self):
+        # A cached 10k 3D tree holds its points, order, codes and
+        # children; the refit rebuilds the rest, blocked leaves included.
+        from repro.store.memory import estimate_nbytes
+        pts = np.random.default_rng(5).random((10_000, 3))
+        for leaf_size in (1, 4):
+            state = bvh_to_state(build_tree(
+                pts, config=SingleTreeConfig(leaf_size=leaf_size)))
+            compact = compact_tree_state(state)
+            assert compact["lo"] is None and compact["hi"] is None
+            assert compact["schedule"] is None
+        state = bvh_to_state(build_tree(pts))
+        compact = compact_tree_state(state)
+        assert estimate_nbytes(compact) < 0.35 * estimate_nbytes(state)
+
+    def test_zero_signs_are_compared_as_bits(self):
+        pts = np.random.default_rng(7).choice([0.0, -0.0, 1.0],
+                                              size=(300, 2))
+        state = bvh_to_state(build_tree(pts))
+        back = expand_tree_state(compact_tree_state(state))
+        assert back["lo"].tobytes() == state["lo"].tobytes()
+        # The same values with one inner zero's sign flipped: equal as
+        # numbers, so only a bit comparison keeps the stored boxes.
+        state["lo"] = state["lo"].copy()
+        node, axis = np.argwhere(state["lo"][:pts.shape[0] - 1] == 0.0)[0]
+        state["lo"][node, axis] = -state["lo"][node, axis]
+        compact = compact_tree_state(state)
+        assert compact["lo"] is state["lo"]
+        assert expand_tree_state(compact)["lo"] is state["lo"]
+
     def test_a_part_that_does_not_rebuild_exactly_is_kept(self):
         state = bvh_to_state(build_tree(
             np.random.default_rng(6).random((200, 2))))

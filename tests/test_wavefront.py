@@ -1,4 +1,4 @@
-"""Traversal engines: equivalence, counters, workspaces.
+"""Engines: equivalence, counters, workspaces.
 
 Every engine in ``ENGINES`` must be *indistinguishable by answer* from the
 single-pop reference engine on every query the EMST pipeline issues —
@@ -7,10 +7,15 @@ all-identical points) under every constraint combination (component
 labels x mutual-reachability x self-exclusion x initial radius).  The
 canonical payload bytes certify that end to end; the compiled engine
 must match the reference on every counter too, and pinned counts on a
-fixed grid keep the shared counter semantics from drifting.
+fixed grid keep the shared counter semantics from drifting.  The LBVH
+build and the Borůvka round steps follow the same engine switch; their
+C code must reproduce every NumPy array, schedule and counter bit for bit
+(``TestCompiledSteps``).
 """
 
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -30,9 +35,12 @@ from repro.bvh.traversal import (
     get_default_engine,
     set_default_engine,
 )
+from repro.core import boruvka_emst
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import emst, mutual_reachability_emst
+from repro.core.kdtree_backend import kdtree_as_bvh
 from repro.core.labels import reduce_labels
+from repro.core.outgoing import OutgoingEdges
 from repro.data import generate
 from repro.errors import InvalidInputError
 from repro.hdbscan.hdbscan import hdbscan
@@ -362,3 +370,134 @@ def _held_nbytes(obj) -> int:
     if hasattr(obj, "__dict__"):
         return _held_nbytes(vars(obj))
     return 0
+
+
+# ------------------------------------------------------ build and rounds
+
+def step_point_sets():
+    """The adversarial sets plus inputs only the build can get wrong:
+    coordinates of both zero signs (the refit's min/max ties), a
+    collinear 3D line and the smallest tree."""
+    rng = np.random.default_rng(19)
+    zeros = rng.choice([0.0, -0.0, 1.0], size=(200, 3), p=[0.4, 0.4, 0.2])
+    line = np.linspace(-1.0, 1.0, 70)
+    return adversarial_point_sets() + [
+        ("signed-zeros-3d", zeros),
+        ("signed-zeros-2d", np.ascontiguousarray(zeros[:, 1:])),
+        ("collinear-3d", np.stack([line, 2.0 * line, -line], axis=1)),
+        ("n=2", np.array([[0.0, -0.0], [-0.0, 0.0]])),
+    ]
+
+
+TREE_ARRAYS = ("points", "order", "codes", "codes_lo", "left", "right",
+               "parent", "lo", "hi", "leaf_start", "leaf_count")
+
+
+def _bits(value):
+    """``value`` as comparable bytes: arrays by dtype, shape and bytes
+    (so ``-0.0`` and ``0.0`` differ), containers element by element."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(item) for item in value)
+    if isinstance(value, OutgoingEdges):
+        return tuple(_bits(getattr(value, f.name))
+                     for f in dataclasses.fields(value))
+    return value
+
+
+def _build(engine, build, pts, **kwargs):
+    counters = CostCounters()
+    with traversal_engine(engine):
+        tree = build(pts, counters=counters, **kwargs)
+    return ({name: _bits(getattr(tree, name)) for name in TREE_ARRAYS},
+            _bits(tree.schedule), counters.as_dict())
+
+
+ROUND_STEPS = ("reduce_labels", "compute_upper_bounds",
+               "find_components_outgoing_edges", "merge_components")
+
+
+def _rounds(monkeypatch, engine, run):
+    """Every round step's output, and the counters after it, in call
+    order, plus the payload of ``run()`` without its wall-clock phases."""
+    log = []
+    for name in ROUND_STEPS:
+        def recorded(*args, _step=getattr(boruvka_emst, name), _name=name,
+                     **kwargs):
+            out = _step(*args, **kwargs)
+            log.append((_name, _bits(out), kwargs["counters"].as_dict()))
+            return out
+        monkeypatch.setattr(boruvka_emst, name, recorded)
+    try:
+        with traversal_engine(engine):
+            payload = emst_result_to_dict(run())
+    finally:
+        monkeypatch.undo()
+    del payload["phases"]
+    return log, json.dumps(payload, sort_keys=True)
+
+
+class TestCompiledSteps:
+    """``steps.c`` against the NumPy build and round steps: every tree
+    array, schedule, round output and counter, bit for bit."""
+
+    @pytest.mark.parametrize("name,pts", step_point_sets())
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"leaf_size": 3}, {"leaf_size": 4}, {"high_resolution": True},
+        {"high_resolution": True, "leaf_size": 3}],
+        ids=["leaf1", "leaf3", "leaf4", "128bit", "128bit-leaf3"])
+    def test_lbvh_build(self, name, pts, kwargs):
+        got = _build("compiled", build_bvh, pts, **kwargs)
+        want = _build("reference", build_bvh, pts, **kwargs)
+        assert got == want, (name, kwargs)
+
+    @pytest.mark.parametrize("name,pts", step_point_sets())
+    @pytest.mark.parametrize("leaf_size", [1, 3])
+    def test_kdtree_refit(self, name, pts, leaf_size):
+        got = _build("compiled", kdtree_as_bvh, pts, leaf_size=leaf_size)
+        want = _build("reference", kdtree_as_bvh, pts, leaf_size=leaf_size)
+        assert got == want, (name, leaf_size)
+
+    def test_signed_zero_boxes_follow_numpy(self):
+        # np.minimum(0.0, -0.0) is -0.0: the second operand wins a tie.
+        pts = np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0], [-0.0, 4.0]])
+        for engine in ENGINES:
+            with traversal_engine(engine):
+                tree = build_bvh(pts)
+            ties = np.minimum(tree.lo[tree.left], tree.lo[tree.right])
+            assert _bits(tree.lo[:tree.leaf_base]) == _bits(ties), engine
+
+    @pytest.mark.parametrize("dataset", [
+        "Hacc37M:2000", "Uniform100M2:3000", "Uniform100M3:1500",
+        "PortoTaxi:2000", "Normal100M2:1000"])
+    @pytest.mark.parametrize("algorithm", ["emst", "mrd_emst"])
+    def test_every_round_step(self, monkeypatch, dataset, algorithm):
+        name, n = dataset.split(":")
+        pts = generate(name, int(n))
+        if algorithm == "emst":
+            def run():
+                return emst(pts)
+        else:
+            def run():
+                return mutual_reachability_emst(pts, 4)
+        got, got_payload = _rounds(monkeypatch, "compiled", run)
+        want, want_payload = _rounds(monkeypatch, "reference", run)
+        assert len(got) == len(want) >= 2 * len(ROUND_STEPS)
+        for round_step, (a, b) in enumerate(zip(got, want)):
+            assert a == b, (dataset, algorithm, round_step, a[0])
+        assert got_payload == want_payload
+
+    @pytest.mark.parametrize("config", [
+        SingleTreeConfig(leaf_size=3),
+        SingleTreeConfig(subtree_skipping=False, component_bounds=False),
+        SingleTreeConfig(warm_frontier=False, bound_window=1),
+        SingleTreeConfig(tree_type="kdtree")],
+        ids=["leaf3", "no-optimizations", "paper", "kdtree"])
+    def test_round_steps_under_other_configs(self, monkeypatch, config):
+        pts = generate("Hacc37M", 1500)
+        got = _rounds(monkeypatch, "compiled",
+                      lambda: emst(pts, config=config))
+        want = _rounds(monkeypatch, "reference",
+                       lambda: emst(pts, config=config))
+        assert got == want

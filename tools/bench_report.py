@@ -19,8 +19,11 @@ With ``--baseline`` it instead prints the last row of the committed
 ``BENCH_trajectory.json``: for every workload and end-to-end metric of
 ``BENCHMARK.json``, the parent and change medians of the perfbench pairs
 that row records, their relative delta, and a mark on any delta worse
-than the metric's bound.  A malformed row exits 1.  Neither file is
-written.
+than the metric's bound.  A row may also carry a ``kernels`` object,
+``benchmarks/bench_kernels.py``'s headline from the change's full run
+(``n_points`` and, per case, ``dataset``, ``old_seconds`` and
+``compiled_seconds``); it is printed as a second table.  A malformed row
+exits 1.  Neither file is written.
 
 Usage::
 
@@ -255,7 +258,32 @@ def baseline_deltas(rows, benchmark):
     return row, lines
 
 
-def render_baseline(row, lines):
+def kernel_headline(row):
+    """``(n_points, [(case, dataset, old_seconds, compiled_seconds)])``
+    of the row's optional ``kernels`` object, or ``None`` without one.
+    A malformed object raises like :func:`baseline_deltas`."""
+    if "kernels" not in row:
+        return None
+    kernels = row["kernels"]
+    n_points = kernels["n_points"]
+    if not isinstance(n_points, int) or n_points < 1:
+        raise ValueError("kernels: 'n_points' must be a count >= 1")
+    if not kernels["cases"]:
+        raise ValueError("kernels: 'cases' is empty")
+    cases = []
+    for label in sorted(kernels["cases"]):
+        case = kernels["cases"][label]
+        if not isinstance(case["dataset"], str):
+            raise ValueError(f"kernels.{label}: 'dataset' must be a name")
+        seconds = [_number(case[key], f"kernels.{label}.{key}")
+                   for key in ("old_seconds", "compiled_seconds")]
+        if min(seconds) <= 0:
+            raise ValueError(f"kernels.{label}: seconds must be positive")
+        cases.append((label, case["dataset"], *seconds))
+    return n_points, cases
+
+
+def render_baseline(row, lines, kernels=None):
     out = [f"# Last trajectory row: PR {row['pr']} against parent "
            f"{row['parent'][:12]}, {_fmt(row['run_seconds'])}-s runs", "",
            "| workload | metric | pairs | parent | change | delta | |",
@@ -265,6 +293,15 @@ def render_baseline(row, lines):
         out.append(f"| {workload} | {name} ({unit}) | {pairs} | "
                    f"{_fmt(parent)} | {_fmt(change)} | {delta:+.1%} | "
                    f"{mark} |")
+    if kernels is not None:
+        n_points, cases = kernels
+        out += ["", f"bench_kernels.py headline, n={n_points}, one run of "
+                "the change:", "",
+                "| case | dataset | old (s) | compiled (s) | speedup |",
+                "| --- | --- | ---: | ---: | ---: |"]
+        for label, dataset, old, new in cases:
+            out.append(f"| {label} | {dataset} | {_fmt(old)} | "
+                       f"{_fmt(new)} | {old / new:.2f}x |")
     return "\n".join(out) + "\n"
 
 
@@ -276,13 +313,14 @@ def print_baseline(trajectory_path, benchmark_path):
         with open(benchmark_path, encoding="utf-8") as fh:
             benchmark = json.load(fh)
         row, lines = baseline_deltas(rows, benchmark)
+        kernels = kernel_headline(row)
     except (OSError, ValueError, LookupError, TypeError) as exc:
         # JSONDecodeError is a ValueError; a missing key or an empty list
         # is a LookupError; a wrong container type is a TypeError.
         print(f"error: malformed {trajectory_path}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(render_baseline(row, lines))
+    print(render_baseline(row, lines, kernels))
     return 0
 
 
