@@ -11,8 +11,17 @@ replaces (see the comment at the top of ``steps.c``).  This module
 builds the library, caches it and wraps each kernel with the NumPy
 signature, input validation and counter accounting.
 
-Building: ``cc -O3 -ffp-contract=off -fPIC -shared`` over both sources,
-once per source and flag set.  The library is cached per user as
+Threads: ``repro_nearest`` and ``repro_knn`` split their lanes across
+threads in blocks of whole warps, with the same bits at any thread
+count (see ``traverse.c``).  Each call leases its threads from one
+process-wide count of free cores: the CPUs this process may use, minus
+the threads that running kernel calls hold.  A call of at least two
+blocks takes ``max(1, min(free, blocks))`` and returns them when it
+ends, so one cold job on a 2-core node runs on both cores, and two
+concurrent calls get 2 and 1, then 1 and 1.
+
+Building: ``cc -O3 -ffp-contract=off -fPIC -shared -pthread`` over both
+sources, once per source and flag set.  The library is cached per user as
 ``~/.cache/repro/kernels-<sha256 of sources and flags>.so``, or, when
 that directory cannot be used, under ``repro-<uid>`` in
 :func:`tempfile.gettempdir`.  A build writes a temp file and
@@ -35,8 +44,9 @@ import stat
 import subprocess
 import tempfile
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +63,10 @@ from repro.kokkos.counters import CostCounters
 
 SOURCES = tuple(Path(__file__).with_name(name)
                 for name in ("traverse.c", "steps.c"))
-CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
+
+#: Lanes per block of whole warps (``BLOCK_LANES`` in ``traverse.c``).
+BLOCK_LANES = 256
 
 #: The :class:`CostCounters` fields of the C counter slots, in order.
 COUNTER_FIELDS = ("nodes_visited", "box_distance_evals", "stack_ops",
@@ -198,10 +211,12 @@ _STEPS = {
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    for name in ("repro_nearest", "repro_knn", "repro_radius"):
+    for name in ("repro_nearest", "repro_knn"):
         fn = getattr(lib, name)
-        fn.argtypes = [_P, _P, _I64, _P]
+        fn.argtypes = [_P, _P, _I64, _I64, _P]
         fn.restype = ctypes.c_int
+    lib.repro_radius.argtypes = [_P, _P, _I64, _P]
+    lib.repro_radius.restype = ctypes.c_int
     for name, argtypes in _STEPS.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
@@ -242,6 +257,45 @@ def library() -> ctypes.CDLL:
     return lib
 
 
+# ----------------------------------------------------------------- threads
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_lease_lock = threading.Lock()
+#: Threads that running kernel calls hold.
+_leased = 0
+#: Tests pin every call's thread count here; ``None`` leases free cores.
+_pinned: Optional[int] = None
+
+
+@contextmanager
+def _lease(batch: int) -> Iterator[int]:
+    """The threads a call over ``batch`` lanes runs on, held until the
+    call ends (see the module docstring)."""
+    global _leased
+    if _pinned is not None:
+        yield _pinned
+        return
+    blocks = -(-batch // BLOCK_LANES)
+    if blocks < 2:
+        yield 1
+        return
+    with _lease_lock:
+        threads = max(1, min(_cpus() - _leased, blocks))
+        _leased += threads
+    try:
+        yield threads
+    finally:
+        with _lease_lock:
+            _leased -= threads
+
+
 # ---------------------------------------------------------------- wrappers
 
 def _array(value, dtype, shape: Tuple[int, ...], name: str) -> np.ndarray:
@@ -258,16 +312,18 @@ def _ptr(arr: Optional[np.ndarray]) -> Optional[int]:
     return None if arr is None else arr.ctypes.data
 
 
-def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace]) -> _Tree:
-    """The tree struct; it holds the arrays it points into."""
+def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace],
+          threads: int = 1) -> _Tree:
+    """The tree struct, with a stack row per thread; it holds the arrays
+    it points into."""
     n, d, m = bvh.n, bvh.dim, bvh.n_leaves
     nodes = 2 * m - 1
     if nodes >= 2 ** 31:
         raise InvalidInputError("tree too large for 32-bit node ids")
     depth = max(bvh.height + 2, 4)
     ws = workspace if workspace is not None else TraversalWorkspace()
-    stack = ws.take("compiled_stack", depth, np.int32)
-    bound = ws.take("compiled_bound", depth, np.float64)
+    stack = ws.take("compiled_stack", threads * depth, np.int32)
+    bound = ws.take("compiled_bound", threads * depth, np.float64)
     arrays = [_array(bvh.points, np.float64, (n, d), "points"),
               _array(bvh.lo, np.float64, (nodes, d), "lo"),
               _array(bvh.hi, np.float64, (nodes, d), "hi"),
@@ -282,10 +338,12 @@ def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace]) -> _Tree:
 
 
 def _run(fn, tree: _Tree, args: ctypes.Structure, batch: int,
-         counters: Optional[CostCounters]) -> None:
-    """Call a kernel, raise on a malformed tree, charge the counters."""
+         counters: Optional[CostCounters], *threads: int) -> None:
+    """Call a kernel (``threads`` for the ones that split their lanes),
+    raise on a malformed tree, charge the counters."""
     cnt = np.zeros(len(COUNTER_FIELDS), dtype=np.int64)
-    rc = fn(ctypes.byref(tree), ctypes.byref(args), batch, _ptr(cnt))
+    rc = fn(ctypes.byref(tree), ctypes.byref(args), batch, *threads,
+            _ptr(cnt))
     if rc != 0:
         raise InvalidInputError(
             f"malformed tree: {_ERRORS.get(rc, f'error {rc}')}")
@@ -349,11 +407,12 @@ def nearest_compiled(
     best_sq = np.empty(B, dtype=np.float64)
     best_key = np.empty(B, dtype=np.uint64)
 
-    tree = _tree(bvh, workspace)
     args = _Nearest(*(_ptr(a) for a in (
         queries, radius, *labels, *ids, *cores, exclude,
         best_pos, best_sq, best_key)))
-    _run(lib.repro_nearest, tree, args, B, counters)
+    with _lease(B) as threads:
+        tree = _tree(bvh, workspace, threads)
+        _run(lib.repro_nearest, tree, args, B, counters, threads)
     return NearestResult(best_pos, best_sq, best_key)
 
 
@@ -377,10 +436,11 @@ def knn_compiled(
     kbest = np.empty((B, k), dtype=np.float64)
     kpos = np.empty((B, k), dtype=np.int64)
 
-    tree = _tree(bvh, workspace)
     args = _Knn(_ptr(queries), int(k), _ptr(exclude), _ptr(kbest),
                 _ptr(kpos))
-    _run(lib.repro_knn, tree, args, B, counters)
+    with _lease(B) as threads:
+        tree = _tree(bvh, workspace, threads)
+        _run(lib.repro_knn, tree, args, B, counters, threads)
     return KnnResult(kpos, kbest)
 
 

@@ -23,6 +23,21 @@
  * exclusion rule rejects is not bounded at all.  Both still count the box
  * distance evaluations the reference makes.
  *
+ * Threads: the nearest and k-NN kernels hand their lanes out in blocks
+ * of 8 whole warps (256 lanes) through an atomic counter, to the calling
+ * thread and to `threads - 1` helpers made with pthread_create and
+ * joined before the call returns, so no thread outlives a call.  A lane
+ * writes only its own outputs, each thread has its own stack rows and
+ * work sums, and a warp never spans two blocks, so every answer and
+ * every counter (warp_steps included) is the same at any thread count.
+ * Helpers block every signal, so signals still reach the interpreter's
+ * threads.  A helper that cannot be created is no error: the threads
+ * that run take its blocks.  On a malformed tree the lowest-indexed
+ * failing block decides the status; a block stops at its first failing
+ * lane, so that is the status of the first failing lane, as on one
+ * thread.  The radius kernel appends hits in lane order and stays on the
+ * calling thread.
+ *
  * Floating point: squared terms are added left to right from dimension 0
  * (what np.sum does over a last axis shorter than 8), clamps use NumPy's
  * NaN-propagating maximum, and the library is built with
@@ -36,6 +51,8 @@
  */
 
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -50,6 +67,7 @@ enum {
 };
 
 #define WARP_SIZE 32
+#define BLOCK_LANES (8 * WARP_SIZE)
 #define NO_KEY UINT64_MAX
 #define INLINE static inline __attribute__((always_inline))
 
@@ -66,9 +84,9 @@ typedef struct {
     const int64_t *right;
     const int64_t *leaf_start;  /* (m,) first sorted position of a leaf */
     const int64_t *leaf_count;  /* (m,) points in a leaf */
-    int32_t *stack;             /* one lane's traversal stack: nodes */
-    double *bound;              /* and their box distances, as pushed */
-    int64_t stack_cap;
+    int32_t *stack;             /* a thread's traversal stack: nodes */
+    double *bound;              /* and their box distances, as pushed; */
+    int64_t stack_cap;          /* thread i's rows start at i * stack_cap */
 } tree_t;
 
 /* Work counters, in the order of compiled.py's COUNTER_FIELDS. */
@@ -482,56 +500,182 @@ INLINE int radius_lane(const tree_t *t, radius_t *a, int64_t lane,
 
 /* ------------------------------------------------------------- entries */
 
-/* Run LANE over every query, charging lane and warp steps, then add the
- * work to `out` (seven int64 slots in work_t's order).  The tree and the
- * arguments are read through local copies, so no store through an output
- * pointer can make the compiler reload them. */
-#define RUN_LANES(LANE, tree, args, n_queries, out)                        \
+INLINE void add_work(work_t *out, const work_t *w)
+{
+    out->nodes_visited += w->nodes_visited;
+    out->box_distance_evals += w->box_distance_evals;
+    out->stack_ops += w->stack_ops;
+    out->leaf_visits += w->leaf_visits;
+    out->distance_evals += w->distance_evals;
+    out->lane_steps += w->lane_steps;
+    out->warp_steps += w->warp_steps;
+}
+
+/* Run LANE over lanes [lo, hi), lo a multiple of WARP_SIZE, charging lane
+ * and warp steps, and add the work to *out.  Stops at the first failing
+ * lane and returns its status.  Callers pass local copies of the tree and
+ * the arguments, so no store through an output pointer can make the
+ * compiler reload them. */
+#define RUN_LANES(LANE, t, a, lo, hi, out)                                 \
     do {                                                                   \
-        const tree_t t = *(tree);                                          \
         work_t w = {0};                                                    \
         int64_t warp_max = 0;                                              \
         int rc = TRV_OK;                                                   \
-        for (int64_t i = 0; i < (n_queries) && !rc; i++) {                 \
+        for (int64_t i = (lo); i < (hi) && !rc; i++) {                     \
             int64_t steps = 0;                                             \
-            rc = LANE(&t, &(args), i, &steps, &w);                         \
+            rc = LANE(t, a, i, &steps, &w);                                \
             w.lane_steps += steps;                                         \
             if (steps > warp_max)                                          \
                 warp_max = steps;                                          \
-            if (i % WARP_SIZE == WARP_SIZE - 1 || i == (n_queries) - 1) {  \
+            if (i % WARP_SIZE == WARP_SIZE - 1 || i == (hi) - 1) {         \
                 w.warp_steps += warp_max;                                  \
                 warp_max = 0;                                              \
             }                                                              \
         }                                                                  \
-        const int64_t add[] = {w.nodes_visited, w.box_distance_evals,      \
-                               w.stack_ops, w.leaf_visits,                 \
-                               w.distance_evals, w.lane_steps,             \
-                               w.warp_steps};                              \
-        for (int j = 0; j < 7; j++)                                        \
-            (out)[j] += add[j];                                            \
+        add_work(out, &w);                                                 \
         return rc;                                                         \
     } while (0)
 
-int repro_nearest(const tree_t *tree, const nearest_t *args,
-                  int64_t n_queries, int64_t *out)
+typedef int (*block_fn)(const tree_t *tree, const void *args, int64_t lo,
+                        int64_t hi, work_t *out);
+
+static int nearest_block(const tree_t *tree, const void *args, int64_t lo,
+                         int64_t hi, work_t *out)
 {
-    const nearest_t a = *args;
-    RUN_LANES(nearest_lane, tree, a, n_queries, out);
+    const tree_t t = *tree;
+    const nearest_t a = *(const nearest_t *)args;
+    RUN_LANES(nearest_lane, &t, &a, lo, hi, out);
+}
+
+static int knn_block(const tree_t *tree, const void *args, int64_t lo,
+                     int64_t hi, work_t *out)
+{
+    const tree_t t = *tree;
+    const knn_t a = *(const knn_t *)args;
+    RUN_LANES(knn_lane, &t, &a, lo, hi, out);
+}
+
+/* What the threads of one call share. */
+typedef struct {
+    block_fn run;
+    const void *args;
+    int64_t n_queries;
+    int64_t n_blocks;
+    int64_t next;   /* the next block to hand out */
+    int64_t stop;   /* the lowest failing block so far, else n_blocks */
+} pool_t;
+
+/* One thread of a call: its stack rows, work sums and first failure. */
+typedef struct {
+    pool_t *pool;
+    tree_t tree;
+    work_t work;
+    int64_t failed; /* the block that failed, else n_blocks */
+    int rc;
+    pthread_t id;
+} runner_t;
+
+/* Take blocks until none is left.  Blocks go out in ascending order, so
+ * once one is past a failing block, so is every later one. */
+static void *run_blocks(void *arg)
+{
+    runner_t *me = arg;
+    pool_t *p = me->pool;
+    for (;;) {
+        int64_t b = __atomic_fetch_add(&p->next, 1, __ATOMIC_RELAXED);
+        if (b >= p->n_blocks || b > __atomic_load_n(&p->stop,
+                                                    __ATOMIC_RELAXED))
+            return NULL;
+        int64_t lo = b * BLOCK_LANES;
+        int64_t hi = p->n_queries - lo < BLOCK_LANES ? p->n_queries
+                                                     : lo + BLOCK_LANES;
+        int rc = p->run(&me->tree, p->args, lo, hi, &me->work);
+        if (rc) {
+            me->failed = b;
+            me->rc = rc;
+            int64_t seen = __atomic_load_n(&p->stop, __ATOMIC_RELAXED);
+            while (b < seen && !__atomic_compare_exchange_n(
+                       &p->stop, &seen, b, 0, __ATOMIC_RELAXED,
+                       __ATOMIC_RELAXED))
+                ;
+            return NULL;
+        }
+    }
+}
+
+/* Run every lane on up to `threads` threads, the caller's included, and
+ * add their work to `out`. */
+static int run_threads(block_fn run, const tree_t *tree, const void *args,
+                       int64_t n_queries, int64_t threads, work_t *out)
+{
+    pool_t pool = {run, args, n_queries,
+                   (n_queries + BLOCK_LANES - 1) / BLOCK_LANES, 0, 0};
+    pool.stop = pool.n_blocks;
+    if (threads > pool.n_blocks)
+        threads = pool.n_blocks;
+    runner_t one, *team = NULL;
+    if (threads > 1)
+        team = calloc((size_t)threads, sizeof(runner_t));
+    if (!team) {
+        team = &one;
+        threads = 1;
+    }
+    for (int64_t i = 0; i < threads; i++) {
+        team[i] = (runner_t){.pool = &pool, .tree = *tree,
+                            .failed = pool.n_blocks};
+        team[i].tree.stack += i * tree->stack_cap;
+        team[i].tree.bound += i * tree->stack_cap;
+    }
+    int64_t started = 1;
+    if (threads > 1) {
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        while (started < threads && pthread_create(
+                   &team[started].id, NULL, run_blocks, &team[started]) == 0)
+            started++;
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    run_blocks(&team[0]);
+    for (int64_t i = 1; i < started; i++)
+        pthread_join(team[i].id, NULL);
+
+    int rc = TRV_OK;
+    int64_t failed = pool.n_blocks;
+    for (int64_t i = 0; i < started; i++) {
+        add_work(out, &team[i].work);
+        if (team[i].failed < failed) {
+            failed = team[i].failed;
+            rc = team[i].rc;
+        }
+    }
+    if (team != &one)
+        free(team);
+    return rc;
+}
+
+/* The entries add their work to `out`, seven int64 slots in work_t's
+ * order (compiled.py's COUNTER_FIELDS). */
+
+int repro_nearest(const tree_t *tree, const nearest_t *args,
+                  int64_t n_queries, int64_t threads, work_t *out)
+{
+    return run_threads(nearest_block, tree, args, n_queries, threads, out);
 }
 
 int repro_knn(const tree_t *tree, const knn_t *args, int64_t n_queries,
-              int64_t *out)
+              int64_t threads, work_t *out)
 {
-    const knn_t a = *args;
-    RUN_LANES(knn_lane, tree, a, n_queries, out);
+    return run_threads(knn_block, tree, args, n_queries, threads, out);
 }
 
 int repro_radius(const tree_t *tree, radius_t *args, int64_t n_queries,
-                 int64_t *out)
+                 work_t *out)
 {
     /* The hit buffer stays in *args, so the caller frees it even when a
      * lane fails. */
-    RUN_LANES(radius_lane, tree, *args, n_queries, out);
+    const tree_t t = *tree;
+    RUN_LANES(radius_lane, &t, args, 0, n_queries, out);
 }
 
 void repro_free(void *p)

@@ -1,8 +1,9 @@
 """Reusable scratch memory for the traversal kernels.
 
 Every batched traversal needs the same transient arrays: a traversal
-stack per lane and its stack pointers (the reference engine), or one
-stack and its bound column reused lane by lane (the compiled engine).
+stack per lane and its stack pointers (the reference engine), or a
+``(threads, depth)`` block of stack and bound rows, one row per thread
+of a kernel call, each reused lane by lane (the compiled engine).
 Allocating them anew for every kernel launch is pure overhead — the
 Borůvka loop launches one traversal per round over the same batch
 width, and a serving worker launches thousands over similarly-sized
@@ -12,7 +13,9 @@ jobs.
 monotonically and are handed out as views.  A workspace is *not* thread
 safe — it models the per-stream scratch memory a GPU implementation would
 allocate once per worker; give each worker thread its own (see
-:func:`repro.service.executor.execute_spec`).
+:func:`repro.service.executor.execute_spec`).  The helper threads of one
+compiled kernel call share their caller's workspace, each on its own
+rows, and are joined before the call returns.
 """
 
 from __future__ import annotations

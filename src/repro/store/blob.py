@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Dict, List, Tuple
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bvh.build import karras_hierarchy
 from repro.bvh.bvh import BVH
 from repro.bvh.refit import bottom_up_schedule, refit_bounds
 from repro.errors import InvalidInputError
+from repro.geometry.morton import morton_encode, morton_encode_high
 from repro.kokkos.counters import CostCounters
 
 #: Reserved array name carrying the JSON metadata bytes inside a blob.
@@ -162,15 +164,58 @@ def _boxes(state: Dict[str, Any], one_point: bool
                         leaf_start=None if one_point else state["leaf_start"])
 
 
+def _codes(points: np.ndarray, codes_lo: Optional[np.ndarray]
+           ) -> np.ndarray:
+    """The codes (high words when ``codes_lo`` is set) ``build_bvh`` gives
+    sorted ``points`` at full resolution.  The grid bounds do not depend
+    on point order, so the codes of the sorted points are the sorted
+    codes."""
+    if codes_lo is None:
+        return morton_encode(points)
+    return morton_encode_high(points)[0]
+
+
+def _hierarchy(state: Dict[str, Any], one_point: bool
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Karras' ``(left, right, parent)`` over ``state``'s codes, a
+    block's first code for blocked leaves, as ``build_bvh`` builds them;
+    unsorted codes raise :class:`InvalidInputError`, as in the build."""
+    codes, codes_lo = state["codes"], state["codes_lo"]
+    if not one_point:
+        starts = state["leaf_start"]
+        codes = codes[starts]
+        codes_lo = None if codes_lo is None else codes_lo[starts]
+    return karras_hierarchy(codes, codes_lo=codes_lo)
+
+
+def _hierarchy_rebuilds(state: Dict[str, Any], one_point: bool) -> bool:
+    """Whether the codes and the children rebuild bit for bit from the
+    points: a full-resolution Morton encode, then Karras.  A tree built
+    with ``bits=`` keeps them (the state does not record ``bits``), and
+    so does a kd-tree, whose codes are a synthetic ``arange``."""
+    points, codes, codes_lo = state["points"], state["codes"], \
+        state["codes_lo"]
+    n, dim = points.shape
+    if dim not in (2, 3) or not all(
+            isinstance(c, np.ndarray) and c.shape == (n,)
+            for c in (codes, codes_lo) if c is not None):
+        return False
+    left, right, _ = _hierarchy(state, one_point)
+    return (_same(state["left"], left) and _same(state["right"], right)
+            and _same(codes, _codes(points, codes_lo)))
+
+
 def compact_tree_state(state: Dict[str, Any]) -> Dict[str, Any]:
     """``state`` without what :func:`expand_tree_state` rebuilds exactly.
 
-    The tree tier's memory level holds this form.  The parent array
-    follows from the children, the level schedule from the children, and
-    every node box from the points by the refit; with one point per leaf,
-    the leaf arrays are ``arange``/``ones``.  That is ~70% of a tree's
-    bytes, which would otherwise be held once per cached tree.  Each part
-    is dropped only when its rebuild matches it bit for bit.
+    The tree tier's memory level holds this form.  The Morton codes
+    follow from the points, the children and the parent array from the
+    codes (Karras), the level schedule from the children, and every node
+    box from the points by the refit; with one point per leaf, the leaf
+    arrays are ``arange``/``ones``.  A one-point tree is then held as its
+    points and order (and ``codes_lo`` for 128-bit codes, which marks
+    them), ~1/6 of its bytes.  Each part is dropped only when its rebuild
+    matches it bit for bit; codes with the children, as one.
     """
     out = dict(state)
     left, right, points = state["left"], state["right"], state["points"]
@@ -178,13 +223,16 @@ def compact_tree_state(state: Dict[str, Any]) -> Dict[str, Any]:
     one_point = (_same(state["leaf_start"], np.arange(n, dtype=np.int64))
                  and _same(state["leaf_count"], np.ones(n, dtype=np.int64)))
     if n_inner > 0:
-        # First, because the schedule's rebuild range-checks every child.
+        # First, because the schedule's rebuild range-checks every child,
+        # and the refit every leaf block before _hierarchy indexes codes.
         schedule = bottom_up_schedule(left, right, n_inner + 1)
         if _same_levels(state["schedule"], schedule):
             out["schedule"] = None
         lo, hi = _boxes(state, one_point)
         if _same(state["lo"], lo) and _same(state["hi"], hi):
             out["lo"] = out["hi"] = None
+        if _hierarchy_rebuilds(state, one_point):
+            out["codes"] = out["left"] = out["right"] = None
     if _same(state["parent"], _parents(left, right)):
         out["parent"] = None
     if one_point:
@@ -196,13 +244,20 @@ def expand_tree_state(compact: Dict[str, Any]) -> Dict[str, Any]:
     """The full :func:`bvh_to_state` form of a :func:`compact_tree_state`
     (new arrays for the rebuilt parts, references for the rest)."""
     state = dict(compact)
-    left, right, points = state["left"], state["right"], state["points"]
+    points = state["points"]
     one_point = state["leaf_start"] is None
-    if state["parent"] is None:
-        state["parent"] = _parents(left, right)
     if one_point:
         state["leaf_start"] = np.arange(points.shape[0], dtype=np.int64)
         state["leaf_count"] = np.ones(points.shape[0], dtype=np.int64)
+    parent = None
+    if state["left"] is None:
+        state["codes"] = _codes(points, state["codes_lo"])
+        state["left"], state["right"], parent = _hierarchy(state,
+                                                           one_point)
+    left, right = state["left"], state["right"]
+    if state["parent"] is None:
+        state["parent"] = (_parents(left, right) if parent is None
+                           else parent)
     if state["schedule"] is None:
         state["schedule"] = bottom_up_schedule(left, right,
                                                left.shape[0] + 1)

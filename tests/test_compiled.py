@@ -12,6 +12,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,12 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MALFORMED_TREES = r"""
 import numpy as np
-from repro.bvh import batched_knn, batched_nearest, build_bvh, radius_search
+from repro.bvh import (batched_knn, batched_nearest, build_bvh, compiled,
+                       radius_search)
 from repro.errors import InvalidInputError
 
 pts = np.random.default_rng(0).random((64, 2))
+lanes = np.resize(pts, (600, 2))  # three blocks of lanes
 
 def tree(**kwargs):
     return build_bvh(pts, **kwargs)
@@ -58,18 +61,43 @@ bad["stack too shallow"] = tree()
 bad["stack too shallow"].schedule = []
 
 kernels = {
-    "nearest": lambda b: batched_nearest(b, b.points, engine="compiled"),
-    "knn": lambda b: batched_knn(b, b.points, 3, engine="compiled"),
-    "radius": lambda b: radius_search(b, b.points, 10.0, engine="compiled"),
+    "nearest": lambda b: batched_nearest(b, lanes, engine="compiled"),
+    "knn": lambda b: batched_knn(b, lanes, 3, engine="compiled"),
+    "radius": lambda b: radius_search(b, lanes, 10.0, engine="compiled"),
 }
-for name, bvh in bad.items():
-    for kernel, run in kernels.items():
+
+# Two defects that different lanes reach: the first leaf block, which
+# only lanes near the first point visit, and the children of the last
+# leaf's parent, which only lanes near the last point pop.  The first
+# failing lane's status must win at any thread count.
+two = tree(leaf_size=3)
+two.leaf_count[0] = 10 ** 6
+last_parent = two.parent[2 * two.n_leaves - 2]
+assert last_parent != 0
+two.right[last_parent] = 10 ** 6
+first, last = two.points[:1], two.points[-1:]
+orders = {"first lane near the first point": np.concatenate(
+              [first, np.repeat(last, 599, axis=0)]),
+          "first lane near the last point": np.concatenate(
+              [last, np.repeat(first, 599, axis=0)])}
+
+for threads in (1, 3):
+    compiled._pinned = threads
+    for name, bvh in bad.items():
+        for kernel, run in kernels.items():
+            try:
+                run(bvh)
+            except InvalidInputError as exc:
+                print("raised", threads, name, kernel, exc)
+            else:
+                print("answered", threads, name, kernel)
+    for name, queries in orders.items():
         try:
-            run(bvh)
+            batched_nearest(two, queries, engine="compiled")
         except InvalidInputError as exc:
-            print("raised", name, kernel, exc)
+            print("raised", threads, name, "nearest", exc)
         else:
-            print("answered", name, kernel)
+            print("answered", threads, name, "nearest")
 """
 
 MALFORMED_STEPS = r"""
@@ -177,15 +205,24 @@ def _python(*args: str, **kwargs) -> subprocess.Popen:
 
 def test_malformed_tree_raises_instead_of_crashing():
     # Subprocesses, so a segfault shows as an exit status rather than
-    # taking the test run down.  The second runs the build and round
-    # steps, and a peer's tree blob with a bad child, which decode_tree
-    # rebuilds from.
+    # taking the test run down.  The first runs every traversal kernel on
+    # 1 and on 3 threads, which must give the same messages; the second
+    # runs the build and round steps, and a peer's tree blob with a bad
+    # child, which decode_tree rebuilds from.
     proc = _python("-c", MALFORMED_TREES)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     lines = out.splitlines()
-    assert len(lines) == 6 * 3, out
+    assert len(lines) == 2 * (6 * 3 + 2), out
     assert all(line.startswith("raised") for line in lines), out
+    by_threads = {}
+    for line in lines:
+        _, threads, rest = line.split(" ", 2)
+        by_threads.setdefault(threads, []).append(rest)
+    assert by_threads["1"] == by_threads["3"], out
+    first_point, last_point = by_threads["1"][-2:]
+    assert first_point.endswith("leaf block out of range"), out
+    assert last_point.endswith("child index out of range"), out
 
     proc = _python("-c", MALFORMED_STEPS)
     out, err = proc.communicate(timeout=120)
@@ -238,6 +275,67 @@ def test_any_layout_and_dtype_is_copied_to_the_exact_one():
         query_ids=bvh.order.astype(np.int32), point_ids=bvh.order)
     assert np.array_equal(got.position, want.position)
     assert np.array_equal(got.key, want.key)
+
+
+def test_the_lease_returns_every_core_after_a_call_that_raises():
+    bvh = build_bvh(np.random.default_rng(4).random((64, 2)))
+    bvh.left[5] = 10 ** 6
+    with pytest.raises(InvalidInputError, match="child index"):
+        batched_nearest(bvh, np.resize(bvh.points, (2000, 2)),
+                        engine="compiled")
+    assert compiled._leased == 0
+
+
+def test_concurrent_calls_share_the_free_cores(monkeypatch):
+    monkeypatch.setattr(compiled, "_cpus", lambda: 2)
+    with compiled._lease(compiled.BLOCK_LANES) as one_block:
+        assert one_block == 1 and compiled._leased == 0
+    with compiled._lease(10_000) as first:
+        with compiled._lease(10_000) as second:
+            assert (first, second, compiled._leased) == (2, 1, 3)
+        with compiled._lease(10_000) as third:
+            assert third == 1
+    assert compiled._leased == 0
+
+    # Two workers' kernel calls at once never hold more than 3 threads.
+    held = []
+    run = compiled._run
+
+    def counted(*args):
+        held.append(compiled._leased)
+        return run(*args)
+
+    monkeypatch.setattr(compiled, "_run", counted)
+    bvh = build_bvh(np.random.default_rng(5).random((4000, 3)))
+    want = batched_nearest(bvh, bvh.points, engine="compiled",
+                           exclude_position=np.arange(bvh.n))
+    answers = []
+
+    def calls():
+        for _ in range(10):
+            answers.append(batched_nearest(
+                bvh, bvh.points, engine="compiled",
+                exclude_position=np.arange(bvh.n)))
+
+    workers = [threading.Thread(target=calls) for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    assert len(answers) == 20 and max(held) <= 3
+    assert all(np.array_equal(a.position, want.position) for a in answers)
+    assert compiled._leased == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc")
+def test_no_thread_outlives_a_kernel_call(monkeypatch):
+    monkeypatch.setattr(compiled, "_pinned", 3)
+    bvh = build_bvh(np.random.default_rng(6).random((3000, 2)))
+    before = set(os.listdir("/proc/self/task"))
+    batched_nearest(bvh, bvh.points, engine="compiled")
+    batched_knn(bvh, bvh.points, 4, engine="compiled")
+    assert set(os.listdir("/proc/self/task")) <= before
 
 
 def test_kernel_calls_release_the_gil():

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import urllib.request
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import emst, hdbscan
+from repro.bvh import build_bvh
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, mutual_reachability_emst
 from repro.errors import InvalidInputError, ServiceError
@@ -718,6 +721,22 @@ class TestServerWithStore:
         assert body["compacted"] is None
 
 
+def _assert_expands_back(state):
+    """Compact then expand ``state``: every array back bit for bit."""
+    back = expand_tree_state(compact_tree_state(state))
+    assert back.keys() == state.keys()
+    for name, want in state.items():
+        got = back[name]
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        elif name == "schedule":
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(got, want))
+        else:
+            assert got == want, name
+
+
 class TestCompactTreeState:
     """The tree tier's memory level holds the compact state; expanding it
     must give back every array bit for bit."""
@@ -729,22 +748,14 @@ class TestCompactTreeState:
         (np.repeat(np.random.default_rng(3).random((40, 2)), 3, axis=0), 1),
         (np.zeros((1, 3)), 1),
         (np.random.default_rng(4).random((3, 2)), 8),  # one leaf
+        (np.random.default_rng(8).random((2, 3)), 1),
+        (np.random.default_rng(9).random((3, 3)), 1),
+        (np.random.default_rng(10).random((10_000, 3)), 1),
+        (np.random.default_rng(11).random((10_000, 2)), 1),
     ])
     def test_expand_restores_every_array(self, points, leaf_size):
-        state = bvh_to_state(build_tree(
-            points, config=SingleTreeConfig(leaf_size=leaf_size)))
-        back = expand_tree_state(compact_tree_state(state))
-        assert back.keys() == state.keys()
-        for name, want in state.items():
-            got = back[name]
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), name
-            elif name == "schedule":
-                assert all(a.tobytes() == b.tobytes()
-                           for a, b in zip(got, want))
-            else:
-                assert got == want, name
+        _assert_expands_back(bvh_to_state(build_tree(
+            points, config=SingleTreeConfig(leaf_size=leaf_size))))
 
     def test_one_point_leaves_shrink_by_two_fifths(self):
         from repro.store.memory import estimate_nbytes
@@ -754,19 +765,92 @@ class TestCompactTreeState:
         assert estimate_nbytes(compact) < 0.6 * estimate_nbytes(state)
 
     def test_boxes_and_schedule_are_rebuilt_not_held(self):
-        # A cached 10k 3D tree holds its points, order, codes and
-        # children; the refit rebuilds the rest, blocked leaves included.
+        # A cached 10k 3D one-point tree holds its points and order; Morton
+        # codes, Karras and the refit rebuild the rest, blocked leaves
+        # included.
         from repro.store.memory import estimate_nbytes
         pts = np.random.default_rng(5).random((10_000, 3))
         for leaf_size in (1, 4):
             state = bvh_to_state(build_tree(
                 pts, config=SingleTreeConfig(leaf_size=leaf_size)))
             compact = compact_tree_state(state)
-            assert compact["lo"] is None and compact["hi"] is None
-            assert compact["schedule"] is None
+            for name in ("lo", "hi", "schedule", "codes", "left", "right",
+                         "parent"):
+                assert compact[name] is None, (leaf_size, name)
         state = bvh_to_state(build_tree(pts))
         compact = compact_tree_state(state)
-        assert estimate_nbytes(compact) < 0.35 * estimate_nbytes(state)
+        held = {name for name, value in compact.items()
+                if isinstance(value, np.ndarray)}
+        assert held == {"points", "order"}
+        assert estimate_nbytes(compact) < 0.2 * estimate_nbytes(state)
+
+    @pytest.mark.parametrize("dim,leaf_size", [(3, 1), (2, 1), (3, 4)])
+    def test_128_bit_codes_keep_only_their_low_words(self, dim, leaf_size):
+        state = bvh_to_state(build_tree(
+            np.random.default_rng(12).random((2000, dim)),
+            config=SingleTreeConfig(high_resolution=True,
+                                    leaf_size=leaf_size)))
+        compact = compact_tree_state(state)
+        assert compact["codes"] is None and compact["left"] is None
+        assert compact["codes_lo"] is state["codes_lo"]
+        _assert_expands_back(state)
+
+    def test_codes_and_children_that_do_not_rebuild_are_kept(self):
+        pts = np.random.default_rng(13).random((2000, 2))
+        coarse = bvh_to_state(build_bvh(pts, bits=10))
+        flipped = bvh_to_state(build_tree(pts))
+        codes = flipped["codes"].copy()
+        # The lowest bit of a code whose neighbours keep the codes sorted.
+        i = next(i for i in range(1, codes.size - 1)
+                 if codes[i - 1] <= codes[i] ^ np.uint64(1) <= codes[i + 1])
+        codes[i] ^= np.uint64(1)
+        flipped["codes"] = codes
+        swapped = bvh_to_state(build_tree(pts))
+        swapped["left"], swapped["right"] = (swapped["left"].copy(),
+                                             swapped["right"].copy())
+        swapped["left"][7], swapped["right"][7] = (swapped["right"][7],
+                                                   swapped["left"][7])
+        for name, state in (("bits=10", coarse), ("flipped code", flipped),
+                            ("swapped children", swapped)):
+            compact = compact_tree_state(state)
+            for part in ("codes", "left", "right"):
+                assert compact[part] is state[part], (name, part)
+            assert compact["lo"] is None, name  # the rest still goes
+            back = expand_tree_state(compact)
+            for part in ("codes", "left", "right", "parent", "lo", "hi"):
+                assert back[part].tobytes() == state[part].tobytes(), \
+                    (name, part)
+
+    def test_unsorted_codes_raise_instead_of_crashing(self):
+        # A blob whose points (and so codes) are out of Z-order: the
+        # codes rebuild from the points, and Karras over them must raise
+        # as the build does.  A subprocess, so a crash shows as an exit
+        # status rather than taking the test run down.
+        script = (
+            "import numpy as np\n"
+            "from repro.bvh import build_bvh\n"
+            "from repro.errors import InvalidInputError\n"
+            "from repro.store.blob import (bvh_to_state, decode_tree,\n"
+            "                              encode_tree)\n"
+            "tree = build_bvh(np.random.default_rng(0).random((500, 3)))\n"
+            "meta, arrays = encode_tree(\n"
+            "    {'state': bvh_to_state(tree), 'counters': None})\n"
+            "swap = [300, 100]\n"
+            "for name in ('points', 'order', 'codes'):\n"
+            "    arrays[name] = arrays[name].copy()\n"
+            "    arrays[name][[100, 300]] = arrays[name][swap]\n"
+            "try:\n"
+            "    decode_tree(meta, arrays)\n"
+            "except InvalidInputError as exc:\n"
+            "    print('raised', exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised Morton codes must be sorted"), \
+            proc.stdout
 
     def test_zero_signs_are_compared_as_bits(self):
         pts = np.random.default_rng(7).choice([0.0, -0.0, 1.0],

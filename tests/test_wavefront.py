@@ -283,6 +283,88 @@ class TestCompiledCounters:
                 assert got_c == want_c, where
 
 
+#: Thread counts and batch widths (in lanes) the split must not change:
+#: around a warp of 32 and a block of 256 lanes, and many blocks.
+THREADS = (1, 2, 3, 8)
+BATCHES = (1, 31, 32, 33, 255, 256, 257, 10_000)
+PER_QUERY = ("query_labels", "query_ids", "query_core_sq",
+             "exclude_position", "init_radius_sq")
+
+
+def _lanes(bvh, batch, kwargs):
+    """``batch`` query lanes cycling over the tree's points, each
+    per-query argument of ``kwargs`` cycled with them."""
+    idx = np.arange(batch) % bvh.n
+    return bvh.points[idx], {key: value[idx] if key in PER_QUERY else value
+                             for key, value in kwargs.items()}
+
+
+@pytest.fixture
+def pin_threads(monkeypatch):
+    """Run every compiled kernel call on exactly the given threads."""
+    def pin(threads):
+        monkeypatch.setattr(compiled, "_pinned", threads)
+    return pin
+
+
+class TestThreadCounts:
+    """The compiled nearest and k-NN kernels split their lanes across
+    threads in blocks of whole warps: every output array and every counter
+    is the same at any thread count."""
+
+    @pytest.mark.parametrize("name,pts", adversarial_point_sets())
+    def test_nearest_all_combos(self, name, pts, pin_threads):
+        bvh = build_bvh(pts)
+        for (combo, kwargs), batch in itertools.product(
+                constraint_combos(bvh), BATCHES):
+            queries, lane_kwargs = _lanes(bvh, batch, kwargs)
+            runs = []
+            for threads in THREADS:
+                pin_threads(threads)
+                got, counters = _with_counters(
+                    batched_nearest, bvh, queries, engine="compiled",
+                    **lane_kwargs)
+                runs.append((_bits(got.position), _bits(got.distance_sq),
+                             _bits(got.key), counters))
+            assert all(run == runs[0] for run in runs), (name, combo, batch)
+
+    @pytest.mark.parametrize("name,pts", adversarial_point_sets())
+    def test_knn(self, name, pts, pin_threads):
+        bvh = build_bvh(pts)
+        for k, exclude, batch in itertools.product(
+                (1, 4), (False, True), BATCHES):
+            kwargs = {"exclude_position": np.arange(bvh.n)} if exclude \
+                else {}
+            queries, lane_kwargs = _lanes(bvh, batch, kwargs)
+            runs = []
+            for threads in THREADS:
+                pin_threads(threads)
+                got, counters = _with_counters(
+                    batched_knn, bvh, queries, k, engine="compiled",
+                    **lane_kwargs)
+                runs.append((_bits(got.positions), _bits(got.distance_sq),
+                             counters))
+            assert all(run == runs[0] for run in runs), \
+                (name, k, exclude, batch)
+
+    @pytest.mark.parametrize("algorithm", ["emst", "mrd_emst"])
+    def test_payload_and_rounds(self, algorithm, pin_threads):
+        pts = generate("Hacc37M", 3000)
+
+        def payload():
+            result = (emst(pts) if algorithm == "emst"
+                      else mutual_reachability_emst(pts, 4))
+            out = emst_result_to_dict(result)
+            del out["phases"]
+            return json.dumps(out, sort_keys=True)
+
+        with traversal_engine("reference"):
+            want = payload()
+        for threads in (1, 3):
+            pin_threads(threads)
+            assert payload() == want, (algorithm, threads)
+
+
 def _grid16():
     xs, ys = np.meshgrid(np.arange(4.0), np.arange(4.0))
     return np.stack([xs.ravel(), ys.ravel()], axis=1)

@@ -56,8 +56,10 @@ def _headline_obs(payload):
     comparison = payload.get("comparison", {})
     return [
         ("overhead_pct", comparison.get("overhead_pct")),
-        ("best_off_seconds", comparison.get("best_off_seconds")),
-        ("best_on_seconds", comparison.get("best_on_seconds")),
+        ("overhead_bound_pct", comparison.get("overhead_bound_pct")),
+        ("pairs", comparison.get("pairs")),
+        ("median_off_seconds", comparison.get("median_off_seconds")),
+        ("median_on_seconds", comparison.get("median_on_seconds")),
         ("profiler_share_pct", comparison.get("profiler_share_pct")),
         ("profiler_samples", comparison.get("profiler_samples")),
         ("n_points", comparison.get("n_points")),
