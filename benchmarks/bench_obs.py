@@ -9,21 +9,21 @@ span building enabled, one with the whole layer disabled.
 The estimator: ``--pairs`` off/on pairs (>= 15), the order alternating
 pair by pair (off first, then on first) so drift within a pair cancels
 across pairs.  A run's cost is its wall time per second its jobs spent
-executing (each job's ``run`` timing: resolve, cache lookups and
-writes, the computation, the encode).  That work is the same in both
-modes, so the ratio cancels the host's speed, which drifts by 10-15%
-from one run to the next.  Everything the instrumentation does for a
-finished job (phase metrics, the span tree, the trace-archive offer)
-runs after it and counts in full; inside it there are only the cache
-tiers' lookup counters.  The profiler's thread can run at any time, so
-its own sampling time is added to the instrumented run's wall, as if
-none of it overlapped.  Each pair gives the ratio on/off, and the gate
-binds on a distribution-free one-sided 95% upper confidence bound of the
-median ratio: the ``u``-th smallest ratio, ``u`` the least with
-``P(Binomial(pairs, 1/2) >= u) <= 0.05``.  Plain wall and process CPU
-time ratios are recorded too; on a host whose speed drifts like this
-their pairs spread by +-10%, and neither a best-of-N nor 15 such pairs
-can resolve 3%.
+in the phases that are pure functions of the job: ``resolve``,
+``tree_build``, ``compute`` and ``encode``.  No observability code runs
+inside them, so the ratio cancels the host's speed, which drifts by
+10-15% from one run to the next, and nothing the instrumentation does
+cancels with it: the cache tiers' counters, the phase metrics, the span
+tree, the trace-archive offer and any wait between jobs fall outside
+those phases and count in full.  The profiler's thread can also stall
+the worker inside them, so its own sampling time is added to the
+instrumented run's wall, as if none of it overlapped.  Each pair gives
+the ratio on/off, and the gate binds on a distribution-free one-sided
+95% upper confidence bound of the median ratio: the ``u``-th smallest
+ratio, ``u`` the least with ``P(Binomial(pairs, 1/2) >= u) <= 0.05``.
+Plain wall and process CPU time ratios are recorded too; on a host
+whose speed drifts like this their pairs spread by +-10%, and neither a
+best-of-N nor 15 such pairs can resolve 3%.
 
 Asserted invariants:
 
@@ -59,6 +59,10 @@ from math import comb
 from repro.bench.tables import REPORTS_DIR, render_table, save_report
 from repro.obs import render_collapsed
 from repro.service import Engine, JobSpec, canonical_payload_bytes
+
+#: The job phases that are pure functions of the job: the instrumented
+#: and disabled engines run the same code in them.
+PURE_PHASES = ("resolve", "tree_build", "compute", "encode")
 
 #: Observability gate: the most the instrumented engine may cost over
 #: the disabled one on the fixed N=20k workload, as the upper confidence
@@ -105,13 +109,14 @@ def _run_workload(obs, n_points):
             if engine.profiler else None
     for result in results:
         assert result.status.value == "done", result.error
-    run_seconds = sum(result.timings["run"] for result in results)
+    pure_seconds = sum(result.timings.get(phase, 0.0)
+                       for result in results for phase in PURE_PHASES)
     sampling = prof["sampling_seconds"] if prof else 0.0
     return {
         "wall_seconds": wall,
         "cpu_seconds": cpu,
-        "run_seconds": run_seconds,
-        "cost": (wall + sampling) / run_seconds,
+        "pure_seconds": pure_seconds,
+        "cost": (wall + sampling) / pure_seconds,
         "bytes": [canonical_payload_bytes(r.payload) for r in results],
         "traced": sum(r.trace is not None for r in results),
         "archive_offered": archive["offered"] if archive else 0,
@@ -183,12 +188,12 @@ def run_comparison(n_points, pairs):
         "jobs_per_run": len(_workload(n_points)),
         "pairs": pairs,
         "estimator": "median paired ratio of wall (plus profiler sampling)"
-                     " per second of job execution, order-balanced",
+                     " per second of the jobs' pure phases, order-balanced",
         "confidence": GATE_CONFIDENCE,
         "off_wall_seconds": [run["wall_seconds"] for run in off_runs],
         "on_wall_seconds": [run["wall_seconds"] for run in on_runs],
-        "off_run_seconds": [run["run_seconds"] for run in off_runs],
-        "on_run_seconds": [run["run_seconds"] for run in on_runs],
+        "off_pure_seconds": [run["pure_seconds"] for run in off_runs],
+        "on_pure_seconds": [run["pure_seconds"] for run in on_runs],
         "off_cpu_seconds": [run["cpu_seconds"] for run in off_runs],
         "on_cpu_seconds": [run["cpu_seconds"] for run in on_runs],
         "cost_ratios": cost_ratios,
@@ -266,12 +271,12 @@ def main(argv=None):
 
     comparison, collapsed = run_comparison(args.n_points, args.pairs)
     table = render_table(
-        ["mode", "median wall s", "median run s", "overhead %",
+        ["mode", "median wall s", "median pure s", "overhead %",
          "95% bound %"],
         [["REPRO_OBS=off", comparison["median_off_seconds"],
-          statistics.median(comparison["off_run_seconds"]), 0.0, 0.0],
+          statistics.median(comparison["off_pure_seconds"]), 0.0, 0.0],
          ["instrumented", comparison["median_on_seconds"],
-          statistics.median(comparison["on_run_seconds"]),
+          statistics.median(comparison["on_pure_seconds"]),
           comparison["overhead_pct"], comparison["overhead_bound_pct"]]],
         title=f"Observability overhead — {comparison['jobs_per_run']} "
               f"jobs, n={comparison['n_points']}, "

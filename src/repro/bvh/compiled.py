@@ -15,10 +15,13 @@ Threads: ``repro_nearest`` and ``repro_knn`` split their lanes across
 threads in blocks of whole warps, with the same bits at any thread
 count (see ``traverse.c``).  Each call leases its threads from one
 process-wide count of free cores: the CPUs this process may use, minus
-the threads that running kernel calls hold.  A call of at least two
-blocks takes ``max(1, min(free, blocks))`` and returns them when it
-ends, so one cold job on a 2-core node runs on both cores, and two
-concurrent calls get 2 and 1, then 1 and 1.
+the cores held by running jobs (a worker thread holds one for a whole
+job, see :func:`holding_core`) and by the threads of running kernel
+calls.  A call of at least two blocks takes ``max(1, min(free,
+blocks))``, its own thread included, and returns them when it ends.
+So one cold job on a 2-core node runs on both cores, two concurrent
+jobs run one thread each, and two concurrent library calls get 2 and 1,
+then 1 and 1.
 
 Building: ``cc -O3 -ffp-contract=off -fPIC -shared -pthread`` over both
 sources, once per source and flag set.  The library is cached per user as
@@ -268,32 +271,49 @@ def _cpus() -> int:
 
 
 _lease_lock = threading.Lock()
-#: Threads that running kernel calls hold.
-_leased = 0
-#: Tests pin every call's thread count here; ``None`` leases free cores.
-_pinned: Optional[int] = None
+#: Cores that running jobs and the threads of running kernel calls hold.
+_held = 0
+_holder = threading.local()
+
+
+@contextmanager
+def holding_core() -> Iterator[None]:
+    """The calling thread holds one core until the block ends.
+
+    A worker thread runs each job inside this, so a kernel call leases
+    helpers only from the cores that no running job holds: the calls of
+    a lone job take the idle cores, and concurrent jobs run one thread
+    each instead of taking the cores other workers run Python on."""
+    global _held
+    with _lease_lock:
+        _held += 1
+    _holder.core = True
+    try:
+        yield
+    finally:
+        _holder.core = False
+        with _lease_lock:
+            _held -= 1
 
 
 @contextmanager
 def _lease(batch: int) -> Iterator[int]:
     """The threads a call over ``batch`` lanes runs on, held until the
     call ends (see the module docstring)."""
-    global _leased
-    if _pinned is not None:
-        yield _pinned
-        return
+    global _held
     blocks = -(-batch // BLOCK_LANES)
     if blocks < 2:
         yield 1
         return
+    own = 1 if getattr(_holder, "core", False) else 0  # already counted
     with _lease_lock:
-        threads = max(1, min(_cpus() - _leased, blocks))
-        _leased += threads
+        threads = max(1, min(_cpus() - _held + own, blocks))
+        _held += threads - own
     try:
         yield threads
     finally:
         with _lease_lock:
-            _leased -= threads
+            _held -= threads - own
 
 
 # ---------------------------------------------------------------- wrappers

@@ -49,6 +49,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
+from repro.bvh.compiled import holding_core
 from repro.errors import (
     InvalidInputError,
     NodeHTTPError,
@@ -605,7 +606,8 @@ class Engine:
         record = self._record(ticket.job_id)
         record.status = JobStatus.RUNNING
         try:
-            result = self._execute(ticket)
+            with holding_core():  # kernel calls lease only the idle cores
+                result = self._execute(ticket)
         except Exception as exc:  # noqa: BLE001 — a job failure must not
             # take down the worker; non-library errors keep their type name.
             message = str(exc) if isinstance(exc, ReproError) \

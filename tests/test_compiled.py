@@ -82,7 +82,7 @@ orders = {"first lane near the first point": np.concatenate(
               [last, np.repeat(first, 599, axis=0)])}
 
 for threads in (1, 3):
-    compiled._pinned = threads
+    compiled._cpus = lambda: threads
     for name, bvh in bad.items():
         for kernel, run in kernels.items():
             try:
@@ -283,26 +283,26 @@ def test_the_lease_returns_every_core_after_a_call_that_raises():
     with pytest.raises(InvalidInputError, match="child index"):
         batched_nearest(bvh, np.resize(bvh.points, (2000, 2)),
                         engine="compiled")
-    assert compiled._leased == 0
+    assert compiled._held == 0
 
 
 def test_concurrent_calls_share_the_free_cores(monkeypatch):
     monkeypatch.setattr(compiled, "_cpus", lambda: 2)
     with compiled._lease(compiled.BLOCK_LANES) as one_block:
-        assert one_block == 1 and compiled._leased == 0
+        assert one_block == 1 and compiled._held == 0
     with compiled._lease(10_000) as first:
         with compiled._lease(10_000) as second:
-            assert (first, second, compiled._leased) == (2, 1, 3)
+            assert (first, second, compiled._held) == (2, 1, 3)
         with compiled._lease(10_000) as third:
             assert third == 1
-    assert compiled._leased == 0
+    assert compiled._held == 0
 
     # Two workers' kernel calls at once never hold more than 3 threads.
     held = []
     run = compiled._run
 
     def counted(*args):
-        held.append(compiled._leased)
+        held.append(compiled._held)
         return run(*args)
 
     monkeypatch.setattr(compiled, "_run", counted)
@@ -324,13 +324,58 @@ def test_concurrent_calls_share_the_free_cores(monkeypatch):
         worker.join()
     assert len(answers) == 20 and max(held) <= 3
     assert all(np.array_equal(a.position, want.position) for a in answers)
-    assert compiled._leased == 0
+    assert compiled._held == 0
+
+
+def test_running_jobs_hold_their_cores(monkeypatch):
+    monkeypatch.setattr(compiled, "_cpus", lambda: 2)
+    with compiled.holding_core():
+        assert compiled._held == 1
+        with compiled._lease(10_000) as lone:
+            assert (lone, compiled._held) == (2, 2)
+        assert compiled._held == 1
+
+        # A second running job takes the idle core from the first's calls.
+        started, finish = threading.Event(), threading.Event()
+
+        def other_job():
+            with compiled.holding_core():
+                started.set()
+                finish.wait()
+
+        other = threading.Thread(target=other_job)
+        other.start()
+        started.wait()
+        with compiled._lease(10_000) as shared:
+            assert (shared, compiled._held) == (1, 2)
+        finish.set()
+        other.join()
+    assert compiled._held == 0
+
+
+def test_an_engine_job_holds_its_workers_core(monkeypatch):
+    from repro.service import Engine, JobSpec
+    from repro.service import engine as engine_module
+
+    held = []
+    execute = engine_module.execute_spec
+
+    def recorded(exec_spec):
+        held.append(compiled._held)
+        return execute(exec_spec)
+
+    monkeypatch.setattr(engine_module, "execute_spec", recorded)
+    with Engine(max_workers=1, obs=False) as engine:
+        job = engine.submit(JobSpec.from_dict(
+            {"dataset": "Uniform100M2:300", "algorithm": "emst"}))
+        assert engine.result(job, timeout=60.0).status.value == "done"
+    assert held == [1] and compiled._held == 0
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts threads through /proc")
 def test_no_thread_outlives_a_kernel_call(monkeypatch):
-    monkeypatch.setattr(compiled, "_pinned", 3)
+    monkeypatch.setattr(compiled, "_cpus", lambda: 3)
     bvh = build_bvh(np.random.default_rng(6).random((3000, 2)))
     before = set(os.listdir("/proc/self/task"))
     batched_nearest(bvh, bvh.points, engine="compiled")

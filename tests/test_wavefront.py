@@ -301,9 +301,10 @@ def _lanes(bvh, batch, kwargs):
 
 @pytest.fixture
 def pin_threads(monkeypatch):
-    """Run every compiled kernel call on exactly the given threads."""
+    """Run every compiled kernel call on the given threads (fewer when
+    it has fewer blocks, as the kernel caps them at its block count)."""
     def pin(threads):
-        monkeypatch.setattr(compiled, "_pinned", threads)
+        monkeypatch.setattr(compiled, "_cpus", lambda: threads)
     return pin
 
 
