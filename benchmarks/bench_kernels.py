@@ -4,16 +4,15 @@ Measures end-to-end EMST wall-clock (tree build + Borůvka solve) under:
 
 * **old** — the paper's configuration on the NumPy ``reference``
   engine: single-pop lock-step traversal, NumPy LBVH build and round
-  steps, adjacent-pairs bound scan, no warm frontier, one-point leaves;
+  steps, adjacent-pairs bound scan, no warm frontier;
 * **new** — the ``compiled`` engine (the C traversal, one query lane at
   a time, and the C LBVH build and round steps of ``steps.c``) under the
   production configuration: wide bound window, warm frontier;
-* a **leaf-size sweep** on the compiled engine around the default, on
-  uniform 2D and 3D points — the evidence for
-  :data:`repro.core.boruvka_emst.DEFAULT_LEAF_SIZE`;
-* a **headline** old-vs-new run at the acceptance size on uniform 2D,
-  uniform 3D and clustered 3D (``Hacc37M``) points.  Uniform trees are
-  shallow; the clustered one is deep (height 59 at 10k points).
+
+on uniform 2D and 3D points, plus a **headline** old-vs-new run at the
+acceptance size on uniform 2D, uniform 3D and clustered 3D (``Hacc37M``)
+points.  Uniform trees are shallow; the clustered one is deep (height 59
+at 10k points).
 
 Every measured configuration is asserted *byte-identical* in canonical
 payload form (:func:`repro.service.jobs.canonical_payload_bytes`) to the
@@ -40,11 +39,8 @@ from repro.data import generate
 from repro.metrics import speedup
 from repro.service.jobs import canonical_payload_bytes, emst_result_to_dict
 
-#: Leaf blocking factors swept around the default.
-LEAF_SWEEP = (1, 2, 4, 8)
 #: The paper's configuration on the reference engine (the "old" path).
-OLD_CONFIG = SingleTreeConfig(leaf_size=1, warm_frontier=False,
-                              bound_window=1)
+OLD_CONFIG = SingleTreeConfig(warm_frontier=False, bound_window=1)
 
 #: Kernel-perf gate: minimum speedup of the compiled defaults over the
 #: old path on the fixed N=20k uniform-2D case (full runs on >= 2 cores).
@@ -73,7 +69,7 @@ def _time_emst(points, config, engine, *, reps=2):
 
 
 def run_ablation(n_points: int, reps: int = 2):
-    """Old-vs-new plus the compiled leaf-size sweep over 2D and 3D."""
+    """Old-vs-new over uniform 2D and 3D points."""
     measurements = {"n_points": n_points, "dimensions": {}}
     rows = []
     for dim, dataset in ((2, "Uniform100M2"), (3, "Uniform100M3")):
@@ -84,25 +80,14 @@ def run_ablation(n_points: int, reps: int = 2):
                                       "compiled", reps=reps)
         assert new_bytes == old_bytes, \
             f"compiled result diverged from reference ({dim}D)"
-        leaves = {}
-        for leaf_size in LEAF_SWEEP:
-            seconds, got = _time_emst(
-                points, SingleTreeConfig(leaf_size=leaf_size),
-                "compiled", reps=reps)
-            assert got == old_bytes, f"leaf_size={leaf_size} diverged ({dim}D)"
-            leaves[str(leaf_size)] = seconds
         measurements["dimensions"][str(dim)] = {
             "old_seconds": old_s,
             "compiled_seconds": new_s,
             "speedup": speedup(old_s, new_s),
-            "leaf_sweep_seconds": leaves,
         }
         rows.append([f"{dim}D old (reference)", old_s * 1e3, 1.0])
         rows.append([f"{dim}D new (compiled)", new_s * 1e3,
                      speedup(old_s, new_s)])
-        for leaf_size, seconds in leaves.items():
-            rows.append([f"{dim}D compiled leaf_size={leaf_size}",
-                         seconds * 1e3, speedup(old_s, seconds)])
     table = render_table(
         ["configuration", "emst ms", "speedup vs old"], rows,
         title=f"Traversal kernels — end-to-end EMST, uniform n={n_points}")

@@ -10,9 +10,11 @@ harness the replication/compiled-engine work will be judged against.
 Three stages, all against real ``python -m repro serve`` subprocesses:
 
 1. **Long-poll concurrency** — park hundreds of concurrent ``wait_s=``
-   waiters on one in-flight job over a 4-worker engine and poll the
+   waiters on one queued job over a 4-worker engine and poll the
    server's ``repro_http_inflight_requests`` gauge for its peak
-   mid-park.  The old thread-per-connection server capped this at its
+   mid-park.  The job waits at a lower priority behind a backlog that is
+   topped up until the bar is read or the deadline passes, so the
+   waiters have that long to park on any box.  The old thread-per-connection server capped this at its
    thread pool; the asyncio host must hold ≥ 200 (the PR's acceptance
    bar).
 2. **Offered-load sweep** — for each arrival rate, submit distinct cold
@@ -21,8 +23,9 @@ Three stages, all against real ``python -m repro serve`` subprocesses:
    top rate is chosen to exceed service capacity so the sweep records
    the overload→429 shed region.
 3. **Deterministic overload** — a 1-worker node with ``--queue-depth 4``
-   takes a 60-submission burst; the sheds must carry the retryable
-   ``overloaded`` envelope and a ``Retry-After`` header.
+   takes a 60-submission burst once four slow jobs fill its bound; the
+   sheds must carry the retryable ``overloaded`` envelope and a
+   ``Retry-After`` header.
 
 Results go to ``reports/BENCH_load.json`` (plus the rendered table).
 Runs standalone: ``python benchmarks/bench_load.py`` (``--smoke`` for CI
@@ -54,6 +57,8 @@ WAITER_BAR = 200
 #: long (or until the bar is met or the parked-on job finishes).
 PARK_POLL_INTERVAL_S = 0.1
 PARK_POLL_SECONDS = 10.0
+#: Unfinished priority-0 jobs kept ahead of the parked-on job while the
+#: gauge reads below the bar.
 BACKLOG_JOBS = 12
 SEED = 20220822  # ICPP'22 — keeps every arrival schedule reproducible
 
@@ -85,14 +90,13 @@ def _start_server(extra_args, what):
     raise SystemExit(f"FAIL: {what} never became healthy")
 
 
-def _metric(base, name):
+def _gauges(base, *names):
+    """The named gauges' values, summed over their samples."""
     with urllib.request.urlopen(f"{base}/v1/metrics?format=json",
                                 timeout=30) as resp:
         doc = json.loads(resp.read())
-    for metric in doc["metrics"]:
-        if metric["name"] == name:
-            return sum(s["value"] for s in metric["samples"])
-    return None
+    return {metric["name"]: sum(s["value"] for s in metric["samples"])
+            for metric in doc["metrics"] if metric["name"] in names}
 
 
 def _quantile(sorted_samples, q):
@@ -106,17 +110,27 @@ def _quantile(sorted_samples, q):
 # ------------------------------------------------- stage 1: long-poll park
 
 async def _long_poll_stage(base, n_waiters):
-    """Park ``n_waiters`` concurrent long-polls on one in-flight job."""
-    # A backlog of distinct slow jobs keeps the 4 workers busy so the
-    # *last* job stays in flight long enough for every waiter to park.
-    backlog = []
-    for i in range(BACKLOG_JOBS):
+    """Park ``n_waiters`` concurrent long-polls on one queued job."""
+    submitted = 0
+
+    async def submit(priority=0):
+        nonlocal submitted
+        # Distinct seeds: every job is a slow cold compute.
         _status, _headers, accepted = await aioclient.request_json(
             base, "/v1/jobs", method="POST",
-            data={"dataset": f"Uniform100M2:20000:{SEED + i}",
-                  "algorithm": "mrd_emst", "k_pts": 4})
-        backlog.append(accepted["job_id"])
-    target = backlog[-1]
+            data={"dataset": f"Uniform100M2:20000:{SEED + submitted}",
+                  "algorithm": "mrd_emst", "k_pts": 4,
+                  "priority": priority})
+        submitted += 1
+        return accepted["job_id"]
+
+    # The target runs only once no priority-0 job is queued, and the
+    # backlog is topped up while the gauge reads below the bar, so the
+    # target stays unfinished until every waiter has parked (or the
+    # deadline passes), however fast the workers drain the queue.
+    for _ in range(BACKLOG_JOBS):
+        await submit()
+    target = await submit(priority=-1)
     waiters = [asyncio.ensure_future(aioclient.request_json(
         base, f"/v1/jobs/{target}?wait_s=60", timeout=180))
         for _ in range(n_waiters)]
@@ -128,9 +142,15 @@ async def _long_poll_stage(base, n_waiters):
     while (inflight < WAITER_BAR and time.monotonic() < deadline
            and not any(waiter.done() for waiter in waiters)):
         await asyncio.sleep(PARK_POLL_INTERVAL_S)
-        gauge = await asyncio.to_thread(
-            _metric, base, "repro_http_inflight_requests")
-        inflight = max(inflight, gauge or 0.0)
+        gauges = await asyncio.to_thread(
+            _gauges, base, "repro_http_inflight_requests",
+            "repro_admission_queue_depth")
+        inflight = max(inflight,
+                       gauges.get("repro_http_inflight_requests", 0.0))
+        if inflight < WAITER_BAR:
+            unfinished = int(gauges.get("repro_admission_queue_depth", 0))
+            for _ in range(BACKLOG_JOBS + 1 - unfinished):
+                await submit()
     results = await asyncio.gather(*waiters)
     statuses = {body.get("status") for status, _h, body in results
                 if status == 200}
@@ -139,6 +159,7 @@ async def _long_poll_stage(base, n_waiters):
         "inflight_gauge_mid_park": inflight,
         "waiters_answered": sum(1 for s, _h, _b in results if s == 200),
         "terminal_statuses": sorted(statuses),
+        "backlog_jobs": submitted - 1,
     }
 
 
@@ -222,6 +243,15 @@ async def _sweep_one_rate(base, rate, duration_s, n_points, rate_index):
 async def _overload_stage(base, burst=60):
     """A burst far past a tiny admission bound; sheds must carry the
     envelope."""
+    # Four slow jobs fill the bound before the burst.  The one worker
+    # finishes the first only after ~0.5 s, so every burst submit arriving
+    # before then sheds; with the bound empty, a fast worker could drain
+    # it as quickly as the burst arrives, and then nothing shed.
+    for i in range(4):
+        await aioclient.request_json(
+            base, "/v1/jobs", method="POST",
+            data={"dataset": f"Uniform100M2:100000:{SEED + 8000 + i}",
+                  "algorithm": "mrd_emst", "k_pts": 4})
     results = {"latencies": [], "shed": [], "errors": []}
     tasks = [asyncio.ensure_future(_drive_one(
         base, {"dataset": f"Uniform100M2:4000:{SEED + 9000 + i}",

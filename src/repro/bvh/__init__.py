@@ -11,14 +11,15 @@ Construction follows the approach the paper inherits from ArborX
    backs the tests),
 3. bounding boxes are filled by a bottom-up refit pass.
 
-Given ``n`` points and a blocking factor ``leaf_size`` (default 1) the
-tree has ``m = ceil(n / leaf_size)`` leaves — each covering a run of
-consecutive Z-curve positions — and ``m - 1`` internal nodes (``2m - 1``
-total).  Node ids: internal nodes are ``0 .. m-2`` with the root at 0;
-leaf block ``j`` is node ``m - 1 + j``.
+Given ``n`` points the tree has ``n`` leaves, one point each in Z-curve
+order, and ``n - 1`` internal nodes (``2n - 1`` total).  Node ids:
+internal nodes are ``0 .. n-2`` with the root at 0; the leaf of sorted
+position ``j`` is node ``n - 1 + j``.
 
-Traversals (:mod:`repro.bvh.traversal`) are *batched*: every query is a
-SIMT lane with its own traversal stack — the paper's one-thread-per-query
+Two traversals run over it, the two the paper needs: Algorithm 2's
+constrained nearest neighbor and the k nearest neighbors behind the core
+distances of Section 4.5 (:mod:`repro.bvh.traversal`).  Both are
+*batched*: every query is a SIMT lane with its own traversal stack — the paper's one-thread-per-query
 GPU kernels, instrumented for the cost model.  Two engines implement
 them, identical in every answer and every work counter: the
 ``compiled`` engine (:mod:`repro.bvh.compiled` — the single-pop loop in
@@ -38,8 +39,6 @@ from repro.bvh.traversal import (
     batched_knn,
     batched_nearest,
     get_default_engine,
-    radius_count,
-    radius_search,
     set_default_engine,
     traversal_engine,
 )
@@ -55,8 +54,6 @@ __all__ = [
     "refit_bounds",
     "batched_nearest",
     "batched_knn",
-    "radius_search",
-    "radius_count",
     "check_bvh_invariants",
     "TraversalWorkspace",
     "traversal_engine",

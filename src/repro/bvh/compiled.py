@@ -54,12 +54,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.bvh.bvh import BVH
-from repro.bvh.query import (
-    KnnResult,
-    NearestResult,
-    resolve_point_labels,
-    validate_query_points,
-)
+from repro.bvh.query import KnnResult, NearestResult, validate_query_points
 from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import ConvergenceError, InvalidInputError
 from repro.kokkos.counters import CostCounters
@@ -76,10 +71,10 @@ COUNTER_FIELDS = ("nodes_visited", "box_distance_evals", "stack_ops",
                   "leaf_visits", "distance_evals", "lane_steps",
                   "warp_steps")
 
-#: The C status codes (``traverse.c`` 1-5, ``steps.c`` from 6).
+#: The C status codes (``traverse.c`` 1, 3 and 4; ``steps.c`` 1, 5 and
+#: from 6).
 _ERRORS = {
     1: "child index out of range",
-    2: "leaf block out of range",
     3: "traversal stack overflow",
     4: "a lane popped more nodes than the tree has (cycle)",
     5: "out of memory",
@@ -101,17 +96,16 @@ class BuildError(Exception):
 
 
 class _Tree(ctypes.Structure):
-    _fields_ = [("n", _I64), ("dim", _I64), ("n_leaves", _I64),
+    _fields_ = [("n", _I64), ("dim", _I64),
                 ("points", _P), ("lo", _P), ("hi", _P),
                 ("left", _P), ("right", _P),
-                ("leaf_start", _P), ("leaf_count", _P),
                 ("stack", _P), ("bound", _P), ("stack_cap", _I64)]
 
 
 class _Nearest(ctypes.Structure):
     _fields_ = [("queries", _P), ("init_radius_sq", _P),
                 ("query_labels", _P), ("node_labels", _P),
-                ("point_labels", _P), ("query_ids", _P), ("point_ids", _P),
+                ("query_ids", _P), ("point_ids", _P),
                 ("query_core_sq", _P), ("point_core_sq", _P),
                 ("exclude", _P), ("best_pos", _P), ("best_sq", _P),
                 ("best_key", _P)]
@@ -120,12 +114,6 @@ class _Nearest(ctypes.Structure):
 class _Knn(ctypes.Structure):
     _fields_ = [("queries", _P), ("k", _I64), ("exclude", _P),
                 ("kbest", _P), ("kpos", _P)]
-
-
-class _Radius(ctypes.Structure):
-    _fields_ = [("queries", _P), ("r_sq", ctypes.c_double),
-                ("counts", _P), ("hits", _P), ("n_hits", _I64),
-                ("cap", _I64)]
 
 
 # ------------------------------------------------------------------ build
@@ -218,14 +206,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.argtypes = [_P, _P, _I64, _I64, _P]
         fn.restype = ctypes.c_int
-    lib.repro_radius.argtypes = [_P, _P, _I64, _P]
-    lib.repro_radius.restype = ctypes.c_int
     for name, argtypes in _STEPS.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = ctypes.c_int
-    lib.repro_free.argtypes = [_P]
-    lib.repro_free.restype = None
     return lib
 
 
@@ -333,11 +317,11 @@ def _ptr(arr: Optional[np.ndarray]) -> Optional[int]:
 
 
 def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace],
-          threads: int = 1) -> _Tree:
+          threads: int) -> _Tree:
     """The tree struct, with a stack row per thread; it holds the arrays
     it points into."""
-    n, d, m = bvh.n, bvh.dim, bvh.n_leaves
-    nodes = 2 * m - 1
+    n, d = bvh.n, bvh.dim
+    nodes = 2 * n - 1
     if nodes >= 2 ** 31:
         raise InvalidInputError("tree too large for 32-bit node ids")
     depth = max(bvh.height + 2, 4)
@@ -347,22 +331,20 @@ def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace],
     arrays = [_array(bvh.points, np.float64, (n, d), "points"),
               _array(bvh.lo, np.float64, (nodes, d), "lo"),
               _array(bvh.hi, np.float64, (nodes, d), "hi"),
-              _array(bvh.left, np.int64, (m - 1,), "left"),
-              _array(bvh.right, np.int64, (m - 1,), "right"),
-              _array(bvh.leaf_start, np.int64, (m,), "leaf_start"),
-              _array(bvh.leaf_count, np.int64, (m,), "leaf_count"),
+              _array(bvh.left, np.int64, (n - 1,), "left"),
+              _array(bvh.right, np.int64, (n - 1,), "right"),
               stack, bound]
-    tree = _Tree(n, d, m, *(a.ctypes.data for a in arrays), depth)
+    tree = _Tree(n, d, *(a.ctypes.data for a in arrays), depth)
     tree.arrays = arrays
     return tree
 
 
 def _run(fn, tree: _Tree, args: ctypes.Structure, batch: int,
-         counters: Optional[CostCounters], *threads: int) -> None:
-    """Call a kernel (``threads`` for the ones that split their lanes),
-    raise on a malformed tree, charge the counters."""
+         counters: Optional[CostCounters], threads: int) -> None:
+    """Call a kernel on ``threads`` threads, raise on a malformed tree,
+    charge the counters."""
     cnt = np.zeros(len(COUNTER_FIELDS), dtype=np.int64)
-    rc = fn(ctypes.byref(tree), ctypes.byref(args), batch, *threads,
+    rc = fn(ctypes.byref(tree), ctypes.byref(args), batch, threads,
             _ptr(cnt))
     if rc != 0:
         raise InvalidInputError(
@@ -380,7 +362,6 @@ def nearest_compiled(
     *,
     query_labels: Optional[np.ndarray] = None,
     node_labels: Optional[np.ndarray] = None,
-    point_labels: Optional[np.ndarray] = None,
     init_radius_sq: Optional[np.ndarray] = None,
     query_ids: Optional[np.ndarray] = None,
     point_ids: Optional[np.ndarray] = None,
@@ -400,19 +381,18 @@ def nearest_compiled(
         if radius.shape != (B,):
             raise InvalidInputError(
                 "init_radius_sq must have one entry per query")
-    plabels = resolve_point_labels(bvh, query_labels, node_labels,
-                                   point_labels)
+    if query_labels is not None and node_labels is None:
+        raise InvalidInputError("query_labels requires node_labels")
     if query_core_sq is not None and point_core_sq is None:
         raise InvalidInputError("query_core_sq requires point_core_sq")
     if query_ids is not None and point_ids is None:
         raise InvalidInputError("query_ids requires point_ids")
 
-    labels = (None, None, None)
+    labels = (None, None)
     if query_labels is not None:
         labels = (_array(query_labels, np.int64, (B,), "query_labels"),
                   _array(node_labels, np.int64, (bvh.n_nodes,),
-                         "node_labels"),
-                  _array(plabels, np.int64, (n,), "point_labels"))
+                         "node_labels"))
     ids = (None, None)
     if query_ids is not None:
         ids = (_array(query_ids, np.uint64, (B,), "query_ids"),
@@ -462,41 +442,6 @@ def knn_compiled(
         tree = _tree(bvh, workspace, threads)
         _run(lib.repro_knn, tree, args, B, counters, threads)
     return KnnResult(kpos, kbest)
-
-
-def radius_compiled(
-    bvh: BVH,
-    query_points: np.ndarray,
-    radius: float,
-    *,
-    counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All indexed points within ``radius``: the reference loop, compiled.
-
-    Each query's hits come in traversal order, as the reference's stable
-    sort by query leaves them.
-    """
-    lib = library()
-    queries = np.ascontiguousarray(validate_query_points(bvh, query_points))
-    if radius < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    B = queries.shape[0]
-    counts = np.zeros(B, dtype=np.int64)
-
-    tree = _tree(bvh, workspace)
-    args = _Radius(_ptr(queries), float(radius) * float(radius),
-                   _ptr(counts), None, 0, 0)
-    try:
-        _run(lib.repro_radius, tree, args, B, counters)
-        hits = np.empty(args.n_hits, dtype=np.int64)
-        if args.n_hits:
-            ctypes.memmove(hits.ctypes.data, args.hits, hits.nbytes)
-    finally:
-        lib.repro_free(args.hits)
-    offsets = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, hits, np.repeat(np.arange(B, dtype=np.int64), counts)
 
 
 # ------------------------------------------------------ build and rounds
@@ -593,13 +538,13 @@ def refit_compiled(left: np.ndarray, right: np.ndarray,
 def reduce_labels_compiled(bvh: BVH, node_labels: np.ndarray) -> None:
     """Fill the inner entries of ``node_labels`` (leaf entries filled)."""
     lib = library()
-    m = bvh.n_leaves
-    node_labels = _buffer(node_labels, np.int64, (2 * m - 1,),
+    n = bvh.n
+    node_labels = _buffer(node_labels, np.int64, (2 * n - 1,),
                           "node_labels")
-    left = _array(bvh.left, np.int64, (m - 1,), "left")
-    right = _array(bvh.right, np.int64, (m - 1,), "right")
+    left = _array(bvh.left, np.int64, (n - 1,), "left")
+    right = _array(bvh.right, np.int64, (n - 1,), "right")
     order = _order(bvh.schedule)
-    _check(lib.repro_reduce_labels(_ptr(left), _ptr(right), m, _ptr(order),
+    _check(lib.repro_reduce_labels(_ptr(left), _ptr(right), n, _ptr(order),
                                    order.shape[0], _ptr(node_labels)))
 
 

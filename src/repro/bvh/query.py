@@ -3,15 +3,15 @@
 Both traversal engines — :mod:`repro.bvh.compiled` and the NumPy
 :mod:`repro.bvh.reference` kernels it is tested against — share their
 result types, the tie-break key encoding and argument validation.  The
-reference engine also takes its vectorized building blocks for
-blocked-leaf evaluation from here (block expansion, per-lane segmented
-reductions); ``traverse.c`` mirrors each rule it must reproduce.
+reference engine also takes its vectorized building blocks from here
+(per-lane best updates, k-best merges); ``traverse.c`` mirrors each rule
+it must reproduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -77,53 +77,6 @@ def validate_query_points(bvh: BVH, query_points: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"query shape {query_points.shape} incompatible with d={bvh.dim}")
     return query_points
-
-
-def resolve_point_labels(
-    bvh: BVH,
-    query_labels: Optional[np.ndarray],
-    node_labels: Optional[np.ndarray],
-    point_labels: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
-    """Per-sorted-position labels backing the component constraint.
-
-    With one-point leaves the leaf slice of ``node_labels`` *is* the
-    per-point labels, so callers may omit ``point_labels`` (the historical
-    signature).  Blocked trees lose that identity — a mixed block's leaf
-    label is :data:`INVALID_LABEL` — so ``point_labels`` becomes mandatory.
-    """
-    if query_labels is None:
-        return None
-    if node_labels is None:
-        raise InvalidInputError("query_labels requires node_labels")
-    if point_labels is not None:
-        point_labels = np.asarray(point_labels, dtype=np.int64)
-        if point_labels.shape != (bvh.n,):
-            raise InvalidInputError(
-                f"point_labels must have shape ({bvh.n},), "
-                f"got {point_labels.shape}")
-        return point_labels
-    if bvh.n_leaves == bvh.n:
-        return np.asarray(node_labels[bvh.leaf_base:], dtype=np.int64)
-    raise InvalidInputError(
-        "trees with blocked leaves (leaf_size > 1) require point_labels")
-
-
-def expand_blocks(bvh: BVH, block_idx: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten leaf blocks into per-point candidates.
-
-    Returns ``(source, position)``: candidate ``i`` is the sorted position
-    ``position[i]`` contributed by entry ``source[i]`` of ``block_idx``.
-    Candidates of one block are consecutive and in sorted-position order.
-    """
-    cnt = bvh.leaf_count[block_idx]
-    total = int(cnt.sum())
-    source = np.repeat(np.arange(block_idx.size, dtype=np.int64), cnt)
-    base = np.repeat(bvh.leaf_start[block_idx], cnt)
-    ends = np.cumsum(cnt)
-    offset = np.arange(total, dtype=np.int64) - np.repeat(ends - cnt, cnt)
-    return source, base + offset
 
 
 def update_nearest_best(
@@ -209,27 +162,12 @@ def merge_k_best(kbest: np.ndarray, kpos: np.ndarray, lane: np.ndarray,
 
 def single_leaf_excluded(bvh: BVH, node: np.ndarray, leaf_mask: np.ndarray,
                          excl: np.ndarray) -> np.ndarray:
-    """Mask of nodes that are single-point leaves == the excluded position.
+    """Mask of nodes that are the leaf of the excluded position.
 
     ``traverse.c`` applies the same rule: the admissibility test must stay
     identical for the byte-identity contract.
     """
-    block = np.maximum(node - bvh.leaf_base, 0)
-    return (leaf_mask & (bvh.leaf_count[block] == 1)
-            & (bvh.leaf_start[block] == excl))
-
-
-def leaf_candidates(bvh: BVH, cand_lane: np.ndarray, leaf_nodes: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-point candidates ``(lane, position)`` of ``(lane, leaf)`` visits.
-
-    One-point-per-leaf trees short-circuit (a leaf's position *is*
-    ``node - leaf_base``); blocked trees expand each visit to its block.
-    """
-    if bvh.n_leaves == bvh.n:
-        return cand_lane, leaf_nodes - bvh.leaf_base
-    src, ppos = expand_blocks(bvh, leaf_nodes - bvh.leaf_base)
-    return cand_lane[src], ppos
+    return leaf_mask & (node - bvh.leaf_base == excl)
 
 
 def segment_ranks(sorted_groups: np.ndarray) -> np.ndarray:

@@ -8,18 +8,16 @@ and examining its two children per Python iteration.  It is the
 the same adversarial inputs and assert identical answers and counters —
 and the engine a host without a C compiler runs.
 
-Blocked leaves (``leaf_size > 1``) follow one policy: a leaf visit
-evaluates the whole block of exact distances, with per-point
-admissibility (component labels, self-exclusion) masked *before* the
-distance computation so ``distance_evals`` counts only admissible
-candidates.  A single-point leaf that is exactly the excluded position is
-still skipped at the node level, preserving the historical counter
-accounting for ``leaf_size == 1`` trees.
+Each leaf holds one point, so a leaf carries its point's component label
+in ``node_labels`` and the leaf of an excluded position is skipped at the
+node level, like any rejected child.  Only the lone leaf of a one-point
+tree is evaluated without those node tests, so leaf evaluation checks the
+exclusion itself, before the distance counts.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +26,8 @@ from repro.bvh.query import (
     _NO_KEY,
     KnnResult,
     NearestResult,
-    leaf_candidates,
     merge_k_best,
     pair_keys,
-    resolve_point_labels,
     single_leaf_excluded,
     update_nearest_best,
     validate_query_points,
@@ -59,7 +55,6 @@ def nearest_reference(
     *,
     query_labels: Optional[np.ndarray] = None,
     node_labels: Optional[np.ndarray] = None,
-    point_labels: Optional[np.ndarray] = None,
     init_radius_sq: Optional[np.ndarray] = None,
     query_ids: Optional[np.ndarray] = None,
     point_ids: Optional[np.ndarray] = None,
@@ -83,8 +78,8 @@ def nearest_reference(
         raise InvalidInputError("init_radius_sq must have one entry per query")
 
     use_labels = query_labels is not None
-    plabels = resolve_point_labels(bvh, query_labels, node_labels,
-                                   point_labels)
+    if use_labels and node_labels is None:
+        raise InvalidInputError("query_labels requires node_labels")
     use_mrd = query_core_sq is not None
     if use_mrd and point_core_sq is None:
         raise InvalidInputError("query_core_sq requires point_core_sq")
@@ -97,16 +92,12 @@ def nearest_reference(
     local.kernel_launches += 1
     local.max_batch = max(local.max_batch, B)
 
-    def eval_leaves(sub: np.ndarray, leaf_nodes: np.ndarray) -> None:
-        """Blocked exact evaluation of leaf candidates for lanes ``sub``."""
-        local.leaf_visits += sub.size
-        lane, ppos = leaf_candidates(bvh, sub, leaf_nodes)
-        ok = np.ones(lane.size, dtype=bool)
-        if use_labels:
-            ok &= plabels[ppos] != query_labels[lane]
+    def eval_leaves(lane: np.ndarray, leaf_nodes: np.ndarray) -> None:
+        """Exact evaluation of the leaves ``leaf_nodes`` for lanes ``lane``."""
+        local.leaf_visits += lane.size
+        ppos = leaf_nodes - leaf_base
         if exclude_position is not None:
-            ok &= ppos != exclude_position[lane]
-        if not np.all(ok):
+            ok = ppos != exclude_position[lane]
             lane = lane[ok]
             ppos = ppos[ok]
         if lane.size == 0:
@@ -117,9 +108,8 @@ def nearest_reference(
             d = np.maximum(d, point_core_sq[ppos])
         local.distance_evals += lane.size
         # Admission: only candidates inside the current cutoff may win.
-        # Exact no-op for single-point leaves (their box distance *is* the
-        # point distance, so the node test already enforced it); for
-        # blocked leaves it keeps the initial-radius contract tight.
+        # The node test bounded the box distance only: under the m.r.d.
+        # metric the point's own core distance can lift d above it.
         adm = d <= radius[lane]
         if not np.all(adm):
             lane = lane[adm]
@@ -131,8 +121,8 @@ def nearest_reference(
         update_nearest_best(best_sq, best_pos, best_key, radius,
                             lane, ppos, d, key, bvh.n)
 
-    if bvh.n_leaves == 1:
-        # Single-leaf tree: evaluate the lone block directly.
+    if bvh.n == 1:
+        # Single-leaf tree: evaluate the lone point directly.
         ok = np.ones(B, dtype=bool)
         if use_labels:
             ok &= node_labels[0] != query_labels
@@ -257,9 +247,9 @@ def knn_reference(
     local.kernel_launches += 1
     local.max_batch = max(local.max_batch, B)
 
-    def eval_leaves(sub: np.ndarray, leaf_nodes: np.ndarray) -> None:
-        local.leaf_visits += sub.size
-        lane, ppos = leaf_candidates(bvh, sub, leaf_nodes)
+    def eval_leaves(lane: np.ndarray, leaf_nodes: np.ndarray) -> None:
+        local.leaf_visits += lane.size
+        ppos = leaf_nodes - leaf_base
         if exclude_position is not None:
             ok = ppos != exclude_position[lane]
             lane = lane[ok]
@@ -276,7 +266,7 @@ def knn_reference(
         d = d[improving]
         merge_k_best(kbest, kpos, lane, ppos, d, k)
 
-    if bvh.n_leaves == 1:
+    if bvh.n == 1:
         eval_leaves(np.arange(B, dtype=np.int64),
                     np.zeros(B, dtype=np.int64))
         return KnnResult(kpos, kbest)
@@ -351,103 +341,3 @@ def knn_reference(
 
     trace.flush(local)
     return KnnResult(kpos, kbest)
-
-
-def radius_reference(
-    bvh: BVH,
-    query_points: np.ndarray,
-    radius: float,
-    *,
-    counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All indexed points within ``radius``, one popped node per step."""
-    query_points = validate_query_points(bvh, query_points)
-    if radius < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    B = query_points.shape[0]
-    r_sq = float(radius) * float(radius)
-    leaf_base = bvh.leaf_base
-
-    local = counters if counters is not None else CostCounters()
-    local.kernel_launches += 1
-    local.max_batch = max(local.max_batch, B)
-    trace = WarpTrace()
-
-    found_q: List[np.ndarray] = []
-    found_p: List[np.ndarray] = []
-
-    def emit(sub: np.ndarray, leaf_nodes: np.ndarray) -> None:
-        local.leaf_visits += sub.size
-        lane, ppos = leaf_candidates(bvh, sub, leaf_nodes)
-        d = points_sq(query_points[lane], bvh.points[ppos])
-        local.distance_evals += lane.size
-        hit = d <= r_sq
-        if np.any(hit):
-            found_q.append(lane[hit])
-            found_p.append(ppos[hit])
-
-    if bvh.n_leaves == 1:
-        emit(np.arange(B, dtype=np.int64), np.zeros(B, dtype=np.int64))
-    else:
-        stack, sp = _alloc_stack(bvh, B, workspace)
-        stack[:, 0] = 0
-        sp[:] = 1
-        left, right = bvh.left, bvh.right
-        lo, hi = bvh.lo, bvh.hi
-        while True:
-            active_mask = sp > 0
-            lanes = np.nonzero(active_mask)[0]
-            if lanes.size == 0:
-                break
-            trace.step(active_mask)
-            sp[lanes] -= 1
-            node = stack[lanes, sp[lanes]].astype(np.int64)
-            local.nodes_visited += lanes.size
-            local.stack_ops += lanes.size
-            qp = query_points[lanes]
-
-            l_child = left[node]
-            r_child = right[node]
-            dl = point_box_sq(qp, lo[l_child], hi[l_child])
-            dr = point_box_sq(qp, lo[r_child], hi[r_child])
-            local.box_distance_evals += 2 * lanes.size
-            ok_l = dl <= r_sq
-            ok_r = dr <= r_sq
-            leaf_l = l_child >= leaf_base
-            leaf_r = r_child >= leaf_base
-
-            take_l = ok_l & leaf_l
-            if np.any(take_l):
-                emit(lanes[take_l], l_child[take_l])
-            take_r = ok_r & leaf_r
-            if np.any(take_r):
-                emit(lanes[take_r], r_child[take_r])
-
-            push_l = ok_l & ~leaf_l
-            push_r = ok_r & ~leaf_r
-            both = push_l & push_r
-            first = np.where(push_l, l_child, r_child)
-            any_push = push_l | push_r
-            sub1 = lanes[any_push]
-            stack[sub1, sp[sub1]] = first[any_push].astype(np.int32)
-            sp[sub1] += 1
-            sub2 = lanes[both]
-            stack[sub2, sp[sub2]] = r_child[both].astype(np.int32)
-            sp[sub2] += 1
-            local.stack_ops += sub1.size + sub2.size
-        trace.flush(local)
-
-    if found_q:
-        q_all = np.concatenate(found_q)
-        p_all = np.concatenate(found_p)
-        order = np.argsort(q_all, kind="stable")
-        q_all = q_all[order]
-        p_all = p_all[order]
-    else:
-        q_all = np.empty(0, dtype=np.int64)
-        p_all = np.empty(0, dtype=np.int64)
-    counts = np.bincount(q_all, minlength=B)
-    offsets = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, p_all, q_all

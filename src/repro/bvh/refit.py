@@ -62,50 +62,27 @@ def bottom_up_schedule(left: np.ndarray, right: np.ndarray,
     return schedule
 
 
-def block_reduce(ufunc: np.ufunc, values: np.ndarray,
-                 leaf_start: np.ndarray) -> np.ndarray:
-    """``ufunc.reduceat`` of ``values`` over the leaf blocks starting at
-    ``leaf_start``; a start outside ``values`` raises
-    :class:`~repro.errors.InvalidInputError`."""
-    if leaf_start.size and (leaf_start.min() < 0
-                            or leaf_start.max() >= values.shape[0]):
-        raise InvalidInputError("leaf block out of range")
-    return ufunc.reduceat(values, leaf_start, axis=0)
-
-
 def refit_bounds(
     points: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
     schedule: List[np.ndarray],
     counters: Optional[CostCounters] = None,
-    *,
-    leaf_start: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Compute node bounding boxes ``(lo, hi)`` for all ``2m - 1`` nodes.
+    """Compute node bounding boxes ``(lo, hi)`` for all ``2n - 1`` nodes.
 
-    ``points`` must be in sorted (leaf) order.  With ``leaf_start`` given,
-    leaf ``j`` covers sorted positions ``leaf_start[j]`` up to the next
-    block start and gets the union box of its block; without it every leaf
-    is one point and gets a degenerate box.  Each internal node is the
-    union of its children, processed level by level.  Boxes keep NumPy's
-    zero signs on both engines: ``np.minimum(0.0, -0.0)`` is ``-0.0``.
+    ``points`` must be in sorted (leaf) order; every leaf is one point and
+    gets a degenerate box.  Each internal node is the union of its
+    children, processed level by level.  Boxes keep NumPy's zero signs on
+    both engines: ``np.minimum(0.0, -0.0)`` is ``-0.0``.
     """
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
-    if leaf_start is None:
-        m = n
-        leaf_lo = points
-        leaf_hi = points
-    else:
-        m = leaf_start.shape[0]
-        leaf_lo = block_reduce(np.minimum, points, leaf_start)
-        leaf_hi = block_reduce(np.maximum, points, leaf_start)
-    leaf_base = m - 1
-    lo = np.empty((2 * m - 1, dim), dtype=np.float64)
-    hi = np.empty((2 * m - 1, dim), dtype=np.float64)
-    lo[leaf_base:] = leaf_lo
-    hi[leaf_base:] = leaf_hi
+    leaf_base = n - 1
+    lo = np.empty((2 * n - 1, dim), dtype=np.float64)
+    hi = np.empty((2 * n - 1, dim), dtype=np.float64)
+    lo[leaf_base:] = points
+    hi[leaf_base:] = points
     from repro.bvh import compiled  # compiled -> query -> bvh -> here
     if compiled.selected():
         compiled.refit_compiled(left, right, schedule, lo, hi)

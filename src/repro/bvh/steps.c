@@ -31,7 +31,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Status codes, after traverse.c's 1..5; compiled.py maps them. */
+/* Status codes, one numbering with traverse.c's 1, 3 and 4;
+ * compiled.py maps them. */
 enum {
     STP_OK = 0,
     STP_BAD_CHILD = 1,

@@ -25,10 +25,9 @@ algorithm needs:
 
 * **component constraint / subtree skipping** — ``node_labels`` per tree
   node (a node carries a component label when its whole subtree is in one
-  component, else ``INVALID_LABEL``); a child whose label equals the
-  query's label is skipped (Optimization 1, Section 3).  Blocked trees
-  additionally take ``point_labels`` (per sorted position) for the exact
-  per-point constraint inside mixed leaf blocks;
+  component, else ``INVALID_LABEL``; a leaf carries its point's label); a
+  child whose label equals the query's label is skipped (Optimization 1,
+  Section 3);
 * **initial cutoff radius** — per-query squared radius (Optimization 2);
 * **mutual-reachability metric** — per-point core distances fold into leaf
   evaluations and subtree lower bounds (Section 3, "Non-Euclidean metrics");
@@ -40,7 +39,7 @@ algorithm needs:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -119,7 +118,6 @@ def batched_nearest(
     *,
     query_labels: Optional[np.ndarray] = None,
     node_labels: Optional[np.ndarray] = None,
-    point_labels: Optional[np.ndarray] = None,
     init_radius_sq: Optional[np.ndarray] = None,
     query_ids: Optional[np.ndarray] = None,
     point_ids: Optional[np.ndarray] = None,
@@ -136,13 +134,11 @@ def batched_nearest(
     ----------
     query_points:
         ``(B, d)`` query coordinates.
-    query_labels / node_labels / point_labels:
+    query_labels / node_labels:
         Component constraint.  When given, a neighbor is admissible only if
         its label differs from the query's, and any subtree whose
-        ``node_labels`` entry equals the query label is skipped.
-        ``point_labels`` carries per-sorted-position labels; it may be
-        omitted for one-point-per-leaf trees (derived from the leaf slice
-        of ``node_labels``) but is required for blocked trees.
+        ``node_labels`` entry equals the query label is skipped; the leaf
+        slice of ``node_labels`` holds the points' own labels.
     init_radius_sq:
         Per-query initial squared cutoff radius (``inf`` when omitted).
     query_ids / point_ids:
@@ -164,7 +160,7 @@ def batched_nearest(
     """
     kwargs = dict(
         query_labels=query_labels, node_labels=node_labels,
-        point_labels=point_labels, init_radius_sq=init_radius_sq,
+        init_radius_sq=init_radius_sq,
         query_ids=query_ids, point_ids=point_ids,
         query_core_sq=query_core_sq, point_core_sq=point_core_sq,
         exclude_position=exclude_position, counters=counters,
@@ -199,38 +195,3 @@ def batched_knn(
     return _reference.knn_reference(
         bvh, query_points, k, exclude_position=exclude_position,
         counters=counters, workspace=workspace)
-
-
-def radius_search(
-    bvh: BVH,
-    query_points: np.ndarray,
-    radius: float,
-    *,
-    counters: Optional[CostCounters] = None,
-    engine: Optional[str] = None,
-    workspace: Optional[TraversalWorkspace] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All indexed points within ``radius`` of each query (spatial query).
-
-    Returns CSR-style ``(offsets, positions, query_of_pair)``: neighbors of
-    query ``i`` are ``positions[offsets[i]:offsets[i+1]]`` (sorted
-    positions, unordered within a query).
-    """
-    engine = _resolve(engine)
-    if engine == "compiled":
-        return _compiled.radius_compiled(
-            bvh, query_points, radius, counters=counters,
-            workspace=workspace)
-    return _reference.radius_reference(
-        bvh, query_points, radius, counters=counters, workspace=workspace)
-
-
-def radius_count(bvh: BVH, query_points: np.ndarray, radius: float,
-                 *, counters: Optional[CostCounters] = None,
-                 engine: Optional[str] = None,
-                 workspace: Optional[TraversalWorkspace] = None) -> np.ndarray:
-    """Number of indexed points within ``radius`` of each query."""
-    offsets, _, _ = radius_search(bvh, query_points, radius,
-                                  counters=counters, engine=engine,
-                                  workspace=workspace)
-    return np.diff(offsets)

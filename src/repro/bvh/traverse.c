@@ -4,15 +4,14 @@
  * query lane at a time, step for step, so every answer and every work
  * counter equals the reference engine's:
  *
- *   - a popped node is re-tested against the lane's cutoff as of the pop
- *     (the radius kernel, like its reference, skips the re-test);
+ *   - a popped node is re-tested against the lane's cutoff as of the pop;
  *   - both children are bounded, then kept only if the bound is within
  *     the cutoff (raised to the query's core distance under the
  *     mutual-reachability metric), the child's component label differs
- *     from the query's, and the child is not the excluded single point;
+ *     from the query's, and the child is not the leaf of the excluded
+ *     point (every leaf holds one point, and carries its label);
  *   - a kept left leaf is evaluated before a kept right leaf, then the
- *     kept inner children are pushed: far first and near on top (left
- *     then right in the radius kernel);
+ *     kept inner children are pushed: far first and near on top;
  *   - each lane counts its steps, and a warp of 32 consecutive lanes is
  *     charged the steps of its busiest lane, which is what the reference
  *     charges by counting every iteration in which any lane is active.
@@ -23,10 +22,10 @@
  * exclusion rule rejects is not bounded at all.  Both still count the box
  * distance evaluations the reference makes.
  *
- * Threads: the nearest and k-NN kernels hand their lanes out in blocks
- * of 8 whole warps (256 lanes) through an atomic counter, to the calling
- * thread and to `threads - 1` helpers made with pthread_create and
- * joined before the call returns, so no thread outlives a call.  A lane
+ * Threads: both kernels hand their lanes out in blocks of 8 whole
+ * warps (256 lanes) through an atomic counter, to the calling thread
+ * and to `threads - 1` helpers made with pthread_create and joined
+ * before the call returns, so no thread outlives a call.  A lane
  * writes only its own outputs, each thread has its own stack rows and
  * work sums, and a warp never spans two blocks, so every answer and
  * every counter (warp_steps included) is the same at any thread count.
@@ -35,17 +34,16 @@
  * that run take its blocks.  On a malformed tree the lowest-indexed
  * failing block decides the status; a block stops at its first failing
  * lane, so that is the status of the first failing lane, as on one
- * thread.  The radius kernel appends hits in lane order and stays on the
- * calling thread.
+ * thread.
  *
  * Floating point: squared terms are added left to right from dimension 0
  * (what np.sum does over a last axis shorter than 8), clamps use NumPy's
  * NaN-propagating maximum, and the library is built with
  * -ffp-contract=off, so no multiply-add is fused and every bit matches.
  *
- * Safety: every child index, leaf range and stack push is checked, and a
- * lane pops at most one node per internal node, so a malformed tree
- * returns an error code instead of reading out of bounds or looping.
+ * Safety: every child index and stack push is checked, and a lane pops
+ * at most one node per internal node, so a malformed tree returns an
+ * error code instead of reading out of bounds or looping.
  * The caller (repro/bvh/compiled.py) validates every array's dtype,
  * shape and contiguity before passing its pointer.
  */
@@ -60,10 +58,8 @@
 enum {
     TRV_OK = 0,
     TRV_BAD_CHILD = 1,
-    TRV_BAD_LEAF = 2,
     TRV_STACK_OVERFLOW = 3,
     TRV_CYCLE = 4,
-    TRV_NO_MEMORY = 5,
 };
 
 #define WARP_SIZE 32
@@ -71,19 +67,16 @@ enum {
 #define NO_KEY UINT64_MAX
 #define INLINE static inline __attribute__((always_inline))
 
-/* A BVH (see repro/bvh/bvh.py): with m leaves, internal nodes are
- * 0..m-2 (root 0) and leaf block j is node m-1+j. */
+/* A BVH (see repro/bvh/bvh.py): internal nodes are 0..n-2 (root 0) and
+ * the leaf of sorted position j is node n-1+j. */
 typedef struct {
-    int64_t n;                  /* points */
+    int64_t n;                  /* points, one per leaf */
     int64_t dim;
-    int64_t n_leaves;           /* m */
     const double *points;       /* (n, dim), sorted order */
-    const double *lo;           /* (2m-1, dim) node boxes */
+    const double *lo;           /* (2n-1, dim) node boxes */
     const double *hi;
-    const int64_t *left;        /* (m-1,) children of internal nodes */
+    const int64_t *left;        /* (n-1,) children of internal nodes */
     const int64_t *right;
-    const int64_t *leaf_start;  /* (m,) first sorted position of a leaf */
-    const int64_t *leaf_count;  /* (m,) points in a leaf */
     int32_t *stack;             /* a thread's traversal stack: nodes */
     double *bound;              /* and their box distances, as pushed; */
     int64_t stack_cap;          /* thread i's rows start at i * stack_cap */
@@ -104,8 +97,7 @@ typedef struct {
     const double *queries;        /* (B, dim) */
     const double *init_radius_sq; /* (B,) or NULL: unbounded */
     const int64_t *query_labels;  /* (B,) or NULL: no component constraint */
-    const int64_t *node_labels;   /* (2m-1,) */
-    const int64_t *point_labels;  /* (n,) */
+    const int64_t *node_labels;   /* (2n-1,) */
     const uint64_t *query_ids;    /* (B,) or NULL: ties keep the first found */
     const uint64_t *point_ids;    /* (n,) */
     const double *query_core_sq;  /* (B,) or NULL: Euclidean metric */
@@ -123,15 +115,6 @@ typedef struct {
     double *kbest;          /* (B, k) outputs, ascending */
     int64_t *kpos;
 } knn_t;
-
-typedef struct {
-    const double *queries;  /* (B, dim) */
-    double r_sq;
-    int64_t *counts;        /* (B,) hits per query */
-    int64_t *hits;          /* grown with realloc; free with repro_free */
-    int64_t n_hits;
-    int64_t cap;
-} radius_t;
 
 INLINE double np_max(double a, double b) { return (a >= b || a != a) ? a : b; }
 INLINE double np_min(double a, double b) { return (a <= b || a != a) ? a : b; }
@@ -164,23 +147,10 @@ INLINE uint64_t pair_key(uint64_t a, uint64_t b)
     return a < b ? (a << 32) | b : (b << 32) | a;
 }
 
-/* The point block of leaf node `node` as [*start, *start + *count). */
-INLINE int leaf_range(const tree_t *t, int64_t node, int64_t *start,
-                      int64_t *count)
-{
-    int64_t block = node - (t->n_leaves - 1);
-    int64_t s = t->leaf_start[block], c = t->leaf_count[block];
-    if (s < 0 || c < 0 || s > t->n - c)
-        return TRV_BAD_LEAF;
-    *start = s;
-    *count = c;
-    return TRV_OK;
-}
-
 /* The children of popped inner node `node`; never the root. */
 INLINE int children(const tree_t *t, int64_t node, int64_t *l, int64_t *r)
 {
-    int64_t n_nodes = 2 * t->n_leaves - 1;
+    int64_t n_nodes = 2 * t->n - 1;
     *l = t->left[node];
     *r = t->right[node];
     if (*l < 1 || *l >= n_nodes || *r < 1 || *r >= n_nodes)
@@ -188,13 +158,11 @@ INLINE int children(const tree_t *t, int64_t node, int64_t *l, int64_t *r)
     return TRV_OK;
 }
 
-/* A one-point leaf holding exactly the excluded position
- * (query.py's single_leaf_excluded). */
+/* The leaf of the excluded position (query.py's single_leaf_excluded). */
 INLINE int single_excluded(const tree_t *t, int64_t node, int64_t excl)
 {
-    int64_t block = node - (t->n_leaves - 1);
-    return block >= 0 && t->leaf_count[block] == 1
-           && t->leaf_start[block] == excl;
+    int64_t p = node - (t->n - 1);
+    return p >= 0 && p == excl;
 }
 
 /* Put the root on an empty stack; like the reference, not a stack op. */
@@ -225,7 +193,7 @@ INLINE int push(const tree_t *t, int64_t *sp, int64_t node, double bound,
 INLINE int pop(const tree_t *t, int64_t *sp, int64_t *steps, int64_t *node,
                double *bound, work_t *w)
 {
-    if (++*steps > t->n_leaves - 1)
+    if (++*steps > t->n - 1)
         return TRV_CYCLE;
     (*sp)--;
     *node = t->stack[*sp];
@@ -262,48 +230,45 @@ typedef struct {
     uint64_t key;
 } best_t;
 
-INLINE int nearest_leaf(const tree_t *t, const nearest_t *a, int64_t lane,
-                        const double *q, int64_t node, best_t *b, work_t *w)
+/* Evaluate the leaf of sorted position p.  The node tests already
+ * applied the label and exclusion rules, except to the lone leaf of a
+ * one-point tree, which the exclusion check here covers.  The cutoff
+ * test stays: under the m.r.d. metric the point's core distance can lift
+ * d above the box bound the node test compared. */
+INLINE void nearest_leaf(const tree_t *t, const nearest_t *a, int64_t lane,
+                         const double *q, int64_t p, best_t *b, work_t *w)
 {
-    int64_t s, c;
-    if (leaf_range(t, node, &s, &c))
-        return TRV_BAD_LEAF;
     w->leaf_visits++;
-    for (int64_t p = s; p < s + c; p++) {
-        if (a->query_labels && a->point_labels[p] == a->query_labels[lane])
-            continue;
-        if (a->exclude && p == a->exclude[lane])
-            continue;
-        w->distance_evals++;
-        double d = point_sq(t, q, p);
-        if (a->query_core_sq) {
-            d = np_max(d, a->query_core_sq[lane]);
-            d = np_max(d, a->point_core_sq[p]);
-        }
-        if (!(d <= b->radius))
-            continue;
-        if (a->query_ids) {
-            /* Minimize (d, key); an equal pair replaces the incumbent,
-             * as the reference's scatter does. */
-            uint64_t key = pair_key(a->query_ids[lane], a->point_ids[p]);
-            if (!(d < b->best || (d == b->best && key <= b->key)))
-                continue;
-            b->key = key;
-        } else if (!(d < b->best)) {
-            continue;
-        }
-        b->best = d;
-        b->pos = p;
-        b->radius = np_min(b->radius, d);
+    if (a->exclude && p == a->exclude[lane])
+        return;
+    w->distance_evals++;
+    double d = point_sq(t, q, p);
+    if (a->query_core_sq) {
+        d = np_max(d, a->query_core_sq[lane]);
+        d = np_max(d, a->point_core_sq[p]);
     }
-    return TRV_OK;
+    if (!(d <= b->radius))
+        return;
+    if (a->query_ids) {
+        /* Minimize (d, key); an equal pair replaces the incumbent, as the
+         * reference's scatter does. */
+        uint64_t key = pair_key(a->query_ids[lane], a->point_ids[p]);
+        if (!(d < b->best || (d == b->best && key <= b->key)))
+            return;
+        b->key = key;
+    } else if (!(d < b->best)) {
+        return;
+    }
+    b->best = d;
+    b->pos = p;
+    b->radius = np_min(b->radius, d);
 }
 
 INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
                         int64_t *steps, work_t *w)
 {
     const double *q = a->queries + lane * t->dim;
-    const int64_t leaf_base = t->n_leaves - 1;
+    const int64_t leaf_base = t->n - 1;
     const int use_labels = a->query_labels != NULL;
     const int64_t qlab = use_labels ? a->query_labels[lane] : 0;
     const double qcore = a->query_core_sq ? a->query_core_sq[lane] : 0.0;
@@ -314,9 +279,12 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
     int rc = TRV_OK;
 
     /* A lane whose component spans the whole tree has nothing to find. */
-    if (!(use_labels && a->node_labels[0] == qlab))
-        rc = leaf_base == 0 ? nearest_leaf(t, a, lane, q, 0, &b, w)
-                            : seed_root(t, &sp, box_sq(t, q, 0));
+    if (!(use_labels && a->node_labels[0] == qlab)) {
+        if (leaf_base == 0)
+            nearest_leaf(t, a, lane, q, 0, &b, w);
+        else
+            rc = seed_root(t, &sp, box_sq(t, q, 0));
+    }
     while (!rc && sp > 0) {
         int64_t node, l, r;
         double bound;
@@ -348,10 +316,10 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
             dr = box_sq(t, q, r);
             ok_r = (a->query_core_sq ? np_max(dr, qcore) : dr) <= rad;
         }
-        if (ok_l && leaf_l && (rc = nearest_leaf(t, a, lane, q, l, &b, w)))
-            break;
-        if (ok_r && leaf_r && (rc = nearest_leaf(t, a, lane, q, r, &b, w)))
-            break;
+        if (ok_l && leaf_l)
+            nearest_leaf(t, a, lane, q, l - leaf_base, &b, w);
+        if (ok_r && leaf_r)
+            nearest_leaf(t, a, lane, q, r - leaf_base, &b, w);
         rc = push_near_last(t, &sp, ok_l && !leaf_l, ok_r && !leaf_r, l, r,
                             dl, dr, w);
     }
@@ -363,40 +331,35 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
 
 /* ----------------------------------------------------------------- knn */
 
-INLINE int knn_leaf(const tree_t *t, const knn_t *a, int64_t lane,
-                    const double *q, int64_t node, double *kb, int64_t *kp,
-                    work_t *w)
+/* Evaluate the leaf of sorted position p (see nearest_leaf). */
+INLINE void knn_leaf(const tree_t *t, const knn_t *a, int64_t lane,
+                     const double *q, int64_t p, double *kb, int64_t *kp,
+                     work_t *w)
 {
     const int64_t k = a->k;
-    int64_t s, c;
-    if (leaf_range(t, node, &s, &c))
-        return TRV_BAD_LEAF;
     w->leaf_visits++;
-    for (int64_t p = s; p < s + c; p++) {
-        if (a->exclude && p == a->exclude[lane])
-            continue;
-        w->distance_evals++;
-        double d = point_sq(t, q, p);
-        if (!(d < kb[k - 1]))
-            continue;
-        /* Insert after every entry <= d: incumbents and earlier
-         * candidates win ties, as in the reference's stable merge. */
-        int64_t j = k - 1;
-        for (; j > 0 && kb[j - 1] > d; j--) {
-            kb[j] = kb[j - 1];
-            kp[j] = kp[j - 1];
-        }
-        kb[j] = d;
-        kp[j] = p;
+    if (a->exclude && p == a->exclude[lane])
+        return;
+    w->distance_evals++;
+    double d = point_sq(t, q, p);
+    if (!(d < kb[k - 1]))
+        return;
+    /* Insert after every entry <= d: incumbents and earlier candidates
+     * win ties, as in the reference's stable merge. */
+    int64_t j = k - 1;
+    for (; j > 0 && kb[j - 1] > d; j--) {
+        kb[j] = kb[j - 1];
+        kp[j] = kp[j - 1];
     }
-    return TRV_OK;
+    kb[j] = d;
+    kp[j] = p;
 }
 
 INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
                     int64_t *steps, work_t *w)
 {
     const double *q = a->queries + lane * t->dim;
-    const int64_t leaf_base = t->n_leaves - 1, k = a->k;
+    const int64_t leaf_base = t->n - 1, k = a->k;
     const int64_t excl = a->exclude ? a->exclude[lane] : 0;
     double *kb = a->kbest + lane * k;
     int64_t *kp = a->kpos + lane * k;
@@ -406,8 +369,11 @@ INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
         kb[j] = INFINITY;
         kp[j] = -1;
     }
-    int rc = leaf_base == 0 ? knn_leaf(t, a, lane, q, 0, kb, kp, w)
-                            : seed_root(t, &sp, box_sq(t, q, 0));
+    int rc = TRV_OK;
+    if (leaf_base == 0)
+        knn_leaf(t, a, lane, q, 0, kb, kp, w);
+    else
+        rc = seed_root(t, &sp, box_sq(t, q, 0));
     while (!rc && sp > 0) {
         int64_t node, l, r;
         double bound;
@@ -427,73 +393,12 @@ INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
             ok_l = ok_l && !single_excluded(t, l, excl);
             ok_r = ok_r && !single_excluded(t, r, excl);
         }
-        if (ok_l && leaf_l && (rc = knn_leaf(t, a, lane, q, l, kb, kp, w)))
-            break;
-        if (ok_r && leaf_r && (rc = knn_leaf(t, a, lane, q, r, kb, kp, w)))
-            break;
+        if (ok_l && leaf_l)
+            knn_leaf(t, a, lane, q, l - leaf_base, kb, kp, w);
+        if (ok_r && leaf_r)
+            knn_leaf(t, a, lane, q, r - leaf_base, kb, kp, w);
         rc = push_near_last(t, &sp, ok_l && !leaf_l, ok_r && !leaf_r, l, r,
                             dl, dr, w);
-    }
-    return rc;
-}
-
-/* -------------------------------------------------------------- radius */
-
-INLINE int radius_leaf(const tree_t *t, radius_t *a, int64_t lane,
-                       const double *q, int64_t node, work_t *w)
-{
-    int64_t s, c;
-    if (leaf_range(t, node, &s, &c))
-        return TRV_BAD_LEAF;
-    w->leaf_visits++;
-    for (int64_t p = s; p < s + c; p++) {
-        w->distance_evals++;
-        if (!(point_sq(t, q, p) <= a->r_sq))
-            continue;
-        if (a->n_hits == a->cap) {
-            int64_t cap = a->cap ? 2 * a->cap : 1024;
-            int64_t *grown = realloc(a->hits, (size_t)cap * sizeof(int64_t));
-            if (!grown)
-                return TRV_NO_MEMORY;
-            a->hits = grown;
-            a->cap = cap;
-        }
-        a->hits[a->n_hits++] = p;
-        a->counts[lane]++;
-    }
-    return TRV_OK;
-}
-
-INLINE int radius_lane(const tree_t *t, radius_t *a, int64_t lane,
-                       int64_t *steps, work_t *w)
-{
-    const double *q = a->queries + lane * t->dim;
-    const int64_t leaf_base = t->n_leaves - 1;
-    int64_t sp = 0;
-
-    a->counts[lane] = 0;
-    /* No pop re-test in this kernel, so the root needs no bound. */
-    int rc = leaf_base == 0 ? radius_leaf(t, a, lane, q, 0, w)
-                            : seed_root(t, &sp, 0.0);
-    while (!rc && sp > 0) {
-        int64_t node, l, r;
-        double bound;
-        if ((rc = pop(t, &sp, steps, &node, &bound, w)))
-            break;
-        if ((rc = children(t, node, &l, &r)))
-            break;
-        const double dl = box_sq(t, q, l), dr = box_sq(t, q, r);
-        w->box_distance_evals += 2;
-        const int ok_l = dl <= a->r_sq, ok_r = dr <= a->r_sq;
-        const int leaf_l = l >= leaf_base, leaf_r = r >= leaf_base;
-        if (ok_l && leaf_l && (rc = radius_leaf(t, a, lane, q, l, w)))
-            break;
-        if (ok_r && leaf_r && (rc = radius_leaf(t, a, lane, q, r, w)))
-            break;
-        if (ok_l && !leaf_l && (rc = push(t, &sp, l, dl, w)))
-            break;
-        if (ok_r && !leaf_r)
-            rc = push(t, &sp, r, dr, w);
     }
     return rc;
 }
@@ -667,18 +572,4 @@ int repro_knn(const tree_t *tree, const knn_t *args, int64_t n_queries,
               int64_t threads, work_t *out)
 {
     return run_threads(knn_block, tree, args, n_queries, threads, out);
-}
-
-int repro_radius(const tree_t *tree, radius_t *args, int64_t n_queries,
-                 work_t *out)
-{
-    /* The hit buffer stays in *args, so the caller frees it even when a
-     * lane fails. */
-    const tree_t t = *tree;
-    RUN_LANES(radius_lane, &t, args, 0, n_queries, out);
-}
-
-void repro_free(void *p)
-{
-    free(p);
 }

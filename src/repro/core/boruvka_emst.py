@@ -33,14 +33,6 @@ from repro.core.merge import merge_components
 from repro.core.outgoing import find_components_outgoing_edges
 from repro.kokkos.counters import CostCounters
 
-#: Default points-per-leaf blocking factor, chosen by the
-#: ``bench_kernels`` leaf-size sweep on the compiled engine (see README
-#: "Performance"): blocking defeats the component-label leaf skipping of
-#: Optimization 1 (a mixed block cannot be skipped and costs a whole
-#: block of exact distances), so single-point leaves win for the
-#: label-constrained EMST kernel and blocking stays an opt-in knob.
-DEFAULT_LEAF_SIZE = 1
-
 
 @dataclass(frozen=True)
 class SingleTreeConfig:
@@ -50,24 +42,15 @@ class SingleTreeConfig:
     ``bits`` sets the Z-curve resolution of the BVH build (None = maximum;
     see the GeoLife discussion in Section 4.1); ``high_resolution`` uses
     double-width 128-bit codes instead — the paper's proposed GeoLife fix.
-    ``record_rounds`` keeps per-iteration statistics (cheap; disable for
-    the tightest benchmarks).  ``leaf_size`` blocks that many consecutive
-    sorted positions per tree leaf (both backends); the traversal then
-    evaluates whole blocks of exact distances per leaf visit, amortizing
-    per-step overhead.  The default is the winner of the ``bench_kernels``
-    leaf-size sweep; results are identical for every value.
     """
 
     subtree_skipping: bool = True
     component_bounds: bool = True
     bits: Optional[int] = None
     high_resolution: bool = False
-    record_rounds: bool = True
     #: Spatial index backing the traversals: "bvh" (linear BVH, the paper's
     #: choice) or "kdtree" (the generality claim of Section 1).
     tree_type: str = "bvh"
-    #: Max points per tree leaf (see :data:`DEFAULT_LEAF_SIZE`).
-    leaf_size: int = DEFAULT_LEAF_SIZE
     #: Warm frontier seeding: each lane's previous-round candidate — when
     #: it survives the merge in a foreign component — becomes the next
     #: round's initial cutoff radius.  A valid admissible upper bound, so
@@ -150,7 +133,7 @@ def run_boruvka(
             raise ConvergenceError(
                 f"Borůvka exceeded {max_iterations} iterations "
                 f"({num_components} components left)")
-        before = counters.copy() if config.record_rounds else None
+        before = counters.copy()
 
         reduce_labels(bvh, labels, enabled=config.subtree_skipping,
                       out=node_labels, counters=counters)
@@ -193,20 +176,19 @@ def run_boruvka(
             raise ConvergenceError(
                 f"merge did not reduce components: {num_components} -> "
                 f"{new_count}")
-        if config.record_rounds:
-            delta = counters.copy()
-            for name, val in before.as_dict().items():
-                if name != "max_batch":
-                    setattr(delta, name, getattr(delta, name) - val)
-            rounds.append(RoundStats(
-                iteration=iteration,
-                components_before=num_components,
-                components_after=new_count,
-                distance_evals=delta.distance_evals,
-                nodes_visited=delta.nodes_visited,
-                lane_steps=delta.lane_steps,
-                warp_steps=delta.warp_steps,
-            ))
+        delta = counters.copy()
+        for name, val in before.as_dict().items():
+            if name != "max_batch":
+                setattr(delta, name, getattr(delta, name) - val)
+        rounds.append(RoundStats(
+            iteration=iteration,
+            components_before=num_components,
+            components_after=new_count,
+            distance_evals=delta.distance_evals,
+            nodes_visited=delta.nodes_visited,
+            lane_steps=delta.lane_steps,
+            warp_steps=delta.warp_steps,
+        ))
         num_components = new_count
         iteration += 1
 

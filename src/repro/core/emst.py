@@ -118,15 +118,13 @@ def _build_tree(points: np.ndarray, config: SingleTreeConfig,
     if config.tree_type == "bvh":
         return build_bvh(points, bits=config.bits,
                          high_resolution=config.high_resolution,
-                         leaf_size=config.leaf_size,
                          counters=counters)
     if config.tree_type == "kdtree":
         if config.bits is not None or config.high_resolution:
             raise InvalidInputError(
                 "Morton-resolution options apply to the BVH backend only")
         from repro.core.kdtree_backend import kdtree_as_bvh
-        return kdtree_as_bvh(points, leaf_size=config.leaf_size,
-                             counters=counters)
+        return kdtree_as_bvh(points, counters=counters)
     raise InvalidInputError(
         f"unknown tree_type {config.tree_type!r}; use 'bvh' or 'kdtree'")
 

@@ -3,15 +3,14 @@
 The paper notes its algorithms "are general and are applicable to other
 tree structures such as k-d tree" (Section 1).  This module makes that
 claim executable: a median-split kd-tree is built directly in the BVH
-node layout (``m`` leaves, internal nodes ``0..m-2``, leaf ``j`` at
-``m-1+j``), so the *entire* Borůvka machinery — label reduction, bound
-seeding, batched Algorithm-2 traversal, merge — runs on it unchanged.
+node layout (``n`` one-point leaves, internal nodes ``0..n-2``, the leaf
+of position ``j`` at ``n-1+j``), so the *entire* Borůvka machinery —
+label reduction, bound seeding, batched Algorithm-2 traversal, merge —
+runs on it unchanged.
 
 The leaf order is the kd-tree's left-to-right (in-order) sequence, which
 is itself a space-filling order; the Z-curve-adjacency bound seeding of
-Optimization 2 therefore still finds close cross-component pairs.  Like
-the LBVH, leaves may be *blocked*: splitting stops once a segment has at
-most ``leaf_size`` points, and the block becomes one leaf.
+Optimization 2 therefore still finds close cross-component pairs.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ from repro.kokkos.counters import CostCounters
 
 
 def kdtree_as_bvh(points: np.ndarray, *,
-                  leaf_size: int = 1,
                   counters: Optional[CostCounters] = None) -> BVH:
     """Median-split kd-tree over ``points`` in the BVH node layout.
 
-    Splits the widest box side at the point median down to leaves of at
-    most ``leaf_size`` points.  Returns a :class:`~repro.bvh.bvh.BVH`, so
-    every consumer of the LBVH (traversals, the Borůvka loop) works on it
-    without change.
+    Splits the widest box side at the point median down to single points.
+    Returns a :class:`~repro.bvh.bvh.BVH`, so every consumer of the LBVH
+    (traversals, the Borůvka loop) works on it without change.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -42,11 +39,9 @@ def kdtree_as_bvh(points: np.ndarray, *,
             f"expected non-empty (n, d) points, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("points contain non-finite coordinates")
-    if leaf_size < 1:
-        raise InvalidInputError(f"leaf_size must be >= 1, got {leaf_size}")
     n, dim = points.shape
 
-    if n <= leaf_size:
+    if n == 1:
         # Single-leaf tree: node 0 is the leaf and the root.
         return BVH(
             points=points.copy(),
@@ -58,29 +53,17 @@ def kdtree_as_bvh(points: np.ndarray, *,
             lo=points.min(axis=0, keepdims=True),
             hi=points.max(axis=0, keepdims=True),
             schedule=[],
-            leaf_start=np.zeros(1, dtype=np.int64),
-            leaf_count=np.array([n], dtype=np.int64),
-            leaf_size=leaf_size,
         )
 
     perm = np.arange(n, dtype=np.int64)
-    left_list = []
-    right_list = []
-    #: (start, end) of each discovered leaf block, in discovery order.
-    blocks = []
-
-    # Iterative construction.  Internal ids are assigned in discovery
-    # order (root = 0); a child that is a leaf block is temporarily
-    # encoded as ``-(block_index) - 1`` and renumbered once the in-order
-    # block sequence is known.
-    def alloc_internal() -> int:
-        left_list.append(-1)
-        right_list.append(-1)
-        return len(left_list) - 1
-
-    root = alloc_internal()
-    # Stack entries: (node_id, start, end) with end - start > leaf_size.
-    stack = [(root, 0, n)]
+    leaf_base = n - 1
+    left = np.empty(n - 1, dtype=np.int64)
+    right = np.empty(n - 1, dtype=np.int64)
+    # Internal ids are assigned in discovery order (root = 0); a segment
+    # of one point is the leaf of its position, node ``leaf_base + s``.
+    n_internal = 1
+    # Stack entries: (node_id, start, end) with end - start > 1.
+    stack = [(0, 0, n)]
     while stack:
         node, s, e = stack.pop()
         seg = perm[s:e]
@@ -91,49 +74,23 @@ def kdtree_as_bvh(points: np.ndarray, *,
         part = np.argpartition(seg_pts[:, axis], mid)
         perm[s:e] = seg[part]
 
-        for child_slot, (cs, ce) in enumerate(((s, s + mid), (s + mid, e))):
-            if ce - cs <= leaf_size:
-                child = -len(blocks) - 1
-                blocks.append((cs, ce))
+        for children, (cs, ce) in ((left, (s, s + mid)),
+                                   (right, (s + mid, e))):
+            if ce - cs == 1:
+                children[node] = leaf_base + cs
             else:
-                child = alloc_internal()
-                stack.append((child, cs, ce))
-            if child_slot == 0:
-                left_list[node] = child
-            else:
-                right_list[node] = child
+                children[node] = n_internal
+                stack.append((n_internal, cs, ce))
+                n_internal += 1
 
-    m = len(blocks)
-    n_internal = len(left_list)
-    assert n_internal == m - 1, "kd-tree must be a full binary tree"
-    leaf_base = m - 1
-    # Renumber leaf blocks into in-order (sorted-by-start) sequence.
-    starts = np.array([b[0] for b in blocks], dtype=np.int64)
-    ends = np.array([b[1] for b in blocks], dtype=np.int64)
-    in_order = np.argsort(starts, kind="stable")
-    rank_of = np.empty(m, dtype=np.int64)
-    rank_of[in_order] = np.arange(m, dtype=np.int64)
-
-    def resolve(children) -> np.ndarray:
-        arr = np.asarray(children, dtype=np.int64)
-        is_block = arr < 0
-        block_idx = -(arr + 1)
-        return np.where(is_block, leaf_base + rank_of[np.maximum(block_idx, 0)],
-                        arr)
-
-    left = resolve(left_list)
-    right = resolve(right_list)
-    parent = np.full(2 * m - 1, -1, dtype=np.int64)
-    internal_ids = np.arange(n_internal, dtype=np.int64)
+    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    internal_ids = np.arange(n - 1, dtype=np.int64)
     parent[left] = internal_ids
     parent[right] = internal_ids
 
-    leaf_start = starts[in_order]
-    leaf_count = (ends - starts)[in_order]
     sorted_points = points[perm]
-    schedule = bottom_up_schedule(left, right, m)
-    lo, hi = refit_bounds(sorted_points, left, right, schedule, counters,
-                          leaf_start=leaf_start)
+    schedule = bottom_up_schedule(left, right, n)
+    lo, hi = refit_bounds(sorted_points, left, right, schedule, counters)
     if counters is not None:
         depth = max(int(np.ceil(np.log2(n))), 1)
         counters.record_bulk(n, ops_per_item=6.0 * depth,
@@ -149,7 +106,4 @@ def kdtree_as_bvh(points: np.ndarray, *,
         lo=lo,
         hi=hi,
         schedule=schedule,
-        leaf_start=leaf_start,
-        leaf_count=leaf_count,
-        leaf_size=leaf_size,
     )

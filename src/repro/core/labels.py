@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.bvh import compiled
 from repro.bvh.bvh import BVH
-from repro.bvh.refit import block_reduce
 from repro.bvh.traversal import INVALID_LABEL
 from repro.kokkos.counters import CostCounters
 
@@ -36,18 +35,15 @@ def reduce_labels(
 
     ``labels_sorted[i]`` is the component of the point at sorted position
     ``i``.  Returns ``node_labels`` where entries are the common component
-    of the node's subtree or :data:`INVALID_LABEL`.  A blocked leaf
-    (``leaf_size > 1``) carries the common label of its point block when
-    uniform, else :data:`INVALID_LABEL` — the traversal then applies the
-    exact per-point constraint inside the block via ``point_labels``.
+    of the node's subtree or :data:`INVALID_LABEL`; a leaf carries its
+    point's label.
 
     ``enabled=False`` marks every internal node invalid — this is the
     ablation switch for Optimization 1 (leaf labels are still required for
-    the block-level constraint itself).
+    the component constraint itself).
 
-    ``out`` may supply a preallocated ``(2m - 1,)`` int64 buffer
-    (``m = bvh.n_leaves``), which the Borůvka loop reuses across
-    iterations.
+    ``out`` may supply a preallocated ``(2n - 1,)`` int64 buffer, which
+    the Borůvka loop reuses across iterations.
     """
     n = bvh.n
     labels_sorted = np.asarray(labels_sorted, dtype=np.int64)
@@ -60,14 +56,8 @@ def reduce_labels(
     else:
         node_labels = out
     leaf_base = bvh.leaf_base
-    if bvh.n_leaves == n:
-        node_labels[leaf_base:] = labels_sorted
-    else:
-        lab_min = block_reduce(np.minimum, labels_sorted, bvh.leaf_start)
-        lab_max = block_reduce(np.maximum, labels_sorted, bvh.leaf_start)
-        node_labels[leaf_base:] = np.where(lab_min == lab_max, lab_min,
-                                           INVALID_LABEL)
-    if bvh.n_leaves == 1:
+    node_labels[leaf_base:] = labels_sorted
+    if n == 1:
         return node_labels
 
     if not enabled:

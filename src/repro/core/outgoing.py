@@ -83,7 +83,6 @@ def find_components_outgoing_edges(
         bvh.points,
         query_labels=labels_sorted,
         node_labels=node_labels,
-        point_labels=labels_sorted,
         init_radius_sq=init_radius,
         query_ids=bvh.order,
         point_ids=bvh.order,

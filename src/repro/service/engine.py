@@ -37,6 +37,7 @@ The engine is directly embeddable (no server required)::
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import threading
@@ -88,10 +89,12 @@ from repro.store import (
     DiskStore,
     EncodedPayload,
     TieredCache,
+    codec_for,
     combine_fingerprint,
     compact_tree_state,
     expand_tree_state,
     fingerprint_array,
+    read_blob,
 )
 from repro.timing import PhaseTimer
 
@@ -472,12 +475,21 @@ class Engine:
 
         ``False`` on a memory-only node (a replica target without a store
         cannot hold warm state across restarts; the pusher counts it as
-        rejected).  Invalid bytes raise :class:`InvalidInputError` — the
-        store validates by deserializing before the atomic rename.
+        rejected).  Bytes the tier's codec cannot decode raise
+        :class:`InvalidInputError`, so a blob a lookup would read as a
+        miss is never stored.
         """
         self._check_tier(tier)
         if self.store is None:
             return False
+        decode = codec_for(tier)[1]
+        try:
+            decode(*read_blob(io.BytesIO(data)))
+        except InvalidInputError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — KeyError, ValueError, ...
+            raise InvalidInputError(
+                f"undecodable {tier} artifact: {exc}") from exc
         stored = self.store.put_blob_bytes(tier, key, data)
         if stored and reason == "rebalance":
             self._rebalance_copies_c.inc()

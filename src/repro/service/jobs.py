@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.boruvka_emst import RoundStats, SingleTreeConfig
 from repro.core.emst import EMSTResult
 from repro.errors import InvalidInputError
+from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D
 from repro.hdbscan.condense import CondensedTree
 from repro.hdbscan.hdbscan import HDBSCANResult
 from repro.kokkos.counters import CostCounters
@@ -100,11 +101,13 @@ class JobSpec:
                 raise
             except (TypeError, ValueError) as exc:
                 raise InvalidInputError(f"bad inline points: {exc}")
+            dim = arr.shape[1]
         if self.dataset is not None:
-            from repro.data import parse_dataset_spec
-            parse_dataset_spec(self.dataset)  # malformed specs fail at submit
+            from repro.data import dataset_dimension, parse_dataset_spec
+            # Malformed specs fail at submit.
+            dim = dataset_dimension(parse_dataset_spec(self.dataset)[0])
         for name in ("subtree_skipping", "component_bounds",
-                     "high_resolution", "record_rounds", "warm_frontier"):
+                     "high_resolution", "warm_frontier"):
             if not isinstance(getattr(self.config, name), bool):
                 raise InvalidInputError(
                     f"config.{name} must be a boolean, "
@@ -114,13 +117,12 @@ class JobSpec:
                                  or isinstance(bits, bool)):
             raise InvalidInputError(
                 f"config.bits must be an integer or null, got {bits!r}")
-        for name in ("leaf_size", "bound_window"):
-            value = getattr(self.config, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise InvalidInputError(
-                    f"config.{name} must be a positive integer, "
-                    f"got {value!r}")
+        window = self.config.bound_window
+        if not isinstance(window, int) or isinstance(window, bool) \
+                or window < 1:
+            raise InvalidInputError(
+                "config.bound_window must be a positive integer, "
+                f"got {window!r}")
         if self.config.tree_type not in ("bvh", "kdtree"):
             raise InvalidInputError(
                 f"config.tree_type must be 'bvh' or 'kdtree', "
@@ -129,6 +131,15 @@ class JobSpec:
                 bits is not None or self.config.high_resolution):
             raise InvalidInputError(
                 "Morton-resolution options apply to the BVH backend only")
+        if bits is not None:
+            if self.config.high_resolution:
+                raise InvalidInputError(
+                    "config.bits and config.high_resolution are exclusive")
+            max_bits = MAX_BITS_2D if dim == 2 else MAX_BITS_3D
+            if not 1 <= bits <= max_bits:
+                raise InvalidInputError(
+                    f"config.bits must be in [1, {max_bits}] for d={dim}, "
+                    f"got {bits}")
         if self.algorithm not in ALGORITHMS:
             raise InvalidInputError(
                 f"unknown algorithm {self.algorithm!r}; "
@@ -173,14 +184,11 @@ class JobSpec:
 
         Deliberately independent of the algorithm and its metric parameters:
         an ``emst`` job and an ``hdbscan`` job over the same points share one
-        cached tree.  ``leaf_size`` shapes the tree itself (blocked
-        leaves), so it is part of the key — trees cached before the
-        blocking release simply age out of the store.
+        cached tree.
         """
         return (f"tree_type={self.config.tree_type};"
                 f"bits={self.config.bits};"
-                f"high_resolution={self.config.high_resolution};"
-                f"leaf_size={self.config.leaf_size}")
+                f"high_resolution={self.config.high_resolution}")
 
     def core_key(self) -> str:
         """Canonical string the core-distance artifact depends on.
@@ -248,9 +256,9 @@ class JobSpec:
 
 #: Payload keys excluded from the canonical form: wall-clock ``phases``
 #: vary run to run, and ``counters`` / ``rounds`` describe *how* a result
-#: was computed (visit counts, divergence traces) — tree backends, leaf
-#: sizes and bound settings produce identical answers with different
-#: work profiles, and the canonical bytes must certify the answer.
+#: was computed (visit counts, divergence traces) — tree backends and
+#: bound settings produce identical answers with different work
+#: profiles, and the canonical bytes must certify the answer.
 _NON_CANONICAL_KEYS = frozenset({"phases", "counters", "rounds"})
 
 

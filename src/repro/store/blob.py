@@ -44,15 +44,17 @@ META_KEY = "__meta__"
 #: Version history:
 #:
 #: 1. original layout (one point per BVH leaf, no leaf arrays);
-#: 2. blocked leaves — tree blobs add ``leaf_start`` / ``leaf_count``
-#:    arrays and a ``leaf_size`` metadata field;
+#: 2. blocked leaves — tree blobs add two leaf arrays and the blocking
+#:    factor to their metadata (trees have one point per leaf again, and
+#:    their blobs are written without them);
 #: 3. encoded results — a result blob stores the payload's JSON bytes as
 #:    a ``payload`` array instead of the payload dict in its metadata.
 BLOB_FORMAT = 3
 
-#: Formats :func:`read_blob` still accepts.  A format-1 tree blob decodes
-#: as a ``leaf_size=1`` tree (the arrays it lacks are derivable); a
-#: format-1/2 result blob is re-encoded once when decoded.
+#: Formats :func:`read_blob` still accepts.  A tree blob's leaf arrays,
+#: when it has them, must describe one point per leaf (see
+#: :func:`decode_tree`); a format-1/2 result blob is re-encoded once when
+#: decoded.
 COMPATIBLE_FORMATS = (1, 2, 3)
 
 Meta = Dict[str, Any]
@@ -113,17 +115,11 @@ def bvh_to_state(tree: BVH) -> Dict[str, Any]:
         "left": tree.left, "right": tree.right, "parent": tree.parent,
         "lo": tree.lo, "hi": tree.hi, "schedule": list(tree.schedule),
         "codes_lo": tree.codes_lo,
-        "leaf_start": tree.leaf_start, "leaf_count": tree.leaf_count,
-        "leaf_size": tree.leaf_size,
     }
 
 
 def bvh_from_state(state: Dict[str, Any]) -> BVH:
-    """Rebuild a :class:`BVH` from :func:`bvh_to_state` output.
-
-    Tolerates pre-blocking states (no leaf arrays): they decode as
-    ``leaf_size=1`` trees, which ``BVH.__post_init__`` synthesizes.
-    """
+    """Rebuild a :class:`BVH` from :func:`bvh_to_state` output."""
     return BVH(**state)
 
 
@@ -154,14 +150,11 @@ def _same_levels(a: Any, b: List[np.ndarray]) -> bool:
         and (not b or _same(np.concatenate(a), np.concatenate(b))))
 
 
-def _boxes(state: Dict[str, Any], one_point: bool
-           ) -> Tuple[np.ndarray, np.ndarray]:
-    """The node boxes the refit builds from ``state``'s points, leaves,
-    children and schedule (one-point leaves copy their points, which
-    ``build_bvh`` does too)."""
+def _boxes(state: Dict[str, Any]) -> Tuple[np.ndarray, np.ndarray]:
+    """The node boxes the refit builds from ``state``'s points, children
+    and schedule."""
     return refit_bounds(state["points"], state["left"], state["right"],
-                        state["schedule"],
-                        leaf_start=None if one_point else state["leaf_start"])
+                        state["schedule"])
 
 
 def _codes(points: np.ndarray, codes_lo: Optional[np.ndarray]
@@ -175,20 +168,15 @@ def _codes(points: np.ndarray, codes_lo: Optional[np.ndarray]
     return morton_encode_high(points)[0]
 
 
-def _hierarchy(state: Dict[str, Any], one_point: bool
+def _hierarchy(state: Dict[str, Any]
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Karras' ``(left, right, parent)`` over ``state``'s codes, a
-    block's first code for blocked leaves, as ``build_bvh`` builds them;
-    unsorted codes raise :class:`InvalidInputError`, as in the build."""
-    codes, codes_lo = state["codes"], state["codes_lo"]
-    if not one_point:
-        starts = state["leaf_start"]
-        codes = codes[starts]
-        codes_lo = None if codes_lo is None else codes_lo[starts]
-    return karras_hierarchy(codes, codes_lo=codes_lo)
+    """Karras' ``(left, right, parent)`` over ``state``'s codes, as
+    ``build_bvh`` builds them; unsorted codes raise
+    :class:`InvalidInputError`, as in the build."""
+    return karras_hierarchy(state["codes"], codes_lo=state["codes_lo"])
 
 
-def _hierarchy_rebuilds(state: Dict[str, Any], one_point: bool) -> bool:
+def _hierarchy_rebuilds(state: Dict[str, Any]) -> bool:
     """Whether the codes and the children rebuild bit for bit from the
     points: a full-resolution Morton encode, then Karras.  A tree built
     with ``bits=`` keeps them (the state does not record ``bits``), and
@@ -200,7 +188,7 @@ def _hierarchy_rebuilds(state: Dict[str, Any], one_point: bool) -> bool:
             isinstance(c, np.ndarray) and c.shape == (n,)
             for c in (codes, codes_lo) if c is not None):
         return False
-    left, right, _ = _hierarchy(state, one_point)
+    left, right, _ = _hierarchy(state)
     return (_same(state["left"], left) and _same(state["right"], right)
             and _same(codes, _codes(points, codes_lo)))
 
@@ -211,32 +199,26 @@ def compact_tree_state(state: Dict[str, Any]) -> Dict[str, Any]:
     The tree tier's memory level holds this form.  The Morton codes
     follow from the points, the children and the parent array from the
     codes (Karras), the level schedule from the children, and every node
-    box from the points by the refit; with one point per leaf, the leaf
-    arrays are ``arange``/``ones``.  A one-point tree is then held as its
-    points and order (and ``codes_lo`` for 128-bit codes, which marks
-    them), ~1/6 of its bytes.  Each part is dropped only when its rebuild
-    matches it bit for bit; codes with the children, as one.
+    box from the points by the refit.  A tree is then held as its points
+    and order (and ``codes_lo`` for 128-bit codes, which marks them),
+    ~1/6 of its bytes.  Each part is dropped only when its rebuild matches
+    it bit for bit; codes with the children, as one.
     """
     out = dict(state)
-    left, right, points = state["left"], state["right"], state["points"]
-    n_inner, n = left.shape[0], points.shape[0]
-    one_point = (_same(state["leaf_start"], np.arange(n, dtype=np.int64))
-                 and _same(state["leaf_count"], np.ones(n, dtype=np.int64)))
+    left, right = state["left"], state["right"]
+    n_inner = left.shape[0]
     if n_inner > 0:
-        # First, because the schedule's rebuild range-checks every child,
-        # and the refit every leaf block before _hierarchy indexes codes.
+        # First, because the schedule's rebuild range-checks every child.
         schedule = bottom_up_schedule(left, right, n_inner + 1)
         if _same_levels(state["schedule"], schedule):
             out["schedule"] = None
-        lo, hi = _boxes(state, one_point)
+        lo, hi = _boxes(state)
         if _same(state["lo"], lo) and _same(state["hi"], hi):
             out["lo"] = out["hi"] = None
-        if _hierarchy_rebuilds(state, one_point):
+        if _hierarchy_rebuilds(state):
             out["codes"] = out["left"] = out["right"] = None
     if _same(state["parent"], _parents(left, right)):
         out["parent"] = None
-    if one_point:
-        out["leaf_start"] = out["leaf_count"] = None
     return out
 
 
@@ -244,16 +226,10 @@ def expand_tree_state(compact: Dict[str, Any]) -> Dict[str, Any]:
     """The full :func:`bvh_to_state` form of a :func:`compact_tree_state`
     (new arrays for the rebuilt parts, references for the rest)."""
     state = dict(compact)
-    points = state["points"]
-    one_point = state["leaf_start"] is None
-    if one_point:
-        state["leaf_start"] = np.arange(points.shape[0], dtype=np.int64)
-        state["leaf_count"] = np.ones(points.shape[0], dtype=np.int64)
     parent = None
     if state["left"] is None:
-        state["codes"] = _codes(points, state["codes_lo"])
-        state["left"], state["right"], parent = _hierarchy(state,
-                                                           one_point)
+        state["codes"] = _codes(state["points"], state["codes_lo"])
+        state["left"], state["right"], parent = _hierarchy(state)
     left, right = state["left"], state["right"]
     if state["parent"] is None:
         state["parent"] = (_parents(left, right) if parent is None
@@ -262,7 +238,7 @@ def expand_tree_state(compact: Dict[str, Any]) -> Dict[str, Any]:
         state["schedule"] = bottom_up_schedule(left, right,
                                                left.shape[0] + 1)
     if state["lo"] is None:
-        state["lo"], state["hi"] = _boxes(state, one_point)
+        state["lo"], state["hi"] = _boxes(state)
     return state
 
 
@@ -280,14 +256,12 @@ def encode_tree(value: Dict[str, Any]) -> Tuple[Meta, Arrays]:
     state = expand_tree_state(value["state"])
     arrays = {name: state[name]
               for name in ("points", "order", "codes",
-                           "left", "right", "parent", "lo", "hi",
-                           "leaf_start", "leaf_count")}
+                           "left", "right", "parent", "lo", "hi")}
     for level, step in enumerate(state["schedule"]):
         arrays[f"schedule_{level:03d}"] = step
     if state["codes_lo"] is not None:
         arrays["codes_lo"] = state["codes_lo"]
     meta = {"tier": "tree", "n_schedule": len(state["schedule"]),
-            "leaf_size": state["leaf_size"],
             "counters": value.get("counters")}
     return meta, arrays
 
@@ -295,19 +269,24 @@ def encode_tree(value: Dict[str, Any]) -> Tuple[Meta, Arrays]:
 def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
     """Inverse of :func:`encode_tree`.
 
-    Format-1 blobs carry no leaf arrays; they decode as ``leaf_size=1``
-    trees (the implied blocking is synthesized).
+    Blobs written while trees could block several points per leaf carry
+    ``leaf_start`` / ``leaf_count`` arrays; they decode when those are
+    ``arange`` / ``ones`` (one point per leaf), and any other leaf layout
+    raises :class:`InvalidInputError`.
     """
+    n = arrays["points"].shape[0]
+    for name, one_point in (("leaf_start", np.arange(n, dtype=np.int64)),
+                            ("leaf_count", np.ones(n, dtype=np.int64))):
+        if name in arrays and not _same(arrays[name], one_point):
+            raise InvalidInputError(
+                f"tree blob {name} is not one point per leaf")
     schedule = [arrays[f"schedule_{level:03d}"]
                 for level in range(int(meta["n_schedule"]))]
     state = bvh_to_state(BVH(
         points=arrays["points"], order=arrays["order"],
         codes=arrays["codes"], left=arrays["left"], right=arrays["right"],
         parent=arrays["parent"], lo=arrays["lo"], hi=arrays["hi"],
-        schedule=schedule, codes_lo=arrays.get("codes_lo"),
-        leaf_start=arrays.get("leaf_start"),
-        leaf_count=arrays.get("leaf_count"),
-        leaf_size=int(meta.get("leaf_size", 1))))
+        schedule=schedule, codes_lo=arrays.get("codes_lo")))
     return {"state": compact_tree_state(state),
             "counters": meta.get("counters")}
 

@@ -186,6 +186,24 @@ def test_envelope_on_bad_wait_param(bounded_api):
     assert "wait_s must be a number" in err["message"]
 
 
+@pytest.mark.parametrize("body", [
+    {"points": [[0.0, 0.0], [1.0, 1.0]], "config": {"bits": 0}},
+    {"points": [[0.0, 0.0], [1.0, 1.0]], "config": {"bits": 40}},
+    {"points": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "config": {"bits": 22}},
+    {"dataset": "Hacc37M:50", "config": {"bits": 22}},
+    {"dataset": "Uniform100M2:50",
+     "config": {"bits": 12, "high_resolution": True}},
+    {"dataset": "Uniform100M2:50", "config": {"leaf_size": 1}},
+    {"dataset": "Uniform100M2:50", "config": {"record_rounds": True}},
+])
+def test_bad_config_is_a_400_at_submit(bounded_api, body):
+    base, _engine = bounded_api
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        post(f"{base}/v1/jobs", body)
+    assert excinfo.value.code == 400
+    assert error_of(excinfo)["code"] == "bad_request"
+
+
 def test_envelope_on_bad_metrics_format(bounded_api):
     base, _engine = bounded_api
     with pytest.raises(urllib.error.HTTPError) as excinfo:

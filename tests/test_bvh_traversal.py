@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from scipy.spatial import cKDTree
 
-from repro.bvh import batched_knn, batched_nearest, build_bvh, radius_search
-from repro.bvh.traversal import INVALID_LABEL, pair_keys, radius_count
+from repro.bvh import batched_knn, batched_nearest, build_bvh
+from repro.bvh.traversal import INVALID_LABEL, pair_keys
 from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 from tests.conftest import finite_points
@@ -221,35 +221,3 @@ class TestKnn:
         res = batched_knn(bvh, np.array([[1.0, 0.0]]), 2)
         assert res.distance_sq[0, 0] == 1.0
         assert np.isinf(res.distance_sq[0, 1])
-
-
-class TestRadius:
-    def test_matches_scipy(self, world):
-        bvh, queries = world
-        offsets, pos, _ = radius_search(bvh, queries, 0.25)
-        ref = cKDTree(bvh.points).query_ball_point(queries, 0.25)
-        counts = np.diff(offsets)
-        assert np.array_equal(counts, [len(x) for x in ref])
-        for i in range(len(queries)):
-            assert set(pos[offsets[i]:offsets[i + 1]]) == set(ref[i])
-
-    def test_radius_zero_finds_exact(self, world):
-        bvh, _ = world
-        counts = radius_count(bvh, bvh.points, 0.0)
-        assert np.all(counts >= 1)  # at least the point itself
-
-    def test_negative_radius_rejected(self, world):
-        bvh, queries = world
-        with pytest.raises(InvalidInputError):
-            radius_search(bvh, queries, -1.0)
-
-    def test_empty_result(self, world):
-        bvh, _ = world
-        far = np.full((3, 3), 100.0)
-        counts = radius_count(bvh, far, 0.5)
-        assert np.all(counts == 0)
-
-    def test_single_point_tree(self):
-        bvh = build_bvh(np.array([[0.0, 0.0]]))
-        offsets, pos, _ = radius_search(bvh, np.zeros((2, 2)), 1.0)
-        assert np.array_equal(np.diff(offsets), [1, 1])

@@ -23,8 +23,6 @@ from repro.bvh import (
     batched_nearest,
     build_bvh,
     get_default_engine,
-    radius_count,
-    radius_search,
     set_default_engine,
 )
 from repro.bvh import compiled, traversal
@@ -36,8 +34,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MALFORMED_TREES = r"""
 import numpy as np
-from repro.bvh import (batched_knn, batched_nearest, build_bvh, compiled,
-                       radius_search)
+from repro.bvh import batched_knn, batched_nearest, build_bvh, compiled
 from repro.errors import InvalidInputError
 
 pts = np.random.default_rng(0).random((64, 2))
@@ -55,26 +52,25 @@ bad["child is the root"] = tree()
 bad["child is the root"].right[7] = 0
 bad["node is its own child"] = tree()
 bad["node is its own child"].left[4] = 4
-bad["leaf block out of range"] = tree(leaf_size=3)
-bad["leaf block out of range"].leaf_count[2] = 10 ** 6
 bad["stack too shallow"] = tree()
 bad["stack too shallow"].schedule = []
 
 kernels = {
     "nearest": lambda b: batched_nearest(b, lanes, engine="compiled"),
     "knn": lambda b: batched_knn(b, lanes, 3, engine="compiled"),
-    "radius": lambda b: radius_search(b, lanes, 10.0, engine="compiled"),
 }
 
-# Two defects that different lanes reach: the first leaf block, which
-# only lanes near the first point visit, and the children of the last
-# leaf's parent, which only lanes near the last point pop.  The first
-# failing lane's status must win at any thread count.
-two = tree(leaf_size=3)
-two.leaf_count[0] = 10 ** 6
-last_parent = two.parent[2 * two.n_leaves - 2]
-assert last_parent != 0
-two.right[last_parent] = 10 ** 6
+# Two defects that different lanes reach: a child out of range under the
+# first leaf's parent, which only lanes near the first point pop, and a
+# cycle through the last leaf's parent, which only lanes near the last
+# point enter.  The first failing lane's status must win at any thread
+# count.
+two = tree()
+first_parent = two.parent[two.leaf_base]
+last_parent = two.parent[2 * two.n - 2]
+assert 0 not in (first_parent, last_parent) and first_parent != last_parent
+two.left[first_parent] = 10 ** 6
+two.right[last_parent] = last_parent
 first, last = two.points[:1], two.points[-1:]
 orders = {"first lane near the first point": np.concatenate(
               [first, np.repeat(last, 599, axis=0)]),
@@ -113,7 +109,6 @@ from repro.store.blob import bvh_to_state, decode_tree, encode_tree
 
 assert compiled.selected()
 good = build_bvh(np.random.default_rng(0).random((64, 2)))
-blocked = build_bvh(good.points, leaf_size=3)
 n, left, right, schedule = good.n, good.left, good.right, good.schedule
 labels = np.arange(n)
 
@@ -159,14 +154,8 @@ steps = {
         good.points, bad_left, right, schedule),
     "refit: schedule entry out of range": lambda: refit_bounds(
         good.points, left, right, [np.array([10 ** 6])]),
-    "refit: leaf range past n": lambda: refit_bounds(
-        good.points, blocked.left, blocked.right, blocked.schedule,
-        leaf_start=changed(blocked.leaf_start, 2, n + 5)),
     "labels: child out of range": lambda: reduce_labels(
         tree(left=bad_left), labels),
-    "labels: leaf range past n": lambda: reduce_labels(
-        type(blocked)(**dict(bvh_to_state(blocked), leaf_start=changed(
-            blocked.leaf_start, 2, n + 5))), labels),
     "bounds: label outside [0, n)": lambda: compute_upper_bounds(
         good, changed(labels, 7, n + 3), window=4),
     "outgoing: label outside [0, n)": lambda: compiled.component_min_compiled(
@@ -213,7 +202,7 @@ def test_malformed_tree_raises_instead_of_crashing():
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     lines = out.splitlines()
-    assert len(lines) == 2 * (6 * 3 + 2), out
+    assert len(lines) == 2 * (5 * 2 + 2), out
     assert all(line.startswith("raised") for line in lines), out
     by_threads = {}
     for line in lines:
@@ -221,14 +210,14 @@ def test_malformed_tree_raises_instead_of_crashing():
         by_threads.setdefault(threads, []).append(rest)
     assert by_threads["1"] == by_threads["3"], out
     first_point, last_point = by_threads["1"][-2:]
-    assert first_point.endswith("leaf block out of range"), out
-    assert last_point.endswith("child index out of range"), out
+    assert first_point.endswith("child index out of range"), out
+    assert last_point.endswith("(cycle)"), out
 
     proc = _python("-c", MALFORMED_STEPS)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     lines = out.splitlines()
-    assert len(lines) == 16, out
+    assert len(lines) == 14, out
     assert all(line.startswith("raised") for line in lines[:-1]), out
     assert lines[-1].startswith("diverged merge: successor cycle of 3"), out
 
@@ -242,9 +231,9 @@ def test_arguments_are_validated_before_any_pointer():
         dict(query_core_sq=np.zeros(n), point_core_sq=np.zeros(n - 1)),
         dict(query_ids=bvh.order),  # no point_ids
         dict(query_ids=bvh.order, point_ids=bvh.order[:-1]),
+        dict(query_labels=np.zeros(n, dtype=np.int64)),  # no node_labels
         dict(query_labels=np.zeros(n, dtype=np.int64),
-             node_labels=np.zeros(3, dtype=np.int64),
-             point_labels=np.zeros(n, dtype=np.int64)),
+             node_labels=np.zeros(3, dtype=np.int64)),
         dict(exclude_position=np.arange(n - 2)),
         dict(init_radius_sq=np.ones(n + 1)),
     ]
@@ -264,15 +253,14 @@ def test_any_layout_and_dtype_is_copied_to_the_exact_one():
     labels = rng.integers(0, 4, size=bvh.n)
     node_labels = reduce_labels(bvh, labels)
     kwargs = dict(query_labels=labels, node_labels=node_labels,
-                  point_labels=labels, query_ids=bvh.order,
-                  point_ids=bvh.order)
+                  query_ids=bvh.order, point_ids=bvh.order)
     want = batched_nearest(bvh, bvh.points, engine="reference", **kwargs)
     got = batched_nearest(
         bvh, np.asfortranarray(bvh.points), engine="compiled",
         query_labels=labels.astype(np.int32),
-        node_labels=node_labels.astype(np.int16),
-        point_labels=np.repeat(labels, 2)[::2],  # strided
-        query_ids=bvh.order.astype(np.int32), point_ids=bvh.order)
+        node_labels=np.repeat(node_labels.astype(np.int16), 2)[::2],
+        query_ids=bvh.order.astype(np.int32),
+        point_ids=np.repeat(bvh.order, 2)[::2])  # strided
     assert np.array_equal(got.position, want.position)
     assert np.array_equal(got.key, want.key)
 
@@ -414,8 +402,6 @@ def test_failed_build_falls_back_to_reference(monkeypatch):
                               exclude_position=np.arange(bvh.n))
     assert np.all(nearest.found)
     assert batched_knn(bvh, bvh.points, 3).positions.shape == (bvh.n, 3)
-    assert radius_search(bvh, bvh.points, 0.1)[0].shape == (bvh.n + 1,)
-    assert np.all(radius_count(bvh, bvh.points, 0.1) >= 1)
     assert emst(pts).edges.shape == (199, 2)
 
 
@@ -477,7 +463,7 @@ def test_two_processes_building_at_once_both_load(tmp_path):
               "from pathlib import Path\n"
               "from repro.bvh import compiled\n"
               "path = compiled.build([Path(sys.argv[1])])\n"
-              "ctypes.CDLL(str(path)).repro_free(None)\n"
+              "compiled._declare(ctypes.CDLL(str(path)))\n"
               "print(path)\n")
     procs = [_python("-c", script, str(tmp_path)) for _ in range(2)]
     outs = [proc.communicate(timeout=300) for proc in procs]

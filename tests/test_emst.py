@@ -129,11 +129,6 @@ class TestResultMetadata:
                    for r in result.rounds)
         assert result.rounds[-1].components_after == 1
 
-    def test_rounds_can_be_disabled(self, uniform_2d):
-        result = emst(uniform_2d,
-                      config=SingleTreeConfig(record_rounds=False))
-        assert result.rounds == []
-
     def test_counters_work_recorded(self, uniform_3d):
         result = emst(uniform_3d)
         total = result.total_counters

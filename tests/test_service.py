@@ -137,6 +137,31 @@ class TestJobSpec:
             JobSpec.from_dict({"points": uniform_2d.tolist(),
                                "config": {"tree_type": "kdtree", "bits": 32}})
 
+    @pytest.mark.parametrize("source,config", [
+        ("2d", {"bits": 0}),
+        ("2d", {"bits": 40}),
+        ("3d", {"bits": 22}),
+        ("Hacc37M:50", {"bits": 22}),
+        ("Uniform100M2:50", {"bits": 32}),
+        ("2d", {"bits": 12, "high_resolution": True}),
+    ])
+    def test_bad_bits_are_refused_at_submit(self, engine, rng, source,
+                                            config):
+        # Each of these used to be accepted and then fail in the worker.
+        if source in ("2d", "3d"):
+            spec = JobSpec(points=rng.random((50, int(source[0]))),
+                           config=SingleTreeConfig(**config))
+        else:
+            spec = JobSpec(dataset=source, config=SingleTreeConfig(**config))
+        with pytest.raises(InvalidInputError, match="config.bits"):
+            engine.submit(spec)
+
+    def test_bits_range_follows_the_dimension(self, engine, rng):
+        spec = JobSpec(points=rng.random((50, 2)),
+                       config=SingleTreeConfig(bits=22))
+        result = engine.result(engine.submit(spec), timeout=60)
+        assert result.status is JobStatus.DONE
+
     def test_spec_mutated_after_validation_fails_loudly(self, engine,
                                                         uniform_2d):
         spec = JobSpec(points=uniform_2d)
@@ -410,8 +435,10 @@ class TestEngine:
         with Engine(max_workers=1, max_retained_jobs=3) as eng:
             ids = [eng.submit(JobSpec(points=rng.random((40 + i, 2))))
                    for i in range(6)]
-            for job_id in ids:
-                eng.result(job_id, timeout=60)
+            # One worker runs equal priorities in order, so the last job
+            # finishes last.  Waiting on each job in turn raced the worker:
+            # a job it had already forgotten raised.
+            eng.result(ids[-1], timeout=60)
             # The oldest finished jobs are forgotten; the newest remain.
             with pytest.raises(InvalidInputError):
                 eng.status(ids[0])

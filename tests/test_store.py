@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -57,6 +58,24 @@ def _tree_value(tree, counters):
 def _tree_of(value):
     """The BVH a tree-tier value holds."""
     return bvh_from_state(expand_tree_state(value["state"]))
+
+
+def _leaf_array_blob(tree, leaf_start, leaf_count):
+    """``tree``'s blob bytes as writers of blocked-leaf trees laid it out:
+    the leaf arrays beside the tree, the blocking factor in the
+    metadata."""
+    meta, arrays = encode_tree(_tree_value(tree, None))
+    meta["leaf_size"] = int(leaf_count.max())
+    arrays.update(leaf_start=leaf_start, leaf_count=leaf_count)
+    buffer = io.BytesIO()
+    write_blob(buffer, meta, arrays)
+    return buffer.getvalue()
+
+
+def _blocked_blob(tree):
+    """``tree``'s blob with leaf arrays of four points per leaf."""
+    starts = np.arange(0, tree.n, 4, dtype=np.int64)
+    return _leaf_array_blob(tree, starts, np.diff(np.append(starts, tree.n)))
 
 
 class TestFingerprint:
@@ -624,6 +643,19 @@ class TestServerWithStore:
         with urllib.request.urlopen(req, timeout=120) as resp:
             return resp.status, json.loads(resp.read())
 
+    def test_push_of_a_blocked_tree_blob_is_a_400(self, persistent_api,
+                                                  uniform_2d):
+        url = f"{persistent_api}/v1/artifacts/tree/{'cc' * 32}"
+        req = urllib.request.Request(
+            url, data=_blocked_blob(build_tree(uniform_2d)), method="POST",
+            headers={"Content-Type": "application/octet-stream"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(req, timeout=60)
+        assert excinfo.value.code == 400
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(url, timeout=60)
+        assert excinfo.value.code == 404  # never stored
+
     def test_healthz_reports_persistence(self, persistent_api):
         _status, body = self._get(f"{persistent_api}/v1/healthz")
         assert body["persistent"] is True
@@ -723,7 +755,11 @@ class TestServerWithStore:
 
 def _assert_expands_back(state):
     """Compact then expand ``state``: every array back bit for bit."""
-    back = expand_tree_state(compact_tree_state(state))
+    _assert_same_state(expand_tree_state(compact_tree_state(state)), state)
+
+
+def _assert_same_state(back, state):
+    """Every part of tree state ``back`` equals ``state``'s bit for bit."""
     assert back.keys() == state.keys()
     for name, want in state.items():
         got = back[name]
@@ -741,21 +777,18 @@ class TestCompactTreeState:
     """The tree tier's memory level holds the compact state; expanding it
     must give back every array bit for bit."""
 
-    @pytest.mark.parametrize("points,leaf_size", [
-        (np.random.default_rng(0).random((3000, 3)), 1),
-        (np.random.default_rng(1).random((500, 2)), 1),
-        (np.random.default_rng(2).random((500, 2)), 4),
-        (np.repeat(np.random.default_rng(3).random((40, 2)), 3, axis=0), 1),
-        (np.zeros((1, 3)), 1),
-        (np.random.default_rng(4).random((3, 2)), 8),  # one leaf
-        (np.random.default_rng(8).random((2, 3)), 1),
-        (np.random.default_rng(9).random((3, 3)), 1),
-        (np.random.default_rng(10).random((10_000, 3)), 1),
-        (np.random.default_rng(11).random((10_000, 2)), 1),
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(0).random((3000, 3)),
+        np.random.default_rng(1).random((500, 2)),
+        np.repeat(np.random.default_rng(3).random((40, 2)), 3, axis=0),
+        np.zeros((1, 3)),
+        np.random.default_rng(8).random((2, 3)),
+        np.random.default_rng(9).random((3, 3)),
+        np.random.default_rng(10).random((10_000, 3)),
+        np.random.default_rng(11).random((10_000, 2)),
     ])
-    def test_expand_restores_every_array(self, points, leaf_size):
-        _assert_expands_back(bvh_to_state(build_tree(
-            points, config=SingleTreeConfig(leaf_size=leaf_size))))
+    def test_expand_restores_every_array(self, points):
+        _assert_expands_back(bvh_to_state(build_tree(points)))
 
     def test_one_point_leaves_shrink_by_two_fifths(self):
         from repro.store.memory import estimate_nbytes
@@ -765,31 +798,25 @@ class TestCompactTreeState:
         assert estimate_nbytes(compact) < 0.6 * estimate_nbytes(state)
 
     def test_boxes_and_schedule_are_rebuilt_not_held(self):
-        # A cached 10k 3D one-point tree holds its points and order; Morton
-        # codes, Karras and the refit rebuild the rest, blocked leaves
-        # included.
+        # A cached 10k 3D tree holds its points and order; Morton codes,
+        # Karras and the refit rebuild the rest.
         from repro.store.memory import estimate_nbytes
         pts = np.random.default_rng(5).random((10_000, 3))
-        for leaf_size in (1, 4):
-            state = bvh_to_state(build_tree(
-                pts, config=SingleTreeConfig(leaf_size=leaf_size)))
-            compact = compact_tree_state(state)
-            for name in ("lo", "hi", "schedule", "codes", "left", "right",
-                         "parent"):
-                assert compact[name] is None, (leaf_size, name)
         state = bvh_to_state(build_tree(pts))
         compact = compact_tree_state(state)
+        for name in ("lo", "hi", "schedule", "codes", "left", "right",
+                     "parent"):
+            assert compact[name] is None, name
         held = {name for name, value in compact.items()
                 if isinstance(value, np.ndarray)}
         assert held == {"points", "order"}
         assert estimate_nbytes(compact) < 0.2 * estimate_nbytes(state)
 
-    @pytest.mark.parametrize("dim,leaf_size", [(3, 1), (2, 1), (3, 4)])
-    def test_128_bit_codes_keep_only_their_low_words(self, dim, leaf_size):
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_128_bit_codes_keep_only_their_low_words(self, dim):
         state = bvh_to_state(build_tree(
             np.random.default_rng(12).random((2000, dim)),
-            config=SingleTreeConfig(high_resolution=True,
-                                    leaf_size=leaf_size)))
+            config=SingleTreeConfig(high_resolution=True)))
         compact = compact_tree_state(state)
         assert compact["codes"] is None and compact["left"] is None
         assert compact["codes_lo"] is state["codes_lo"]
@@ -898,7 +925,9 @@ class TestBvhStateCompat:
 
 
 class TestBlobFormatCompatibility:
-    """Format-1 blobs (pre-blocking wire format) must still load."""
+    """Blobs older writers left behind must still load: format-1 trees
+    without leaf arrays, and trees whose leaf arrays say one point per
+    leaf."""
 
     def _write_format1_tree(self, path, tree):
         # Reconstruct the historical layout by hand: no leaf arrays, no
@@ -918,18 +947,13 @@ class TestBlobFormatCompatibility:
             np.savez(fh, **{"__meta__": meta_bytes}, **arrays)
 
     def test_format1_tree_blob_decodes(self, tmp_path, uniform_2d):
-        from repro.store.blob import decode_tree
-        tree = build_tree(uniform_2d,
-                          config=SingleTreeConfig(leaf_size=1))
+        tree = build_tree(uniform_2d)
         path = str(tmp_path / "old.npz")
         self._write_format1_tree(path, tree)
         meta, arrays = read_blob(path)
         assert meta["format"] == 1
         back = _tree_of(decode_tree(meta, arrays))
-        # The synthesized blocking is the implied one-point-per-leaf.
-        assert back.leaf_size == 1
-        assert np.array_equal(back.leaf_start, np.arange(back.n))
-        assert np.array_equal(back.leaf_count, np.ones(back.n))
+        _assert_same_state(bvh_to_state(back), bvh_to_state(tree))
         # And it drives the solver to the same answer.
         assert np.array_equal(emst(uniform_2d, bvh=back).edges,
                               emst(uniform_2d).edges)
@@ -959,21 +983,30 @@ class TestBlobFormatCompatibility:
         assert source == "disk" and back == value
         assert cache.memory.size_of("aa" * 32) == value.nbytes
 
-    def test_format2_round_trip_carries_blocking(self, uniform_2d,
-                                                 tmp_path):
-        tree = build_tree(uniform_2d,
-                          config=SingleTreeConfig(leaf_size=4))
-        meta, arrays = encode_tree(_tree_value(tree, None))
-        path = tmp_path / "new.npz"
-        with open(path, "wb") as fh:
-            write_blob(fh, meta, arrays)
-        got_meta, got_arrays = read_blob(str(path))
-        assert got_meta["format"] == BLOB_FORMAT
-        assert got_meta["leaf_size"] == 4
-        back = _tree_of(decode_tree(got_meta, got_arrays))
-        assert back.leaf_size == 4
-        assert np.array_equal(back.leaf_start, tree.leaf_start)
-        assert np.array_equal(back.leaf_count, tree.leaf_count)
+    def test_tree_blob_is_written_without_leaf_arrays(self, uniform_2d):
+        meta, arrays = encode_tree(_tree_value(build_tree(uniform_2d), None))
+        assert "leaf_size" not in meta
+        assert not {"leaf_start", "leaf_count"} & set(arrays)
+
+    def test_one_point_leaf_arrays_decode_to_the_same_tree(self,
+                                                           uniform_2d):
+        tree = build_tree(uniform_2d)
+        data = _leaf_array_blob(tree, np.arange(tree.n, dtype=np.int64),
+                                np.ones(tree.n, dtype=np.int64))
+        meta, arrays = read_blob(io.BytesIO(data))
+        assert meta["format"] == BLOB_FORMAT and "leaf_start" in arrays
+        back = _tree_of(decode_tree(meta, arrays))
+        _assert_same_state(bvh_to_state(back), bvh_to_state(tree))
+
+    def test_blocked_leaf_arrays_read_as_a_miss(self, uniform_2d, tmp_path):
+        data = _blocked_blob(build_tree(uniform_2d))
+        with pytest.raises(InvalidInputError, match="one point per leaf"):
+            decode_tree(*read_blob(io.BytesIO(data)))
+        store = DiskStore(str(tmp_path))
+        assert store.put_blob_bytes("tree", "bb" * 32, data)
+        cache = TieredCache("tree", 1 << 20, store)
+        assert cache.get_with_source("bb" * 32) == (None, None)
+        assert cache.decode_errors == 1
 
     def test_unknown_future_format_rejected(self, tmp_path):
         import json as _json

@@ -98,6 +98,5 @@ class TestConfigurations:
     def test_all_flags_off_still_exact(self, rng):
         pts = rng.random((250, 3))
         config = SingleTreeConfig(subtree_skipping=False,
-                                  component_bounds=False,
-                                  record_rounds=False)
+                                  component_bounds=False)
         assert_valid(pts, emst(pts, config=config))
