@@ -189,8 +189,3 @@ def simulated_rate(record: RunRecord, device: DeviceSpec) -> float:
     """Simulated throughput in MFeatures/sec (the paper's metric)."""
     seconds = simulated_seconds(record, device)
     return mfeatures_per_second(record.n, record.dim, seconds)
-
-
-def wall_rate(record: RunRecord) -> float:
-    """Wall-clock throughput of the NumPy execution (secondary metric)."""
-    return mfeatures_per_second(record.n, record.dim, record.wall_seconds)

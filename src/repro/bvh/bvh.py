@@ -73,9 +73,28 @@ class BVH:
         return len(self.schedule)
 
 
+def check_order(order: np.ndarray, n: int) -> np.ndarray:
+    """``order`` as an int64 permutation of ``range(n)``, the builders'
+    check of a cached tree's order; anything else raises
+    :class:`InvalidInputError`."""
+    order = np.asarray(order)
+    if order.shape != (n,) or order.dtype.kind not in "iu":
+        raise InvalidInputError(
+            f"tree order must be {n} integers, got {order.dtype} "
+            f"{order.shape}")
+    if order.min() < 0 or order.max() >= n:
+        raise InvalidInputError("tree order entry out of range")
+    seen = np.zeros(n, dtype=bool)
+    seen[order] = True
+    if not seen.all():
+        raise InvalidInputError("tree order repeats an entry")
+    return order.astype(np.int64, copy=False)
+
+
 def build_bvh(points: np.ndarray, *, bits: Optional[int] = None,
               high_resolution: bool = False,
-              counters: Optional[CostCounters] = None) -> BVH:
+              counters: Optional[CostCounters] = None,
+              order: Optional[np.ndarray] = None) -> BVH:
     """Construct the LBVH for ``points`` (``(n, d)`` with ``d`` in (2, 3)).
 
     ``bits`` controls Z-curve resolution (see
@@ -83,28 +102,43 @@ def build_bvh(points: np.ndarray, *, bits: Optional[int] = None,
     GeoLife pathology discussed in Section 4.1.  ``high_resolution=True``
     uses double-width (128-bit) Morton codes instead — the fix the paper
     proposes for that pathology (doubling sort cost, unchanged queries).
+
+    ``order`` is the ``order`` of an earlier build over the same points
+    and options: the sort is skipped and everything else runs, so the
+    tree is that build's, array for array.  An order that is not a
+    permutation of the points, or that does not sort their codes with
+    ties by index as the sort does, raises :class:`InvalidInputError`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise InvalidInputError(
             f"expected non-empty (n, d) points, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise InvalidInputError("points contain non-finite coordinates")
     if high_resolution and bits is not None:
         raise InvalidInputError("bits and high_resolution are exclusive")
     n, dim = points.shape
 
     if high_resolution:
-        hi_codes, lo_codes = morton_encode_high(points)
-        order = np.lexsort((np.arange(n), lo_codes, hi_codes))
-        codes = hi_codes[order]
-        codes_lo = lo_codes[order]
+        codes, codes_lo = morton_encode_high(points)
     else:
-        codes_unsorted = morton_encode(points, bits)
-        order = np.argsort(codes_unsorted, kind="stable")
-        codes = codes_unsorted[order]
-        codes_lo = None
-    sorted_points = points[order]
+        codes, codes_lo = morton_encode(points, bits), None
+    cached = order is not None
+    if cached:
+        order = check_order(order, n)
+    elif codes_lo is None:
+        order = np.argsort(codes, kind="stable")
+    else:
+        order = np.lexsort((np.arange(n), codes_lo, codes))
+    codes = codes[order]
+    if codes_lo is not None:
+        codes_lo = codes_lo[order]
+    if cached:
+        # Karras rejects unsorted codes; equal ones must keep index order.
+        tie = codes[:-1] == codes[1:]
+        if codes_lo is not None:
+            tie &= codes_lo[:-1] == codes_lo[1:]
+        if np.any(tie & (order[:-1] > order[1:])):
+            raise InvalidInputError("tree order breaks a tie out of order")
+    sorted_points = np.take(points, order, axis=0)  # ~2x points[order]
     if counters is not None:
         counters.record_bulk(n, ops_per_item=10.0 * dim, bytes_per_item=8.0 * dim)
         counters.record_sort(n, bytes_per_item=24.0 if high_resolution

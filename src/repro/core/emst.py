@@ -113,18 +113,19 @@ def _finalize(points: np.ndarray, bvh: BVH, output: BoruvkaOutput,
 
 
 def _build_tree(points: np.ndarray, config: SingleTreeConfig,
-                counters: CostCounters) -> BVH:
+                counters: CostCounters,
+                order: Optional[np.ndarray] = None) -> BVH:
     """Construct the spatial index selected by ``config.tree_type``."""
     if config.tree_type == "bvh":
         return build_bvh(points, bits=config.bits,
                          high_resolution=config.high_resolution,
-                         counters=counters)
+                         counters=counters, order=order)
     if config.tree_type == "kdtree":
         if config.bits is not None or config.high_resolution:
             raise InvalidInputError(
                 "Morton-resolution options apply to the BVH backend only")
         from repro.core.kdtree_backend import kdtree_as_bvh
-        return kdtree_as_bvh(points, counters=counters)
+        return kdtree_as_bvh(points, counters=counters, order=order)
     raise InvalidInputError(
         f"unknown tree_type {config.tree_type!r}; use 'bvh' or 'kdtree'")
 
@@ -134,18 +135,22 @@ def build_tree(
     *,
     config: SingleTreeConfig = SingleTreeConfig(),
     counters: Optional[CostCounters] = None,
+    order: Optional[np.ndarray] = None,
 ) -> BVH:
     """Construct the spatial index :func:`emst` would build for ``points``.
 
     Exposed so callers that run several algorithms over the same point set
-    (notably the :mod:`repro.service` engine, which caches trees by content
-    fingerprint) can amortize the construction phase: pass the returned tree
-    back through the ``bvh=`` parameter of :func:`emst` /
+    can amortize the construction phase: pass the returned tree back
+    through the ``bvh=`` parameter of :func:`emst` /
     :func:`mutual_reachability_emst` to skip their ``tree`` phase.
+    ``order`` is the ``order`` of an earlier tree over the same points
+    and ``config``; the build then skips its sort (or the kd-tree its
+    split search) and returns that tree again.
     """
     points = _validate_points(points)
     return _build_tree(points, config,
-                       counters if counters is not None else CostCounters())
+                       counters if counters is not None else CostCounters(),
+                       order)
 
 
 def _check_injected_tree(points: np.ndarray, bvh: BVH,
@@ -153,9 +158,9 @@ def _check_injected_tree(points: np.ndarray, bvh: BVH,
     """Validate that a caller-supplied tree actually indexes ``points``.
 
     The coordinate comparison is O(n*d); callers that already guarantee
-    identity another way (the service engine keys trees by a content
-    fingerprint of the exact point bytes) pass ``check_coords=False`` to
-    keep only the O(1) shape check.
+    identity another way (the service executor builds the tree over the
+    very points it passes) pass ``check_coords=False`` to keep only the
+    O(1) shape check.
     """
     if bvh.n != points.shape[0] or bvh.dim != points.shape[1]:
         raise InvalidInputError(

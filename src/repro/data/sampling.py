@@ -28,19 +28,3 @@ def sample_preserving(points: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=m, replace=False)
     return points[idx]
-
-
-def sample_sweep(points: np.ndarray, sizes, seed: int = 0):
-    """Yield ``(m, subset)`` for each requested size (clamped to ``n``).
-
-    Sizes are deduplicated and sorted ascending, mirroring the sweep axis
-    of Figure 7.
-    """
-    n = points.shape[0]
-    seen = set()
-    for m in sorted(int(s) for s in sizes):
-        m = min(m, n)
-        if m in seen:
-            continue
-        seen.add(m)
-        yield m, sample_preserving(points, m, seed=seed)

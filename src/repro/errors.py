@@ -24,10 +24,6 @@ class DimensionError(InvalidInputError):
     """Raised when the spatial dimension of the input is unsupported."""
 
 
-class NotBuiltError(ReproError, RuntimeError):
-    """Raised when querying a spatial index that has not been constructed."""
-
-
 class ConvergenceError(ReproError, RuntimeError):
     """Raised when an iterative algorithm fails to make progress.
 

@@ -1,16 +1,10 @@
-"""Geometric primitives: AABBs, distance kernels, Morton (Z-curve) codes.
+"""Geometric primitives: distance kernels and Morton (Z-curve) codes.
 
 Everything in this package is a vectorized NumPy kernel operating on arrays
 of points/boxes; scalar reference implementations used by the test suite
 live next to their vectorized counterparts.
 """
 
-from repro.geometry.aabb import (
-    aabb_of_points,
-    aabb_union,
-    box_contains_points,
-    validate_boxes,
-)
 from repro.geometry.distance import (
     all_pairs_sq,
     gather_pair_sq,
@@ -24,15 +18,10 @@ from repro.geometry.morton import (
     common_prefix_length,
     morton_encode,
     morton_encode_scalar,
-    morton_order,
     normalize_to_grid,
 )
 
 __all__ = [
-    "aabb_of_points",
-    "aabb_union",
-    "box_contains_points",
-    "validate_boxes",
     "all_pairs_sq",
     "gather_pair_sq",
     "point_box_sq",
@@ -43,6 +32,5 @@ __all__ = [
     "common_prefix_length",
     "morton_encode",
     "morton_encode_scalar",
-    "morton_order",
     "normalize_to_grid",
 ]

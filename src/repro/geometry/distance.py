@@ -83,18 +83,6 @@ def box_box_sq(lo_a: np.ndarray, hi_a: np.ndarray,
     return np.sum(gap * gap, axis=-1)
 
 
-def box_box_max_sq(lo_a: np.ndarray, hi_a: np.ndarray,
-                   lo_b: np.ndarray, hi_b: np.ndarray) -> np.ndarray:
-    """Squared maximum distance between aligned box arrays.
-
-    Upper bound on the distance between any point of box A and any point of
-    box B; used by the dual-tree algorithm's component bounds.
-    """
-    span = np.maximum(np.abs(np.asarray(hi_b) - np.asarray(lo_a)),
-                      np.abs(np.asarray(hi_a) - np.asarray(lo_b)))
-    return np.sum(span * span, axis=-1)
-
-
 def all_pairs_sq(points: np.ndarray) -> np.ndarray:
     """Dense ``(n, n)`` squared-distance matrix (naive baselines only).
 

@@ -8,9 +8,8 @@ provides vectorized bit-interleaving encoders for 2D (up to 31 bits/dim) and
 The paper (Section 4.1) attributes its one pathological dataset
 (GeoLife24M3D) to Z-curve under-resolution and suggests 128-bit codes; the
 ``bits`` parameter exposes the resolution knob, and
-:func:`morton_order` supports double-precision ordering by encoding a
-second, finer key and lexicographically sorting — the moral equivalent of
-widening the code.
+:func:`morton_encode_high` encodes a second, finer key per point, whose
+lexicographic order with the first is that of the double-width code.
 """
 
 from __future__ import annotations
@@ -126,16 +125,6 @@ def morton_encode_scalar(coords: Tuple[int, ...], bits: int) -> int:
     return code
 
 
-def morton_order(points: np.ndarray, bits: Optional[int] = None) -> np.ndarray:
-    """Permutation sorting points along the Z-curve (ties by index).
-
-    ``np.argsort(kind="stable")`` makes equal codes resolve by original
-    index, which keeps downstream constructions deterministic.
-    """
-    codes = morton_encode(points, bits)
-    return np.argsort(codes, kind="stable")
-
-
 def morton_encode_high(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Double-resolution Morton codes as ``(hi, lo)`` uint64 pairs.
 
@@ -173,12 +162,6 @@ def morton_encode_high(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return code
 
     return interleave(coarse), interleave(fine)
-
-
-def morton_order_high(points: np.ndarray) -> np.ndarray:
-    """Permutation sorting points along the double-resolution Z-curve."""
-    hi, lo = morton_encode_high(points)
-    return np.lexsort((np.arange(points.shape[0]), lo, hi))
 
 
 def bit_length_u64(x: np.ndarray) -> np.ndarray:

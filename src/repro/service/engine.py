@@ -6,9 +6,9 @@ the core algorithms.  Per job it:
 1. resolves the point source (inline array or dataset spec),
 2. consults the **result tier** — an exact repeat (same point bytes, same
    algorithm and configuration) is answered without any computation,
-3. consults the **tree tier** — a known point set reuses its built
-   :class:`~repro.bvh.bvh.BVH`, injected through the ``bvh=`` parameter of
-   the core entry points so the ``tree`` phase is skipped,
+3. consults the **tree tier** — a known point set reuses its tree's
+   sort order, from which the job's ``tree_build`` phase rebuilds the
+   :class:`~repro.bvh.bvh.BVH` without sorting,
 4. for m.r.d./HDBSCAN jobs, consults the **core-distance tier** — keyed by
    ``(points, k_pts)`` only, so a repeat point set skips the batched k-NN
    (the paper's ``T_core``) even under a different tree configuration,
@@ -25,8 +25,8 @@ cache lookups happen before it runs and insertions after it returns.
 With ``store_dir`` set, every tier is backed by a persistent
 :class:`~repro.store.disk.DiskStore`: inserts spill to disk, restarts warm
 from it (memory miss → disk hit → promote), so a restarted server answers
-repeat traffic without re-paying ``T_tree``/``T_core`` — the paper's
-amortization argument extended across process lifetimes.
+repeat traffic without re-paying ``T_core`` or the sort inside ``T_tree``
+— the paper's amortization argument extended across process lifetimes.
 
 The engine is directly embeddable (no server required)::
 
@@ -91,15 +91,13 @@ from repro.store import (
     TieredCache,
     codec_for,
     combine_fingerprint,
-    compact_tree_state,
-    expand_tree_state,
     fingerprint_array,
     read_blob,
 )
 from repro.timing import PhaseTimer
 
-#: Default byte budgets: trees dominate (a BVH is ~20x the point bytes),
-#: serialized results and core-distance arrays are comparatively small.
+#: Default byte budgets.  A cached tree is its sort order, 8 bytes per
+#: point; a serialized result is tens of bytes per point.
 DEFAULT_TREE_CACHE_BYTES = 256 << 20
 DEFAULT_RESULT_CACHE_BYTES = 64 << 20
 DEFAULT_CORE_CACHE_BYTES = 64 << 20
@@ -863,8 +861,7 @@ class Engine:
             core_hit = core_entry is not None
         exec_spec = make_exec_spec(
             spec, points=points,
-            tree_state=expand_tree_state(tree_entry["state"])
-            if tree_hit else None,
+            tree_order=tree_entry["order"] if tree_hit else None,
             tree_counters=tree_entry["counters"] if tree_hit else None,
             core_state=core_entry)
         outcome = execute_spec(exec_spec)
@@ -878,11 +875,13 @@ class Engine:
         # Only actually-computed features count toward the scheduler's
         # compute-throughput stat; cache hits would inflate it.
         ticket.features = outcome["features"]
-        if outcome["tree_state"] is not None:
-            self.tree_cache.put(
-                tree_key,
-                {"state": compact_tree_state(outcome["tree_state"]),
-                 "counters": outcome["tree_counters"]})
+        if outcome["tree_order"] is not None:
+            # Built cold: nothing was cached, or the cached order did not
+            # fit the points, and this job's own order replaces it.
+            tree_hit, tree_src = False, None
+            self.tree_cache.put(tree_key,
+                                {"order": outcome["tree_order"],
+                                 "counters": outcome["tree_counters"]})
         if core_key is not None and outcome["core_state"] is not None:
             self.core_cache.put(core_key, outcome["core_state"])
         self.result_cache.put(result_key, encoded)

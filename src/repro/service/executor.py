@@ -2,7 +2,7 @@
 
 :func:`execute_spec` is the compute half of a job: it takes a plain-dict
 *execution spec* (points or a dataset spec, the algorithm and its
-parameters, optionally a serialized spatial index and/or core-distance
+parameters, optionally a cached tree's order and/or core-distance
 artifact) and returns a plain-dict outcome.  It touches no engine state —
 no caches, no records, no locks — so the engine's worker threads call it
 concurrently, and the plain-dict form is also what the benchmark oracle
@@ -13,12 +13,11 @@ length) after the outcome arrives.
 
 Cache interaction stays in the engine: it fingerprints and consults its
 tiers *before* the call and inserts the returned artifacts *after* it.  A
-:class:`~repro.bvh.bvh.BVH` goes in and comes out as a plain dict of
-arrays (:func:`~repro.store.blob.bvh_to_state` /
-:func:`~repro.store.blob.bvh_from_state`) — the serialization the
-persistent :mod:`repro.store` writes to disk, so a tree built by one
-process (or node) is readable by any other.  Core distances travel as one
-caller-order float64 array.
+tree goes in and comes out as its ``order`` alone: every job builds its
+tree with one :func:`~repro.core.emst.build_tree` call, which skips the
+sort when handed a cached order, and an order that does not fit the
+points is a miss (the job builds cold and returns its own).  Core
+distances travel as one caller-order float64 array.
 
 Injected artifacts *replay* the phase counters recorded when they were
 first computed (cached alongside the arrays), so a payload served warm is
@@ -45,7 +44,6 @@ from repro.service.jobs import (
     emst_result_to_dict,
     hdbscan_result_to_dict,
 )
-from repro.store.blob import bvh_from_state, bvh_to_state
 from repro.timing import PhaseTimer
 
 #: Per-worker reusable traversal scratch.  A workspace is not thread safe,
@@ -65,7 +63,7 @@ def _workspace() -> TraversalWorkspace:
 
 def make_exec_spec(spec: JobSpec, *,
                    points: Optional[np.ndarray] = None,
-                   tree_state: Optional[Dict[str, Any]] = None,
+                   tree_order: Optional[np.ndarray] = None,
                    tree_counters: Optional[Dict[str, Any]] = None,
                    core_state: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
@@ -75,7 +73,7 @@ def make_exec_spec(spec: JobSpec, *,
     it needs the content fingerprint); left ``None`` for a dataset job,
     :func:`execute_spec` regenerates it from the deterministic spec (the
     engine does so when a memoized fingerprint let it skip resolving).
-    ``tree_state``/``tree_counters`` inject a cached spatial index and the
+    ``tree_order``/``tree_counters`` inject a cached tree's order and the
     work counters of its original build; ``core_state`` injects a cached
     core-distance artifact (``{"core_sq": array, "counters": dict}``).
     """
@@ -86,7 +84,7 @@ def make_exec_spec(spec: JobSpec, *,
         "config": asdict(spec.config),
         "k_pts": spec.k_pts,
         "min_cluster_size": spec.min_cluster_size,
-        "tree_state": tree_state,
+        "tree_order": tree_order,
         "tree_counters": tree_counters,
         "core_state": core_state,
     }
@@ -99,9 +97,10 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
     dict), the execution ``phases`` (``resolve`` / ``tree_build`` /
     ``compute`` wall seconds), the problem shape
     (``n_points`` / ``dimension`` / ``features``) and — when the worker had
-    to build an artifact itself — its ``tree_state``/``tree_counters``
+    to build an artifact itself — its ``tree_order``/``tree_counters``
     and/or ``core_state`` so the parent can cache them for the next job
-    over the same points.
+    over the same points.  A ``tree_order`` in the outcome also means an
+    injected one was not used.
     """
     timer = PhaseTimer()
     config = SingleTreeConfig(**exec_spec["config"])
@@ -111,18 +110,20 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
         with timer.phase("resolve"):
             points = generate_from_spec(exec_spec["dataset"])
     algorithm = exec_spec["algorithm"]
-    tree_state = exec_spec.get("tree_state")
+    tree_order = exec_spec.get("tree_order")
     core_state = exec_spec.get("core_state")
     injected_core = core_state["core_sq"] if core_state is not None else None
-    built_tree = None
-    if tree_state is not None:
-        bvh = bvh_from_state(tree_state)
-    else:
-        with timer.phase("tree_build"):
+    with timer.phase("tree_build"):
+        try:
+            bvh = build_tree(points, config=config, order=tree_order)
+        except InvalidInputError:
+            if tree_order is None:
+                raise
+            # A cached order that does not fit these points is a miss.
+            tree_order = None
             bvh = build_tree(points, config=config)
-        built_tree = bvh
-    # check_tree=False: the engine keys trees by a fingerprint of the exact
-    # point bytes, so an injected tree is known to index these points.
+    tree_hit = tree_order is not None
+    # check_tree=False: the tree was just built over these very points.
     workspace = _workspace()
     with timer.phase("compute"):
         if algorithm == "emst":
@@ -155,7 +156,7 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
     # deterministic) work numbers, keeping warm payloads byte-identical in
     # canonical form to cold execution of the same spec.
     emst_payload = payload["emst"] if algorithm == "hdbscan" else payload
-    if tree_state is not None and exec_spec.get("tree_counters") is not None:
+    if tree_hit and exec_spec.get("tree_counters") is not None:
         emst_payload["counters"]["tree"] = dict(exec_spec["tree_counters"])
     new_core_state = None
     if injected_core is not None:
@@ -170,9 +171,8 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
         "n_points": int(points.shape[0]),
         "dimension": int(points.shape[1]),
         "features": int(points.shape[0] * points.shape[1]),
-        "tree_state": bvh_to_state(built_tree)
-        if built_tree is not None else None,
-        "tree_counters": dict(emst_payload["counters"]["tree"])
-        if built_tree is not None else None,
+        "tree_order": None if tree_hit else bvh.order,
+        "tree_counters": None if tree_hit
+        else dict(emst_payload["counters"]["tree"]),
         "core_state": new_core_state,
     }

@@ -3,9 +3,10 @@
 The paper's headline win is amortizing ``T_tree`` within one run; the
 service's in-memory tiers amortize it across requests; this package
 amortizes it across **process lifetimes** (and, because keys are content
-fingerprints and therefore location-independent, across nodes): built
-trees, result payloads and core-distance arrays spill to disk on insert
-and warm back on the first request after a restart.
+fingerprints and therefore location-independent, across nodes): trees
+(each held as its sort order, from which a hit rebuilds it without
+sorting), result payloads and core-distance arrays spill to disk on
+insert and warm back on the first request after a restart.
 
 Layers
 ------
@@ -32,11 +33,7 @@ True
 from repro.store.blob import (
     BLOB_FORMAT,
     EncodedPayload,
-    bvh_from_state,
-    bvh_to_state,
     codec_for,
-    compact_tree_state,
-    expand_tree_state,
     read_blob,
     write_blob,
 )
@@ -57,13 +54,9 @@ __all__ = [
     "DiskStore",
     "EncodedPayload",
     "TieredCache",
-    "bvh_from_state",
-    "bvh_to_state",
     "codec_for",
     "combine_fingerprint",
-    "compact_tree_state",
     "estimate_nbytes",
-    "expand_tree_state",
     "fingerprint",
     "fingerprint_array",
     "fingerprint_spec",

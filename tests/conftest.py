@@ -22,6 +22,15 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+#: Every tree configuration a job key can name: a tree rebuilt from a
+#: cached order must be the cold tree under each.
+TREE_CONFIGS = {
+    "default": {},
+    "bits=8": {"bits": 8},
+    "high_resolution": {"high_resolution": True},
+    "kdtree": {"tree_type": "kdtree"},
+}
+
 
 def _repro_threads():
     return {t for t in threading.enumerate() if t.name.startswith("repro-")}

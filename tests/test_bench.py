@@ -13,7 +13,6 @@ from repro.bench.harness import (
     run_mlpack,
     simulated_rate,
     simulated_seconds,
-    wall_rate,
 )
 from repro.bench.tables import render_table
 from repro.bench.figures.common import (
@@ -91,9 +90,6 @@ class TestSimulation:
         rate = simulated_rate(arborx, EPYC_7763_SEQ)
         t = simulated_seconds(arborx, EPYC_7763_SEQ)
         assert rate == pytest.approx(arborx.features / t / 1e6)
-
-    def test_wall_rate(self, arborx):
-        assert wall_rate(arborx) > 0
 
     def test_work_scale_applied(self, points):
         memogfk = run_memogfk(points, "x")

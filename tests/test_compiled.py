@@ -97,6 +97,8 @@ for threads in (1, 3):
 """
 
 MALFORMED_STEPS = r"""
+import dataclasses
+
 import numpy as np
 from repro.bvh import build_bvh, compiled
 from repro.bvh.refit import bottom_up_schedule, refit_bounds
@@ -105,7 +107,7 @@ from repro.core.labels import reduce_labels
 from repro.core.merge import merge_components
 from repro.core.outgoing import OutgoingEdges
 from repro.errors import ConvergenceError, InvalidInputError
-from repro.store.blob import bvh_to_state, decode_tree, encode_tree
+from repro.store.blob import decode_tree, encode_tree
 
 assert compiled.selected()
 good = build_bvh(np.random.default_rng(0).random((64, 2)))
@@ -120,9 +122,7 @@ def changed(array, index, value):
 
 
 def tree(**arrays):
-    state = bvh_to_state(good)
-    state.update(arrays)
-    return type(good)(**state)
+    return dataclasses.replace(good, **arrays)
 
 
 def edges(component, target_component):
@@ -137,8 +137,8 @@ def edges(component, target_component):
 inner = next(t for t in range(1, n - 1) if left[t] < n - 1)
 cycle = changed(left, int(left[inner]), inner)
 bad_left = changed(left, 5, 10 ** 6)
-meta, blob = encode_tree({"state": bvh_to_state(good), "counters": None})
-blob["left"] = changed(blob["left"], 3, 10 ** 6)
+meta, blob = encode_tree({"order": good.order, "counters": None})
+blob["order"] = changed(blob["order"], 3, 10 ** 6)
 position = np.zeros(n, dtype=np.int64)
 
 steps = {
@@ -169,7 +169,7 @@ steps = {
         labels, n, edges([0, 1], [1, n + 7])),
     "merge: point label outside [0, n)": lambda: merge_components(
         changed(labels, 3, -5), n, edges([0, 1], [1, 0])),
-    "tree blob: child out of range": lambda: decode_tree(meta, blob),
+    "tree blob: order out of range": lambda: decode_tree(meta, blob),
     "merge: successor cycle of 3": lambda: merge_components(
         labels, n, edges([0, 1, 2], [1, 2, 0])),
 }
@@ -196,8 +196,8 @@ def test_malformed_tree_raises_instead_of_crashing():
     # Subprocesses, so a segfault shows as an exit status rather than
     # taking the test run down.  The first runs every traversal kernel on
     # 1 and on 3 threads, which must give the same messages; the second
-    # runs the build and round steps, and a peer's tree blob with a bad
-    # child, which decode_tree rebuilds from.
+    # runs the build and round steps, and a peer's tree blob with an
+    # order entry out of range.
     proc = _python("-c", MALFORMED_TREES)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err

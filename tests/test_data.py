@@ -17,7 +17,6 @@ from repro.data import (
     uniform,
     visualvar,
 )
-from repro.data.sampling import sample_sweep
 from repro.errors import DimensionError, InvalidInputError
 from repro.geometry.morton import morton_encode
 
@@ -142,13 +141,3 @@ class TestSampling:
     def test_rejects_zero(self, rng):
         with pytest.raises(InvalidInputError):
             sample_preserving(rng.random((10, 2)), 0)
-
-    def test_sweep_clamps_and_dedupes(self, rng):
-        pts = rng.random((100, 2))
-        sizes = [m for m, _ in sample_sweep(pts, [10, 50, 200, 400])]
-        assert sizes == [10, 50, 100]
-
-    def test_sweep_preserves_distribution_mean(self, rng):
-        pts = rng.random((5000, 2))
-        for m, sub in sample_sweep(pts, [2000]):
-            assert np.allclose(sub.mean(axis=0), pts.mean(axis=0), atol=0.05)

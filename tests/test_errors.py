@@ -6,14 +6,12 @@ from repro.errors import (
     ConvergenceError,
     DimensionError,
     InvalidInputError,
-    NotBuiltError,
     ReproError,
 )
 
 
 def test_all_derive_from_repro_error():
-    for exc in (InvalidInputError, DimensionError, NotBuiltError,
-                ConvergenceError):
+    for exc in (InvalidInputError, DimensionError, ConvergenceError):
         assert issubclass(exc, ReproError)
 
 
@@ -27,7 +25,6 @@ def test_dimension_is_invalid_input():
 
 def test_runtime_family():
     assert issubclass(ConvergenceError, RuntimeError)
-    assert issubclass(NotBuiltError, RuntimeError)
 
 
 def test_catchable_as_base():

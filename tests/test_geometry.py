@@ -1,21 +1,12 @@
-"""Tests for AABBs and distance kernels (repro.geometry)."""
+"""Tests for the distance kernels (repro.geometry)."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from repro.errors import InvalidInputError
-from repro.geometry.aabb import (
-    aabb_of_points,
-    aabb_union,
-    box_contains_box,
-    box_contains_points,
-    box_diameter_sq,
-    validate_boxes,
-)
 from repro.geometry.distance import (
     all_pairs_sq,
-    box_box_max_sq,
     box_box_sq,
     gather_pair_sq,
     gathered_points_sq,
@@ -23,59 +14,6 @@ from repro.geometry.distance import (
     points_sq,
 )
 from tests.conftest import finite_points
-
-
-class TestAABB:
-    def test_tight_bounds(self):
-        lo, hi = aabb_of_points(np.array([[0.0, 1.0], [2.0, -1.0]]))
-        assert lo.tolist() == [0.0, -1.0]
-        assert hi.tolist() == [2.0, 1.0]
-
-    def test_single_point_degenerate(self):
-        lo, hi = aabb_of_points(np.array([[3.0, 4.0, 5.0]]))
-        assert np.array_equal(lo, hi)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidInputError):
-            aabb_of_points(np.empty((0, 3)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
-            aabb_of_points(np.array([[np.nan, 0.0]]))
-
-    def test_union(self):
-        lo, hi = aabb_union(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-                            np.array([-1.0, 0.5]), np.array([0.5, 2.0]))
-        assert lo.tolist() == [-1.0, 0.0]
-        assert hi.tolist() == [1.0, 2.0]
-
-    def test_contains_points(self):
-        mask = box_contains_points(np.zeros(2), np.ones(2),
-                                   np.array([[0.5, 0.5], [1.5, 0.5]]))
-        assert mask.tolist() == [True, False]
-
-    def test_contains_boundary(self):
-        mask = box_contains_points(np.zeros(2), np.ones(2),
-                                   np.array([[1.0, 0.0]]))
-        assert mask[0]
-
-    def test_contains_box(self):
-        assert box_contains_box(np.zeros(2), np.ones(2) * 2,
-                                np.ones(2) * 0.5, np.ones(2))
-        assert not box_contains_box(np.zeros(2), np.ones(2),
-                                    np.ones(2) * 0.5, np.ones(2) * 1.5)
-
-    def test_validate_rejects_inverted(self):
-        with pytest.raises(InvalidInputError):
-            validate_boxes(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-
-    def test_validate_rejects_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            validate_boxes(np.zeros((2, 2)), np.zeros((3, 2)))
-
-    def test_diameter(self):
-        d2 = box_diameter_sq(np.zeros(2), np.array([3.0, 4.0]))
-        assert d2 == 25.0
 
 
 class TestPointDistances:
@@ -197,15 +135,6 @@ class TestBoxBox:
         d = box_box_sq(np.zeros(2), np.ones(2),
                        np.array([3.0, 0.0]), np.array([4.0, 1.0]))
         assert d == 4.0
-
-    def test_max_distance_bound(self, rng):
-        a = rng.random((10, 2))
-        b = rng.random((10, 2)) + 2.0
-        lo_a, hi_a = a.min(axis=0), a.max(axis=0)
-        lo_b, hi_b = b.min(axis=0), b.max(axis=0)
-        upper = box_box_max_sq(lo_a, hi_a, lo_b, hi_b)
-        dmax = max(points_sq(pa, pb) for pa in a for pb in b)
-        assert upper >= dmax - 1e-12
 
 
 class TestAllPairs:

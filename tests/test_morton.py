@@ -13,7 +13,6 @@ from repro.geometry.morton import (
     common_prefix_length,
     morton_encode,
     morton_encode_scalar,
-    morton_order,
     normalize_to_grid,
 )
 
@@ -99,23 +98,6 @@ class TestEncode:
         dy = sum(((code >> (3 * b + 1)) & 1) << b for b in range(21))
         dz = sum(((code >> (3 * b + 2)) & 1) << b for b in range(21))
         assert (dx, dy, dz) == (x, y, z)
-
-
-class TestOrder:
-    def test_sorts_codes(self, rng):
-        pts = rng.random((500, 3))
-        order = morton_order(pts)
-        codes = morton_encode(pts)[order]
-        assert np.all(codes[:-1] <= codes[1:])
-
-    def test_is_permutation(self, rng):
-        pts = rng.random((100, 2))
-        order = morton_order(pts)
-        assert np.array_equal(np.sort(order), np.arange(100))
-
-    def test_deterministic_with_duplicates(self, rng):
-        pts = np.repeat(rng.random((5, 2)), 10, axis=0)
-        assert np.array_equal(morton_order(pts), morton_order(pts))
 
 
 class TestBitLength:

@@ -13,7 +13,6 @@ from repro.geometry.morton import (
     common_prefix_length_high,
     morton_encode,
     morton_encode_high,
-    morton_order_high,
 )
 from repro.mst.validate import edges_canonical
 
@@ -65,11 +64,6 @@ class TestEncodeHigh:
     def test_rejects_4d(self, rng):
         with pytest.raises(DimensionError):
             morton_encode_high(rng.random((10, 4)))
-
-    def test_order_high_permutation(self, rng):
-        pts = rng.random((100, 3))
-        order = morton_order_high(pts)
-        assert np.array_equal(np.sort(order), np.arange(100))
 
 
 class TestPrefixHigh:

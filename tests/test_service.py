@@ -31,13 +31,12 @@ from repro.service.executor import make_exec_spec
 from repro.service.scheduler import JobTicket, Scheduler
 from repro.store import (
     ContentCache,
-    bvh_from_state,
-    bvh_to_state,
     combine_fingerprint,
     estimate_nbytes,
     fingerprint,
     fingerprint_array,
 )
+from tests.conftest import TREE_CONFIGS
 
 
 @pytest.fixture
@@ -358,15 +357,27 @@ class TestEngine:
         assert size == result.encoded.nbytes == len(result.encoded.body)
         assert size == len(json.dumps(result.payload).encode())
 
-    def test_tree_reused_across_algorithms(self, engine, uniform_2d):
-        engine.result(engine.submit(JobSpec(points=uniform_2d)), timeout=60)
-        mrd = engine.result(
-            engine.submit(JobSpec(points=uniform_2d, algorithm="mrd_emst",
-                                  k_pts=4)), timeout=60)
+    @pytest.mark.parametrize("config", list(TREE_CONFIGS))
+    @pytest.mark.parametrize("n", [200, 1, 2, 3])
+    def test_tree_reused_across_algorithms(self, engine, n, config):
+        points = np.random.default_rng(n).random((n, 2))
+        cfg = SingleTreeConfig(**TREE_CONFIGS[config])
+        engine.result(engine.submit(JobSpec(points=points, config=cfg)),
+                      timeout=60)
+        k_pts = min(4, n)
+        spec = JobSpec(points=points, algorithm="mrd_emst", k_pts=k_pts,
+                       config=cfg)
+        mrd = engine.result(engine.submit(spec), timeout=60)
         assert not mrd.cache["result_hit"]
         assert mrd.cache["tree_hit"]
-        assert "tree_build" not in mrd.timings
-        direct = mutual_reachability_emst(uniform_2d, 4)
+        # A hit rebuilds the tree from its cached order in ``tree_build``;
+        # the algorithm's own tree phase reports skipped.
+        assert "tree_build" in mrd.timings
+        assert mrd.timings["algo_tree"] == 0.0
+        cold = execute_spec(make_exec_spec(spec, points=points))["payload"]
+        assert canonical_payload_bytes(mrd.payload) == \
+            canonical_payload_bytes(cold)
+        direct = mutual_reachability_emst(points, k_pts, config=cfg)
         assert np.array_equal(mrd.emst().edges, direct.edges)
 
     def test_failed_job_reports_error(self, engine):
@@ -495,29 +506,19 @@ class TestExecutionBackends:
         assert outcome["payload"]["edges"] == direct.edges.tolist()
         assert outcome["n_points"] == 200 and outcome["dimension"] == 3
         assert outcome["features"] == 600
-        assert outcome["tree_state"] is not None
+        assert np.array_equal(outcome["tree_order"],
+                              build_tree(uniform_3d).order)
         assert "tree_build" in outcome["phases"]
 
-    def test_execute_spec_reuses_injected_tree_state(self, uniform_2d):
+    def test_execute_spec_reuses_injected_tree_order(self, uniform_2d):
         spec = JobSpec(points=uniform_2d)
         spec.validate()
-        state = bvh_to_state(build_tree(uniform_2d))
+        order = build_tree(uniform_2d).order
         outcome = execute_spec(
-            make_exec_spec(spec, points=uniform_2d, tree_state=state))
-        assert outcome["tree_state"] is None  # nothing new to cache
-        assert "tree_build" not in outcome["phases"]
+            make_exec_spec(spec, points=uniform_2d, tree_order=order))
+        assert outcome["tree_order"] is None  # nothing new to cache
+        assert "tree_build" in outcome["phases"]  # rebuilt from the order
         assert outcome["payload"]["edges"] == emst(uniform_2d).edges.tolist()
-
-    def test_bvh_state_round_trip(self, uniform_3d):
-        tree = build_tree(uniform_3d)
-        back = bvh_from_state(bvh_to_state(tree))
-        assert np.array_equal(back.points, tree.points)
-        assert np.array_equal(back.left, tree.left)
-        assert np.array_equal(back.lo, tree.lo)
-        assert len(back.schedule) == len(tree.schedule)
-        # The rebuilt tree drives the solver to the same answer.
-        assert np.array_equal(
-            emst(uniform_3d, bvh=back).edges, emst(uniform_3d).edges)
 
     def test_canonical_payload_bytes_ignores_timings_only(self):
         a = {"edges": [[0, 1]], "phases": {"mst": 0.5},

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import emst, hdbscan
-from repro.bvh import build_bvh
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, mutual_reachability_emst
 from repro.errors import InvalidInputError, ServiceError
@@ -29,53 +28,85 @@ from repro.store import (
     DiskStore,
     EncodedPayload,
     TieredCache,
-    bvh_from_state,
-    bvh_to_state,
     combine_fingerprint,
-    compact_tree_state,
-    expand_tree_state,
     fingerprint,
     fingerprint_array,
     read_blob,
     write_blob,
 )
 from repro.store.blob import (
-    BLOB_FORMAT,
     decode_core,
     decode_result,
     decode_tree,
     encode_core,
     encode_tree,
 )
+from tests.conftest import TREE_CONFIGS
+
+
+TREE_ARRAYS = ("points", "order", "codes", "left", "right", "parent",
+               "lo", "hi")
 
 
 def _tree_value(tree, counters):
-    """A tree-tier value: the compact state plus build counters."""
-    return {"state": compact_tree_state(bvh_to_state(tree)),
-            "counters": counters}
+    """A tree-tier value: the tree's order plus its build counters."""
+    return {"order": tree.order, "counters": counters}
 
 
-def _tree_of(value):
-    """The BVH a tree-tier value holds."""
-    return bvh_from_state(expand_tree_state(value["state"]))
+def _tree_of(value, points):
+    """The tree a tree-tier value rebuilds over ``points``."""
+    return build_tree(points, order=value["order"])
 
 
-def _leaf_array_blob(tree, leaf_start, leaf_count):
-    """``tree``'s blob bytes as writers of blocked-leaf trees laid it out:
-    the leaf arrays beside the tree, the blocking factor in the
-    metadata."""
-    meta, arrays = encode_tree(_tree_value(tree, None))
-    meta["leaf_size"] = int(leaf_count.max())
-    arrays.update(leaf_start=leaf_start, leaf_count=leaf_count)
+def _assert_same_tree(back, tree):
+    """Every array of ``back`` equals ``tree``'s, dtype and bytes."""
+    for name in TREE_ARRAYS + ("codes_lo",):
+        got, want = getattr(back, name), getattr(tree, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert [level.tobytes() for level in back.schedule] == \
+        [level.tobytes() for level in tree.schedule]
+
+
+def _full_state_blob(tree, fmt, leaf_start=None, leaf_count=None):
+    """``tree``'s blob bytes as writers of formats 1-3 laid it out: every
+    tree array, the schedule level by level and, from blocked-leaf
+    writers, the leaf arrays and the blocking factor."""
+    meta = {"tier": "tree", "n_schedule": len(tree.schedule),
+            "counters": None, "format": fmt}
+    arrays = {name: getattr(tree, name) for name in TREE_ARRAYS}
+    for level, step in enumerate(tree.schedule):
+        arrays[f"schedule_{level:03d}"] = step
+    if leaf_start is not None:
+        meta["leaf_size"] = int(leaf_count.max())
+        arrays.update(leaf_start=leaf_start, leaf_count=leaf_count)
+    meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                               dtype=np.uint8)
     buffer = io.BytesIO()
-    write_blob(buffer, meta, arrays)
+    np.savez(buffer, **{"__meta__": meta_bytes}, **arrays)
     return buffer.getvalue()
 
 
 def _blocked_blob(tree):
-    """``tree``'s blob with leaf arrays of four points per leaf."""
+    """``tree``'s format-2 blob with leaf arrays of four points per
+    leaf."""
     starts = np.arange(0, tree.n, 4, dtype=np.int64)
-    return _leaf_array_blob(tree, starts, np.diff(np.append(starts, tree.n)))
+    return _full_state_blob(tree, 2, starts,
+                            np.diff(np.append(starts, tree.n)))
+
+
+#: Orders no tree blob may carry: decoding each raises.
+BAD_ORDERS = {
+    "duplicate": np.array([0, 1, 1, 3]),
+    "negative": np.array([0, -1, 2, 3]),
+    "out of range": np.array([0, 1, 2, 4]),
+    "2-D": np.arange(4).reshape(2, 2),
+    "float": np.arange(4, dtype=np.float64),
+    "empty": np.empty(0, dtype=np.int64),
+}
 
 
 class TestFingerprint:
@@ -107,15 +138,25 @@ class TestFingerprint:
 class TestBlob:
     def test_tree_codec_round_trip(self, uniform_3d):
         tree = build_tree(uniform_3d)
-        value = _tree_value(tree, {"scalar_ops": 123})
-        meta, arrays = encode_tree(value)
+        meta, arrays = encode_tree(_tree_value(tree, {"scalar_ops": 123}))
+        assert set(arrays) == {"order"}
         back = decode_tree(meta, arrays)
         assert back["counters"] == {"scalar_ops": 123}
-        assert np.array_equal(_tree_of(back).points, tree.points)
-        assert len(_tree_of(back).schedule) == len(tree.schedule)
-        # A decoded tree drives the solver to the same answer.
-        assert np.array_equal(emst(uniform_3d, bvh=_tree_of(back)).edges,
-                              emst(uniform_3d).edges)
+        assert back["order"].dtype == np.int64
+        assert np.array_equal(back["order"], tree.order)
+        # The decoded order rebuilds the tree, which drives the solver to
+        # the same answer.
+        _assert_same_tree(_tree_of(back, uniform_3d), tree)
+        assert np.array_equal(
+            emst(uniform_3d, bvh=_tree_of(back, uniform_3d)).edges,
+            emst(uniform_3d).edges)
+
+    @pytest.mark.parametrize("name", list(BAD_ORDERS))
+    def test_decode_rejects_a_bad_order(self, name):
+        meta, arrays = encode_tree({"order": np.arange(4), "counters": None})
+        assert decode_tree(meta, arrays)["order"].tolist() == [0, 1, 2, 3]
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            decode_tree(meta, {"order": BAD_ORDERS[name]})
 
     def test_core_codec_round_trip(self):
         core = np.linspace(0.0, 1.0, 17)
@@ -159,7 +200,7 @@ class TestDiskStore:
         back = decode_tree(*blob)
         assert back["counters"] == {"ops": 7}
         assert np.array_equal(
-            emst(uniform_2d, bvh=_tree_of(back)).edges,
+            emst(uniform_2d, bvh=_tree_of(back, uniform_2d)).edges,
             emst(uniform_2d).edges)
         assert reopened.get("tree", "b" * 64) is None
         assert reopened.stats()["hits"] == 1
@@ -467,36 +508,54 @@ class TestEngineWarmRestart:
             assert eng.stats()["scheduler"]["features_done"] == 0
             assert canonical_payload_bytes(warm.payload) == cold_bytes
 
-    def test_tree_and_core_warm_from_disk_byte_identical(self, tmp_path):
-        """A *different* job over known points skips T_tree and T_core via
-        the disk tiers and still matches cold execution byte-for-byte."""
+    @pytest.mark.parametrize("config", list(TREE_CONFIGS))
+    @pytest.mark.parametrize("n", [400, 1, 2, 3])
+    def test_tree_and_core_warm_from_disk_byte_identical(self, tmp_path, n,
+                                                         config):
+        """Jobs over known points rebuild the tree from its cached order,
+        from memory and, after a restart, from disk (with the core
+        distances), and still match cold execution byte for byte."""
         root = str(tmp_path / "store")
-        warm_spec = JobSpec(dataset="Uniform100M2:400", algorithm="hdbscan",
-                            k_pts=4, min_cluster_size=6)
+        source = f"Uniform100M2:{n}"
+        cfg = SingleTreeConfig(**TREE_CONFIGS[config])
+        k_pts = min(4, n)
+        # hdbscan needs two points; one point re-runs mrd_emst instead.
+        warm_spec = (JobSpec(dataset=source, algorithm="hdbscan", k_pts=k_pts,
+                             min_cluster_size=6, config=cfg) if n > 1
+                     else JobSpec(dataset=source, algorithm="mrd_emst",
+                                  k_pts=k_pts, config=cfg))
         with Engine(max_workers=1, store_dir=root) as eng:
             first = eng.result(
-                eng.submit(JobSpec(dataset="Uniform100M2:400",
-                                   algorithm="mrd_emst", k_pts=4)),
+                eng.submit(JobSpec(dataset=source, algorithm="mrd_emst",
+                                   k_pts=k_pts, config=cfg)),
                 timeout=120)
             assert first.status.value == "done", first.error
+            assert not first.cache["tree_hit"]
+            memory = eng.result(
+                eng.submit(JobSpec(dataset=source, config=cfg)), timeout=120)
+            assert memory.status.value == "done", memory.error
+            assert memory.cache["tree_hit"]
+            assert not memory.cache["tree_disk_hit"]
+            eng.flush(tier="result")
         with Engine(max_workers=1, store_dir=root) as eng:
             warm = eng.result(eng.submit(warm_spec), timeout=120)
             assert warm.status.value == "done", warm.error
             assert not warm.cache["result_hit"]
             assert warm.cache["tree_hit"] and warm.cache["tree_disk_hit"]
             assert warm.cache["core_hit"] and warm.cache["core_disk_hit"]
-            # Phase timings report both artifacts as skipped.
-            assert "tree_build" not in warm.timings
+            # A hit rebuilds the tree from its order in ``tree_build``;
+            # the algorithm's own tree and core phases report skipped.
+            assert "tree_build" in warm.timings
             assert warm.timings["algo_tree"] == 0.0
             assert warm.timings["algo_core"] == 0.0
-        reference = JobSpec(dataset="Uniform100M2:400", algorithm="hdbscan",
-                            k_pts=4, min_cluster_size=6)
-        reference.validate()
-        cold_payload = execute_spec(make_exec_spec(reference))["payload"]
-        # Replayed counters make the warm payload byte-identical to cold
+        # Replayed counters make warm payloads byte-identical to cold
         # execution — skipped phases report their original work numbers.
-        assert canonical_payload_bytes(warm.payload) == \
-            canonical_payload_bytes(cold_payload)
+        for hit, spec in ((memory, JobSpec(dataset=source, config=cfg)),
+                          (warm, warm_spec)):
+            assert hit.timings["algo_tree"] == 0.0
+            cold = execute_spec(make_exec_spec(spec))["payload"]
+            assert canonical_payload_bytes(hit.payload) == \
+                canonical_payload_bytes(cold)
 
     def test_flush_forgets_everything(self, tmp_path):
         root = str(tmp_path / "store")
@@ -645,16 +704,24 @@ class TestServerWithStore:
 
     def test_push_of_a_blocked_tree_blob_is_a_400(self, persistent_api,
                                                   uniform_2d):
-        url = f"{persistent_api}/v1/artifacts/tree/{'cc' * 32}"
-        req = urllib.request.Request(
-            url, data=_blocked_blob(build_tree(uniform_2d)), method="POST",
-            headers={"Content-Type": "application/octet-stream"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(req, timeout=60)
-        assert excinfo.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(url, timeout=60)
-        assert excinfo.value.code == 404  # never stored
+        # So is a blob whose order is not a permutation.
+        blobs = [_blocked_blob(build_tree(uniform_2d))]
+        for order in BAD_ORDERS.values():
+            buffer = io.BytesIO()
+            write_blob(buffer, *encode_tree({"order": order,
+                                             "counters": None}))
+            blobs.append(buffer.getvalue())
+        for i, data in enumerate(blobs):
+            url = f"{persistent_api}/v1/artifacts/tree/{i:02x}" + "c" * 62
+            req = urllib.request.Request(
+                url, data=data, method="POST",
+                headers={"Content-Type": "application/octet-stream"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(req, timeout=60)
+            assert excinfo.value.code == 400
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(url, timeout=60)
+            assert excinfo.value.code == 404  # never stored
 
     def test_healthz_reports_persistence(self, persistent_api):
         _status, body = self._get(f"{persistent_api}/v1/healthz")
@@ -753,29 +820,9 @@ class TestServerWithStore:
         assert body["compacted"] is None
 
 
-def _assert_expands_back(state):
-    """Compact then expand ``state``: every array back bit for bit."""
-    _assert_same_state(expand_tree_state(compact_tree_state(state)), state)
-
-
-def _assert_same_state(back, state):
-    """Every part of tree state ``back`` equals ``state``'s bit for bit."""
-    assert back.keys() == state.keys()
-    for name, want in state.items():
-        got = back[name]
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
-        elif name == "schedule":
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(got, want))
-        else:
-            assert got == want, name
-
-
-class TestCompactTreeState:
-    """The tree tier's memory level holds the compact state; expanding it
-    must give back every array bit for bit."""
+class TestTreeOrder:
+    """The tree tier holds a tree as its sort order: the build rebuilds
+    the rest, and an order that does not fit the points is a miss."""
 
     @pytest.mark.parametrize("points", [
         np.random.default_rng(0).random((3000, 3)),
@@ -787,176 +834,126 @@ class TestCompactTreeState:
         np.random.default_rng(10).random((10_000, 3)),
         np.random.default_rng(11).random((10_000, 2)),
     ])
-    def test_expand_restores_every_array(self, points):
-        _assert_expands_back(bvh_to_state(build_tree(points)))
+    def test_order_rebuilds_the_cold_tree(self, points):
+        for config in TREE_CONFIGS.values():
+            cfg = SingleTreeConfig(**config)
+            tree = build_tree(points, config=cfg)
+            _assert_same_tree(build_tree(points, config=cfg,
+                                         order=tree.order), tree)
 
-    def test_one_point_leaves_shrink_by_two_fifths(self):
-        from repro.store.memory import estimate_nbytes
-        state = bvh_to_state(build_tree(
-            np.random.default_rng(5).random((10_000, 3))))
-        compact = compact_tree_state(state)
-        assert estimate_nbytes(compact) < 0.6 * estimate_nbytes(state)
+    def test_a_cached_tree_is_its_order(self, tmp_path):
+        points = np.random.default_rng(5).random((10_000, 3))
+        spec = JobSpec(points=points)
+        key = combine_fingerprint(fingerprint_array(points), spec.tree_key())
+        with Engine(max_workers=1, store_dir=str(tmp_path)) as eng:
+            result = eng.result(eng.submit(spec), timeout=120)
+            assert result.status.value == "done", result.error
+            value, source = eng.tree_cache.get_with_source(key)
+            assert source == "memory"
+            assert set(value) == {"order", "counters"}
+            assert value["order"].dtype == np.int64
+            assert value["order"].shape == (10_000,)
+            assert eng.tree_cache.memory.size_of(key) <= 90_000
+            stored = eng.artifact_entries()
+        assert [entry["tier"] for entry in stored].count("tree") == 1
+        tree_entry = next(e for e in stored if e["tier"] == "tree")
+        assert tree_entry["nbytes"] <= 8 * 10_000 + 4096
 
-    def test_boxes_and_schedule_are_rebuilt_not_held(self):
-        # A cached 10k 3D tree holds its points and order; Morton codes,
-        # Karras and the refit rebuild the rest.
-        from repro.store.memory import estimate_nbytes
-        pts = np.random.default_rng(5).random((10_000, 3))
-        state = bvh_to_state(build_tree(pts))
-        compact = compact_tree_state(state)
-        for name in ("lo", "hi", "schedule", "codes", "left", "right",
-                     "parent"):
-            assert compact[name] is None, name
-        held = {name for name, value in compact.items()
-                if isinstance(value, np.ndarray)}
-        assert held == {"points", "order"}
-        assert estimate_nbytes(compact) < 0.2 * estimate_nbytes(state)
-
-    @pytest.mark.parametrize("dim", [3, 2])
-    def test_128_bit_codes_keep_only_their_low_words(self, dim):
-        state = bvh_to_state(build_tree(
-            np.random.default_rng(12).random((2000, dim)),
-            config=SingleTreeConfig(high_resolution=True)))
-        compact = compact_tree_state(state)
-        assert compact["codes"] is None and compact["left"] is None
-        assert compact["codes_lo"] is state["codes_lo"]
-        _assert_expands_back(state)
-
-    def test_codes_and_children_that_do_not_rebuild_are_kept(self):
-        pts = np.random.default_rng(13).random((2000, 2))
-        coarse = bvh_to_state(build_bvh(pts, bits=10))
-        flipped = bvh_to_state(build_tree(pts))
-        codes = flipped["codes"].copy()
-        # The lowest bit of a code whose neighbours keep the codes sorted.
-        i = next(i for i in range(1, codes.size - 1)
-                 if codes[i - 1] <= codes[i] ^ np.uint64(1) <= codes[i + 1])
-        codes[i] ^= np.uint64(1)
-        flipped["codes"] = codes
-        swapped = bvh_to_state(build_tree(pts))
-        swapped["left"], swapped["right"] = (swapped["left"].copy(),
-                                             swapped["right"].copy())
-        swapped["left"][7], swapped["right"][7] = (swapped["right"][7],
-                                                   swapped["left"][7])
-        for name, state in (("bits=10", coarse), ("flipped code", flipped),
-                            ("swapped children", swapped)):
-            compact = compact_tree_state(state)
-            for part in ("codes", "left", "right"):
-                assert compact[part] is state[part], (name, part)
-            assert compact["lo"] is None, name  # the rest still goes
-            back = expand_tree_state(compact)
-            for part in ("codes", "left", "right", "parent", "lo", "hi"):
-                assert back[part].tobytes() == state[part].tobytes(), \
-                    (name, part)
+    @pytest.mark.parametrize("bad", ["wrong length", "repeated entry",
+                                     "tie out of order", "kd-tree length"])
+    def test_a_cached_order_that_does_not_fit_is_a_miss(self, bad):
+        rng = np.random.default_rng(4)
+        points = rng.random((300, 2))
+        config = SingleTreeConfig()
+        if bad == "tie out of order":
+            points = np.repeat(points[:150], 2, axis=0)
+        if bad == "kd-tree length":
+            config = SingleTreeConfig(tree_type="kdtree")
+        spec = JobSpec(points=points, config=config)
+        cold = execute_spec(make_exec_spec(spec, points=points))
+        order = cold["tree_order"].copy()
+        if bad in ("wrong length", "kd-tree length"):
+            order = np.arange(301)
+        elif bad == "repeated entry":
+            order[0] = order[1]
+        else:  # two copies of one point, out of index order
+            order[:2] = order[1::-1]
+        key = combine_fingerprint(fingerprint_array(points), spec.tree_key())
+        with Engine(max_workers=1) as eng:
+            eng.tree_cache.put(key, {"order": order,
+                                     "counters": cold["tree_counters"]})
+            result = eng.result(eng.submit(spec), timeout=120)
+            assert result.status.value == "done", result.error
+            assert not result.cache["tree_hit"]
+            assert canonical_payload_bytes(result.payload) == \
+                canonical_payload_bytes(cold["payload"])
+            # The job's own order replaced the one that did not fit.
+            value, _ = eng.tree_cache.get_with_source(key)
+            assert np.array_equal(value["order"], cold["tree_order"])
 
     def test_unsorted_codes_raise_instead_of_crashing(self):
-        # A blob whose points (and so codes) are out of Z-order: the
-        # codes rebuild from the points, and Karras over them must raise
-        # as the build does.  A subprocess, so a crash shows as an exit
+        # A cached order that is a permutation but leaves the Morton codes
+        # out of order: the build raises as Karras does, and the engine
+        # builds cold instead.  A subprocess, so a crash shows as an exit
         # status rather than taking the test run down.
         script = (
             "import numpy as np\n"
-            "from repro.bvh import build_bvh\n"
+            "from repro.core.emst import build_tree\n"
             "from repro.errors import InvalidInputError\n"
-            "from repro.store.blob import (bvh_to_state, decode_tree,\n"
-            "                              encode_tree)\n"
-            "tree = build_bvh(np.random.default_rng(0).random((500, 3)))\n"
-            "meta, arrays = encode_tree(\n"
-            "    {'state': bvh_to_state(tree), 'counters': None})\n"
-            "swap = [300, 100]\n"
-            "for name in ('points', 'order', 'codes'):\n"
-            "    arrays[name] = arrays[name].copy()\n"
-            "    arrays[name][[100, 300]] = arrays[name][swap]\n"
+            "from repro.service import Engine, JobSpec\n"
+            "from repro.service import canonical_payload_bytes as canon\n"
+            "from repro.service.executor import execute_spec, "
+            "make_exec_spec\n"
+            "from repro.store import combine_fingerprint, "
+            "fingerprint_array\n"
+            "pts = np.random.default_rng(0).random((500, 3))\n"
+            "spec = JobSpec(points=pts)\n"
+            "cold = execute_spec(make_exec_spec(spec, points=pts))\n"
+            "order = cold['tree_order'].copy()\n"
+            "order[[100, 300]] = order[[300, 100]]\n"
             "try:\n"
-            "    decode_tree(meta, arrays)\n"
+            "    build_tree(pts, order=order)\n"
             "except InvalidInputError as exc:\n"
-            "    print('raised', exc)\n")
+            "    print('raised', exc)\n"
+            "key = combine_fingerprint(fingerprint_array(pts), "
+            "spec.tree_key())\n"
+            "with Engine(max_workers=1) as eng:\n"
+            "    eng.tree_cache.put(key, {'order': order,\n"
+            "                             'counters': cold['tree_counters']})\n"
+            "    result = eng.result(eng.submit(spec), timeout=120)\n"
+            "    print(result.status.value, result.cache['tree_hit'],\n"
+            "          canon(result.payload) == canon(cold['payload']),\n"
+            "          np.array_equal(eng.tree_cache.get_with_source(key)"
+            "[0]['order'], cold['tree_order']))\n")
         env = dict(os.environ, PYTHONPATH=os.path.join(
             os.path.dirname(os.path.abspath(__file__)), "..", "src"))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120,
                               check=False)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised Morton codes must be sorted"), \
+        assert proc.stdout.splitlines() == [
+            "raised Morton codes must be sorted", "done False True True"], \
             proc.stdout
-
-    def test_zero_signs_are_compared_as_bits(self):
-        pts = np.random.default_rng(7).choice([0.0, -0.0, 1.0],
-                                              size=(300, 2))
-        state = bvh_to_state(build_tree(pts))
-        back = expand_tree_state(compact_tree_state(state))
-        assert back["lo"].tobytes() == state["lo"].tobytes()
-        # The same values with one inner zero's sign flipped: equal as
-        # numbers, so only a bit comparison keeps the stored boxes.
-        state["lo"] = state["lo"].copy()
-        node, axis = np.argwhere(state["lo"][:pts.shape[0] - 1] == 0.0)[0]
-        state["lo"][node, axis] = -state["lo"][node, axis]
-        compact = compact_tree_state(state)
-        assert compact["lo"] is state["lo"]
-        assert expand_tree_state(compact)["lo"] is state["lo"]
-
-    def test_a_part_that_does_not_rebuild_exactly_is_kept(self):
-        state = bvh_to_state(build_tree(
-            np.random.default_rng(6).random((200, 2))))
-        state["lo"] = state["lo"].copy()
-        state["lo"][-1] -= 1.0  # a leaf row that is not its point
-        compact = compact_tree_state(state)
-        assert compact["lo"] is state["lo"]
-        assert compact["parent"] is None  # the parts that do rebuild go
-        assert expand_tree_state(compact)["lo"] is state["lo"]
-
-
-class TestBvhStateCompat:
-    def test_executor_reexports_store_serialization(self):
-        # The executor's tree format and the on-disk format must stay the
-        # same functions forever (a tree the engine caches is the tree a
-        # restart or a peer reads).
-        from repro.service import executor
-        from repro.store import blob
-        assert executor.bvh_to_state is blob.bvh_to_state
-        assert executor.bvh_from_state is blob.bvh_from_state
-
-    def test_state_written_by_one_layout_loads_in_another(self, uniform_3d):
-        state = bvh_to_state(build_tree(
-            uniform_3d, config=SingleTreeConfig(high_resolution=True)))
-        meta, arrays = encode_tree(_tree_value(bvh_from_state(state), None))
-        back = _tree_of(decode_tree(meta, arrays))
-        assert back.codes_lo is not None
-        assert np.array_equal(back.codes_lo, state["codes_lo"])
 
 
 class TestBlobFormatCompatibility:
-    """Blobs older writers left behind must still load: format-1 trees
-    without leaf arrays, and trees whose leaf arrays say one point per
-    leaf."""
-
-    def _write_format1_tree(self, path, tree):
-        # Reconstruct the historical layout by hand: no leaf arrays, no
-        # leaf_size metadata, format tag 1.
-        import json as _json
-        meta = {"tier": "tree", "n_schedule": len(tree.schedule),
-                "counters": None, "format": 1}
-        arrays = {"points": tree.points, "order": tree.order,
-                  "codes": tree.codes, "left": tree.left,
-                  "right": tree.right, "parent": tree.parent,
-                  "lo": tree.lo, "hi": tree.hi}
-        for level, step in enumerate(tree.schedule):
-            arrays[f"schedule_{level:03d}"] = step
-        meta_bytes = np.frombuffer(
-            _json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **{"__meta__": meta_bytes}, **arrays)
+    """Blobs older writers left behind must still load: full-state trees
+    of formats 1-3 through their own order, and trees whose leaf arrays
+    say one point per leaf."""
 
     def test_format1_tree_blob_decodes(self, tmp_path, uniform_2d):
         tree = build_tree(uniform_2d)
-        path = str(tmp_path / "old.npz")
-        self._write_format1_tree(path, tree)
-        meta, arrays = read_blob(path)
+        path = tmp_path / "old.npz"
+        path.write_bytes(_full_state_blob(tree, 1))
+        meta, arrays = read_blob(str(path))
         assert meta["format"] == 1
-        back = _tree_of(decode_tree(meta, arrays))
-        _assert_same_state(bvh_to_state(back), bvh_to_state(tree))
+        back = decode_tree(meta, arrays)
+        assert np.array_equal(back["order"], tree.order)
+        _assert_same_tree(_tree_of(back, uniform_2d), tree)
         # And it drives the solver to the same answer.
-        assert np.array_equal(emst(uniform_2d, bvh=back).edges,
-                              emst(uniform_2d).edges)
+        assert np.array_equal(
+            emst(uniform_2d, bvh=_tree_of(back, uniform_2d)).edges,
+            emst(uniform_2d).edges)
 
     def test_format2_result_blob_decodes(self, tmp_path, uniform_2d):
         # Format 2 kept the payload dict inside the sorted-key metadata and
@@ -986,17 +983,17 @@ class TestBlobFormatCompatibility:
     def test_tree_blob_is_written_without_leaf_arrays(self, uniform_2d):
         meta, arrays = encode_tree(_tree_value(build_tree(uniform_2d), None))
         assert "leaf_size" not in meta
-        assert not {"leaf_start", "leaf_count"} & set(arrays)
+        assert set(arrays) == {"order"}
 
     def test_one_point_leaf_arrays_decode_to_the_same_tree(self,
                                                            uniform_2d):
         tree = build_tree(uniform_2d)
-        data = _leaf_array_blob(tree, np.arange(tree.n, dtype=np.int64),
+        data = _full_state_blob(tree, 2, np.arange(tree.n, dtype=np.int64),
                                 np.ones(tree.n, dtype=np.int64))
         meta, arrays = read_blob(io.BytesIO(data))
-        assert meta["format"] == BLOB_FORMAT and "leaf_start" in arrays
-        back = _tree_of(decode_tree(meta, arrays))
-        _assert_same_state(bvh_to_state(back), bvh_to_state(tree))
+        assert meta["format"] == 2 and "leaf_start" in arrays
+        _assert_same_tree(_tree_of(decode_tree(meta, arrays), uniform_2d),
+                          tree)
 
     def test_blocked_leaf_arrays_read_as_a_miss(self, uniform_2d, tmp_path):
         data = _blocked_blob(build_tree(uniform_2d))

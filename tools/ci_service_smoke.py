@@ -11,8 +11,10 @@ SHA-256 is printed so runs' logs can also be compared directly.
 
 ``--restart-warmth`` instead runs the persistence acceptance path
 end-to-end: it starts its *own* server with ``--store-dir``, submits a
-job, **kills the server** (SIGKILL — a crash, not a drain), starts a new
-one over the same store, and asserts that
+job, checks that the store holds the job's tree as its sort order alone
+(one ``tree`` artifact of at most 8 bytes per point plus 4 KiB), **kills
+the server** (SIGKILL — a crash, not a drain), starts a new one over the
+same store, and asserts that
 
 * the exact-repeat job is answered from the **disk result tier**
   (``result_disk_hit``) with bytes matching the in-process reference and
@@ -39,8 +41,13 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.data import parse_dataset_spec
 from repro.service import JobSpec, canonical_payload_bytes
 from repro.service.executor import execute_spec, make_exec_spec
+
+#: A stored tree is its int64 order plus the blob's container and
+#: metadata, which fit in this many bytes.
+TREE_BLOB_OVERHEAD = 4096
 
 
 def _request(url, data=None, timeout=90):
@@ -130,6 +137,14 @@ def check_restart_warmth(args):
         assert cold["status"] == "done", cold.get("error")
         assert not cold["cache"]["result_hit"], cold["cache"]
         cold_bytes = canonical_payload_bytes(cold["payload"])
+        trees = [entry for entry in
+                 _request(f"{base}/v1/artifacts")["artifacts"]
+                 if entry["tier"] == "tree"]
+        assert len(trees) == 1, f"FAIL: stored trees {trees}"
+        n_points = parse_dataset_spec(args.dataset)[1]
+        assert trees[0]["nbytes"] <= 8 * n_points + TREE_BLOB_OVERHEAD, (
+            f"FAIL: a stored tree of {n_points} points takes "
+            f"{trees[0]['nbytes']} bytes, more than its order")
 
         proc.kill()  # a crash, not a graceful drain
         proc.wait(timeout=30)
