@@ -11,7 +11,11 @@ sizes.  For each size the same m.r.d. EMST job is timed three ways:
 * **restart, artifact-warm** — a new engine over the same store running a
   *different* job on the same points (``hdbscan`` instead of
   ``mrd_emst``): the result tier misses but the disk BVH and
-  core-distance tiers skip ``T_tree`` and ``T_core``.
+  core-distance tiers skip ``T_tree`` and ``T_core``.  Its speedup is
+  taken over the same ``hdbscan`` job run cold on a fresh store, since
+  ``hdbscan`` adds linkage, condensing and a larger payload to the
+  ``mrd_emst`` work; each of the two timings is the best of
+  ``HDBSCAN_RUNS``, every run on its own throwaway store.
 
 Each warm measurement uses a freshly constructed :class:`Engine` so the
 memory tiers start empty — the disk store is the only thing carrying
@@ -35,6 +39,9 @@ from repro.service import Engine, JobSpec
 
 SIZES = (5000, 20000)
 K_PTS = 4
+#: Runs per hdbscan timing: the phases artifact warmth skips are ~10% of
+#: a 5k-point job, about the spread of one run on a 2-core box.
+HDBSCAN_RUNS = 3
 
 
 def _run_once(store_dir, spec):
@@ -45,6 +52,18 @@ def _run_once(store_dir, spec):
         wall = time.perf_counter() - started
     assert result.status.value == "done", result.error
     return result, wall
+
+
+def _run_on_copy(spec, source_dir=None):
+    """:func:`_run_once` over a throwaway store: empty, or a copy of
+    ``source_dir``, so every warm run misses the result tier."""
+    store_dir = tempfile.mkdtemp(prefix="repro-bench-store-")
+    try:
+        if source_dir is not None:
+            shutil.copytree(source_dir, store_dir, dirs_exist_ok=True)
+        return _run_once(store_dir, spec)
+    finally:
+        shutil.rmtree(store_dir, ignore_errors=True)
 
 
 def run(sizes=SIZES):
@@ -65,29 +84,38 @@ def run(sizes=SIZES):
 
             hdb = JobSpec(dataset=f"Normal100M3:{n_points}",
                           algorithm="hdbscan", k_pts=K_PTS)
-            hdb_result, artifact_warm = _run_once(store_dir, hdb)
-            assert hdb_result.cache["tree_disk_hit"], hdb_result.cache
-            assert hdb_result.cache["core_disk_hit"], hdb_result.cache
+            hdb_cold = artifact_warm = float("inf")
+            for _ in range(HDBSCAN_RUNS):
+                result, seconds = _run_on_copy(hdb)
+                assert not result.cache["tree_hit"], result.cache
+                hdb_cold = min(hdb_cold, seconds)
+                result, seconds = _run_on_copy(hdb, store_dir)
+                assert not result.cache["result_hit"], result.cache
+                assert result.cache["tree_disk_hit"], result.cache
+                assert result.cache["core_disk_hit"], result.cache
+                artifact_warm = min(artifact_warm, seconds)
         finally:
             shutil.rmtree(store_dir, ignore_errors=True)
         by_size[str(n_points)] = {
             "cold_seconds": cold,
+            "cold_hdbscan_seconds": hdb_cold,
             "restart_result_warm_seconds": result_warm,
             "restart_artifact_warm_seconds": artifact_warm,
             "result_warm_speedup": speedup(cold, result_warm),
-            "artifact_warm_speedup": speedup(cold, artifact_warm),
+            "artifact_warm_speedup": speedup(hdb_cold, artifact_warm),
         }
         rows.append([n_points, cold * 1e3, result_warm * 1e3,
-                     artifact_warm * 1e3,
+                     hdb_cold * 1e3, artifact_warm * 1e3,
                      by_size[str(n_points)]["result_warm_speedup"],
                      by_size[str(n_points)]["artifact_warm_speedup"]])
     measurements = {"k_pts": K_PTS, "sizes": list(sizes),
                     "by_size": by_size}
     table = render_table(
-        ["n", "cold ms", "restart repeat ms", "restart new-job ms",
-         "repeat speedup", "new-job speedup"], rows,
-        title="Warm-restart value — mrd_emst cold vs restarted engine "
-              "over the same --store-dir (fresh process, disk tiers only)")
+        ["n", "cold ms", "restart repeat ms", "cold new-job ms",
+         "restart new-job ms", "repeat speedup", "new-job speedup"], rows,
+        title="Warm-restart value — each job cold vs a restarted engine "
+              "over the same --store-dir (fresh process, disk tiers only; "
+              "new job: hdbscan over the mrd_emst job's points)")
     save_report("bench_store.txt", table)
     return measurements, table
 
@@ -109,8 +137,9 @@ def _check(measurements):
         # A restarted exact repeat must beat recompute comfortably: it
         # reads one blob instead of building a tree and running Borůvka.
         assert stats["result_warm_speedup"] >= 5.0, stats
-        # Artifact warmth must at least not hurt (it skips two phases but
-        # still pays the MST run, so the bar is lower).
+        # Artifact warmth must at least not hurt the job it serves (it
+        # skips two phases of a cold hdbscan but still pays the MST run
+        # and the post-processing, so the bar is lower).
         assert stats["artifact_warm_speedup"] >= 1.0, stats
 
 

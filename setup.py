@@ -22,5 +22,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"repro.bvh": ["*.c"]},
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy", "orjson", "scipy"],
 )

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
+import orjson
+
 from repro.errors import (
     ClusterError,
     InvalidInputError,
@@ -569,9 +571,12 @@ class WireAPI:
 
     @staticmethod
     def _decode(raw: bytes) -> Any:
+        # orjson refuses NaN/Infinity literals, numbers that overflow a
+        # double and bad UTF-8, and parses deep nesting without recursing;
+        # its JSONDecodeError subclasses the stdlib one.
         try:
-            return json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return orjson.loads(raw)
+        except json.JSONDecodeError as exc:
             raise ApiError(400, f"bad JSON body: {exc}")
 
     def _admin_body(self, request: Request) -> Dict[str, Any]:

@@ -92,11 +92,12 @@ from repro.store import (
     codec_for,
     combine_fingerprint,
     fingerprint_array,
+    narrow_order,
     read_blob,
 )
 from repro.timing import PhaseTimer
 
-#: Default byte budgets.  A cached tree is its sort order, 8 bytes per
+#: Default byte budgets.  A cached tree is its sort order, 4 bytes per
 #: point; a serialized result is tens of bytes per point.
 DEFAULT_TREE_CACHE_BYTES = 256 << 20
 DEFAULT_RESULT_CACHE_BYTES = 64 << 20
@@ -880,7 +881,7 @@ class Engine:
             # fit the points, and this job's own order replaces it.
             tree_hit, tree_src = False, None
             self.tree_cache.put(tree_key,
-                                {"order": outcome["tree_order"],
+                                {"order": narrow_order(outcome["tree_order"]),
                                  "counters": outcome["tree_counters"]})
         if core_key is not None and outcome["core_state"] is not None:
             self.core_cache.put(core_key, outcome["core_state"])

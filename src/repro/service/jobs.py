@@ -441,10 +441,13 @@ class JobResult:
         return {**self._head(), "payload": self.payload, **self._tail()}
 
     def to_json(self) -> bytes:
-        """``json.dumps(self.to_dict()).encode()``, byte for byte.
+        """The JSON body of :meth:`to_dict`: ``json.loads`` of it is
+        ``to_dict()``, float for float.
 
-        The stored payload bytes are spliced between the encoded envelope
-        fields, so serving a finished job never encodes its payload again.
+        The stored payload bytes (:class:`~repro.store.EncodedPayload`,
+        compact orjson output) are spliced verbatim between the
+        ``json.dumps``-encoded envelope fields, so serving a finished job
+        never encodes its payload again.
         """
         payload = (self.encoded.body if self.encoded is not None
                    else json.dumps(self.payload).encode())

@@ -34,6 +34,7 @@ from repro.store.blob import (
     BLOB_FORMAT,
     EncodedPayload,
     codec_for,
+    narrow_order,
     read_blob,
     write_blob,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "fingerprint",
     "fingerprint_array",
     "fingerprint_spec",
+    "narrow_order",
     "read_blob",
     "write_blob",
 ]

@@ -5,10 +5,11 @@ metadata document (stored as a ``uint8`` byte array under ``__meta__``, so
 the container stays pure-array and loads with ``allow_pickle=False``).
 Everything the serving engine caches flattens to this shape:
 
-* a **tree** is its sort order, one int64 array: the build rebuilds the
-  rest from the points (:func:`repro.core.emst.build_tree` with
-  ``order=``), and the tree tier's key names the points and the tree
-  configuration, so this module needs to know nothing about trees;
+* a **tree** is its sort order, one int32 array (int64 only from 2**31
+  points on): the build rebuilds the rest from the points
+  (:func:`repro.core.emst.build_tree` with ``order=``), and the tree
+  tier's key names the points and the tree configuration, so this module
+  needs to know nothing about trees;
 * a **result** is an :class:`EncodedPayload`: the payload's JSON bytes
   travel as one ``uint8`` array, exactly as the cold job encoded them, and
   the few small fields a cache hit reads ride in the metadata;
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, Tuple
 
 import numpy as np
+import orjson
 
 from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
@@ -98,9 +100,16 @@ def read_blob(path: str) -> Tuple[Meta, Arrays]:
 
 # -------------------------------------------------------------------- codecs
 
+def narrow_order(order: np.ndarray) -> np.ndarray:
+    """A tree's sort order as the tree tier holds it: int32, 4 bytes per
+    point, unless ``n >= 2**31`` points would wrap it (then int64)."""
+    return order.astype(np.int32 if order.size < 2 ** 31 else np.int64,
+                        copy=False)
+
+
 def encode_tree(value: Dict[str, Any]) -> Tuple[Meta, Arrays]:
-    """Codec for the tree tier: ``{"order": (n,) int64, "counters": dict |
-    None}``.
+    """Codec for the tree tier: ``{"order": (n,) int32, "counters": dict |
+    None}``, the order as :func:`narrow_order` holds it.
 
     The cached construction-phase counters ride in the metadata so a warm
     tree replays the exact work numbers of its original build — keeping
@@ -113,8 +122,10 @@ def encode_tree(value: Dict[str, Any]) -> Tuple[Meta, Arrays]:
 def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
     """Inverse of :func:`encode_tree`.
 
-    The order must be a non-empty 1-D integer permutation; whether it
-    fits a job's points is the build's check.  Blobs of formats 1-3 held
+    The order must be a non-empty 1-D integer permutation of any integer
+    dtype (int64 blobs written before orders were narrowed decode too),
+    and is returned as :func:`narrow_order` holds it; whether it fits a
+    job's points is the build's check.  Blobs of formats 1-3 held
     every tree array and decode through their ``order``.  Those written
     while trees could block several points per leaf carry ``leaf_start`` /
     ``leaf_count`` arrays; they decode when those are ``arange`` /
@@ -132,22 +143,24 @@ def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
         if name in arrays and not np.array_equal(arrays[name], one_point):
             raise InvalidInputError(
                 f"tree blob {name} is not one point per leaf")
-    return {"order": order.astype(np.int64, copy=False),
-            "counters": meta.get("counters")}
+    return {"order": narrow_order(order), "counters": meta.get("counters")}
 
 
 @dataclass(frozen=True)
 class EncodedPayload:
     """A finished job's payload in its one stored form.
 
-    ``body`` is ``json.dumps(payload).encode()``, made once when the job
-    computes.  The result tier, coalesced followers and retained job
-    records share this object, and the HTTP front end splices ``body``
-    into every response for the job without decoding it.  Beside it sit
-    the few small fields a cache hit reads: the algorithm ``phases``
-    (replayed as ``algo_*`` timings), the problem shape (for
-    ``mfeatures_per_sec``) and the work ``counters`` summed over phases
-    (for the ``executed`` trace span).
+    ``body`` is the payload as compact ``orjson`` output, made once when
+    the job computes; a payload holding NaN or ±Infinity, which orjson
+    would write as ``null``, is encoded by ``json.dumps`` instead, which
+    keeps them as ``NaN``/``Infinity``.  Either way ``json.loads(body)``
+    is the payload, float for float.  The result tier, coalesced
+    followers and retained job records share this object, and the HTTP
+    front end splices ``body`` into every response for the job without
+    decoding it.  Beside it sit the few small fields a cache hit reads:
+    the algorithm ``phases`` (replayed as ``algo_*`` timings), the problem
+    shape (for ``mfeatures_per_sec``) and the work ``counters`` summed
+    over phases (for the ``executed`` trace span).
     """
 
     body: bytes = field(repr=False)
@@ -162,7 +175,12 @@ class EncodedPayload:
         ``hdbscan_result_to_dict`` output)."""
         inner = payload.get("emst", payload)
         totals = CostCounters.summed((inner.get("counters") or {}).values())
-        return cls(body=json.dumps(payload).encode(),
+        body = orjson.dumps(payload)
+        if b"null" in body:  # payloads hold no None: a non-finite float
+            body = json.dumps(payload).encode()
+        # An exact-size copy: held as orjson returns it, a body costs
+        # more resident memory than its length.
+        return cls(body=bytes(memoryview(body)),
                    phases=dict(payload.get("phases", {})),
                    n_points=int(inner["n_points"]),
                    dimension=int(inner["dimension"]),

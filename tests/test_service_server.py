@@ -1,14 +1,19 @@
 """Tests for the JSON-over-HTTP front end (repro.service.server)."""
 
 import json
+import math
 import urllib.error
 import urllib.request
 
 import numpy as np
+import orjson
 import pytest
 
 from repro import emst
+from repro.api.contract import WireAPI
 from repro.bvh import get_default_engine
+from repro.service import JobSpec, canonical_payload_bytes
+from repro.service.executor import execute_spec, make_exec_spec
 
 
 def get(url):
@@ -162,17 +167,78 @@ def test_bad_wait_s_is_400(api):
     assert excinfo.value.code == 400
 
 
-def test_huge_integer_points_are_400_not_500(api):
-    # JSON integers are unbounded; converting one that overflows float64
-    # raises OverflowError, which must surface as a client error and not
-    # crash the handler (the connection would die with no response).
-    body = json.dumps({"points": [[1, int("9" * 400)]]}).encode()
-    req = urllib.request.Request(f"{api}/v1/jobs", data=body,
+def post_raw(url, body):
+    """POST ``body`` bytes; returns ``(status, error envelope)`` of the
+    refusal it must get."""
+    req = urllib.request.Request(url, data=body,
                                  headers={"Content-Type": "application/json"})
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(req, timeout=30)
-    assert excinfo.value.code == 400
-    assert "points" in json.loads(excinfo.value.read())["error"]["message"]
+    return excinfo.value.code, json.loads(excinfo.value.read())["error"]
+
+
+def test_huge_integer_points_are_400_not_500(api):
+    # JSON integers are unbounded; one that overflows a double must
+    # surface as a client error and not crash the handler (the connection
+    # would die with no response).  The body parser refuses it.
+    body = json.dumps({"points": [[1, int("9" * 400)]]}).encode()
+    status, error = post_raw(f"{api}/v1/jobs", body)
+    assert (status, error["code"]) == (400, "bad_request")
+
+
+@pytest.mark.parametrize("body", [
+    b"[" * 100_000,                               # deeper than json recurses
+    b'{"points": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"points": [[0.5, NaN], [1.0, 2.0]]}',
+    b'{"points": [[0.5, Infinity], [1.0, 2.0]]}',
+    b'{"points": [[0.5, -Infinity], [1.0, 2.0]]}',
+    b'{"points": [[0.5, 1e400], [1.0, 2.0]]}',
+    b'{"points": [[0.5, 1.0], [1.0, 2.0]]',       # truncated
+    b'{"dataset": "\xff"}',                      # not UTF-8
+], ids=["unclosed nesting", "deep nesting", "NaN", "Infinity",
+        "-Infinity", "overflow", "truncated", "bad UTF-8"])
+def test_bad_bodies_are_400_not_500(api, body):
+    # A body of 100,000 brackets overflowed json's recursion, which the
+    # HTTP layer answered with a retryable 500; non-finite literals were
+    # refused only by the points check.  Each is the client's error.
+    status, error = post_raw(f"{api}/v1/jobs", body)
+    assert (status, error["code"], error["retryable"]) == \
+        (400, "bad_request", False)
+
+
+def test_request_bodies_are_parsed_by_orjson_bit_for_bit(api, monkeypatch):
+    """Inline points of any finite doubles arrive bit-equal to what
+    ``json.loads`` reads, and stdlib ``json`` parses no request body."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, size=4000, dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    edges = np.array([5e-324, -5e-324, 2.2250738585072014e-308,
+                      1.7976931348623157e308, -0.0, 0.0, 1e-310])
+    values = np.concatenate([doubles[np.isfinite(doubles)], edges,
+                             rng.standard_normal(500) * 1e10])
+    raw = json.dumps({"points": values.reshape(-1, 1).tolist()}).encode()
+    parsed = WireAPI._decode(raw)
+    expected = np.asarray(json.loads(raw)["points"], dtype=np.float64)
+    assert np.array_equal(
+        np.asarray(parsed["points"], dtype=np.float64).view(np.uint64),
+        expected.view(np.uint64))
+
+    loads = json.loads
+    bodies = []
+
+    def spy_loads(text, *args, **kwargs):
+        bodies.append(b'"points"' in (text if isinstance(text, bytes)
+                                      else text.encode()))
+        return loads(text, *args, **kwargs)
+
+    points = rng.random((50, 2))
+    monkeypatch.setattr(json, "loads", spy_loads)
+    status, submitted = post(f"{api}/v1/jobs", {"points": points.tolist()})
+    monkeypatch.undo()
+    assert status == 202 and bodies and not any(bodies)
+    _, result = get(f"{api}/v1/jobs/{submitted['job_id']}?wait=60")
+    assert np.array_equal(np.asarray(result["payload"]["edges"]),
+                          emst(points).edges)
 
 
 def test_ragged_points_are_400(api):
@@ -182,6 +248,27 @@ def test_ragged_points_are_400(api):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(f"{api}/v1/jobs", {"points": points})
         assert excinfo.value.code == 400
+
+
+def test_non_finite_answer_keeps_infinity_over_http(api):
+    """HDBSCAN* over duplicated points has λ = ∞ rows, which orjson
+    would write as ``null``; cold and as a result hit, the served body
+    keeps all 200 as ``Infinity`` and decodes to the in-process answer."""
+    points = np.repeat(np.random.default_rng(7).random((40, 2)), 5, axis=0)
+    spec = {"points": points.tolist(), "algorithm": "hdbscan", "k_pts": 4}
+    direct = execute_spec(make_exec_spec(JobSpec.from_dict(spec),
+                                         points=points))["payload"]
+    for hit in (False, True):
+        _, submitted = post(f"{api}/v1/jobs", spec)
+        with urllib.request.urlopen(
+                f"{api}/v1/jobs/{submitted['job_id']}?wait=60",
+                timeout=120) as resp:
+            body = json.loads(resp.read())
+        assert body["cache"]["result_hit"] is hit
+        assert body["payload"]["condensed"]["lambda_val"].count(
+            math.inf) == 200
+        assert canonical_payload_bytes(body["payload"]) == \
+            canonical_payload_bytes(direct)
 
 
 def test_x_repro_node_header_and_identity(api):
@@ -196,7 +283,7 @@ def test_result_hit_body_is_served_without_encoding_its_payload(
         api, monkeypatch):
     """A finished job's body is its stored payload bytes spliced into the
     envelope: serving a result hit neither encodes nor decodes the
-    payload, and every body is exactly ``json.dumps`` of what it holds."""
+    payload, with stdlib ``json`` or with ``orjson``."""
     def submit_and_read():
         _, submitted = post(f"{api}/v1/jobs", {"dataset": "Uniform100M2:300"})
         with urllib.request.urlopen(
@@ -204,25 +291,32 @@ def test_result_hit_body_is_served_without_encoding_its_payload(
                 timeout=120) as resp:
             return resp.read()
 
-    dumps, loads = json.dumps, json.loads
     seen = []
 
-    def spy_dumps(obj, *args, **kwargs):
-        out = dumps(obj, *args, **kwargs)
-        seen.append('"edges"' in out)
-        return out
+    def spies(module):
+        dumps, loads = module.dumps, module.loads
 
-    def spy_loads(text, *args, **kwargs):
-        seen.append(b'"edges"' in (text if isinstance(text, bytes)
-                                   else text.encode()))
-        return loads(text, *args, **kwargs)
+        def spy_dumps(obj, *args, **kwargs):
+            out = dumps(obj, *args, **kwargs)
+            seen.append(b'"edges"' in (out if isinstance(out, bytes)
+                                       else out.encode()))
+            return out
+
+        def spy_loads(text, *args, **kwargs):
+            seen.append(b'"edges"' in (text if isinstance(text, bytes)
+                                       else text.encode()))
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(module, "dumps", spy_dumps)
+        monkeypatch.setattr(module, "loads", spy_loads)
 
     cold = submit_and_read()
-    monkeypatch.setattr(json, "dumps", spy_dumps)
-    monkeypatch.setattr(json, "loads", spy_loads)
+    spies(json)
+    spies(orjson)
     hit = submit_and_read()
     monkeypatch.undo()
     assert seen and not any(seen)  # the spies ran; none saw a payload
-    assert loads(hit)["cache"]["result_hit"]
-    for body in (cold, hit):
-        assert body == dumps(loads(body)).encode()
+    assert json.loads(hit)["cache"]["result_hit"]
+    # Both bodies carry the one stored encoding verbatim.
+    payload = orjson.dumps(json.loads(cold)["payload"])
+    assert payload in cold and payload in hit

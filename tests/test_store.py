@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -10,7 +12,10 @@ import urllib.error
 import urllib.request
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import emst, hdbscan
 from repro.core.boruvka_emst import SingleTreeConfig
@@ -142,7 +147,7 @@ class TestBlob:
         assert set(arrays) == {"order"}
         back = decode_tree(meta, arrays)
         assert back["counters"] == {"scalar_ops": 123}
-        assert back["order"].dtype == np.int64
+        assert back["order"].dtype == np.int32
         assert np.array_equal(back["order"], tree.order)
         # The decoded order rebuilds the tree, which drives the solver to
         # the same answer.
@@ -150,6 +155,29 @@ class TestBlob:
         assert np.array_equal(
             emst(uniform_3d, bvh=_tree_of(back, uniform_3d)).edges,
             emst(uniform_3d).edges)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_a_tree_hit_from_either_order_dtype_is_the_cold_answer(
+            self, tmp_path, dtype):
+        # Trees are stored as int32 orders; blobs written with int64
+        # orders before that still decode, and both answer like cold.
+        points = np.random.default_rng(6).random((2000, 3))
+        spec = JobSpec(points=points)
+        cold = execute_spec(make_exec_spec(spec, points=points))
+        path = tmp_path / "tree.npz"
+        with open(path, "wb") as fh:
+            write_blob(fh, *encode_tree(
+                {"order": cold["tree_order"].astype(dtype),
+                 "counters": cold["tree_counters"]}))
+        value = decode_tree(*read_blob(str(path)))
+        assert value["order"].dtype == np.int32
+        key = combine_fingerprint(fingerprint_array(points), spec.tree_key())
+        with Engine(max_workers=1) as eng:
+            eng.tree_cache.put(key, value)
+            hit = eng.result(eng.submit(spec), timeout=120)
+        assert hit.cache["tree_hit"]
+        assert canonical_payload_bytes(hit.payload) == \
+            canonical_payload_bytes(cold["payload"])
 
     @pytest.mark.parametrize("name", list(BAD_ORDERS))
     def test_decode_rejects_a_bad_order(self, name):
@@ -179,6 +207,93 @@ class TestBlob:
         path.write_bytes(b"this is not a zip file at all")
         with pytest.raises(InvalidInputError):
             read_blob(str(path))
+
+
+def _same_bits(a, b):
+    """``a == b`` with every float compared bit for bit (``-0.0`` is not
+    ``0.0``), in the same key order."""
+    if isinstance(a, float):
+        return type(b) is float and struct.pack("<d", a) == \
+            struct.pack("<d", b)
+    if isinstance(a, dict):
+        return (type(b) is dict and list(a) == list(b)
+                and all(_same_bits(a[k], b[k]) for k in a))
+    if isinstance(a, list):
+        return (type(b) is list and len(a) == len(b)
+                and all(map(_same_bits, a, b)))
+    return type(a) is type(b) and a == b
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NAMES = st.text(alphabet="abcdefgh_", min_size=1, max_size=8)
+#: Payload-shaped dicts: the fields a payload's encode reads, float and
+#: int lists (subnormals and ``-0.0`` included) and nested counters.
+_PAYLOADS = st.fixed_dictionaries({
+    "edges": st.lists(st.lists(st.integers(0, 2 ** 40), min_size=2,
+                               max_size=2), max_size=20),
+    "weights": st.lists(_FINITE | st.sampled_from([5e-324, -0.0, 1e-310]),
+                        max_size=40),
+    "n_points": st.integers(0, 2 ** 31),
+    "dimension": st.integers(2, 3),
+    "counters": st.dictionaries(_NAMES, st.dictionaries(
+        _NAMES, st.integers(0, 2 ** 63 - 1), max_size=4), max_size=3),
+    "phases": st.dictionaries(_NAMES, _FINITE, max_size=3),
+})
+
+
+class TestEncodedPayload:
+    """A payload's one stored form: compact orjson bytes that
+    ``json.loads`` reads back float for float, or ``json.dumps`` bytes
+    for the answers orjson would write as ``null``."""
+
+    @given(_PAYLOADS)
+    def test_finite_payloads_decode_bit_for_bit(self, payload):
+        encoded = EncodedPayload.encode(payload)
+        assert _same_bits(json.loads(encoded.body), payload)
+        assert b"null" not in encoded.body
+        assert encoded.nbytes == len(encoded.body)
+
+    @given(_PAYLOADS, st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.data())
+    def test_a_non_finite_value_keeps_the_json_encoding(self, payload, bad,
+                                                        data):
+        where = data.draw(st.sampled_from(["weights", "phases", "nested"]))
+        if where == "weights":
+            index = data.draw(st.integers(0, len(payload["weights"])))
+            payload["weights"].insert(index, bad)
+        elif where == "phases":
+            payload["phases"]["bad"] = bad
+        else:
+            payload["condensed"] = {"lambda_val": [1.0, bad]}
+        encoded = EncodedPayload.encode(payload)
+        assert encoded.body == json.dumps(payload).encode()
+        assert encoded.nbytes == len(encoded.body)
+
+    def test_json_encodes_only_what_orjson_cannot(self, monkeypatch):
+        dumps = json.dumps
+        orjson_dumps = orjson.dumps
+        calls = []
+        monkeypatch.setattr(json, "dumps", lambda obj, *args, **kwargs: (
+            calls.append("json"), dumps(obj, *args, **kwargs))[1])
+        monkeypatch.setattr(orjson, "dumps", lambda obj, *args, **kwargs: (
+            calls.append("orjson"), orjson_dumps(obj, *args, **kwargs))[1])
+        finite = {"n_points": 2, "dimension": 2, "weights": [0.5, -0.0]}
+        assert EncodedPayload.encode(finite).body == \
+            b'{"n_points":2,"dimension":2,"weights":[0.5,-0.0]}'
+        assert calls == ["orjson"]
+        infinite = {**finite, "weights": [0.5, math.inf]}
+        assert EncodedPayload.encode(infinite).body == \
+            dumps(infinite).encode()
+        assert calls == ["orjson", "orjson", "json"]
+
+    def test_numpy_scalars_are_refused(self):
+        # The payload builders emit plain Python types, which every
+        # engine test pins by encoding its payload; a NumPy scalar is a
+        # builder's bug, not something to encode another way.
+        for scalar in (np.float64(0.5), np.int64(3)):
+            with pytest.raises(TypeError):
+                EncodedPayload.encode({"n_points": 1, "dimension": 2,
+                                       "weights": [scalar]})
 
 
 class TestDiskStore:
@@ -851,13 +966,13 @@ class TestTreeOrder:
             value, source = eng.tree_cache.get_with_source(key)
             assert source == "memory"
             assert set(value) == {"order", "counters"}
-            assert value["order"].dtype == np.int64
+            assert value["order"].dtype == np.int32
             assert value["order"].shape == (10_000,)
-            assert eng.tree_cache.memory.size_of(key) <= 90_000
+            assert eng.tree_cache.memory.size_of(key) <= 45_000
             stored = eng.artifact_entries()
         assert [entry["tier"] for entry in stored].count("tree") == 1
         tree_entry = next(e for e in stored if e["tier"] == "tree")
-        assert tree_entry["nbytes"] <= 8 * 10_000 + 4096
+        assert tree_entry["nbytes"] <= 4 * 10_000 + 4096
 
     @pytest.mark.parametrize("bad", ["wrong length", "repeated entry",
                                      "tie out of order", "kd-tree length"])

@@ -45,8 +45,8 @@ from repro.data import parse_dataset_spec
 from repro.service import JobSpec, canonical_payload_bytes
 from repro.service.executor import execute_spec, make_exec_spec
 
-#: A stored tree is its int64 order plus the blob's container and
-#: metadata, which fit in this many bytes.
+#: A stored tree is its int32 order, 4 bytes per point, plus the blob's
+#: container and metadata, which fit in this many bytes.
 TREE_BLOB_OVERHEAD = 4096
 
 
@@ -142,7 +142,7 @@ def check_restart_warmth(args):
                  if entry["tier"] == "tree"]
         assert len(trees) == 1, f"FAIL: stored trees {trees}"
         n_points = parse_dataset_spec(args.dataset)[1]
-        assert trees[0]["nbytes"] <= 8 * n_points + TREE_BLOB_OVERHEAD, (
+        assert trees[0]["nbytes"] <= 4 * n_points + TREE_BLOB_OVERHEAD, (
             f"FAIL: a stored tree of {n_points} points takes "
             f"{trees[0]['nbytes']} bytes, more than its order")
 
