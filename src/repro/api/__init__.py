@@ -3,7 +3,8 @@
 The contract (:mod:`repro.api.contract`) owns the route table, request
 validation, the uniform error envelope and the ``X-Repro-*`` headers;
 the host (:mod:`repro.api.http`) serves any :class:`WireAPI` backend on
-one asyncio event loop with bounded admission.  The node front end
+one asyncio event loop with bounded admission, and owns the access log
+and the HTTP instruments.  The node front end
 (:mod:`repro.service.server`) and the router front end
 (:mod:`repro.cluster.server`) are thin backends over this package.
 """

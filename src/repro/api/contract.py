@@ -25,13 +25,14 @@ Dispatch
 :class:`WireAPI` parses a :class:`Request`, validates the query/body and
 calls one of the abstract operations (``healthz``, ``stats``,
 ``metrics_json``/``metrics_text``, ``submit``, ``job``, ``flush``,
-``compact``, ``traces``/``trace``, ``events``, ``dump``,
+``compact``, ``traces``/``trace``, ``dump``,
 ``artifact_list``/``artifact_get``/``artifact_put``) implemented by
 the node backend (over an
 :class:`~repro.service.engine.Engine`) or the router backend (over a
-:class:`~repro.cluster.router.ClusterRouter`).  Backends raise
-:class:`ApiError` (or library errors mapped here) and the response is the
-uniform envelope.
+:class:`~repro.cluster.router.ClusterRouter`).  ``events`` and the dump
+bundle's event ring are served here, from the host's access log.
+Backends raise :class:`ApiError` (or library errors mapped here) and the
+response is the uniform envelope.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.errors import (
     InvalidInputError,
     ServiceError,
 )
+from repro.obs.events import EventLog
 from repro.obs.profiler import render_collapsed
 
 #: Content type of the Prometheus text exposition format.
@@ -402,6 +404,11 @@ class WireAPI:
     a 60 MB inline-points job never stalls the event loop.
     """
 
+    #: The host's structured access-event ring, attached by
+    #: :class:`~repro.api.http.AsyncHTTPHost`; ``GET /v1/admin/events``
+    #: and the dump bundle serve it.
+    event_log: EventLog
+
     # Backend operations ------------------------------------------------
     async def healthz(self) -> Dict[str, Any]:
         raise NotImplementedError
@@ -445,7 +452,8 @@ class WireAPI:
 
     async def events(self, limit: Optional[int]) -> Dict[str, Any]:
         """The in-memory structured-event ring (newest ``limit``)."""
-        raise NotImplementedError
+        return {"events": self.event_log.recent(limit),
+                "stats": self.event_log.stats()}
 
     async def profile(self, seconds: Optional[float],
                       hz: Optional[float]) -> Dict[str, Any]:
@@ -454,7 +462,8 @@ class WireAPI:
         raise NotImplementedError
 
     async def dump(self) -> Dict[str, Any]:
-        """Flight-recorder snapshot: one debug bundle for postmortems."""
+        """Flight-recorder snapshot: one debug bundle for postmortems
+        (the dispatch adds the event ring)."""
         raise NotImplementedError
 
     async def artifact_list(self) -> Dict[str, Any]:
@@ -554,7 +563,10 @@ class WireAPI:
                 return json_response(200, await self.compact())
             if parts == ["v1", "admin", "dump"]:
                 self._admin_body(request)  # bad admin bodies still 400
-                return await self._encode(200, await self.dump())
+                bundle = await self.dump()
+                bundle["events"] = self.event_log.recent()
+                bundle["events_stats"] = self.event_log.stats()
+                return await self._encode(200, bundle)
             if len(parts) == 4 and parts[:2] == ["v1", "artifacts"]:
                 tier, key = parse_artifact_ref(parts[2], parts[3])
                 if not request.body:

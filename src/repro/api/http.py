@@ -21,11 +21,17 @@ and ``/v1/metrics`` are exempt so probes and scrapes keep answering
 under overload (a shed health check would look exactly like a dead
 node).  Backends add a second, deeper bound at submit time (the engine's
 job queue); this one protects the loop itself.
+
+The host owns what every ``/v1`` server shares: the structured access-
+event ring (served by ``GET /v1/admin/events``) and the HTTP instruments
+it registers on the backend's metrics registry — request latency and
+counts, sheds, in-flight requests and event-loop lag.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 from typing import Any, Optional, Tuple
 
@@ -40,6 +46,8 @@ from repro.api.contract import (
     error_response,
     normalize_endpoint,
 )
+from repro.obs import EventLog, MetricsRegistry
+from repro.obs.profiler import PAUSE_BUCKETS
 
 #: Concurrent in-handler requests before the host sheds (per server).
 DEFAULT_MAX_INFLIGHT = 1024
@@ -53,9 +61,8 @@ _STREAM_LIMIT = 1 << 20
 #: Seconds an idle keep-alive connection may sit between requests.
 _IDLE_TIMEOUT = 60.0
 
-#: Interval of the event-loop lag probe (when a ``loop_lag`` histogram
-#: is attached): long enough to be negligible, short enough that a
-#: stalled loop shows up within a scrape interval.
+#: Interval of the event-loop lag probe: long enough to be negligible,
+#: short enough that a stalled loop shows up within a scrape interval.
 _LAG_PROBE_INTERVAL = 0.25
 
 _PHRASES = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -69,24 +76,24 @@ class AsyncHTTPHost:
     Drop-in lifecycle replacement for ``ThreadingHTTPServer``: construct
     (binds eagerly), ``serve_forever()`` on a thread, ``shutdown()`` +
     ``server_close()`` to stop.
+
+    ``registry`` receives the HTTP instruments.  ``node_name``, when set,
+    goes out as the ``X-Repro-Node`` header of every response that does
+    not already name its serving node.  ``access_log_sample`` keeps that
+    fraction of access events (deterministically — every
+    ``1/sample``-th request); ``verbose`` also writes the kept events to
+    stderr as JSONL.
     """
 
     def __init__(self, api: WireAPI, host: str = "127.0.0.1",
-                 port: int = 0, *,
+                 port: int = 0, *, registry: MetricsRegistry,
+                 node_name: Optional[str] = None,
+                 verbose: bool = False,
+                 access_log_sample: float = 1.0,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT) -> None:
         self.api = api
         self.max_inflight = max_inflight
-        self.node_name: Optional[str] = None
-        self.events: Optional[Any] = None
-        self.http_latency: Optional[Any] = None
-        self.http_requests: Optional[Any] = None
-        self.shed_total: Optional[Any] = None
-        #: Histogram family for event-loop scheduling lag; attached by
-        #: ``create_server`` like the other instruments.  When present,
-        #: ``serve_forever()`` runs a periodic probe task that measures
-        #: how late ``asyncio.sleep`` wakes — the direct signal that
-        #: something is starving the loop (oversized sync work, GC).
-        self.loop_lag: Optional[Any] = None
+        self.node_name = node_name
         self.inflight = 0
         self._loop = asyncio.new_event_loop()
         self._running = threading.Event()
@@ -101,19 +108,43 @@ class AsyncHTTPHost:
             raise
         self.server_address: Tuple[Any, ...] = \
             self._server.sockets[0].getsockname()
+        self.events = EventLog(stream=sys.stderr if verbose else None,
+                               sample=access_log_sample)
+        api.event_log = self.events
+        self.http_latency = registry.histogram(
+            "repro_http_request_seconds",
+            "HTTP handler latency by (normalized) endpoint.",
+            labels=("endpoint",))
+        self.http_requests = registry.counter(
+            "repro_http_requests_total",
+            "HTTP requests served, by endpoint and status code.",
+            labels=("endpoint", "code"))
+        self.shed_total = registry.counter(
+            "repro_http_shed_total",
+            "Requests shed by admission control (429), by endpoint.",
+            labels=("endpoint",))
+        registry.gauge(
+            "repro_http_inflight_requests",
+            "Requests currently inside the HTTP handler.",
+            fn=lambda: float(self.inflight))
+        #: ``serve_forever()`` runs a periodic probe task that measures
+        #: how late ``asyncio.sleep`` wakes — the direct signal that
+        #: something is starving the loop (oversized sync work, GC).
+        self.loop_lag = registry.histogram(
+            "repro_event_loop_lag_seconds",
+            "Asyncio event-loop scheduling lag measured by a periodic "
+            "probe.", buckets=PAUSE_BUCKETS)
 
     # ------------------------------------------------------------ lifecycle
     def serve_forever(self) -> None:
         """Run the event loop on the calling thread until ``shutdown()``."""
         asyncio.set_event_loop(self._loop)
         self._running.set()
-        probe = self._loop.create_task(self._lag_probe()) \
-            if self.loop_lag is not None else None
+        probe = self._loop.create_task(self._lag_probe())
         try:
             self._loop.run_forever()
         finally:
-            if probe is not None:
-                probe.cancel()
+            probe.cancel()
             self._running.clear()
             self._stopped.set()
 
@@ -255,21 +286,18 @@ class AsyncHTTPHost:
                 response = error_response(ApiError(500, str(exc)))
             finally:
                 self.inflight -= 1
-        if response.status == 429 and self.shed_total is not None:
+        if response.status == 429:
             # Both shed layers (transport inflight cap, backend admission
             # queue) land here, so the counter covers every 429 served.
             self.shed_total.inc(endpoint=endpoint)
         if self.node_name and "X-Repro-Node" not in response.headers:
             response.headers["X-Repro-Node"] = self.node_name
-        if self.http_latency is not None:
-            self.http_latency.observe(self._loop.time() - started,
-                                      endpoint=endpoint)
-            self.http_requests.inc(endpoint=endpoint,
-                                   code=str(response.status))
-        if self.events is not None:
-            self.events.emit("http_access", method=request.method,
-                             path=request.target, code=response.status,
-                             client=client)
+        self.http_latency.observe(self._loop.time() - started,
+                                  endpoint=endpoint)
+        self.http_requests.inc(endpoint=endpoint, code=str(response.status))
+        self.events.emit("http_access", method=request.method,
+                         path=request.target, code=response.status,
+                         client=client)
         return response
 
     async def _write_response(self, writer: asyncio.StreamWriter,

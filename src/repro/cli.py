@@ -10,7 +10,7 @@ Commands
 ``serve``     run the job-serving JSON-over-HTTP engine (repro.service)
 ``submit``    submit one job to a running server and await the result
 ``route``     front N running nodes with a cluster router (repro.cluster)
-``rebalance`` copy stranded store artifacts to their ring homes after a
+``rebalance`` copy stranded store artifacts to their home nodes after a
               fleet membership change (resumable)
 ``cluster-demo``  boot a whole K-node fleet + router locally and drive it
 ``top``       live metrics dashboard for a node or router (/v1/metrics)
@@ -310,11 +310,11 @@ def cmd_cluster_demo(args: argparse.Namespace) -> int:
     """Boot K nodes + a router locally and drive traffic through them.
 
     Each node persists its shard of the fleet's artifacts under its own
-    subdirectory of ``--store-dir`` (nodes never share one journal — the
-    ring, not the filesystem, is what makes a point set's artifacts land
-    together).  The same job set is driven through the router twice: the
-    second pass must be answered entirely from the warm tiers of the
-    nodes the ring pinned each point set to.
+    subdirectory of ``--store-dir`` (nodes never share one journal —
+    placement, not the filesystem, is what makes a point set's artifacts
+    land together).  The same job set is driven through the router twice:
+    the second pass must be answered entirely from the warm tiers of the
+    nodes placement pinned each point set to.
     """
     import shutil
     import tempfile
@@ -874,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--replicas", type=int, default=1, metavar="K",
                          help="home nodes per key: finished jobs' "
                               "artifacts are copied to the key's K-1 "
-                              "other ring homes in the background, so a "
+                              "other home nodes in the background, so a "
                               "node death costs zero recomputation "
                               "(default 1 = no replication)")
     p_route.add_argument("--verbose", action="store_true",
@@ -890,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rebal = sub.add_parser(
         "rebalance",
-        help="copy stranded artifacts to their ring homes after a "
+        help="copy stranded artifacts to their home nodes after a "
              "membership change")
     p_rebal.add_argument("--node", action="append", required=True,
                          metavar="[NAME=]URL",

@@ -13,7 +13,8 @@ rather than status-class guessing:
 
 * :class:`~repro.errors.NodeUnavailableError` — connection refused/reset,
   timeout, or a *retryable* error response (5xx).  The server may be
-  down; the router fails the work over to the next node in ring order.
+  down; the router fails the work over to the next node in preference
+  order.
 * :class:`~repro.errors.NodeOverloadedError` — a 429 shed.  Failover-
   eligible (another node may have headroom) but the server is *alive*:
   the router must not mark it down, and ``retry_after`` carries the

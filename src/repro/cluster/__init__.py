@@ -11,12 +11,14 @@ one working set.
 
 Layers
 ------
-``repro.cluster.topology``  ``Node`` descriptors + the consistent-hash
-                            ring with rendezvous-ordered failover
+``repro.cluster.topology``  ``Node`` descriptors + weighted rendezvous
+                            placement, whose score order is also the
+                            failover order
 ``repro.cluster.router``    ``ClusterRouter`` — validate/fingerprint
-                            locally, route by ring position, fail over at
+                            locally, route by placement, fail over at
                             most once, recover lost jobs by resubmission,
-                            aggregate fleet stats
+                            aggregate fleet stats; one node-health policy
+                            for every call to a node
 ``repro.cluster.server``    the router's own HTTP front end (same API as
                             a node — clients can't tell them apart)
 ``repro.cluster.rebalance`` re-home stored artifacts after a membership

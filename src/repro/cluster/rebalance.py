@@ -1,21 +1,21 @@
-"""Ring rebalance: re-home stored artifacts after membership change.
+"""Rebalance: re-home stored artifacts after membership change.
 
 When the fleet's node set changes — a replacement for a dead node, a
-capacity add, a reweight — the consistent-hash ring moves a bounded
+capacity add, a reweight — rendezvous placement moves a bounded
 fraction of the key space, and the artifacts for the moved keys are
 suddenly *stranded*: they sit on nodes that are no longer in their home
 set, so the new homes would recompute on first touch.  The rebalance
 pass walks the fleet's artifact inventories, diffs them against the new
-ring's placement, and copies every stranded blob to its missing homes
-through the ``/v1`` artifact endpoints — the wire format *is* the store
-format, so each copy is a byte-identical, validated store entry at the
-target, warm before the first request lands.
+membership's placement, and copies every stranded blob to its missing
+homes through the ``/v1`` artifact endpoints — the wire format *is* the
+store format, so each copy is a byte-identical, validated store entry at
+the target, warm before the first request lands.
 
 Placement here keys on the artifact's own content digest (a pure
 function any operator tool can recompute), while the router keys on the
 points fingerprint behind a job.  The two agree on movement *bounds*
-(both are ring placements) but not necessarily per key — which is fine:
-artifacts are content-addressed and location-independent, and the
+(both are rendezvous placements) but not necessarily per key — which is
+fine: artifacts are content-addressed and location-independent, and the
 peer-fetch read-through means any home-set member can serve a blob that
 physically landed on a sibling.  Rebalance restores *k-copy coverage*;
 it does not promise which of the k homes holds which byte.
@@ -80,7 +80,7 @@ def plan_rebalance(inventories: Dict[str, List[Dict[str, Any]]],
 
     ``inventories`` maps node name → that node's artifact listing
     (``[{"tier", "key", ...}, ...]``).  For every artifact the fleet
-    holds anywhere, each of its ring homes (placement by the artifact's
+    holds anywhere, each of its homes (placement by the artifact's
     own key, health ignored — a rebalance plans for the membership, not
     the weather) that lacks a copy becomes one planned copy, sourced
     from the nodes that do hold it.  Deterministic order: sorted by
@@ -110,9 +110,9 @@ def run_rebalance(nodes: List[Node], *, replicas: int = 1,
                   timeout: float = 30.0,
                   log: Callable[[str], None] = lambda line: None
                   ) -> Dict[str, Any]:
-    """Copy every stranded artifact to its missing ring homes.
+    """Copy every stranded artifact to its missing homes.
 
-    ``nodes`` is the *new* membership (the ring after the change); the
+    ``nodes`` is the *new* membership (placement after the change); the
     inventories of whichever members answer define what exists.  An
     unreachable node is warned and skipped — its artifacts are invisible
     this pass and its missing copies unfixable, but the rest of the

@@ -8,14 +8,15 @@ one engine.  Per job it:
    bad spec is rejected at the router, costing no node a request) and its
    point content is hashed with :func:`repro.store.fingerprint_spec`, the
    exact digest the nodes key their cache tiers by;
-2. **routes by ring position** — the consistent-hash ring maps the
+2. **routes by placement** — weighted rendezvous hashing
+   (:class:`~repro.cluster.topology.HashRing`) maps the
    points-fingerprint to a node, so repeat submissions of the same point
    set land where the BVH / core-distance / result tiers are already warm
-   (content-addressed keys make artifacts location-independent; the ring
+   (content-addressed keys make artifacts location-independent; placement
    adds location *affinity* on top);
-3. **fails over at most once** — on a connection error or 5xx the target
-   is marked down and the job goes to the next node in preference order
-   (ring primary, then rendezvous-ranked survivors);
+3. **fails over at most once** — on a connection error, a timeout or a
+   5xx the target is marked down and the job goes to the next node in
+   preference order (descending rendezvous score);
 4. **recovers results across node death** — the router remembers each
    routed job's spec (bounded, like the engine's retention); if the
    owning node dies before the result is read, the next poll transparently
@@ -23,11 +24,16 @@ one engine.  Per job it:
    spec, so re-execution is safe and byte-identical;
 5. **replicates artifacts across homes** (``replicas=k`` > 1) — when a
    job finishes, a background worker copies its result/tree/core blobs
-   from the serving node to the key's other ring homes via the artifact
+   from the serving node to the key's other home nodes via the artifact
    endpoints, so a node death costs *zero recomputation*: the failover
    home answers from its own warm disk tier.  Write-through is
    best-effort cache warming (bounded queue, drops under pressure),
    never a durability promise — recompute-from-spec remains the floor.
+
+Every call to a node goes through :meth:`ClusterRouter._call`, which
+holds the one node-health policy: any HTTP answer (2xx, 4xx or a 429
+shed) marks the node up, and only a connection error, a timeout or a 5xx
+marks it down.
 
 Dataset-spec fingerprints are memoized (the specs are deterministic), so
 routing a repeat dataset job costs a dict lookup, not a regeneration —
@@ -42,7 +48,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 import repro
 from repro.api.contract import DEFAULT_TRACE_LIMIT, ERR_UNKNOWN_TRACE
@@ -54,7 +60,6 @@ from repro.errors import (
     NodeHTTPError,
     NodeOverloadedError,
     NodeUnavailableError,
-    ReproError,
 )
 from repro.store import combine_fingerprint
 from repro.metrics import fleet_hit_rate, fleet_mfeatures_per_second
@@ -86,6 +91,15 @@ _MAX_DATASET_MEMO = 4096
 #: (a dropped copy costs one recompute after a death, never correctness),
 #: so a slow fleet sheds copy work instead of backing up submissions.
 REPLICA_QUEUE_DEPTH = 256
+
+T = TypeVar("T")
+
+
+def _answered(error: Optional[ClusterError]) -> bool:
+    """Whether a node call got an HTTP answer: a 2xx, a 4xx refusal or a
+    429 shed.  Only a connection error, a timeout or a 5xx is none."""
+    return not isinstance(error, NodeUnavailableError) \
+        or isinstance(error, NodeOverloadedError)
 
 
 @dataclass
@@ -270,23 +284,36 @@ class ClusterRouter:
                 return False
             self._probing.add(node.name)
         try:
-            self.clients[node.name].healthz(timeout=self.probe_timeout)
-        except (NodeOverloadedError, NodeHTTPError):
-            # Shedding or refusing is proof of life: the node is back.
-            node.mark_up()
-            self._reprobes_c.inc(outcome="up")
-            return True
-        except NodeUnavailableError as exc:
-            node.mark_down(str(exc))  # restart the cool-off clock
-            self._reprobes_c.inc(outcome="down")
-            return False
-        else:
-            node.mark_up()
-            self._reprobes_c.inc(outcome="up")
-            return True
+            # A failed probe marks the node down again, which restarts
+            # its cool-off clock.
+            _, error = self._call(
+                node, lambda c: c.healthz(timeout=self.probe_timeout))
         finally:
             with self._probe_guard:
                 self._probing.discard(node.name)
+        up = _answered(error)
+        self._reprobes_c.inc(outcome="up" if up else "down")
+        return up
+
+    def _call(self, node: Node, call: Callable[[Client], T]
+              ) -> Tuple[Optional[T], Optional[ClusterError]]:
+        """Make one call to ``node`` and apply the node-health policy.
+
+        Any HTTP answer — a 2xx, a 4xx refusal or a 429 shed — is proof
+        of life and marks the node up; only a connection error, a
+        timeout or a 5xx marks it down.  Returns ``(value, None)`` on a
+        2xx and ``(None, error)`` otherwise, so each caller only decides
+        what the error means for its own document.
+        """
+        try:
+            value, error = call(self.clients[node.name]), None
+        except (NodeUnavailableError, NodeHTTPError) as exc:
+            value, error = None, exc
+        if _answered(error):
+            node.mark_up()
+        else:
+            node.mark_down(str(error))
+        return value, error
 
     # --------------------------------------------------------------- submit
 
@@ -366,38 +393,32 @@ class ClusterRouter:
         width = max(2, self.replicas)
         for attempt, node in enumerate(
                 self._candidates(points_fp, exclude)[:width]):
-            client = self.clients[node.name]
             hop: Optional[Dict[str, Any]] = None
             if trace is not None:
                 hop = make_span("route", node=node.name, attempt=attempt,
                                 outcome="accepted")
                 trace["spans"].append(hop)
             started = time.perf_counter()
-            try:
-                accepted = client.submit(body, trace=trace)
-            except NodeUnavailableError as exc:
-                # A shed (429) is failover-eligible but the node is alive:
-                # record the hop, try the next candidate, never mark_down.
-                overloaded = isinstance(exc, NodeOverloadedError)
-                elapsed = time.perf_counter() - started
-                self._upstream_h.observe(elapsed, node=node.name)
-                if hop is not None:
-                    hop["duration_s"] = elapsed
-                    hop["meta"]["outcome"] = \
-                        "overloaded" if overloaded else "unavailable"
-                    hop["meta"]["error"] = str(exc)[:200]
-                if not overloaded:
-                    node.mark_down(str(exc))
-                if last_error is None:
-                    self._failovers_c.inc()
-                last_error = exc
-                continue
+            accepted, error = self._call(
+                node, lambda c: c.submit(body, trace=trace))
             elapsed = time.perf_counter() - started
             self._upstream_h.observe(elapsed, node=node.name)
             if hop is not None:
                 hop["duration_s"] = elapsed
-            node.mark_up()
-            return accepted, node
+            if error is None:
+                return accepted, node
+            if isinstance(error, NodeHTTPError):
+                raise error
+            # A shed (429) is failover-eligible too, though the node is
+            # alive: record the hop and try the next candidate.
+            if hop is not None:
+                hop["meta"]["outcome"] = "overloaded" \
+                    if isinstance(error, NodeOverloadedError) \
+                    else "unavailable"
+                hop["meta"]["error"] = str(error)[:200]
+            if last_error is None:
+                self._failovers_c.inc()
+            last_error = error
         if isinstance(last_error, NodeOverloadedError):
             # Every candidate shed: surface the retryable 429 (with its
             # Retry-After hint) so the client backs off and retries the
@@ -429,29 +450,19 @@ class ClusterRouter:
         """
         route = self._route(routed_id)
         observed_node = route.node_name
-        client = self.clients[observed_node]
-        node = self.ring.get(observed_node)
-        try:
-            body = client.poll(route.upstream_id, wait_s)
-        except NodeOverloadedError:
+        body, error = self._call(self.ring.get(observed_node),
+                                 lambda c: c.poll(route.upstream_id, wait_s))
+        if isinstance(error, NodeOverloadedError):
             # The node is alive and still owns the job — shedding a poll
-            # is not job loss, so no mark_down and no recovery
-            # resubmission; the client backs off and polls again.
-            raise
-        except NodeUnavailableError as exc:
-            if node is not None:
-                node.mark_down(str(exc))
+            # is not job loss, so no recovery resubmission; the client
+            # backs off and polls again.
+            raise error
+        if isinstance(error, NodeHTTPError) and error.code != 404:
+            raise error
+        if error is not None:
+            # The node died, or forgot the job (404: restart, retention
+            # eviction): either way the spec re-executes elsewhere.
             body = self._recover(route, observed_node, wait_s)
-        except NodeHTTPError as exc:
-            if exc.code == 404:
-                # The node forgot the job (restart, retention eviction):
-                # same recovery as node death — the spec re-executes.
-                body = self._recover(route, observed_node, wait_s)
-            else:
-                raise
-        else:
-            if node is not None:
-                node.mark_up()
         status = body.get("status")
         if status in ("done", "failed") \
                 and route.coalesce_key is not None:
@@ -496,7 +507,11 @@ class ClusterRouter:
                 self._resubmits_c.inc()
                 self._routed_by_node_c[node.name].inc()
             current_node, current_id = route.node_name, route.upstream_id
-        return self.clients[current_node].poll(current_id, wait_s)
+        body, error = self._call(self.ring.get(current_node),
+                                 lambda c: c.poll(current_id, wait_s))
+        if error is not None:
+            raise error
+        return body
 
     # ------------------------------------------------------- replication
 
@@ -568,7 +583,7 @@ class ClusterRouter:
 
     def _replicate(self, route: _Route) -> None:
         """Copy one route's artifacts from its serving node to the other
-        home nodes of its key (ring placement, first ``replicas`` healthy
+        home nodes of its key (placement's first ``replicas`` healthy
         preferences).
 
         Pull-then-push through the router: the wire format *is* the store
@@ -578,36 +593,31 @@ class ClusterRouter:
         refused (oversized / no disk store), ``miss`` source lacks the
         blob (memory-only node), ``error`` transport trouble.
         """
-        source_name = route.node_name
-        source = self.clients.get(source_name)
+        source = self.ring.get(route.node_name)
         if source is None:
             self._replica_writes_c.inc(outcome="error")
             return
         targets = [node for node
                    in self.ring.homes(route.points_fp, self.replicas)
-                   if node.name != source_name]
+                   if node.name != source.name]
         if not targets:
             return
         for tier, key in self._replica_keys(route):
-            try:
-                data = source.artifact(tier, key)
-            except NodeHTTPError:
-                # The source never spilled this tier to disk; nothing to
-                # copy is a per-tier miss, not a failure of the pass.
-                self._replica_writes_c.inc(outcome="miss")
-                continue
-            except ReproError:
-                self._replica_writes_c.inc(outcome="error")
+            data, error = self._call(source,
+                                     lambda c: c.artifact(tier, key))
+            if error is not None:
+                # A refusal (404) means the source never spilled this tier
+                # to disk: a per-tier miss, not a failure of the pass.
+                self._replica_writes_c.inc(
+                    outcome="miss" if isinstance(error, NodeHTTPError)
+                    else "error")
                 continue
             for target in targets:
-                try:
-                    receipt = self.clients[target.name].artifact_put(
-                        tier, key, data)
-                except ReproError:
-                    self._replica_writes_c.inc(outcome="error")
-                    continue
+                receipt, error = self._call(
+                    target, lambda c: c.artifact_put(tier, key, data))
                 self._replica_writes_c.inc(
-                    outcome="ok" if receipt.get("stored") else "rejected")
+                    outcome="error" if error is not None
+                    else "ok" if receipt.get("stored") else "rejected")
 
     # --------------------------------------------------------- artifacts
 
@@ -615,18 +625,11 @@ class ClusterRouter:
         """Every reachable node's artifact inventory, by node."""
         nodes: List[Dict[str, Any]] = []
         for node in self.ring.nodes:
-            try:
-                doc = self.clients[node.name].artifacts(
-                    timeout=self.probe_timeout)
-            except NodeUnavailableError as exc:
-                if not isinstance(exc, NodeOverloadedError):
-                    node.mark_down(str(exc))
-                nodes.append({"node": node.name, "error": str(exc)})
-                continue
-            except NodeHTTPError as exc:
-                nodes.append({"node": node.name, "error": str(exc)})
-                continue
-            nodes.append({"node": node.name,
+            doc, error = self._call(
+                node, lambda c: c.artifacts(timeout=self.probe_timeout))
+            nodes.append({"node": node.name, "error": str(error)}
+                         if error is not None else
+                         {"node": node.name,
                           "artifacts": doc.get("artifacts", [])})
         return {"role": "router", "nodes": nodes}
 
@@ -639,17 +642,11 @@ class ClusterRouter:
         nodes are skipped so a partial fleet still serves what it holds.
         """
         for node in self.ring.nodes:
-            try:
-                data = self.clients[node.name].artifact(tier, key)
-            except NodeHTTPError as exc:
-                if exc.code == 404:
-                    continue
-                raise
-            except NodeUnavailableError as exc:
-                if not isinstance(exc, NodeOverloadedError):
-                    node.mark_down(str(exc))
-                continue
-            return data, node.name
+            data, error = self._call(node, lambda c: c.artifact(tier, key))
+            if error is None:
+                return data, node.name
+            if isinstance(error, NodeHTTPError) and error.code != 404:
+                raise error
         return None
 
     # ----------------------------------------------------- fleet aggregates
@@ -659,25 +656,15 @@ class ClusterRouter:
         nodes = []
         up = 0
         for node in self.ring.nodes:
-            try:
-                health = self.clients[node.name].healthz(
-                    timeout=self.probe_timeout)
-            except NodeOverloadedError as exc:
-                # Shedding load is proof of life, not unreachability.
-                nodes.append({**node.as_dict(), "reachable": True,
-                              "error": str(exc)})
+            health, error = self._call(
+                node, lambda c: c.healthz(timeout=self.probe_timeout))
+            if error is not None:
+                # A shed or a refusal is reachable, yet does not count
+                # toward a fleet status of ``ok``.
+                nodes.append({**node.as_dict(),
+                              "reachable": _answered(error),
+                              "error": str(error)})
                 continue
-            except NodeUnavailableError as exc:
-                node.mark_down(str(exc))
-                nodes.append({**node.as_dict(), "reachable": False})
-                continue
-            except NodeHTTPError as exc:
-                # Alive but refusing: reachable, yet not healthy — do not
-                # route around it via mark_down, just report it.
-                nodes.append({**node.as_dict(), "reachable": True,
-                              "error": str(exc)})
-                continue
-            node.mark_up()
             up += 1
             nodes.append({**node.as_dict(), "reachable": True,
                           "persistent": health.get("persistent")})
@@ -697,20 +684,11 @@ class ClusterRouter:
         per_node: List[Dict[str, Any]] = []
         reachable: List[Dict[str, Any]] = []
         for node in self.ring.nodes:
-            try:
-                stats = self.clients[node.name].stats(
-                    timeout=self.probe_timeout)
-            except NodeOverloadedError as exc:
-                per_node.append({"node": node.name, "error": str(exc)})
+            stats, error = self._call(
+                node, lambda c: c.stats(timeout=self.probe_timeout))
+            if error is not None:
+                per_node.append({"node": node.name, "error": str(error)})
                 continue
-            except NodeUnavailableError as exc:
-                node.mark_down(str(exc))
-                per_node.append({"node": node.name, "error": str(exc)})
-                continue
-            except NodeHTTPError as exc:
-                per_node.append({"node": node.name, "error": str(exc)})
-                continue
-            node.mark_up()
             per_node.append({"node": node.name, **stats})
             reachable.append(stats)
         jobs: Dict[str, int] = {}
@@ -766,16 +744,9 @@ class ClusterRouter:
         """Each reachable node's JSON metrics document, by node name."""
         docs: Dict[str, Dict[str, Any]] = {}
         for node in self.ring.nodes:
-            try:
-                docs[node.name] = self.clients[node.name].metrics_json(
-                    timeout=self.probe_timeout)
-            except NodeOverloadedError as exc:
-                docs[node.name] = {"error": str(exc)}
-            except NodeUnavailableError as exc:
-                node.mark_down(str(exc))
-                docs[node.name] = {"error": str(exc)}
-            except NodeHTTPError as exc:
-                docs[node.name] = {"error": str(exc)}
+            doc, error = self._call(
+                node, lambda c: c.metrics_json(timeout=self.probe_timeout))
+            docs[node.name] = doc if error is None else {"error": str(error)}
         return docs
 
     def metrics_json(self) -> Dict[str, Any]:
@@ -825,14 +796,9 @@ class ClusterRouter:
         merged: List[Dict[str, Any]] = []
         per_node: Dict[str, Any] = {}
         for node in self.ring.nodes:
-            try:
-                doc = self.clients[node.name].traces(**params)
-            except NodeUnavailableError as exc:
-                node.mark_down(str(exc))
-                per_node[node.name] = {"error": str(exc)}
-                continue
-            except (NodeOverloadedError, NodeHTTPError) as exc:
-                per_node[node.name] = {"error": str(exc)}
+            doc, error = self._call(node, lambda c: c.traces(**params))
+            if error is not None:
+                per_node[node.name] = {"error": str(error)}
                 continue
             records = doc.get("traces", [])
             for record in records:
@@ -854,18 +820,13 @@ class ClusterRouter:
         same way so a partial fleet still answers for the traces it has.
         """
         for node in self.ring.nodes:
-            try:
-                record = self.clients[node.name].archived_trace(trace_id)
-            except NodeUnavailableError as exc:
-                node.mark_down(str(exc))
-                continue
-            except NodeOverloadedError:
-                continue
-            except NodeHTTPError as exc:
-                if exc.error_code == ERR_UNKNOWN_TRACE or exc.code == 404:
-                    continue
-                raise
-            return record, node.name
+            record, error = self._call(
+                node, lambda c: c.archived_trace(trace_id))
+            if error is None:
+                return record, node.name
+            if isinstance(error, NodeHTTPError) and error.code != 404 \
+                    and error.error_code != ERR_UNKNOWN_TRACE:
+                raise error
         return None
 
     def profile(self, seconds: Optional[float] = None,
@@ -883,14 +844,12 @@ class ClusterRouter:
         per_node: Dict[str, Any] = {}
 
         def _capture(node: Node) -> None:
-            try:
-                docs[node.name] = self.clients[node.name].profile(
-                    seconds=seconds, hz=hz)
-            except NodeUnavailableError as exc:
-                node.mark_down(str(exc))
-                per_node[node.name] = {"error": str(exc)}
-            except (NodeOverloadedError, NodeHTTPError) as exc:
-                per_node[node.name] = {"error": str(exc)}
+            doc, error = self._call(
+                node, lambda c: c.profile(seconds=seconds, hz=hz))
+            if error is None:
+                docs[node.name] = doc
+            else:
+                per_node[node.name] = {"error": str(error)}
 
         threads = [threading.Thread(target=_capture, args=(node,),
                                     name=f"repro-profile-{node.name}")
@@ -911,7 +870,7 @@ class ClusterRouter:
         """The router's flight-recorder bundle.
 
         Router-side state only (routing counters, registry, fleet
-        health, ring shares) — node dumps are fetched from the nodes
+        health, key shares) — node dumps are fetched from the nodes
         directly; bundling every node's full dump here would make the
         postmortem endpoint itself an outage amplifier.
         """
@@ -938,32 +897,24 @@ class ClusterRouter:
         """Fan a store compaction out to every node."""
         return self._fan_out("compact", lambda c: c.compact())
 
-    def _fan_out(self, op: str, call) -> Dict[str, Any]:
+    def _fan_out(self, op: str,
+                 call: Callable[[Client], Dict[str, Any]]
+                 ) -> Dict[str, Any]:
         nodes = []
-        errors = 0
-        first_http_error: Optional[NodeHTTPError] = None
+        errors: List[ClusterError] = []
         for node in self.ring.nodes:
-            try:
-                nodes.append({"node": node.name,
-                              **call(self.clients[node.name])})
-            except NodeHTTPError as exc:
-                # A 4xx means the node is alive and rejected the *request*
-                # — never a health event, and (when unanimous) the caller
-                # deserves the node's own status code, not a 503.
-                if first_http_error is None:
-                    first_http_error = exc
-                nodes.append({"node": node.name, "error": str(exc)})
-                errors += 1
-            except NodeOverloadedError as exc:
-                nodes.append({"node": node.name, "error": str(exc)})
-                errors += 1
-            except NodeUnavailableError as exc:
-                node.mark_down(str(exc))
-                nodes.append({"node": node.name, "error": str(exc)})
-                errors += 1
-        if errors == len(nodes):
-            if first_http_error is not None:
-                raise first_http_error
+            report, error = self._call(node, call)
+            if error is None:
+                nodes.append({"node": node.name, **report})
+            else:
+                nodes.append({"node": node.name, "error": str(error)})
+                errors.append(error)
+        if len(errors) == len(nodes):
+            # A 4xx means the node rejected the *request*; when every
+            # node failed, the caller deserves that status, not a 503.
+            for error in errors:
+                if isinstance(error, NodeHTTPError):
+                    raise error
             raise ClusterError(f"{op} failed on every node")
         return {"status": "ok" if not errors else "partial",
                 "nodes": nodes}

@@ -22,7 +22,6 @@ is no compute in this process at all.
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
@@ -40,8 +39,6 @@ from repro.api.contract import (
 from repro.api.http import AsyncHTTPHost, DEFAULT_MAX_INFLIGHT
 from repro.cluster.router import ClusterRouter
 from repro.errors import InvalidInputError, NodeHTTPError, NodeOverloadedError
-from repro.obs import EventLog
-from repro.obs.profiler import PAUSE_BUCKETS
 
 T = TypeVar("T")
 
@@ -57,9 +54,6 @@ class RouterAPI(WireAPI):
         self.router = router
         self._pool = ThreadPoolExecutor(
             max_workers=RELAY_POOL_SIZE, thread_name_prefix="repro-relay")
-        #: The host's structured-event ring; attached by
-        #: ``create_router_server`` so ``GET /v1/admin/events`` serves it.
-        self.event_log: Optional[EventLog] = None
 
     def close(self) -> None:
         """Called by the host on ``server_close()``."""
@@ -131,14 +125,6 @@ class RouterAPI(WireAPI):
         record, node = found
         return record, node
 
-    async def events(self, limit: Optional[int]) -> Dict[str, Any]:
-        # The router's own access ring — node rings are one hop away via
-        # each node's /v1/admin/events.
-        log = self.event_log
-        if log is None:
-            return {"events": [], "stats": None}
-        return {"events": log.recent(limit), "stats": log.stats()}
-
     async def profile(self, seconds: Optional[float],
                       hz: Optional[float]) -> Dict[str, Any]:
         # The fleet capture occupies one relay thread per node for the
@@ -147,11 +133,9 @@ class RouterAPI(WireAPI):
             lambda: self.router.profile(seconds, hz))
 
     async def dump(self) -> Dict[str, Any]:
-        bundle = await self._call(self.router.dump)
-        if self.event_log is not None:
-            bundle["events"] = self.event_log.recent()
-            bundle["events_stats"] = self.event_log.stats()
-        return bundle
+        # The router's own event ring rides along; node rings are one hop
+        # away via each node's /v1/admin/events.
+        return await self._call(self.router.dump)
 
     async def artifact_list(self) -> Dict[str, Any]:
         return await self._call(self.router.artifacts)
@@ -197,34 +181,10 @@ def create_router_server(router: ClusterRouter, host: str = "127.0.0.1",
     ``serve_forever()`` on a thread, later ``shutdown()`` +
     ``server_close()``, then ``router.close()``.
     """
-    api = RouterAPI(router)
-    server = AsyncHTTPHost(api, host, port, max_inflight=max_inflight)
-    server.router = router  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    server.events = EventLog(
-        stream=sys.stderr if verbose else None, sample=access_log_sample)
-    api.event_log = server.events  # /v1/admin/events serves this ring
-    server.http_latency = router.registry.histogram(
-        "repro_http_request_seconds",
-        "HTTP request handling latency by endpoint.",
-        labels=("endpoint",))
-    server.http_requests = router.registry.counter(
-        "repro_http_requests_total",
-        "HTTP requests served, by endpoint and status code.",
-        labels=("endpoint", "code"))
-    server.shed_total = router.registry.counter(
-        "repro_http_shed_total",
-        "Requests shed by admission control (429), by endpoint.",
-        labels=("endpoint",))
-    router.registry.gauge(
-        "repro_http_inflight_requests",
-        "Requests currently inside the HTTP handler.",
-        fn=lambda: float(server.inflight))
-    server.loop_lag = router.registry.histogram(
-        "repro_event_loop_lag_seconds",
-        "Asyncio event-loop scheduling lag measured by a periodic probe.",
-        buckets=PAUSE_BUCKETS)
-    return server
+    return AsyncHTTPHost(RouterAPI(router), host, port,
+                         registry=router.registry, verbose=verbose,
+                         access_log_sample=access_log_sample,
+                         max_inflight=max_inflight)
 
 
 def run_router_server(server: AsyncHTTPHost,

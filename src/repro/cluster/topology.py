@@ -1,24 +1,24 @@
-"""Cluster topology: node descriptors and the placement hash ring.
+"""Cluster topology: node descriptors and the placement hash.
 
 Placement must satisfy two pulls that fight each other:
 
 * **Affinity** — a repeat submission of the same point set should land on
   the node whose cache tiers (memory and disk) are already warm for it.
   Content fingerprints make that trivial *if* placement is a pure
-  function of the fingerprint, which is what the consistent-hash ring
-  provides: ``node_for(points_fp)`` depends only on the fingerprint and
-  the node set, never on request order or process identity.
+  function of the fingerprint, which is what weighted rendezvous
+  (highest-random-weight) hashing provides: ``node_for(points_fp)``
+  depends only on the fingerprint and the node set, never on request
+  order or process identity.
 * **Stability under churn** — adding or removing a node must move as few
   fingerprints as possible (each moved key is a cold cache somewhere).
-  The ring bounds movement to roughly ``1/N`` of the key space per node
-  change; a modulo scheme would reshuffle nearly everything.
+  Each node scores each key independently, so a new node takes only the
+  keys it now outscores everyone on (about ``1/N`` of the key space) and
+  a removed node's keys go to their next-best scorers; a modulo scheme
+  would reshuffle nearly everything.
 
-For **failover order** beyond the primary the ring's clockwise walk has a
-known flaw: every key owned by a dead node falls to the *same* clockwise
-successor, doubling that one node's load.  The preference list therefore
-ranks the remaining nodes by weighted rendezvous (highest-random-weight)
-score instead, which spreads a dead node's keys evenly across the
-survivors — the "rendezvous-hash fallback" of the design note.
+The same scores give the **failover order** beyond the primary: the
+nodes ranked by descending score.  A dead node's keys therefore spread
+evenly across the survivors instead of all falling to one neighbour.
 
 All hashing is SHA-256-based and deliberately independent of Python's
 randomized ``hash()``, so placement agrees across processes, restarts and
@@ -27,19 +27,14 @@ machines — the same property the content fingerprints themselves have.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import InvalidInputError
-
-#: Ring points per unit of node weight.  Enough that key shares track
-#: weights within a few percent; small enough that rebuilds are free.
-DEFAULT_REPLICAS = 64
 
 
 def stable_hash(text: str) -> int:
@@ -58,12 +53,12 @@ class Node:
 
     ``name`` identifies the node in routing decisions, stats and the
     ``X-Repro-Node`` header; it must be stable across node restarts for
-    placement to be (the ring hashes names, not sockets).  ``weight``
+    placement to be (placement hashes names, not sockets).  ``weight``
     scales the share of the key space the node owns (2.0 = twice the
     keys).  Health state is the router's *local* view — marked down on
-    connection errors or 5xx responses, up again on any success — and
-    never removes the node from the ring: a flapping node keeps its keys,
-    it just gets skipped while down.
+    connection errors, timeouts or 5xx responses, up again on any HTTP
+    answer — and never removes the node from placement: a flapping node
+    keeps its keys, it just gets skipped while down.
     """
 
     base_url: str
@@ -126,27 +121,18 @@ class Node:
 
 
 class HashRing:
-    """Consistent-hash placement with rendezvous-ordered failover.
+    """Weighted rendezvous placement with failover order.
 
-    The primary owner of a key is the first ring point clockwise from the
-    key's hash (``replicas`` points per unit weight keep shares balanced).
-    :meth:`preference` extends that to a full failover order: primary
-    first, then the remaining nodes by weighted rendezvous score, so a
-    downed primary's keys spread across all survivors instead of piling
-    onto one clockwise neighbor.
+    Every node scores every key (:meth:`_rendezvous_score`);
+    :meth:`preference` ranks the nodes by descending score, so the
+    primary owner is the top scorer and a downed primary's keys spread
+    across all survivors by their own scores.
 
-    All methods are thread-safe; mutation rebuilds the (tiny) point list.
+    All methods are thread-safe.
     """
 
-    def __init__(self, nodes: Optional[List[Node]] = None, *,
-                 replicas: int = DEFAULT_REPLICAS) -> None:
-        if replicas < 1:
-            raise InvalidInputError(
-                f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
+    def __init__(self, nodes: Optional[List[Node]] = None) -> None:
         self._nodes: Dict[str, Node] = {}
-        self._points: List[Tuple[int, str]] = []  # (hash, node name), sorted
-        self._hashes: List[int] = []
         self._lock = threading.Lock()
         for node in nodes or []:
             self.add(node)
@@ -172,7 +158,6 @@ class HashRing:
                 raise InvalidInputError(
                     f"duplicate node name {node.name!r}")
             self._nodes[node.name] = node
-            self._rebuild()
 
     def remove(self, name: str) -> Node:
         """Remove a node by name; its keys redistribute to the rest."""
@@ -180,51 +165,33 @@ class HashRing:
             node = self._nodes.pop(name, None)
             if node is None:
                 raise InvalidInputError(f"unknown node {name!r}")
-            self._rebuild()
             return node
-
-    def _rebuild(self) -> None:
-        points: List[Tuple[int, str]] = []
-        for name, node in self._nodes.items():
-            # ceil() so a fractional weight still gets at least one point.
-            for replica in range(math.ceil(self.replicas * node.weight)):
-                points.append((stable_hash(f"{name}#{replica}"), name))
-        points.sort()
-        self._points = points
-        self._hashes = [h for h, _name in points]
 
     def node_for(self, key: str) -> Node:
         """The primary owner of ``key`` (health is not consulted here —
         failover is the :meth:`preference` caller's concern)."""
-        with self._lock:
-            if not self._points:
-                raise InvalidInputError("hash ring has no nodes")
-            index = bisect.bisect_right(self._hashes, stable_hash(key))
-            if index == len(self._points):
-                index = 0  # wrap: the ring is circular
-            return self._nodes[self._points[index][1]]
+        return self.preference(key)[0]
 
     def preference(self, key: str) -> List[Node]:
-        """All nodes in failover order for ``key``: ring primary first,
-        then the rest by descending weighted rendezvous score."""
-        primary = self.node_for(key)
+        """All nodes in failover order for ``key``: descending weighted
+        rendezvous score."""
         with self._lock:
-            rest = [node for name, node in self._nodes.items()
-                    if name != primary.name]
-            rest.sort(key=lambda n: self._rendezvous_score(key, n),
-                      reverse=True)
-            return [primary] + rest
+            if not self._nodes:
+                raise InvalidInputError("hash ring has no nodes")
+            return sorted(self._nodes.values(),
+                          key=lambda n: self._rendezvous_score(key, n),
+                          reverse=True)
 
     def homes(self, key: str, k: int = 1, *,
               healthy_only: bool = True) -> List[Node]:
         """The ``k`` home nodes of ``key``: its replica set.
 
         The first ``k`` entries of :meth:`preference` — the primary plus
-        the ``k-1`` best rendezvous-ranked followers — so the replica set
-        is a pure function of ``(key, node set)``, moves minimally under
-        churn (rendezvous ranks are per-node independent), and the
-        failover order *is* the replica order: on primary death, reads
-        land exactly on the nearest surviving home.
+        the ``k-1`` next-best scorers — so the replica set is a pure
+        function of ``(key, node set)``, moves minimally under churn
+        (rendezvous ranks are per-node independent), and the failover
+        order *is* the replica order: on primary death, reads land
+        exactly on the nearest surviving home.
 
         ``healthy_only`` (the default) skips down nodes, so write-through
         targets the nodes that can actually take the copy; pass ``False``

@@ -56,7 +56,7 @@ class ClusterError(ReproError, RuntimeError):
 class NodeUnavailableError(ClusterError):
     """One node could not serve a request (connection error, timeout or a
     5xx response).  The router treats this as a failover trigger: the job
-    moves to the next node in ring order rather than failing."""
+    moves to the next node in preference order rather than failing."""
 
 
 class NodeHTTPError(ClusterError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.kokkos.counters import CostCounters
 from repro.kokkos.devices import DeviceSpec
@@ -108,13 +108,3 @@ def simulate_seconds(counters: CostCounters, device: DeviceSpec) -> CostBreakdow
         memory_seconds=memory,
         launch_seconds=launch,
     )
-
-
-def simulate_phases(
-    phase_counters: Mapping[str, CostCounters], device: DeviceSpec
-) -> Dict[str, float]:
-    """Simulated seconds per named phase (for Figure-8 style breakdowns)."""
-    return {
-        name: simulate_seconds(counters, device).seconds
-        for name, counters in phase_counters.items()
-    }

@@ -9,9 +9,8 @@ paper uses to argue dimension-agnostic performance.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 #: Default latency bucket upper bounds, in seconds.  Geometric-ish 1-2.5-5
 #: spacing from 0.5 ms to 30 s: tight enough at the bottom that a warm
@@ -121,14 +120,14 @@ def fleet_mfeatures_per_second(features: Iterable[int],
 
 
 class Histogram:
-    """A fixed-bucket latency histogram: mergeable, quantile-computable.
+    """A fixed-bucket latency histogram: poolable, quantile-computable.
 
     Observations are counted into buckets bounded above by ``bounds`` (a
     strictly increasing sequence) plus an implicit ``+Inf`` overflow
     bucket, alongside a running ``sum`` and ``count`` — exactly the
     Prometheus histogram data model, so the registry can expose it
-    verbatim.  Instances with equal bounds :meth:`merge` by adding their
-    buckets, which is how fleet aggregation must work: **pool buckets,
+    verbatim.  Instances with equal bounds pool by adding their buckets,
+    which is how fleet aggregation must work: **pool buckets,
     never average quantiles** (a p99 of per-node p99s is meaningless; the
     p99 of the pooled buckets weights every observation equally, the same
     argument as :func:`fleet_hit_rate`).
@@ -163,26 +162,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Pool ``other``'s buckets into ``self`` (in place); returns self.
-
-        >>> a, b = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
-        >>> a.observe(0.5); b.observe(1.5)
-        >>> a.merge(b).count
-        2
-        >>> a.counts
-        [1, 1, 0]
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.sum += other.sum
-        self.count += other.count
-        return self
 
     def quantile(self, q: float) -> float:
         """The ``q``-quantile estimated by linear bucket interpolation.
@@ -248,38 +227,6 @@ class Histogram:
         return out
 
 
-def fleet_histogram(histograms: Iterable[Histogram],
-                    bounds: Optional[Sequence[float]] = None) -> Histogram:
-    """Pooled latency distribution over several nodes' histograms.
-
-    The fleet analogue of :func:`fleet_hit_rate`: buckets are summed so
-    every observation weighs equally, and quantiles are computed on the
-    pooled result — never by averaging per-node quantiles, which would
-    let an idle node's distribution distort the fleet tail.  ``bounds``
-    seeds the bucket scheme when ``histograms`` is empty (defaults to
-    :data:`DEFAULT_LATENCY_BUCKETS`).
-
-    >>> a, b = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
-    >>> for value in (0.5, 0.6, 0.7):
-    ...     a.observe(value)
-    >>> b.observe(1.5)
-    >>> pooled = fleet_histogram([a, b])
-    >>> pooled.count
-    4
-    >>> pooled.quantile(1.0)
-    2.0
-    """
-    pooled: Optional[Histogram] = None
-    for histogram in histograms:
-        if pooled is None:
-            pooled = Histogram(bounds=histogram.bounds)
-        pooled.merge(histogram)
-    if pooled is None:
-        pooled = Histogram(bounds=bounds if bounds is not None
-                           else DEFAULT_LATENCY_BUCKETS)
-    return pooled
-
-
 def jobs_per_second(n_jobs: int, seconds: float) -> float:
     """Service throughput in completed jobs per second.
 
@@ -298,21 +245,3 @@ def speedup(baseline_seconds: float, improved_seconds: float) -> float:
     if baseline_seconds <= 0 or improved_seconds <= 0:
         raise ValueError("durations must be positive")
     return baseline_seconds / improved_seconds
-
-
-def format_rate(rate_mfeatures: float) -> str:
-    """Human-readable MFeatures/sec with sensible precision.
-
-    Matches the display convention of the paper's bar charts: one decimal
-    below 10, integers above.
-
-    >>> format_rate(0.74)
-    '0.7'
-    >>> format_rate(270.66)
-    '271'
-    """
-    if not math.isfinite(rate_mfeatures):
-        return "nan"
-    if rate_mfeatures < 10:
-        return f"{rate_mfeatures:.1f}"
-    return f"{rate_mfeatures:.0f}"

@@ -863,7 +863,6 @@ class Engine:
         exec_spec = make_exec_spec(
             spec, points=points,
             tree_order=tree_entry["order"] if tree_hit else None,
-            tree_counters=tree_entry["counters"] if tree_hit else None,
             core_state=core_entry)
         outcome = execute_spec(exec_spec)
         for name, seconds in outcome["phases"].items():
@@ -880,9 +879,8 @@ class Engine:
             # Built cold: nothing was cached, or the cached order did not
             # fit the points, and this job's own order replaces it.
             tree_hit, tree_src = False, None
-            self.tree_cache.put(tree_key,
-                                {"order": narrow_order(outcome["tree_order"]),
-                                 "counters": outcome["tree_counters"]})
+            self.tree_cache.put(
+                tree_key, {"order": narrow_order(outcome["tree_order"])})
         if core_key is not None and outcome["core_state"] is not None:
             self.core_cache.put(core_key, outcome["core_state"])
         self.result_cache.put(result_key, encoded)

@@ -19,11 +19,14 @@ sort when handed a cached order, and an order that does not fit the
 points is a miss (the job builds cold and returns its own).  Core
 distances travel as one caller-order float64 array.
 
-Injected artifacts *replay* the phase counters recorded when they were
-first computed (cached alongside the arrays), so a payload served warm is
-byte-identical — :func:`~repro.service.jobs.canonical_payload_bytes` —
-to the same spec executed cold: a skipped phase reports zero seconds but
-its original, deterministic work numbers.
+The job's one tree build records its work into the payload's ``tree``
+counters, cold or from a cached order (which does the cold build's
+counted work).  An injected core-distance artifact *replays* the
+counters recorded when it was first computed (cached alongside the
+array), so a payload served warm is byte-identical —
+:func:`~repro.service.jobs.canonical_payload_bytes` — to the same spec
+executed cold: a skipped phase reports zero seconds but its original,
+deterministic work numbers.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, emst, mutual_reachability_emst
 from repro.errors import InvalidInputError
 from repro.hdbscan.hdbscan import hdbscan
+from repro.kokkos.counters import CostCounters
 from repro.service.jobs import (
     JobSpec,
     emst_result_to_dict,
@@ -64,7 +68,6 @@ def _workspace() -> TraversalWorkspace:
 def make_exec_spec(spec: JobSpec, *,
                    points: Optional[np.ndarray] = None,
                    tree_order: Optional[np.ndarray] = None,
-                   tree_counters: Optional[Dict[str, Any]] = None,
                    core_state: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
     """The plain-dict execution spec for ``spec``.
@@ -73,9 +76,9 @@ def make_exec_spec(spec: JobSpec, *,
     it needs the content fingerprint); left ``None`` for a dataset job,
     :func:`execute_spec` regenerates it from the deterministic spec (the
     engine does so when a memoized fingerprint let it skip resolving).
-    ``tree_order``/``tree_counters`` inject a cached tree's order and the
-    work counters of its original build; ``core_state`` injects a cached
-    core-distance artifact (``{"core_sq": array, "counters": dict}``).
+    ``tree_order`` injects a cached tree's order; ``core_state`` injects a
+    cached core-distance artifact (``{"core_sq": array, "counters":
+    dict}``).
     """
     return {
         "points": points,
@@ -85,7 +88,6 @@ def make_exec_spec(spec: JobSpec, *,
         "k_pts": spec.k_pts,
         "min_cluster_size": spec.min_cluster_size,
         "tree_order": tree_order,
-        "tree_counters": tree_counters,
         "core_state": core_state,
     }
 
@@ -97,9 +99,9 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
     dict), the execution ``phases`` (``resolve`` / ``tree_build`` /
     ``compute`` wall seconds), the problem shape
     (``n_points`` / ``dimension`` / ``features``) and — when the worker had
-    to build an artifact itself — its ``tree_order``/``tree_counters``
-    and/or ``core_state`` so the parent can cache them for the next job
-    over the same points.  A ``tree_order`` in the outcome also means an
+    to build an artifact itself — its ``tree_order`` and/or
+    ``core_state`` so the parent can cache them for the next job over the
+    same points.  A ``tree_order`` in the outcome also means an
     injected one was not used.
     """
     timer = PhaseTimer()
@@ -113,15 +115,18 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
     tree_order = exec_spec.get("tree_order")
     core_state = exec_spec.get("core_state")
     injected_core = core_state["core_sq"] if core_state is not None else None
+    tree_counters = CostCounters()
     with timer.phase("tree_build"):
         try:
-            bvh = build_tree(points, config=config, order=tree_order)
+            bvh = build_tree(points, config=config, counters=tree_counters,
+                             order=tree_order)
         except InvalidInputError:
             if tree_order is None:
                 raise
             # A cached order that does not fit these points is a miss.
             tree_order = None
-            bvh = build_tree(points, config=config)
+            tree_counters = CostCounters()
+            bvh = build_tree(points, config=config, counters=tree_counters)
     tree_hit = tree_order is not None
     # check_tree=False: the tree was just built over these very points.
     workspace = _workspace()
@@ -151,13 +156,12 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
             # after validation must fail loudly, not run the wrong
             # algorithm.
             raise InvalidInputError(f"unknown algorithm {algorithm!r}")
-    # Replay the cached counters of injected artifacts into the payload: a
-    # skipped phase reports zero wall seconds but its original (and
-    # deterministic) work numbers, keeping warm payloads byte-identical in
-    # canonical form to cold execution of the same spec.
+    # The tree was built above, outside the timed algorithm, so its work
+    # goes into the payload here.  An injected core artifact replays its
+    # cached counters: a skipped phase reports zero wall seconds but its
+    # original (and deterministic) work numbers.
     emst_payload = payload["emst"] if algorithm == "hdbscan" else payload
-    if tree_hit and exec_spec.get("tree_counters") is not None:
-        emst_payload["counters"]["tree"] = dict(exec_spec["tree_counters"])
+    emst_payload["counters"]["tree"] = tree_counters.as_dict()
     new_core_state = None
     if injected_core is not None:
         if core_state.get("counters") is not None:
@@ -172,7 +176,5 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
         "dimension": int(points.shape[1]),
         "features": int(points.shape[0] * points.shape[1]),
         "tree_order": None if tree_hit else bvh.order,
-        "tree_counters": None if tree_hit
-        else dict(emst_payload["counters"]["tree"]),
         "core_state": new_core_state,
     }

@@ -83,7 +83,6 @@ dependencies outside the standard library.
 from __future__ import annotations
 
 import asyncio
-import sys
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -103,8 +102,7 @@ from repro.api.contract import (  # noqa: F401 — re-exported wire constants
 from repro.api.http import AsyncHTTPHost, DEFAULT_MAX_INFLIGHT
 from repro.bvh.traversal import get_default_engine
 from repro.errors import InvalidInputError
-from repro.obs import EventLog, from_header
-from repro.obs.profiler import PAUSE_BUCKETS
+from repro.obs import from_header
 from repro.service.engine import Engine
 from repro.service.jobs import JobSpec
 
@@ -126,9 +124,6 @@ class EngineAPI(WireAPI):
         self.engine = engine
         self.node_name = node_name
         self.max_queue_depth = max_queue_depth
-        #: The HTTP host's structured-event ring; attached by
-        #: ``create_server`` so ``GET /v1/admin/events`` can serve it.
-        self.event_log: Optional[EventLog] = None
 
     async def healthz(self) -> Dict[str, Any]:
         return {"status": "ok",
@@ -226,12 +221,6 @@ class EngineAPI(WireAPI):
                            code=ERR_UNKNOWN_TRACE)
         return record, None
 
-    async def events(self, limit: Optional[int]) -> Dict[str, Any]:
-        log = self.event_log
-        if log is None:
-            return {"events": [], "stats": None}
-        return {"events": log.recent(limit), "stats": log.stats()}
-
     async def profile(self, seconds: Optional[float],
                       hz: Optional[float]) -> Dict[str, Any]:
         # A capture blocks for its whole window; to_thread keeps the
@@ -242,9 +231,6 @@ class EngineAPI(WireAPI):
         bundle = await asyncio.to_thread(self.engine.dump)
         bundle["role"] = "node"
         bundle["node"] = self.node_name
-        if self.event_log is not None:
-            bundle["events"] = self.event_log.recent()
-            bundle["events_stats"] = self.event_log.stats()
         return bundle
 
     async def artifact_list(self) -> Dict[str, Any]:
@@ -280,9 +266,8 @@ def create_server(engine: Engine, host: str = "127.0.0.1", port: int = 0,
     and ``/v1/healthz`` (default: the bound ``host:port``) — what a
     cluster router shows clients as the serving node.
 
-    ``access_log_sample`` keeps that fraction of access-log events
-    (deterministically — every ``1/sample``-th request); ``verbose``
-    additionally writes the kept events to stderr as JSONL.
+    ``access_log_sample`` and ``verbose`` configure the host's access
+    log (:class:`~repro.api.http.AsyncHTTPHost`).
 
     ``max_inflight`` bounds concurrent in-handler requests,
     ``max_queue_depth`` bounds unfinished engine jobs; beyond either the
@@ -295,41 +280,19 @@ def create_server(engine: Engine, host: str = "127.0.0.1", port: int = 0,
     # cold cache) before serving, so no request waits on a compiler.
     get_default_engine()
     api = EngineAPI(engine, max_queue_depth=max_queue_depth)
-    server = AsyncHTTPHost(api, host, port, max_inflight=max_inflight)
-    server.engine = engine  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    bound_host, bound_port = server.server_address[:2]
-    server.node_name = (
-        node_name if node_name else f"{bound_host}:{bound_port}")
+    server = AsyncHTTPHost(api, host, port, registry=engine.registry,
+                           node_name=node_name, verbose=verbose,
+                           access_log_sample=access_log_sample,
+                           max_inflight=max_inflight)
+    if not node_name:  # the bound address, known once bound
+        bound_host, bound_port = server.server_address[:2]
+        server.node_name = f"{bound_host}:{bound_port}"
     api.node_name = server.node_name
     engine.node_name = server.node_name  # names this engine's trace spans
-    server.events = EventLog(
-        stream=sys.stderr if verbose else None, sample=access_log_sample)
-    api.event_log = server.events  # /v1/admin/events serves this ring
-    server.http_latency = engine.registry.histogram(
-        "repro_http_request_seconds",
-        "HTTP handler latency by (normalized) endpoint.",
-        labels=("endpoint",))
-    server.http_requests = engine.registry.counter(
-        "repro_http_requests_total",
-        "HTTP requests served, by endpoint and status code.",
-        labels=("endpoint", "code"))
-    server.shed_total = engine.registry.counter(
-        "repro_http_shed_total",
-        "Requests shed by admission control (429), by endpoint.",
-        labels=("endpoint",))
-    engine.registry.gauge(
-        "repro_http_inflight_requests",
-        "Requests currently inside the HTTP handler.",
-        fn=lambda: float(server.inflight))
     engine.registry.gauge(
         "repro_admission_queue_depth",
         "Unfinished jobs counted against the admission bound.",
         fn=lambda: float(engine.queue_depth()))
-    server.loop_lag = engine.registry.histogram(
-        "repro_event_loop_lag_seconds",
-        "Asyncio event-loop scheduling lag measured by a periodic probe.",
-        buckets=PAUSE_BUCKETS)
     return server
 
 
@@ -337,7 +300,7 @@ def run_server(server: AsyncHTTPHost, engine: Engine) -> None:
     """Run a bound server until interrupted, then drain the engine."""
     bound_host, bound_port = server.server_address[:2]
     print(f"repro.service listening on http://{bound_host}:{bound_port} "
-          f"[node {getattr(server, 'node_name', '?')}, "
+          f"[node {server.node_name}, "
           f"{engine.scheduler.max_workers} workers] "
           f"(POST /v1/jobs, GET /v1/jobs/<id>, /v1/stats, /v1/healthz)")
     try:

@@ -108,15 +108,13 @@ def narrow_order(order: np.ndarray) -> np.ndarray:
 
 
 def encode_tree(value: Dict[str, Any]) -> Tuple[Meta, Arrays]:
-    """Codec for the tree tier: ``{"order": (n,) int32, "counters": dict |
-    None}``, the order as :func:`narrow_order` holds it.
+    """Codec for the tree tier: ``{"order": (n,) int32}``, the order as
+    :func:`narrow_order` holds it.
 
-    The cached construction-phase counters ride in the metadata so a warm
-    tree replays the exact work numbers of its original build — keeping
-    warm results byte-identical to cold ones.
+    A build from the order records the cold build's work counters, so
+    none are stored.
     """
-    return ({"tier": "tree", "counters": value.get("counters")},
-            {"order": np.ascontiguousarray(value["order"])})
+    return {"tier": "tree"}, {"order": np.ascontiguousarray(value["order"])}
 
 
 def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
@@ -130,7 +128,8 @@ def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
     while trees could block several points per leaf carry ``leaf_start`` /
     ``leaf_count`` arrays; they decode when those are ``arange`` /
     ``ones`` (one point per leaf), and any other leaf layout raises
-    :class:`InvalidInputError`.
+    :class:`InvalidInputError`.  The ``counters`` older blobs carry in
+    their metadata are ignored.
     """
     order = arrays["order"]
     if (order.ndim != 1 or order.size == 0 or order.dtype.kind not in "iu"
@@ -143,7 +142,7 @@ def decode_tree(meta: Meta, arrays: Arrays) -> Dict[str, Any]:
         if name in arrays and not np.array_equal(arrays[name], one_point):
             raise InvalidInputError(
                 f"tree blob {name} is not one point per leaf")
-    return {"order": narrow_order(order), "counters": meta.get("counters")}
+    return {"order": narrow_order(order)}
 
 
 @dataclass(frozen=True)

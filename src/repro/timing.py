@@ -12,7 +12,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 # Thread -> active-phase registry.  Every `PhaseTimer.phase()` entry pushes
 # the phase name onto the calling thread's stack and pops it on exit, so an
@@ -43,17 +43,6 @@ def _pop_phase() -> None:
         stack.pop()
     if not stack:
         _PHASE_STACKS.pop(ident, None)
-
-
-def active_phase(ident: int) -> Optional[str]:
-    """Innermost phase thread ``ident`` is executing, or ``None``."""
-    stack = _PHASE_STACKS.get(ident)
-    if not stack:
-        return None
-    try:
-        return stack[-1]
-    except IndexError:  # pragma: no cover - raced an exiting phase
-        return None
 
 
 def active_phases() -> Dict[int, str]:
@@ -120,13 +109,6 @@ class PhaseTimer:
     def get(self, name: str) -> float:
         """Accumulated seconds for ``name`` (0.0 if never entered)."""
         return self.totals.get(name, 0.0)
-
-    def merged_with(self, other: "PhaseTimer") -> "PhaseTimer":
-        """Return a new timer with phases of ``self`` and ``other`` summed."""
-        merged = PhaseTimer(dict(self.totals))
-        for name, seconds in other.totals.items():
-            merged.add(name, seconds)
-        return merged
 
     def as_dict(self) -> Dict[str, float]:
         """A copy of the phase table (phase name -> seconds)."""

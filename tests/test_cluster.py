@@ -29,6 +29,7 @@ from repro.errors import (
     ClusterError,
     InvalidInputError,
     NodeHTTPError,
+    NodeOverloadedError,
     NodeUnavailableError,
 )
 from repro.service import Engine, JobSpec, canonical_payload_bytes
@@ -697,6 +698,107 @@ class TestCoolOffReprobe:
         # The failed probe reset the clock: the node is freshly shunned.
         assert time.monotonic() - node.last_failure_at < 0.2
         assert router._reprobes_c.value(outcome="down") >= 1
+
+
+class _StubClient:
+    """A node client that answers every call with a canned document, or
+    raises ``fail`` from the calls named in ``failing`` (all if None)."""
+
+    DOCS = {
+        "healthz": {"status": "ok", "persistent": False},
+        "stats": {},
+        "metrics_json": {"families": {}},
+        "artifacts": {"artifacts": []},
+        "artifact": b"blob",
+        "traces": {"traces": [], "stats": None},
+        "archived_trace": {"trace_id": "tr-1"},
+        "profile": {"enabled": True, "samples": 0, "stacks": []},
+        "flush": {"status": "ok"},
+        "compact": {"status": "ok"},
+        "submit": {"job_id": "up-1", "status": "pending"},
+    }
+
+    def __init__(self, fail=None, failing=None):
+        self.fail = fail
+        self.failing = failing
+
+    def __getattr__(self, method):
+        def call(*args, **kwargs):
+            if self.fail is not None and (self.failing is None
+                                          or method in self.failing):
+                raise self.fail
+            return self.DOCS[method]
+        return call
+
+
+def _stub_router(target_client):
+    """A router over node ``a`` (``target_client``) and an always-answering
+    node ``b``; ``a`` is asked first by every sequential fan-out."""
+    router = ClusterRouter([Node("http://stub:1", name="a"),
+                            Node("http://stub:2", name="b")])
+    router.clients = {"a": target_client, "b": _StubClient()}
+    return router
+
+
+def _entry(entries, name="a"):
+    return next(e for e in entries if e.get("node", e.get("name")) == name)
+
+
+#: Each router fan-out, reduced to node ``a``'s part of its answer.
+FAN_OUTS = {
+    "healthz": lambda r: _entry(r.healthz()["nodes"]),
+    "stats": lambda r: _entry(r.stats()["nodes"]),
+    "metrics_json": lambda r: r.metrics_json()["nodes"]["a"],
+    "artifacts": lambda r: _entry(r.artifacts()["nodes"]),
+    "artifact": lambda r: {"served_by": r.artifact("result", "k" * 64)[1]},
+    "traces": lambda r: r.traces()["nodes"]["a"],
+    "trace": lambda r: {"served_by": r.trace("tr-1")[1]},
+    "profile": lambda r: r.profile()["nodes"]["a"],
+    "flush": lambda r: _entry(r.flush()["nodes"]),
+    "compact": lambda r: _entry(r.compact()["nodes"]),
+}
+
+NODE_ANSWERS = {
+    "ok": None,
+    "429": NodeOverloadedError("shed", retry_after=1.0),
+    "404": NodeHTTPError(404, "not here", error_code="not_found"),
+    "refused": NodeUnavailableError("connection refused"),
+}
+
+
+class TestNodeHealthPolicy:
+    """One policy for every call to a node: any HTTP answer (2xx, 4xx or
+    a 429 shed) marks it up; only a connection error, a timeout or a 5xx
+    marks it down."""
+
+    @pytest.mark.parametrize("answer", list(NODE_ANSWERS))
+    @pytest.mark.parametrize("fan_out", list(FAN_OUTS))
+    def test_every_fan_out_applies_the_policy(self, fan_out, answer):
+        router = _stub_router(_StubClient(NODE_ANSWERS[answer]))
+        node = router.ring.get("a")
+        if answer == "ok":
+            node.mark_down("an earlier failure")
+        entry = FAN_OUTS[fan_out](router)
+        assert node.healthy is (answer != "refused")
+        if fan_out == "healthz":
+            assert entry["reachable"] is (answer != "refused")
+        elif answer == "ok":
+            assert "error" not in entry
+            assert entry.get("served_by", "a") == "a"
+        else:
+            assert "error" in entry or entry["served_by"] == "b"
+
+    def test_a_node_shedding_traces_keeps_its_keys(self):
+        router = _stub_router(_StubClient())
+        spec = JobSpec.from_dict({"dataset": "Uniform100M2:100"})
+        points_fp = router.fingerprint(spec)
+        primary = router.ring.node_for(points_fp).name
+        router.clients[primary] = _StubClient(
+            NodeOverloadedError("shed", retry_after=1.0),
+            failing={"traces"})
+        assert "error" in router.traces()["nodes"][primary]
+        assert router._candidates(points_fp)[0].name == primary
+        assert router.submit(spec.to_dict())["node"] == primary
 
 
 @pytest.fixture

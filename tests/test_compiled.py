@@ -137,7 +137,7 @@ def edges(component, target_component):
 inner = next(t for t in range(1, n - 1) if left[t] < n - 1)
 cycle = changed(left, int(left[inner]), inner)
 bad_left = changed(left, 5, 10 ** 6)
-meta, blob = encode_tree({"order": good.order, "counters": None})
+meta, blob = encode_tree({"order": good.order})
 blob["order"] = changed(blob["order"], 3, 10 ** 6)
 position = np.zeros(n, dtype=np.int64)
 

@@ -8,7 +8,7 @@ from repro.bvh import build_bvh
 from repro.bvh.traversal import batched_nearest
 from repro.core.emst import emst
 from repro.kokkos.counters import CostCounters
-from repro.kokkos.costmodel import simulate_phases
+from repro.kokkos.costmodel import simulate_seconds
 from repro.kokkos.devices import A100, EPYC_7763_SEQ
 from repro.mst.boruvka import boruvka_graph
 from repro.mst.kruskal import kruskal
@@ -39,18 +39,18 @@ class TestCountersConsistency:
 
     def test_phase_pricing_sums(self, rng):
         result = emst(rng.random((300, 3)))
-        per_phase = simulate_phases(result.counters, A100)
-        total = sum(per_phase.values())
+        total = sum(simulate_seconds(counters, A100).seconds
+                    for counters in result.counters.values())
         merged = result.total_counters
         # Merging counters changes saturation (max_batch) only, which is
         # identical here, so the sum of phase prices ~ price of the merge.
-        from repro.kokkos.costmodel import simulate_seconds
         assert total == pytest.approx(
             simulate_seconds(merged, A100).seconds, rel=0.05)
 
     def test_sequential_pricing_phase_additive(self, rng):
         result = emst(rng.random((300, 3)))
-        per_phase = simulate_phases(result.counters, EPYC_7763_SEQ)
+        per_phase = {name: simulate_seconds(counters, EPYC_7763_SEQ).seconds
+                     for name, counters in result.counters.items()}
         assert all(v > 0 for v in per_phase.values())
         assert per_phase["mst"] > per_phase["tree"]
 

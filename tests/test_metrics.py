@@ -1,7 +1,5 @@
 """Tests for the rate metric (repro.metrics)."""
 
-import math
-
 import pytest
 
 from repro.metrics import (
@@ -11,8 +9,6 @@ from repro.metrics import (
     features_per_second,
     fleet_hit_rate,
     fleet_mfeatures_per_second,
-    fleet_histogram,
-    format_rate,
     hit_rate,
     jobs_per_second,
     mfeatures_per_second,
@@ -122,21 +118,6 @@ class TestSpeedup:
             speedup(1.0, 0.0)
 
 
-class TestFormatRate:
-    def test_small_one_decimal(self):
-        assert format_rate(0.74) == "0.7"
-
-    def test_large_integer(self):
-        assert format_rate(270.66) == "271"
-
-    def test_boundary(self):
-        assert format_rate(9.99) == "10.0"
-        assert format_rate(10.0) == "10"
-
-    def test_nan(self):
-        assert format_rate(math.nan) == "nan"
-
-
 class TestHistogram:
     def test_observe_buckets_and_totals(self):
         h = Histogram(bounds=(1.0, 2.0))
@@ -170,20 +151,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram().quantile(-0.1)
 
-    def test_merge_pools_counts(self):
-        a, b = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(9.0)
-        merged = a.merge(b)
-        assert merged is a
-        assert a.counts == [1, 1, 1]
-        assert a.count == 3
-
-    def test_merge_rejects_mismatched_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(1.0,)).merge(Histogram(bounds=(2.0,)))
-
     def test_dict_round_trip(self):
         h = Histogram(bounds=(0.1, 1.0))
         h.observe(0.05)
@@ -201,34 +168,3 @@ class TestHistogram:
             Histogram(bounds=(2.0, 1.0))
         with pytest.raises(ValueError):
             Histogram(bounds=(1.0, 1.0))
-
-
-class TestFleetHistogram:
-    def test_pools_rather_than_averages(self):
-        busy, idle = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
-        for _ in range(99):
-            busy.observe(0.5)
-        idle.observe(1.5)
-        pooled = fleet_histogram([busy, idle])
-        # 99 fast observations dominate the pooled median; averaging
-        # per-node quantiles would report ~1.0 instead.
-        assert pooled.quantile(0.5) < 1.0
-        assert pooled.count == 100
-
-    def test_inputs_are_not_mutated(self):
-        a, b = Histogram(bounds=(1.0,)), Histogram(bounds=(1.0,))
-        a.observe(0.5)
-        b.observe(0.5)
-        pooled = fleet_histogram([a, b])
-        assert pooled.count == 2
-        assert a.count == 1 and b.count == 1
-
-    def test_empty_fleet_uses_seed_bounds(self):
-        pooled = fleet_histogram([], bounds=(0.5, 5.0))
-        assert pooled.bounds == (0.5, 5.0)
-        assert pooled.count == 0
-
-    def test_mismatched_bounds_raise(self):
-        with pytest.raises(ValueError):
-            fleet_histogram([Histogram(bounds=(1.0,)),
-                             Histogram(bounds=(2.0,))])

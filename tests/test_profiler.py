@@ -33,7 +33,6 @@ from repro.service import Engine, JobSpec, canonical_payload_bytes
 from repro.store import EncodedPayload
 from repro.timing import (
     PhaseTimer,
-    active_phase,
     active_phases,
     phase_registry_size,
 )
@@ -70,11 +69,11 @@ def _idle_thread(name="idler"):
 class TestPhaseRegistry:
     def test_phase_visible_while_active_and_gone_after(self):
         ident = threading.get_ident()
-        assert active_phase(ident) is None
+        assert active_phases().get(ident) is None
         before = phase_registry_size()
         with PhaseTimer().phase("mst"):
-            assert active_phase(ident) == "mst"
-        assert active_phase(ident) is None
+            assert active_phases().get(ident) == "mst"
+        assert active_phases().get(ident) is None
         assert phase_registry_size() == before
 
     def test_nested_phases_report_innermost(self):
@@ -82,16 +81,16 @@ class TestPhaseRegistry:
         timer = PhaseTimer()
         with timer.phase("compute"):
             with timer.phase("core"):
-                assert active_phase(ident) == "core"
-            assert active_phase(ident) == "compute"
-        assert active_phase(ident) is None
+                assert active_phases().get(ident) == "core"
+            assert active_phases().get(ident) == "compute"
+        assert active_phases().get(ident) is None
 
     def test_exception_still_pops(self):
         ident = threading.get_ident()
         with pytest.raises(RuntimeError):
             with PhaseTimer().phase("mst"):
                 raise RuntimeError("boom")
-        assert active_phase(ident) is None
+        assert active_phases().get(ident) is None
 
     def test_threads_are_isolated(self):
         entered, release = threading.Event(), threading.Event()
@@ -101,7 +100,7 @@ class TestPhaseRegistry:
         try:
             assert entered.wait(timeout=10)
             assert active_phases()[worker.ident] == "tree_build"
-            assert active_phase(threading.get_ident()) is None
+            assert active_phases().get(threading.get_ident()) is None
         finally:
             release.set()
             worker.join(timeout=10)
@@ -385,7 +384,7 @@ class TestEngineAttribution:
         original = EncodedPayload.encode.__func__
 
         def recording(cls, payload):
-            seen.append(active_phase(threading.get_ident()))
+            seen.append(active_phases().get(threading.get_ident()))
             return original(cls, payload)
 
         monkeypatch.setattr(EncodedPayload, "encode",

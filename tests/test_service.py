@@ -532,6 +532,29 @@ class TestExecutionBackends:
         assert canonical_payload_bytes(a) == canonical_payload_bytes(b)
         assert canonical_payload_bytes(a) != canonical_payload_bytes(c)
 
+    @pytest.mark.parametrize("config", list(TREE_CONFIGS))
+    @pytest.mark.parametrize("source", ["Uniform100M2:3000", "Hacc37M:3000",
+                                        1, 2, 3])
+    def test_served_tree_counters_are_the_librarys(self, config, source):
+        """A served payload reports its one tree build's work, whether the
+        build was cold or rebuilt from the tree tier's cached order."""
+        config = SingleTreeConfig(**TREE_CONFIGS[config])
+        if isinstance(source, str):
+            from repro.data import generate_from_spec
+            points = generate_from_spec(source)
+            spec = JobSpec(dataset=source, config=config)
+        else:
+            points = np.random.default_rng(source).random((source, 3))
+            spec = JobSpec(points=points, config=config)
+        library = emst(points, config=config).counters["tree"].as_dict()
+        with Engine(max_workers=1) as eng:
+            cold = eng.result(eng.submit(spec), timeout=120)
+            eng.flush("result")
+            hit = eng.result(eng.submit(spec), timeout=120)
+        assert not cold.cache["tree_hit"] and hit.cache["tree_hit"]
+        assert cold.payload["counters"]["tree"] == library
+        assert hit.payload["counters"]["tree"] == library
+
 
 def _queue(sched, job_id, priority=0):
     """Submit a payload-less ticket to ``sched``; returns the ticket."""

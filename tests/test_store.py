@@ -53,9 +53,9 @@ TREE_ARRAYS = ("points", "order", "codes", "left", "right", "parent",
                "lo", "hi")
 
 
-def _tree_value(tree, counters):
-    """A tree-tier value: the tree's order plus its build counters."""
-    return {"order": tree.order, "counters": counters}
+def _tree_value(tree):
+    """A tree-tier value: the tree's order."""
+    return {"order": tree.order}
 
 
 def _tree_of(value, points):
@@ -143,10 +143,13 @@ class TestFingerprint:
 class TestBlob:
     def test_tree_codec_round_trip(self, uniform_3d):
         tree = build_tree(uniform_3d)
-        meta, arrays = encode_tree(_tree_value(tree, {"scalar_ops": 123}))
+        meta, arrays = encode_tree(_tree_value(tree))
+        assert meta == {"tier": "tree"}
         assert set(arrays) == {"order"}
         back = decode_tree(meta, arrays)
-        assert back["counters"] == {"scalar_ops": 123}
+        # Older blobs carry build counters in their metadata; ignored.
+        assert decode_tree({**meta, "counters": {"scalar_ops": 123}},
+                           arrays).keys() == back.keys() == {"order"}
         assert back["order"].dtype == np.int32
         assert np.array_equal(back["order"], tree.order)
         # The decoded order rebuilds the tree, which drives the solver to
@@ -167,8 +170,7 @@ class TestBlob:
         path = tmp_path / "tree.npz"
         with open(path, "wb") as fh:
             write_blob(fh, *encode_tree(
-                {"order": cold["tree_order"].astype(dtype),
-                 "counters": cold["tree_counters"]}))
+                {"order": cold["tree_order"].astype(dtype)}))
         value = decode_tree(*read_blob(str(path)))
         assert value["order"].dtype == np.int32
         key = combine_fingerprint(fingerprint_array(points), spec.tree_key())
@@ -181,7 +183,7 @@ class TestBlob:
 
     @pytest.mark.parametrize("name", list(BAD_ORDERS))
     def test_decode_rejects_a_bad_order(self, name):
-        meta, arrays = encode_tree({"order": np.arange(4), "counters": None})
+        meta, arrays = encode_tree({"order": np.arange(4)})
         assert decode_tree(meta, arrays)["order"].tolist() == [0, 1, 2, 3]
         with pytest.raises(InvalidInputError, match="not a permutation"):
             decode_tree(meta, {"order": BAD_ORDERS[name]})
@@ -304,8 +306,7 @@ class TestDiskStore:
     def test_round_trip_and_persistence(self, tmp_path, uniform_2d):
         root = str(tmp_path / "store")
         store = DiskStore(root)
-        meta, arrays = encode_tree(_tree_value(build_tree(uniform_2d),
-                                               {"ops": 7}))
+        meta, arrays = encode_tree(_tree_value(build_tree(uniform_2d)))
         assert store.put("tree", "a" * 64, meta, arrays)
         assert ("tree", "a" * 64) in store
 
@@ -313,7 +314,6 @@ class TestDiskStore:
         blob = reopened.get("tree", "a" * 64)
         assert blob is not None
         back = decode_tree(*blob)
-        assert back["counters"] == {"ops": 7}
         assert np.array_equal(
             emst(uniform_2d, bvh=_tree_of(back, uniform_2d)).edges,
             emst(uniform_2d).edges)
@@ -823,8 +823,7 @@ class TestServerWithStore:
         blobs = [_blocked_blob(build_tree(uniform_2d))]
         for order in BAD_ORDERS.values():
             buffer = io.BytesIO()
-            write_blob(buffer, *encode_tree({"order": order,
-                                             "counters": None}))
+            write_blob(buffer, *encode_tree({"order": order}))
             blobs.append(buffer.getvalue())
         for i, data in enumerate(blobs):
             url = f"{persistent_api}/v1/artifacts/tree/{i:02x}" + "c" * 62
@@ -965,7 +964,7 @@ class TestTreeOrder:
             assert result.status.value == "done", result.error
             value, source = eng.tree_cache.get_with_source(key)
             assert source == "memory"
-            assert set(value) == {"order", "counters"}
+            assert set(value) == {"order"}
             assert value["order"].dtype == np.int32
             assert value["order"].shape == (10_000,)
             assert eng.tree_cache.memory.size_of(key) <= 45_000
@@ -995,8 +994,7 @@ class TestTreeOrder:
             order[:2] = order[1::-1]
         key = combine_fingerprint(fingerprint_array(points), spec.tree_key())
         with Engine(max_workers=1) as eng:
-            eng.tree_cache.put(key, {"order": order,
-                                     "counters": cold["tree_counters"]})
+            eng.tree_cache.put(key, {"order": order})
             result = eng.result(eng.submit(spec), timeout=120)
             assert result.status.value == "done", result.error
             assert not result.cache["tree_hit"]
@@ -1033,8 +1031,7 @@ class TestTreeOrder:
             "key = combine_fingerprint(fingerprint_array(pts), "
             "spec.tree_key())\n"
             "with Engine(max_workers=1) as eng:\n"
-            "    eng.tree_cache.put(key, {'order': order,\n"
-            "                             'counters': cold['tree_counters']})\n"
+            "    eng.tree_cache.put(key, {'order': order})\n"
             "    result = eng.result(eng.submit(spec), timeout=120)\n"
             "    print(result.status.value, result.cache['tree_hit'],\n"
             "          canon(result.payload) == canon(cold['payload']),\n"
@@ -1096,7 +1093,7 @@ class TestBlobFormatCompatibility:
         assert cache.memory.size_of("aa" * 32) == value.nbytes
 
     def test_tree_blob_is_written_without_leaf_arrays(self, uniform_2d):
-        meta, arrays = encode_tree(_tree_value(build_tree(uniform_2d), None))
+        meta, arrays = encode_tree(_tree_value(build_tree(uniform_2d)))
         assert "leaf_size" not in meta
         assert set(arrays) == {"order"}
 

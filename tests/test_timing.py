@@ -46,15 +46,6 @@ class TestPhaseTimer:
     def test_get_missing_is_zero(self):
         assert PhaseTimer().get("nope") == 0.0
 
-    def test_merged_with(self):
-        a = PhaseTimer({"x": 1.0})
-        b = PhaseTimer({"x": 2.0, "y": 3.0})
-        merged = a.merged_with(b)
-        assert merged.get("x") == 3.0
-        assert merged.get("y") == 3.0
-        # Originals untouched.
-        assert a.get("x") == 1.0
-
     def test_as_dict_is_copy(self):
         timer = PhaseTimer({"x": 1.0})
         d = timer.as_dict()

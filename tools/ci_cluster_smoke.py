@@ -22,7 +22,7 @@ Asserted invariants:
   (:func:`repro.service.jobs.canonical_payload_bytes`, wall-clock phases
   stripped) — dispatch must never change answers;
 * **warm-tier pinning survives**: a re-submitted point set lands on the
-  same (surviving) node the ring pinned it to — observed through the
+  same (surviving) node placement pinned it to — observed through the
   router's ``X-Repro-Node`` header — and is answered as a result-tier
   hit;
 * **traces record the failure path**: every routed result carries a span
@@ -30,7 +30,11 @@ Asserted invariants:
   touched by the kill shows the dead node in its history (a ``route``
   hop that ended ``unavailable``, or a ``lost`` marker before the
   recovery hop) — while the canonical payload bytes stay trace-free;
-* the router's health document reports the degraded fleet (2/3 up).
+* the router's health document reports the degraded fleet (2/3 up), and
+  after the router's fan-out diagnostics (``/v1/traces``,
+  ``/v1/metrics?format=json``, ``/v1/artifacts``) it still reports the
+  killed node unreachable and both survivors reachable and healthy —
+  the one node-health policy, on real sockets.
 
 **Phase 2 — replication (replicas=2, the PR 10 headline).**
 
@@ -234,7 +238,8 @@ def run_smoke(args):
               f"the recovery hop to a survivor")
 
         # Warm pinning: re-submit a point set whose serving node survived;
-        # the ring must send it back there and the result tier must answer.
+        # placement must send it back there and the result tier must
+        # answer.
         body, node, _result = next(
             (c for c in completions if c[1] != victim), None) or (
             None, None, None)
@@ -253,11 +258,26 @@ def run_smoke(args):
         print(f"ok: re-submitted point set pinned back to {node} and "
               f"answered from its warm result tier")
 
+        # Every fan-out applies the one node-health policy: the
+        # diagnostics below must neither revive the dead node nor mark a
+        # survivor down.
+        for path in ("/v1/traces", "/v1/metrics?format=json",
+                     "/v1/artifacts"):
+            _request(f"{base}{path}")
         health, _ = _request(f"{base}/v1/healthz")
         if health["status"] != "degraded" or health["nodes_up"] != 2:
             raise SystemExit(f"FAIL: router health should report 2/3 up, "
                              f"got {health['status']} "
                              f"{health['nodes_up']}/{health['nodes_total']}")
+        for entry in health["nodes"]:
+            alive = entry["name"] != victim
+            if entry["reachable"] is not alive \
+                    or entry["healthy"] is not alive:
+                raise SystemExit(f"FAIL: after the fan-out diagnostics, "
+                                 f"healthz reports {entry}")
+        print(f"ok: after traces/metrics/artifacts fan-outs, healthz "
+              f"reports {victim} unreachable and both survivors "
+              f"reachable and healthy")
         stats, _ = _request(f"{base}/v1/stats")
         print(f"ok: fleet degraded but serving "
               f"(failovers={stats['router']['failovers']}, "
@@ -340,7 +360,7 @@ def run_replicated_smoke(args):
 
         # Warm: run the full batch through the router, then wait for the
         # background replica queue to finish copying every finished
-        # job's artifacts to its second ring home.
+        # job's artifacts to its second home node.
         bodies = _mixed_batch()
         warmed = [(body, *_submit(base, body)) for body in bodies]
         victim = warmed[0][2]
