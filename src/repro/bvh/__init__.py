@@ -25,9 +25,9 @@ them, identical in every answer and every work counter: the
 ``compiled`` engine (:mod:`repro.bvh.compiled` — the single-pop loop in
 C, one lane at a time, the default wherever its library builds) and the
 single-pop NumPy ``reference`` oracle (:mod:`repro.bvh.reference`, the
-fallback without a C compiler).  Both take their scratch memory from a
-reusable :class:`TraversalWorkspace`.  Steps 2 and 3 and the Borůvka
-round steps of :mod:`repro.core` follow the same engine switch: C
+fallback without a C compiler); each call allocates its own stacks.
+One process-wide switch selects the engine of both kernels, of steps 2
+and 3 and of the Borůvka round steps of :mod:`repro.core`: C
 (``steps.c``, built into the same library) under ``compiled``, NumPy
 under ``reference``, with identical arrays and counters.
 """
@@ -43,7 +43,6 @@ from repro.bvh.traversal import (
     traversal_engine,
 )
 from repro.bvh.validate import check_bvh_invariants
-from repro.bvh.workspace import TraversalWorkspace
 
 __all__ = [
     "BVH",
@@ -55,7 +54,6 @@ __all__ = [
     "batched_nearest",
     "batched_knn",
     "check_bvh_invariants",
-    "TraversalWorkspace",
     "traversal_engine",
     "set_default_engine",
     "get_default_engine",

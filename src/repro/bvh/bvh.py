@@ -37,15 +37,12 @@ class BVH:
 
     points: np.ndarray
     order: np.ndarray
-    codes: np.ndarray
     left: np.ndarray
     right: np.ndarray
     parent: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     schedule: List[np.ndarray] = field(default_factory=list)
-    #: Low words of double-resolution Morton codes (None for 64-bit builds).
-    codes_lo: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -149,20 +146,18 @@ def build_bvh(points: np.ndarray, *, bits: Optional[int] = None,
         return BVH(
             points=sorted_points,
             order=order,
-            codes=codes,
             left=np.empty(0, dtype=np.int64),
             right=np.empty(0, dtype=np.int64),
             parent=np.array([-1], dtype=np.int64),
             lo=sorted_points.min(axis=0, keepdims=True),
             hi=sorted_points.max(axis=0, keepdims=True),
             schedule=[],
-            codes_lo=codes_lo,
         )
 
     left, right, parent = karras_hierarchy(codes, counters,
                                            codes_lo=codes_lo)
     schedule = bottom_up_schedule(left, right, n)
     lo, hi = refit_bounds(sorted_points, left, right, schedule, counters)
-    return BVH(points=sorted_points, order=order, codes=codes,
+    return BVH(points=sorted_points, order=order,
                left=left, right=right, parent=parent,
-               lo=lo, hi=hi, schedule=schedule, codes_lo=codes_lo)
+               lo=lo, hi=hi, schedule=schedule)

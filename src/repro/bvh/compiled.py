@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.bvh.bvh import BVH
 from repro.bvh.query import KnnResult, NearestResult, validate_query_points
-from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import ConvergenceError, InvalidInputError
 from repro.kokkos.counters import CostCounters
 
@@ -107,13 +106,12 @@ class _Nearest(ctypes.Structure):
                 ("query_labels", _P), ("node_labels", _P),
                 ("query_ids", _P), ("point_ids", _P),
                 ("query_core_sq", _P), ("point_core_sq", _P),
-                ("exclude", _P), ("best_pos", _P), ("best_sq", _P),
-                ("best_key", _P)]
+                ("best_pos", _P), ("best_sq", _P), ("best_key", _P)]
 
 
 class _Knn(ctypes.Structure):
-    _fields_ = [("queries", _P), ("k", _I64), ("exclude", _P),
-                ("kbest", _P), ("kpos", _P)]
+    _fields_ = [("queries", _P), ("k", _I64), ("kbest", _P),
+                ("kpos", _P)]
 
 
 # ------------------------------------------------------------------ build
@@ -316,8 +314,7 @@ def _ptr(arr: Optional[np.ndarray]) -> Optional[int]:
     return None if arr is None else arr.ctypes.data
 
 
-def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace],
-          threads: int) -> _Tree:
+def _tree(bvh: BVH, threads: int) -> _Tree:
     """The tree struct, with a stack row per thread; it holds the arrays
     it points into."""
     n, d = bvh.n, bvh.dim
@@ -325,9 +322,8 @@ def _tree(bvh: BVH, workspace: Optional[TraversalWorkspace],
     if nodes >= 2 ** 31:
         raise InvalidInputError("tree too large for 32-bit node ids")
     depth = max(bvh.height + 2, 4)
-    ws = workspace if workspace is not None else TraversalWorkspace()
-    stack = ws.take("compiled_stack", threads * depth, np.int32)
-    bound = ws.take("compiled_bound", threads * depth, np.float64)
+    stack = np.empty(threads * depth, dtype=np.int32)
+    bound = np.empty(threads * depth, dtype=np.float64)
     arrays = [_array(bvh.points, np.float64, (n, d), "points"),
               _array(bvh.lo, np.float64, (nodes, d), "lo"),
               _array(bvh.hi, np.float64, (nodes, d), "hi"),
@@ -367,9 +363,7 @@ def nearest_compiled(
     point_ids: Optional[np.ndarray] = None,
     query_core_sq: Optional[np.ndarray] = None,
     point_core_sq: Optional[np.ndarray] = None,
-    exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> NearestResult:
     """Constrained nearest neighbor: the reference loop, compiled."""
     lib = library()
@@ -401,17 +395,15 @@ def nearest_compiled(
     if query_core_sq is not None:
         cores = (_array(query_core_sq, np.float64, (B,), "query_core_sq"),
                  _array(point_core_sq, np.float64, (n,), "point_core_sq"))
-    exclude = (None if exclude_position is None else
-               _array(exclude_position, np.int64, (B,), "exclude_position"))
     best_pos = np.empty(B, dtype=np.int64)
     best_sq = np.empty(B, dtype=np.float64)
     best_key = np.empty(B, dtype=np.uint64)
 
     args = _Nearest(*(_ptr(a) for a in (
-        queries, radius, *labels, *ids, *cores, exclude,
+        queries, radius, *labels, *ids, *cores,
         best_pos, best_sq, best_key)))
     with _lease(B) as threads:
-        tree = _tree(bvh, workspace, threads)
+        tree = _tree(bvh, threads)
         _run(lib.repro_nearest, tree, args, B, counters, threads)
     return NearestResult(best_pos, best_sq, best_key)
 
@@ -421,9 +413,7 @@ def knn_compiled(
     query_points: np.ndarray,
     k: int,
     *,
-    exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> KnnResult:
     """k nearest neighbors: the reference loop, compiled."""
     lib = library()
@@ -431,15 +421,12 @@ def knn_compiled(
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     B = queries.shape[0]
-    exclude = (None if exclude_position is None else
-               _array(exclude_position, np.int64, (B,), "exclude_position"))
     kbest = np.empty((B, k), dtype=np.float64)
     kpos = np.empty((B, k), dtype=np.int64)
 
-    args = _Knn(_ptr(queries), int(k), _ptr(exclude), _ptr(kbest),
-                _ptr(kpos))
+    args = _Knn(_ptr(queries), int(k), _ptr(kbest), _ptr(kpos))
     with _lease(B) as threads:
-        tree = _tree(bvh, workspace, threads)
+        tree = _tree(bvh, threads)
         _run(lib.repro_knn, tree, args, B, counters, threads)
     return KnnResult(kpos, kbest)
 

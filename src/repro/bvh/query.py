@@ -160,16 +160,6 @@ def merge_k_best(kbest: np.ndarray, kpos: np.ndarray, lane: np.ndarray,
     kpos[row_ids] = merged_p[take, sel]
 
 
-def single_leaf_excluded(bvh: BVH, node: np.ndarray, leaf_mask: np.ndarray,
-                         excl: np.ndarray) -> np.ndarray:
-    """Mask of nodes that are the leaf of the excluded position.
-
-    ``traverse.c`` applies the same rule: the admissibility test must stay
-    identical for the byte-identity contract.
-    """
-    return leaf_mask & (node - bvh.leaf_base == excl)
-
-
 def segment_ranks(sorted_groups: np.ndarray) -> np.ndarray:
     """0-based rank of each element within its (pre-sorted) group run."""
     size = sorted_groups.size

@@ -9,10 +9,9 @@ the same adversarial inputs and assert identical answers and counters —
 and the engine a host without a C compiler runs.
 
 Each leaf holds one point, so a leaf carries its point's component label
-in ``node_labels`` and the leaf of an excluded position is skipped at the
-node level, like any rejected child.  Only the lone leaf of a one-point
-tree is evaluated without those node tests, so leaf evaluation checks the
-exclusion itself, before the distance counts.
+in ``node_labels`` and a leaf of the query's own component is skipped at
+the node level, like any rejected child; singleton labels keep a query
+from finding itself.
 """
 
 from __future__ import annotations
@@ -28,22 +27,16 @@ from repro.bvh.query import (
     NearestResult,
     merge_k_best,
     pair_keys,
-    single_leaf_excluded,
     update_nearest_best,
     validate_query_points,
 )
-from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import InvalidInputError
 from repro.geometry.distance import point_box_sq, points_sq
 from repro.kokkos.counters import CostCounters, WarpTrace
 
 
-def _alloc_stack(bvh: BVH, batch: int,
-                 workspace: Optional[TraversalWorkspace]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+def _alloc_stack(bvh: BVH, batch: int) -> Tuple[np.ndarray, np.ndarray]:
     depth = max(bvh.height + 2, 4)
-    if workspace is not None:
-        return workspace.stack_for(batch, depth)
     stack = np.zeros((batch, depth), dtype=np.int32)
     sp = np.zeros(batch, dtype=np.int64)
     return stack, sp
@@ -60,9 +53,7 @@ def nearest_reference(
     point_ids: Optional[np.ndarray] = None,
     query_core_sq: Optional[np.ndarray] = None,
     point_core_sq: Optional[np.ndarray] = None,
-    exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> NearestResult:
     """Constrained nearest neighbor, one popped node per lane per step."""
     query_points = validate_query_points(bvh, query_points)
@@ -96,12 +87,6 @@ def nearest_reference(
         """Exact evaluation of the leaves ``leaf_nodes`` for lanes ``lane``."""
         local.leaf_visits += lane.size
         ppos = leaf_nodes - leaf_base
-        if exclude_position is not None:
-            ok = ppos != exclude_position[lane]
-            lane = lane[ok]
-            ppos = ppos[ok]
-        if lane.size == 0:
-            return
         d = points_sq(query_points[lane], bvh.points[ppos])
         if use_mrd:
             d = np.maximum(d, query_core_sq[lane])
@@ -131,7 +116,7 @@ def nearest_reference(
             eval_leaves(sub, np.zeros(sub.size, dtype=np.int64))
         return NearestResult(best_pos, best_sq, best_key)
 
-    stack, sp = _alloc_stack(bvh, B, workspace)
+    stack, sp = _alloc_stack(bvh, B)
     stack[:, 0] = 0  # root
     sp[:] = 1
     if use_labels:
@@ -190,10 +175,6 @@ def nearest_reference(
 
         leaf_l = l_child >= leaf_base
         leaf_r = r_child >= leaf_base
-        if exclude_position is not None:
-            excl = exclude_position[lanes]
-            ok_l &= ~single_leaf_excluded(bvh, l_child, leaf_l, excl)
-            ok_r &= ~single_leaf_excluded(bvh, r_child, leaf_r, excl)
 
         take_l = ok_l & leaf_l
         if np.any(take_l):
@@ -228,9 +209,7 @@ def knn_reference(
     query_points: np.ndarray,
     k: int,
     *,
-    exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> KnnResult:
     """k nearest neighbors, one popped node per lane per step."""
     query_points = validate_query_points(bvh, query_points)
@@ -250,12 +229,6 @@ def knn_reference(
     def eval_leaves(lane: np.ndarray, leaf_nodes: np.ndarray) -> None:
         local.leaf_visits += lane.size
         ppos = leaf_nodes - leaf_base
-        if exclude_position is not None:
-            ok = ppos != exclude_position[lane]
-            lane = lane[ok]
-            ppos = ppos[ok]
-        if lane.size == 0:
-            return
         d = points_sq(query_points[lane], bvh.points[ppos])
         local.distance_evals += lane.size
         improving = d < kbest[lane, -1]
@@ -271,7 +244,7 @@ def knn_reference(
                     np.zeros(B, dtype=np.int64))
         return KnnResult(kpos, kbest)
 
-    stack, sp = _alloc_stack(bvh, B, workspace)
+    stack, sp = _alloc_stack(bvh, B)
     stack[:, 0] = 0
     sp[:] = 1
     left, right = bvh.left, bvh.right
@@ -310,10 +283,6 @@ def knn_reference(
         ok_r = dr <= rad
         leaf_l = l_child >= leaf_base
         leaf_r = r_child >= leaf_base
-        if exclude_position is not None:
-            excl = exclude_position[lanes]
-            ok_l &= ~single_leaf_excluded(bvh, l_child, leaf_l, excl)
-            ok_r &= ~single_leaf_excluded(bvh, r_child, leaf_r, excl)
 
         take_l = ok_l & leaf_l
         if np.any(take_l):

@@ -12,12 +12,12 @@ Two engines implement the kernels:
   against and as the engine for hosts without a C compiler.
 
 Both give the same answer to every query and the same count in every
-work counter.  The LBVH build and the Borůvka round steps follow the
-resolved engine too (:func:`repro.bvh.compiled.selected`).
+work counter.  Every kernel call, the LBVH build and the Borůvka round
+steps run on the resolved engine (:func:`repro.bvh.compiled.selected`).
 
 The process default is resolved once, on first use: ``"compiled"`` when
-its library builds and loads, else ``"reference"``.  Select per call with
-``engine=`` or process-wide with :func:`set_default_engine` / the
+its library builds and loads, else ``"reference"``.  Select another
+process-wide with :func:`set_default_engine` or the
 :func:`traversal_engine` context manager.
 
 The nearest-neighbor kernel supports every constraint the single-tree EMST
@@ -52,11 +52,10 @@ from repro.bvh.query import (  # noqa: F401 — public re-exports
     NearestResult,
     pair_keys,
 )
-from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 
-#: The engines a traversal call can dispatch to.
+#: The engines :func:`set_default_engine` accepts.
 ENGINES = ("compiled", "reference")
 
 #: The process default; ``None`` until :func:`get_default_engine`
@@ -81,7 +80,7 @@ def set_default_engine(engine: str) -> str:
 
 
 def get_default_engine() -> str:
-    """The engine used when a call passes ``engine=None``.
+    """The engine every kernel call, build and round step runs on.
 
     The first call of the process resolves it: ``"compiled"`` when the
     library builds (or is cached) and loads, else ``"reference"``.
@@ -103,15 +102,6 @@ def traversal_engine(engine: str):
         set_default_engine(previous)
 
 
-def _resolve(engine: Optional[str]) -> str:
-    if engine is None:
-        return get_default_engine()
-    if engine not in ENGINES:
-        raise InvalidInputError(
-            f"unknown traversal engine {engine!r}; use one of {ENGINES}")
-    return engine
-
-
 def batched_nearest(
     bvh: BVH,
     query_points: np.ndarray,
@@ -123,10 +113,7 @@ def batched_nearest(
     point_ids: Optional[np.ndarray] = None,
     query_core_sq: Optional[np.ndarray] = None,
     point_core_sq: Optional[np.ndarray] = None,
-    exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    engine: Optional[str] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> NearestResult:
     """Constrained nearest neighbor for a batch of queries (Algorithm 2).
 
@@ -138,7 +125,8 @@ def batched_nearest(
         Component constraint.  When given, a neighbor is admissible only if
         its label differs from the query's, and any subtree whose
         ``node_labels`` entry equals the query label is skipped; the leaf
-        slice of ``node_labels`` holds the points' own labels.
+        slice of ``node_labels`` holds the points' own labels.  Singleton
+        labels exclude each query's own point.
     init_radius_sq:
         Per-query initial squared cutoff radius (``inf`` when omitted).
     query_ids / point_ids:
@@ -146,14 +134,8 @@ def batched_nearest(
         the first-found neighbor (plain NN semantics).
     query_core_sq / point_core_sq:
         Squared core distances enabling the mutual-reachability metric.
-    exclude_position:
-        Per-query sorted position to never report (self-exclusion for
-        queries drawn from the indexed set, without the label machinery).
     counters:
         Work accounting (node visits, distance evals, warp steps).
-    engine / workspace:
-        Kernel engine selection (``None`` = process default) and a
-        reusable :class:`~repro.bvh.workspace.TraversalWorkspace`.
 
     Returns positions in *sorted* order; ``position == -1`` where no
     admissible neighbor exists within the initial radius.
@@ -163,10 +145,8 @@ def batched_nearest(
         init_radius_sq=init_radius_sq,
         query_ids=query_ids, point_ids=point_ids,
         query_core_sq=query_core_sq, point_core_sq=point_core_sq,
-        exclude_position=exclude_position, counters=counters,
-        workspace=workspace)
-    engine = _resolve(engine)
-    if engine == "compiled":
+        counters=counters)
+    if _compiled.selected():
         return _compiled.nearest_compiled(bvh, query_points, **kwargs)
     return _reference.nearest_reference(bvh, query_points, **kwargs)
 
@@ -176,22 +156,15 @@ def batched_knn(
     query_points: np.ndarray,
     k: int,
     *,
-    exclude_position: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    engine: Optional[str] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> KnnResult:
     """k nearest neighbors for each query (used for HDBSCAN* core distances).
 
-    Note the paper's core distance counts the point itself; callers querying
-    the indexed set should therefore *not* exclude self and the ``k``-th
-    column includes the zero self-distance.
+    The paper's core distance counts the point itself, so over the indexed
+    set the ``k``-th column includes the zero self-distance.
     """
-    engine = _resolve(engine)
-    if engine == "compiled":
-        return _compiled.knn_compiled(
-            bvh, query_points, k, exclude_position=exclude_position,
-            counters=counters, workspace=workspace)
-    return _reference.knn_reference(
-        bvh, query_points, k, exclude_position=exclude_position,
-        counters=counters, workspace=workspace)
+    if _compiled.selected():
+        return _compiled.knn_compiled(bvh, query_points, k,
+                                      counters=counters)
+    return _reference.knn_reference(bvh, query_points, k,
+                                    counters=counters)

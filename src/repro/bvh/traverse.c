@@ -7,9 +7,9 @@
  *   - a popped node is re-tested against the lane's cutoff as of the pop;
  *   - both children are bounded, then kept only if the bound is within
  *     the cutoff (raised to the query's core distance under the
- *     mutual-reachability metric), the child's component label differs
- *     from the query's, and the child is not the leaf of the excluded
- *     point (every leaf holds one point, and carries its label);
+ *     mutual-reachability metric) and the child's component label differs
+ *     from the query's (every leaf holds one point, and carries its
+ *     label, so singleton labels keep a query from finding itself);
  *   - a kept left leaf is evaluated before a kept right leaf, then the
  *     kept inner children are pushed: far first and near on top;
  *   - each lane counts its steps, and a warp of 32 consecutive lanes is
@@ -18,9 +18,9 @@
  *
  * Two shortcuts change no value and no count: a pushed child's box
  * distance is kept beside it on the stack, so the pop re-test compares
- * the very value the reference recomputes, and a child the label or
- * exclusion rule rejects is not bounded at all.  Both still count the box
- * distance evaluations the reference makes.
+ * the very value the reference recomputes, and a child the label rule
+ * rejects is not bounded at all.  Both still count the box distance
+ * evaluations the reference makes.
  *
  * Threads: both kernels hand their lanes out in blocks of 8 whole
  * warps (256 lanes) through an atomic counter, to the calling thread
@@ -102,7 +102,6 @@ typedef struct {
     const uint64_t *point_ids;    /* (n,) */
     const double *query_core_sq;  /* (B,) or NULL: Euclidean metric */
     const double *point_core_sq;  /* (n,) */
-    const int64_t *exclude;       /* (B,) or NULL: no self-exclusion */
     int64_t *best_pos;            /* (B,) outputs */
     double *best_sq;
     uint64_t *best_key;
@@ -111,7 +110,6 @@ typedef struct {
 typedef struct {
     const double *queries;  /* (B, dim) */
     int64_t k;
-    const int64_t *exclude; /* (B,) or NULL */
     double *kbest;          /* (B, k) outputs, ascending */
     int64_t *kpos;
 } knn_t;
@@ -156,13 +154,6 @@ INLINE int children(const tree_t *t, int64_t node, int64_t *l, int64_t *r)
     if (*l < 1 || *l >= n_nodes || *r < 1 || *r >= n_nodes)
         return TRV_BAD_CHILD;
     return TRV_OK;
-}
-
-/* The leaf of the excluded position (query.py's single_leaf_excluded). */
-INLINE int single_excluded(const tree_t *t, int64_t node, int64_t excl)
-{
-    int64_t p = node - (t->n - 1);
-    return p >= 0 && p == excl;
 }
 
 /* Put the root on an empty stack; like the reference, not a stack op. */
@@ -231,16 +222,13 @@ typedef struct {
 } best_t;
 
 /* Evaluate the leaf of sorted position p.  The node tests already
- * applied the label and exclusion rules, except to the lone leaf of a
- * one-point tree, which the exclusion check here covers.  The cutoff
- * test stays: under the m.r.d. metric the point's core distance can lift
- * d above the box bound the node test compared. */
+ * applied the label rule.  The cutoff test stays: under the m.r.d.
+ * metric the point's core distance can lift d above the box bound the
+ * node test compared. */
 INLINE void nearest_leaf(const tree_t *t, const nearest_t *a, int64_t lane,
                          const double *q, int64_t p, best_t *b, work_t *w)
 {
     w->leaf_visits++;
-    if (a->exclude && p == a->exclude[lane])
-        return;
     w->distance_evals++;
     double d = point_sq(t, q, p);
     if (a->query_core_sq) {
@@ -272,7 +260,6 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
     const int use_labels = a->query_labels != NULL;
     const int64_t qlab = use_labels ? a->query_labels[lane] : 0;
     const double qcore = a->query_core_sq ? a->query_core_sq[lane] : 0.0;
-    const int64_t excl = a->exclude ? a->exclude[lane] : 0;
     best_t b = {a->init_radius_sq ? a->init_radius_sq[lane] : INFINITY,
                 INFINITY, -1, NO_KEY};
     int64_t sp = 0;
@@ -301,10 +288,6 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
         if (use_labels) {
             ok_l = a->node_labels[l] != qlab;
             ok_r = a->node_labels[r] != qlab;
-        }
-        if (a->exclude) {
-            ok_l = ok_l && !single_excluded(t, l, excl);
-            ok_r = ok_r && !single_excluded(t, r, excl);
         }
         double dl = 0.0, dr = 0.0;
         w->box_distance_evals += 2;
@@ -338,8 +321,6 @@ INLINE void knn_leaf(const tree_t *t, const knn_t *a, int64_t lane,
 {
     const int64_t k = a->k;
     w->leaf_visits++;
-    if (a->exclude && p == a->exclude[lane])
-        return;
     w->distance_evals++;
     double d = point_sq(t, q, p);
     if (!(d < kb[k - 1]))
@@ -360,7 +341,6 @@ INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
 {
     const double *q = a->queries + lane * t->dim;
     const int64_t leaf_base = t->n - 1, k = a->k;
-    const int64_t excl = a->exclude ? a->exclude[lane] : 0;
     double *kb = a->kbest + lane * k;
     int64_t *kp = a->kpos + lane * k;
     int64_t sp = 0;
@@ -389,10 +369,6 @@ INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
         w->box_distance_evals += 2;
         int ok_l = dl <= rad, ok_r = dr <= rad;
         const int leaf_l = l >= leaf_base, leaf_r = r >= leaf_base;
-        if (a->exclude) {
-            ok_l = ok_l && !single_excluded(t, l, excl);
-            ok_r = ok_r && !single_excluded(t, r, excl);
-        }
         if (ok_l && leaf_l)
             knn_leaf(t, a, lane, q, l - leaf_base, kb, kp, w);
         if (ok_r && leaf_r)

@@ -735,7 +735,7 @@ class ClusterRouter:
                     [s.get("busy_seconds", 0.0) for s in schedulers]),
                 "jobs_per_sec": sum(s.get("jobs_per_sec", 0.0)
                                     for s in schedulers),
-                "key_share": self.ring.key_share(1024),
+                "key_share": self.ring.key_share(),
             },
             "nodes": per_node,
         }
@@ -884,7 +884,7 @@ class ClusterRouter:
             "inflight_coalesce_keys": inflight,
             "metrics": self.registry.as_dict(),
             "healthz": self.healthz(),
-            "key_share": self.ring.key_share(1024),
+            "key_share": self.ring.key_share(),
         }
 
     # ----------------------------------------------------------------- admin

@@ -216,14 +216,14 @@ class HashRing:
         u = (stable_hash(f"{key}|{node.name}") + 0.5) / 2.0**64
         return -node.weight / math.log(u)
 
-    def key_share(self, samples: int = 4096) -> Dict[str, float]:
-        """Approximate fraction of the key space each node owns.
+    def key_share(self) -> Dict[str, float]:
+        """The fraction of the key space each node owns as primary.
 
-        Diagnostic (used by stats and tests): samples deterministic probe
-        keys and counts primaries.
+        Exact, with no probe keys: under the ``-weight / ln(u)`` score a
+        node outscores the rest with probability its weight over the
+        total weight (see :meth:`_rendezvous_score`).
         """
-        counts: Dict[str, int] = {}
-        for i in range(samples):
-            owner = self.node_for(f"probe-{i}")
-            counts[owner.name] = counts.get(owner.name, 0) + 1
-        return {name: count / samples for name, count in counts.items()}
+        with self._lock:
+            total = sum(node.weight for node in self._nodes.values())
+            return {name: node.weight / total
+                    for name, node in self._nodes.items()}

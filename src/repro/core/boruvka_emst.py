@@ -25,7 +25,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.bvh.bvh import BVH
-from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import ConvergenceError
 from repro.core.bounds import compute_upper_bounds
 from repro.core.labels import reduce_labels
@@ -92,16 +91,12 @@ def run_boruvka(
     config: SingleTreeConfig = SingleTreeConfig(),
     core_sq: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> BoruvkaOutput:
     """Execute Borůvka iterations until a single component remains.
 
     ``core_sq`` switches the metric to mutual reachability (squared core
     distances per sorted position).  Returned edges are sorted positions;
     :func:`repro.core.emst.emst` translates to caller indices.
-    ``workspace`` supplies reusable traversal scratch (stacks and stack
-    pointers); one is created — and reused across every round — when
-    omitted.
     """
     n = bvh.n
     if n == 1:
@@ -113,7 +108,6 @@ def run_boruvka(
         )
 
     counters = counters if counters is not None else CostCounters()
-    workspace = workspace if workspace is not None else TraversalWorkspace()
     labels = np.arange(n, dtype=np.int64)
     node_labels = np.empty(bvh.n_nodes, dtype=np.int64)
     num_components = n
@@ -152,7 +146,7 @@ def run_boruvka(
             extra_radius = np.where(valid, prev_d, np.inf)
         edges = find_components_outgoing_edges(
             bvh, labels, node_labels, upper,
-            core_sq=core_sq, counters=counters, workspace=workspace,
+            core_sq=core_sq, counters=counters,
             extra_radius_sq=extra_radius)
         prev_pos = edges.lane_position
         prev_d = edges.lane_distance_sq

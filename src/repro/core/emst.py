@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.bvh.bvh import BVH, build_bvh
 from repro.bvh.traversal import batched_knn
-from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import InvalidInputError
 from repro.core.boruvka_emst import (
     BoruvkaOutput,
@@ -177,7 +176,6 @@ def emst(
     config: SingleTreeConfig = SingleTreeConfig(),
     bvh: Optional[BVH] = None,
     check_tree: bool = True,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> EMSTResult:
     """Euclidean minimum spanning tree of ``points`` (the paper's algorithm).
 
@@ -186,9 +184,7 @@ def emst(
     phase is then reported as zero seconds and zero work.  ``check_tree``
     controls whether the injected tree's coordinates are verified against
     ``points`` (an O(n*d) pass); disable only when identity is guaranteed
-    by construction.  ``workspace`` supplies reusable traversal scratch —
-    the serving executor passes one per worker thread so consecutive jobs
-    skip stack reallocation.
+    by construction.
 
     Example
     -------
@@ -210,8 +206,7 @@ def emst(
         _check_injected_tree(points, bvh, check_tree)
         timer.add("tree", 0.0)
     with timer.phase("mst"):
-        output = run_boruvka(bvh, config=config, counters=mst_counters,
-                             workspace=workspace)
+        output = run_boruvka(bvh, config=config, counters=mst_counters)
     return _finalize(points, bvh, output, timer,
                      {"tree": tree_counters, "mst": mst_counters})
 
@@ -224,7 +219,6 @@ def mutual_reachability_emst(
     bvh: Optional[BVH] = None,
     check_tree: bool = True,
     core_sq: Optional[np.ndarray] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> EMSTResult:
     """MST under the mutual-reachability distance (HDBSCAN*, Section 4.5).
 
@@ -258,12 +252,9 @@ def mutual_reachability_emst(
     else:
         _check_injected_tree(points, bvh, check_tree)
         timer.add("tree", 0.0)
-    if workspace is None:
-        workspace = TraversalWorkspace()
     if core_sq is None:
         with timer.phase("core"):
-            knn = batched_knn(bvh, bvh.points, k_pts,
-                              counters=core_counters, workspace=workspace)
+            knn = batched_knn(bvh, bvh.points, k_pts, counters=core_counters)
             core_sorted = knn.kth_distance_sq.copy()
         core_caller = np.empty(points.shape[0], dtype=np.float64)
         core_caller[bvh.order] = core_sorted
@@ -281,7 +272,7 @@ def mutual_reachability_emst(
         core_sorted = core_caller[bvh.order]
     with timer.phase("mst"):
         output = run_boruvka(bvh, config=config, core_sq=core_sorted,
-                             counters=mst_counters, workspace=workspace)
+                             counters=mst_counters)
     result = _finalize(points, bvh, output, timer,
                        {"tree": tree_counters, "core": core_counters,
                         "mst": mst_counters})

@@ -78,7 +78,6 @@ def kdtree_as_bvh(points: np.ndarray, *,
         return BVH(
             points=points.copy(),
             order=np.arange(n, dtype=np.int64),
-            codes=np.arange(n, dtype=np.uint64),
             left=np.empty(0, dtype=np.int64),
             right=np.empty(0, dtype=np.int64),
             parent=np.array([-1], dtype=np.int64),
@@ -114,7 +113,6 @@ def kdtree_as_bvh(points: np.ndarray, *,
     return BVH(
         points=sorted_points,
         order=order,
-        codes=np.arange(n, dtype=np.uint64),  # synthetic, strictly sorted
         left=left,
         right=right,
         parent=parent,

@@ -19,7 +19,6 @@ import numpy as np
 from repro.bvh import compiled
 from repro.bvh.bvh import BVH
 from repro.bvh.traversal import NearestResult, batched_nearest
-from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import ConvergenceError
 from repro.kokkos.counters import CostCounters
 
@@ -56,7 +55,6 @@ def find_components_outgoing_edges(
     *,
     core_sq: Optional[np.ndarray] = None,
     counters: Optional[CostCounters] = None,
-    workspace: Optional[TraversalWorkspace] = None,
     extra_radius_sq: Optional[np.ndarray] = None,
 ) -> OutgoingEdges:
     """Shortest outgoing edge for every active component.
@@ -89,7 +87,6 @@ def find_components_outgoing_edges(
         query_core_sq=core_sq,
         point_core_sq=core_sq,
         counters=counters,
-        workspace=workspace,
     )
 
     if compiled.selected():

@@ -16,15 +16,13 @@ import numpy as np
 
 from repro.bvh.bvh import BVH, build_bvh
 from repro.bvh.traversal import batched_knn
-from repro.bvh.workspace import TraversalWorkspace
 from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 
 
 def core_distances_sq(points: np.ndarray, k_pts: int, *,
                       bvh: Optional[BVH] = None,
-                      counters: Optional[CostCounters] = None,
-                      workspace: Optional[TraversalWorkspace] = None
+                      counters: Optional[CostCounters] = None
                       ) -> np.ndarray:
     """*Squared* core distance of every point, in the caller's point order.
 
@@ -44,8 +42,7 @@ def core_distances_sq(points: np.ndarray, k_pts: int, *,
         raise InvalidInputError(f"k_pts={k_pts} out of range for n={n}")
     if bvh is None:
         bvh = build_bvh(points, counters=counters)
-    result = batched_knn(bvh, bvh.points, k_pts, counters=counters,
-                         workspace=workspace)
+    result = batched_knn(bvh, bvh.points, k_pts, counters=counters)
     out = np.empty(n, dtype=np.float64)
     out[bvh.order] = result.kth_distance_sq
     return out

@@ -8,7 +8,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.bvh.bvh import BVH
-from repro.bvh.workspace import TraversalWorkspace
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import EMSTResult, mutual_reachability_emst
 from repro.errors import InvalidInputError
@@ -59,7 +58,6 @@ def hdbscan(
     bvh: Optional[BVH] = None,
     check_tree: bool = True,
     core_sq: Optional[np.ndarray] = None,
-    workspace: Optional[TraversalWorkspace] = None,
 ) -> HDBSCANResult:
     """HDBSCAN* clustering (Campello et al. 2015; McInnes et al. 2017).
 
@@ -81,8 +79,7 @@ def hdbscan(
             f"min_cluster_size must be >= 2, got {min_cluster_size}")
 
     result = mutual_reachability_emst(points, k_pts, config=config, bvh=bvh,
-                                      check_tree=check_tree, core_sq=core_sq,
-                                      workspace=workspace)
+                                      check_tree=check_tree, core_sq=core_sq)
     timer = PhaseTimer(dict(result.phases))
     with timer.phase("linkage"):
         linkage = single_linkage_tree(n, result.edges[:, 0],

@@ -31,13 +31,11 @@ deterministic work numbers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.bvh.workspace import TraversalWorkspace
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, emst, mutual_reachability_emst
 from repro.errors import InvalidInputError
@@ -49,21 +47,6 @@ from repro.service.jobs import (
     hdbscan_result_to_dict,
 )
 from repro.timing import PhaseTimer
-
-#: Per-worker reusable traversal scratch.  A workspace is not thread safe,
-#: so each worker thread leases its own through :func:`_workspace`;
-#: consecutive jobs on the same worker then skip stack reallocation and
-#: the kernels' grow-only arenas stay warm.
-_WORKER_STATE = threading.local()
-
-
-def _workspace() -> TraversalWorkspace:
-    ws = getattr(_WORKER_STATE, "workspace", None)
-    if ws is None:
-        ws = TraversalWorkspace()
-        _WORKER_STATE.workspace = ws
-    return ws
-
 
 def make_exec_spec(spec: JobSpec, *,
                    points: Optional[np.ndarray] = None,
@@ -129,26 +112,22 @@ def execute_spec(exec_spec: Dict[str, Any]) -> Dict[str, Any]:
             bvh = build_tree(points, config=config, counters=tree_counters)
     tree_hit = tree_order is not None
     # check_tree=False: the tree was just built over these very points.
-    workspace = _workspace()
     with timer.phase("compute"):
         if algorithm == "emst":
-            computed = emst(points, config=config, bvh=bvh, check_tree=False,
-                            workspace=workspace)
+            computed = emst(points, config=config, bvh=bvh, check_tree=False)
             payload = emst_result_to_dict(computed)
             emst_result = computed
         elif algorithm == "mrd_emst":
             computed = mutual_reachability_emst(
                 points, exec_spec["k_pts"], config=config, bvh=bvh,
-                check_tree=False, core_sq=injected_core,
-                workspace=workspace)
+                check_tree=False, core_sq=injected_core)
             payload = emst_result_to_dict(computed)
             emst_result = computed
         elif algorithm == "hdbscan":
             computed = hdbscan(
                 points, min_cluster_size=exec_spec["min_cluster_size"],
                 k_pts=exec_spec["k_pts"], config=config,
-                bvh=bvh, check_tree=False, core_sq=injected_core,
-                workspace=workspace)
+                bvh=bvh, check_tree=False, core_sq=injected_core)
             payload = hdbscan_result_to_dict(computed)
             emst_result = computed.emst
         else:

@@ -4,9 +4,7 @@ Submitted jobs queue in one heap under one lock: higher priority first,
 FIFO within a priority.  ``max_workers`` threads named ``repro-worker-N``
 each pop the next ticket as soon as they are free, so a job waits only for
 a busy worker, never for a timer.  An arriving job wakes the most recently
-idled worker, so under light load one thread serves every job and
-per-thread runner state (the executor's traversal workspace) stays warm
-instead of being allocated once per worker.
+idled worker, so under light load one thread serves every job.
 
 Batching happens *inside* a job, as in the paper: one traversal launch
 covers every query point of a Borůvka round.  Separate jobs share no

@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 from repro.bvh import batched_knn, batched_nearest, build_bvh
 from repro.bvh.traversal import INVALID_LABEL, pair_keys
+from repro.core.labels import reduce_labels
 from repro.errors import InvalidInputError
 from repro.kokkos.counters import CostCounters
 from tests.conftest import finite_points
@@ -48,9 +49,11 @@ class TestNearest:
         assert np.allclose(res.distance_sq, 0.0)
 
     def test_exclude_position(self, world):
+        # Singleton labels keep each query from its own point.
         bvh, _ = world
-        res = batched_nearest(bvh, bvh.points,
-                              exclude_position=np.arange(bvh.n))
+        labels = np.arange(bvh.n)
+        res = batched_nearest(bvh, bvh.points, query_labels=labels,
+                              node_labels=reduce_labels(bvh, labels))
         d_ref, i_ref = cKDTree(bvh.points).query(bvh.points, k=2)
         assert np.allclose(np.sqrt(res.distance_sq), d_ref[:, 1])
         assert np.array_equal(res.position, i_ref[:, 1])
@@ -204,12 +207,6 @@ class TestKnn:
         bvh, queries = world
         res = batched_knn(bvh, queries, 6)
         assert np.all(np.diff(res.distance_sq, axis=1) >= 0)
-
-    def test_exclude_position(self, world):
-        bvh, _ = world
-        res = batched_knn(bvh, bvh.points, 2,
-                          exclude_position=np.arange(bvh.n))
-        assert np.all(res.distance_sq[:, 0] > 0)
 
     def test_rejects_bad_k(self, world):
         bvh, queries = world

@@ -77,16 +77,23 @@ class TestHashRing:
     def test_shares_are_roughly_balanced(self):
         ring = HashRing([Node(f"http://h:{i}", name=f"n{i}")
                          for i in range(4)])
-        share = ring.key_share(4096)
-        assert set(share) == {"n0", "n1", "n2", "n3"}
-        for fraction in share.values():
-            assert 0.10 <= fraction <= 0.45  # ideal 0.25
+        assert ring.key_share() == {"n0": 0.25, "n1": 0.25, "n2": 0.25,
+                                    "n3": 0.25}
 
     def test_weight_scales_share(self):
         ring = HashRing([Node("http://h:0", name="heavy", weight=3.0),
                          Node("http://h:1", name="light", weight=1.0)])
-        share = ring.key_share(4096)
-        assert share["heavy"] > 2 * share["light"]
+        assert ring.key_share() == {"heavy": 0.75, "light": 0.25}
+
+    @pytest.mark.parametrize("weights", [(3, 1), (1, 1, 1, 1), (1, 2, 5)])
+    def test_primaries_follow_the_key_share(self, weights):
+        ring = HashRing([Node(f"http://h:{i}", name=f"n{i}", weight=w)
+                         for i, w in enumerate(weights)])
+        keys = _keys(10_000)
+        owners = list(_owners(ring, keys).values())
+        for name, share in ring.key_share().items():
+            assert abs(owners.count(name) / len(keys) - share) <= 0.015, \
+                (weights, name)
 
     def test_adding_a_node_moves_bounded_keys(self):
         nodes = [Node(f"http://h:{i}", name=f"n{i}") for i in range(4)]

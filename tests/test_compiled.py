@@ -10,6 +10,7 @@ another user could have written.
 
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -24,11 +25,14 @@ from repro.bvh import (
     build_bvh,
     get_default_engine,
     set_default_engine,
+    traversal_engine,
 )
-from repro.bvh import compiled, traversal
-from repro.core.emst import emst
+from repro.bvh import build, compiled, reference, traversal
+from repro.core import bounds, merge, outgoing
+from repro.core.emst import emst, mutual_reachability_emst
 from repro.core.labels import reduce_labels
 from repro.errors import InvalidInputError
+from repro.hdbscan.hdbscan import hdbscan
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -37,6 +41,7 @@ import numpy as np
 from repro.bvh import batched_knn, batched_nearest, build_bvh, compiled
 from repro.errors import InvalidInputError
 
+assert compiled.selected()
 pts = np.random.default_rng(0).random((64, 2))
 lanes = np.resize(pts, (600, 2))  # three blocks of lanes
 
@@ -56,8 +61,8 @@ bad["stack too shallow"] = tree()
 bad["stack too shallow"].schedule = []
 
 kernels = {
-    "nearest": lambda b: batched_nearest(b, lanes, engine="compiled"),
-    "knn": lambda b: batched_knn(b, lanes, 3, engine="compiled"),
+    "nearest": lambda b: batched_nearest(b, lanes),
+    "knn": lambda b: batched_knn(b, lanes, 3),
 }
 
 # Two defects that different lanes reach: a child out of range under the
@@ -89,7 +94,7 @@ for threads in (1, 3):
                 print("answered", threads, name, kernel)
     for name, queries in orders.items():
         try:
-            batched_nearest(two, queries, engine="compiled")
+            batched_nearest(two, queries)
         except InvalidInputError as exc:
             print("raised", threads, name, "nearest", exc)
         else:
@@ -234,17 +239,16 @@ def test_arguments_are_validated_before_any_pointer():
         dict(query_labels=np.zeros(n, dtype=np.int64)),  # no node_labels
         dict(query_labels=np.zeros(n, dtype=np.int64),
              node_labels=np.zeros(3, dtype=np.int64)),
-        dict(exclude_position=np.arange(n - 2)),
         dict(init_radius_sq=np.ones(n + 1)),
     ]
-    for kwargs in bad_calls:
+    with traversal_engine("compiled"):
+        for kwargs in bad_calls:
+            with pytest.raises(InvalidInputError):
+                batched_nearest(bvh, bvh.points, **kwargs)
         with pytest.raises(InvalidInputError):
-            batched_nearest(bvh, bvh.points, engine="compiled", **kwargs)
-    with pytest.raises(InvalidInputError):
-        batched_knn(bvh, bvh.points, 2, engine="compiled",
-                    exclude_position=np.arange(3))
-    with pytest.raises(InvalidInputError):
-        batched_nearest(bvh, bvh.points[:, :2], engine="compiled")
+            batched_knn(bvh, bvh.points[:, :2], 2)
+        with pytest.raises(InvalidInputError):
+            batched_nearest(bvh, bvh.points[:, :2])
 
 
 def test_any_layout_and_dtype_is_copied_to_the_exact_one():
@@ -254,13 +258,15 @@ def test_any_layout_and_dtype_is_copied_to_the_exact_one():
     node_labels = reduce_labels(bvh, labels)
     kwargs = dict(query_labels=labels, node_labels=node_labels,
                   query_ids=bvh.order, point_ids=bvh.order)
-    want = batched_nearest(bvh, bvh.points, engine="reference", **kwargs)
-    got = batched_nearest(
-        bvh, np.asfortranarray(bvh.points), engine="compiled",
-        query_labels=labels.astype(np.int32),
-        node_labels=np.repeat(node_labels.astype(np.int16), 2)[::2],
-        query_ids=bvh.order.astype(np.int32),
-        point_ids=np.repeat(bvh.order, 2)[::2])  # strided
+    with traversal_engine("reference"):
+        want = batched_nearest(bvh, bvh.points, **kwargs)
+    with traversal_engine("compiled"):
+        got = batched_nearest(
+            bvh, np.asfortranarray(bvh.points),
+            query_labels=labels.astype(np.int32),
+            node_labels=np.repeat(node_labels.astype(np.int16), 2)[::2],
+            query_ids=bvh.order.astype(np.int32),
+            point_ids=np.repeat(bvh.order, 2)[::2])  # strided
     assert np.array_equal(got.position, want.position)
     assert np.array_equal(got.key, want.key)
 
@@ -268,9 +274,9 @@ def test_any_layout_and_dtype_is_copied_to_the_exact_one():
 def test_the_lease_returns_every_core_after_a_call_that_raises():
     bvh = build_bvh(np.random.default_rng(4).random((64, 2)))
     bvh.left[5] = 10 ** 6
-    with pytest.raises(InvalidInputError, match="child index"):
-        batched_nearest(bvh, np.resize(bvh.points, (2000, 2)),
-                        engine="compiled")
+    with traversal_engine("compiled"), \
+            pytest.raises(InvalidInputError, match="child index"):
+        batched_nearest(bvh, np.resize(bvh.points, (2000, 2)))
     assert compiled._held == 0
 
 
@@ -295,21 +301,22 @@ def test_concurrent_calls_share_the_free_cores(monkeypatch):
 
     monkeypatch.setattr(compiled, "_run", counted)
     bvh = build_bvh(np.random.default_rng(5).random((4000, 3)))
-    want = batched_nearest(bvh, bvh.points, engine="compiled",
-                           exclude_position=np.arange(bvh.n))
+    labels = np.arange(bvh.n)
+    singletons = dict(query_labels=labels,
+                      node_labels=reduce_labels(bvh, labels))
     answers = []
 
     def calls():
         for _ in range(10):
-            answers.append(batched_nearest(
-                bvh, bvh.points, engine="compiled",
-                exclude_position=np.arange(bvh.n)))
+            answers.append(batched_nearest(bvh, bvh.points, **singletons))
 
-    workers = [threading.Thread(target=calls) for _ in range(2)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
+    with traversal_engine("compiled"):
+        want = batched_nearest(bvh, bvh.points, **singletons)
+        workers = [threading.Thread(target=calls) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
     assert len(answers) == 20 and max(held) <= 3
     assert all(np.array_equal(a.position, want.position) for a in answers)
     assert compiled._held == 0
@@ -366,8 +373,9 @@ def test_no_thread_outlives_a_kernel_call(monkeypatch):
     monkeypatch.setattr(compiled, "_cpus", lambda: 3)
     bvh = build_bvh(np.random.default_rng(6).random((3000, 2)))
     before = set(os.listdir("/proc/self/task"))
-    batched_nearest(bvh, bvh.points, engine="compiled")
-    batched_knn(bvh, bvh.points, 4, engine="compiled")
+    with traversal_engine("compiled"):
+        batched_nearest(bvh, bvh.points)
+        batched_knn(bvh, bvh.points, 4)
     assert set(os.listdir("/proc/self/task")) <= before
 
 
@@ -377,6 +385,34 @@ def test_kernel_calls_release_the_gil():
     # runs; a ctypes.PyDLL call holds it, which would put every worker's
     # kernel on one core.
     assert not isinstance(compiled.library(), ctypes.PyDLL)
+
+
+def _c_members(struct):
+    """``(name, type)`` of each member of ``struct`` in ``traverse.c``,
+    a pointer's type as ``"*"``."""
+    source = Path(compiled.__file__).with_name("traverse.c").read_text()
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    body = re.search(r"typedef struct \{([^}]*)\}\s*" + struct + ";",
+                     source).group(1)
+    members = []
+    for declaration in filter(str.strip, body.split(";")):
+        ctype = declaration.split()[0]
+        for declarator in declaration.split(","):
+            name = re.search(r"(\w+)\s*$", declarator).group(1)
+            members.append((name, "*" if "*" in declarator else ctype))
+    return members
+
+
+@pytest.mark.parametrize("struct,fields", [
+    ("tree_t", compiled._Tree._fields_),
+    ("nearest_t", compiled._Nearest._fields_),
+    ("knn_t", compiled._Knn._fields_)])
+def test_the_ctypes_structs_match_traverse_c(struct, fields):
+    # A member missing on one side shifts every later one, so the first
+    # kernel call would read the wrong memory instead of raising.
+    kinds = {ctypes.c_void_p: "*", ctypes.c_int64: "int64_t"}
+    assert _c_members(struct) == [(name, kinds[kind])
+                                  for name, kind in fields]
 
 
 def test_failed_build_falls_back_to_reference(monkeypatch):
@@ -396,13 +432,48 @@ def test_failed_build_falls_back_to_reference(monkeypatch):
     rng = np.random.default_rng(3)
     pts = rng.random((200, 2))
     bvh = build_bvh(pts)
-    with pytest.raises(InvalidInputError):
-        batched_nearest(bvh, bvh.points, engine="compiled")
-    nearest = batched_nearest(bvh, bvh.points,
-                              exclude_position=np.arange(bvh.n))
+    labels = np.arange(bvh.n)
+    nearest = batched_nearest(bvh, bvh.points, query_labels=labels,
+                              node_labels=reduce_labels(bvh, labels))
     assert np.all(nearest.found)
     assert batched_knn(bvh, bvh.points, 3).positions.shape == (bvh.n, 3)
     assert emst(pts).edges.shape == (199, 2)
+
+
+#: The NumPy kernels the reference engine runs: the traversals, the
+#: Karras hierarchy, the bound scan, the component minimum and the merge.
+NUMPY_KERNELS = ((reference, "nearest_reference"),
+                 (reference, "knn_reference"),
+                 (build, "_karras_vectorized"),
+                 (bounds, "_scan_pairs"),
+                 (outgoing, "_component_min"),
+                 (merge, "_merge_by_jumping"))
+
+
+def test_the_compiled_engine_runs_no_numpy_kernel(monkeypatch):
+    # A step that fell back to NumPy would give the same answers and
+    # counters, and would show only as a slower benchmark.
+    ran = []
+    for module, name in NUMPY_KERNELS:
+        def recorded(*args, _kernel=getattr(module, name), _name=name,
+                     **kwargs):
+            ran.append(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+    pts = np.random.default_rng(8).random((300, 2))
+
+    def jobs():
+        emst(pts)
+        mutual_reachability_emst(pts, 4)
+        hdbscan(pts, min_cluster_size=5, k_pts=4)
+
+    with traversal_engine("reference"):
+        jobs()
+    assert set(ran) == {name for _, name in NUMPY_KERNELS}
+    ran.clear()
+    with traversal_engine("compiled"):
+        jobs()
+    assert ran == []
 
 
 # --------------------------------------------------------------- loader

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.delaunay2d import delaunay_emst_2d
 from repro.bvh import build_bvh
-from repro.bvh.traversal import batched_nearest
+from repro.bvh.traversal import batched_nearest, traversal_engine
 from repro.core.emst import emst
 from repro.kokkos.counters import CostCounters
 from repro.kokkos.costmodel import simulate_seconds
@@ -19,8 +19,8 @@ class TestCountersConsistency:
         pts = rng.random((500, 3))
         bvh = build_bvh(pts)
         counters = CostCounters()
-        batched_nearest(bvh, pts[:100], counters=counters,
-                        engine="reference")
+        with traversal_engine("reference"):
+            batched_nearest(bvh, pts[:100], counters=counters)
         # Every popped node evaluates its own box + two child boxes at
         # most; leaf evaluations never exceed leaf visits.
         assert counters.box_distance_evals <= 3 * counters.nodes_visited

@@ -97,7 +97,9 @@ class TestHighResolutionBVH:
         for n in (2, 3, 50, 400):
             bvh = build_bvh(rng.random((n, 3)), high_resolution=True)
             check_bvh_invariants(bvh)
-            assert bvh.codes_lo is not None
+            hi, lo = morton_encode_high(bvh.points)
+            assert np.all((hi[:-1] < hi[1:])
+                          | ((hi[:-1] == hi[1:]) & (lo[:-1] <= lo[1:])))
 
     def test_duplicates(self, rng):
         pts = np.repeat(rng.random((5, 2)), 10, axis=0)

@@ -697,8 +697,7 @@ class TestScheduler:
             sched.shutdown()
 
     def test_light_load_stays_on_the_most_recently_idled_worker(self):
-        """Sequential jobs all land on one thread, so per-thread runner
-        state (the traversal workspace) is allocated once, not per worker."""
+        """Sequential jobs all land on one thread."""
         sched = Scheduler(lambda ticket: threading.current_thread().name,
                           max_workers=3)
         try:

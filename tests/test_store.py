@@ -21,6 +21,7 @@ from repro import emst, hdbscan
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import build_tree, mutual_reachability_emst
 from repro.errors import InvalidInputError, ServiceError
+from repro.geometry.morton import morton_encode
 from repro.service import (
     Engine,
     JobSpec,
@@ -49,8 +50,7 @@ from repro.store.blob import (
 from tests.conftest import TREE_CONFIGS
 
 
-TREE_ARRAYS = ("points", "order", "codes", "left", "right", "parent",
-               "lo", "hi")
+TREE_ARRAYS = ("points", "order", "left", "right", "parent", "lo", "hi")
 
 
 def _tree_value(tree):
@@ -65,11 +65,8 @@ def _tree_of(value, points):
 
 def _assert_same_tree(back, tree):
     """Every array of ``back`` equals ``tree``'s, dtype and bytes."""
-    for name in TREE_ARRAYS + ("codes_lo",):
+    for name in TREE_ARRAYS:
         got, want = getattr(back, name), getattr(tree, name)
-        if want is None:
-            assert got is None, name
-            continue
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     assert [level.tobytes() for level in back.schedule] == \
@@ -83,6 +80,7 @@ def _full_state_blob(tree, fmt, leaf_start=None, leaf_count=None):
     meta = {"tier": "tree", "n_schedule": len(tree.schedule),
             "counters": None, "format": fmt}
     arrays = {name: getattr(tree, name) for name in TREE_ARRAYS}
+    arrays["codes"] = morton_encode(tree.points)
     for level, step in enumerate(tree.schedule):
         arrays[f"schedule_{level:03d}"] = step
     if leaf_start is not None:

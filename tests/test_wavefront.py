@@ -1,10 +1,10 @@
-"""Engines: equivalence, counters, workspaces.
+"""Engines: equivalence and counters.
 
 Every engine in ``ENGINES`` must be *indistinguishable by answer* from the
 single-pop reference engine on every query the EMST pipeline issues —
 including adversarial inputs (duplicate points, collinear sets,
-all-identical points) under every constraint combination (component
-labels x mutual-reachability x self-exclusion x initial radius).  The
+all-identical points) under every constraint combination (no, random or
+singleton component labels x mutual-reachability x initial radius).  The
 canonical payload bytes certify that end to end; the compiled engine
 must match the reference on every counter too, and pinned counts on a
 fixed grid keep the shared counter semantics from drifting.  The LBVH
@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given
 
 from repro.bvh import (
-    TraversalWorkspace,
     batched_knn,
     batched_nearest,
     build_bvh,
@@ -96,12 +95,11 @@ class TestEngineSelection:
         assert get_default_engine() == before
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(InvalidInputError):
-            set_default_engine("gpu")
-        rng = np.random.default_rng(0)
-        bvh = build_bvh(rng.random((10, 2)))
-        with pytest.raises(InvalidInputError):
-            batched_nearest(bvh, bvh.points, engine="cuda")
+        before = get_default_engine()
+        for name in ("gpu", "cuda"):
+            with pytest.raises(InvalidInputError):
+                set_default_engine(name)
+        assert get_default_engine() == before
 
 
 class TestByteIdentity:
@@ -155,14 +153,14 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("name,pts", adversarial_point_sets())
     def test_constrained_nearest_all_combos(self, name, pts):
-        """labels x mrd x exclude x init-radius, keyed: identical answers."""
+        """labels x mrd x init-radius, keyed: identical answers."""
         bvh = build_bvh(pts)
         for combo, kwargs in constraint_combos(bvh):
-            want = batched_nearest(bvh, bvh.points, engine="reference",
-                                   **kwargs)
+            with traversal_engine("reference"):
+                want = batched_nearest(bvh, bvh.points, **kwargs)
             for engine in ENGINES:
-                got = batched_nearest(bvh, bvh.points, engine=engine,
-                                      **kwargs)
+                with traversal_engine(engine):
+                    got = batched_nearest(bvh, bvh.points, **kwargs)
                 where = (name, combo, engine)
                 assert np.array_equal(got.position, want.position), where
                 assert np.array_equal(got.distance_sq, want.distance_sq), \
@@ -173,29 +171,34 @@ class TestByteIdentity:
         for name, pts in adversarial_point_sets():
             bvh = build_bvh(pts)
             for k in (1, 4):
-                want = batched_knn(bvh, bvh.points, k, engine="reference")
+                with traversal_engine("reference"):
+                    want = batched_knn(bvh, bvh.points, k)
                 for engine in ENGINES:
-                    got = batched_knn(bvh, bvh.points, k, engine=engine)
+                    with traversal_engine(engine):
+                        got = batched_knn(bvh, bvh.points, k)
                     assert np.array_equal(got.distance_sq,
                                           want.distance_sq), (name, k, engine)
 
 
 def constraint_combos(bvh):
-    """``(combo, kwargs)`` for labels x mrd x exclude x init-radius, keyed."""
+    """``(combo, kwargs)`` for labels x mrd x init-radius, keyed.  The
+    labels are none, three random components, or one component per point,
+    which keeps each query from finding its own point."""
     rng = np.random.default_rng(11)
     n = bvh.n
-    labels = rng.integers(0, 3, size=n)
-    node_labels = reduce_labels(bvh, labels)
+    label_sets = {"random": rng.integers(0, 3, size=n),
+                  "singleton": np.arange(n)}
     core = rng.random(n) * 0.05
-    for combo in itertools.product((False, True), repeat=4):
-        use_labels, use_mrd, use_excl, use_radius = combo
+    for combo in itertools.product((None, "random", "singleton"),
+                                   (False, True), (False, True)):
+        label_set, use_mrd, use_radius = combo
         kwargs = dict(query_ids=bvh.order, point_ids=bvh.order)
-        if use_labels:
-            kwargs.update(query_labels=labels, node_labels=node_labels)
+        if label_set is not None:
+            labels = label_sets[label_set]
+            kwargs.update(query_labels=labels,
+                          node_labels=reduce_labels(bvh, labels))
         if use_mrd:
             kwargs.update(query_core_sq=core, point_core_sq=core)
-        if use_excl:
-            kwargs.update(exclude_position=np.arange(n))
         if use_radius:
             kwargs.update(init_radius_sq=np.full(n, 0.3))
         yield combo, kwargs
@@ -203,7 +206,8 @@ def constraint_combos(bvh):
 
 def _with_counters(kernel, *args, engine, **kwargs):
     counters = CostCounters()
-    out = kernel(*args, engine=engine, counters=counters, **kwargs)
+    with traversal_engine(engine):
+        out = kernel(*args, counters=counters, **kwargs)
     return out, counters.as_dict()
 
 
@@ -232,42 +236,38 @@ class TestCompiledCounters:
     def test_knn_with_tie_positions(self):
         for name, pts in adversarial_point_sets():
             bvh = build_bvh(pts)
-            for k, exclude in itertools.product(
-                    (1, 4), (None, np.arange(bvh.n))):
+            for k in (1, 4):
                 got, got_c = _with_counters(
-                    batched_knn, bvh, bvh.points, k, engine="compiled",
-                    exclude_position=exclude)
+                    batched_knn, bvh, bvh.points, k, engine="compiled")
                 want, want_c = _with_counters(
-                    batched_knn, bvh, bvh.points, k, engine="reference",
-                    exclude_position=exclude)
-                where = (name, k, exclude is not None)
+                    batched_knn, bvh, bvh.points, k, engine="reference")
+                where = (name, k)
                 assert np.array_equal(got.positions, want.positions), where
                 assert np.array_equal(got.distance_sq, want.distance_sq), \
                     where
                 assert got_c == want_c, where
 
     def test_one_point_tree(self):
-        # The lone leaf is evaluated without the node tests, so its own
-        # exclusion check is all that skips an excluded point.
+        # The lone leaf is evaluated without the node tests, so the root's
+        # label check is all that keeps a query of its component from it.
         bvh = build_bvh(np.array([[0.5, 0.5]]))
         queries = np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 2.0]])
-        for exclude in (None, np.zeros(3, dtype=np.int64)):
+        own = dict(query_labels=np.zeros(3, dtype=np.int64),
+                   node_labels=np.zeros(1, dtype=np.int64))
+        for labels in ({}, own):
             runs = []
             for engine in ENGINES:
                 nearest, nc = _with_counters(
-                    batched_nearest, bvh, queries, engine=engine,
-                    exclude_position=exclude)
+                    batched_nearest, bvh, queries, engine=engine, **labels)
                 knn, kc = _with_counters(
-                    batched_knn, bvh, queries, 2, engine=engine,
-                    exclude_position=exclude)
-                assert np.all(nearest.found == (exclude is None)), engine
-                assert np.all((knn.positions[:, 0] == 0)
-                              == (exclude is None)), engine
+                    batched_knn, bvh, queries, 2, engine=engine)
+                assert np.all(nearest.found == (not labels)), engine
+                assert np.all(knn.positions[:, 0] == 0), engine
                 runs.append((_bits(nearest.position),
                              _bits(nearest.distance_sq), nc,
                              _bits(knn.positions), _bits(knn.distance_sq),
                              kc))
-            assert runs[0] == runs[1], exclude is not None
+            assert runs[0] == runs[1], bool(labels)
 
 
 #: Thread counts and batch widths (in lanes) the split must not change:
@@ -275,7 +275,7 @@ class TestCompiledCounters:
 THREADS = (1, 2, 3, 8)
 BATCHES = (1, 31, 32, 33, 255, 256, 257, 10_000)
 PER_QUERY = ("query_labels", "query_ids", "query_core_sq",
-             "exclude_position", "init_radius_sq")
+             "init_radius_sq")
 
 
 def _lanes(bvh, batch, kwargs):
@@ -319,21 +319,16 @@ class TestThreadCounts:
     @pytest.mark.parametrize("name,pts", adversarial_point_sets())
     def test_knn(self, name, pts, pin_threads):
         bvh = build_bvh(pts)
-        for k, exclude, batch in itertools.product(
-                (1, 4), (False, True), BATCHES):
-            kwargs = {"exclude_position": np.arange(bvh.n)} if exclude \
-                else {}
-            queries, lane_kwargs = _lanes(bvh, batch, kwargs)
+        for k, batch in itertools.product((1, 4), BATCHES):
+            queries, _ = _lanes(bvh, batch, {})
             runs = []
             for threads in THREADS:
                 pin_threads(threads)
                 got, counters = _with_counters(
-                    batched_knn, bvh, queries, k, engine="compiled",
-                    **lane_kwargs)
+                    batched_knn, bvh, queries, k, engine="compiled")
                 runs.append((_bits(got.positions), _bits(got.distance_sq),
                              counters))
-            assert all(run == runs[0] for run in runs), \
-                (name, k, exclude, batch)
+            assert all(run == runs[0] for run in runs), (name, k, batch)
 
     @pytest.mark.parametrize("algorithm", ["emst", "mrd_emst"])
     def test_payload_and_rounds(self, algorithm, pin_threads):
@@ -378,9 +373,14 @@ class TestCounterRegression:
     single-pop counter semantics cannot silently drift."""
 
     def _count(self, bvh, engine):
+        """Each grid point's nearest other point: singleton labels keep
+        a query from its own."""
+        labels = np.arange(bvh.n)
         counters = CostCounters()
-        batched_nearest(bvh, bvh.points, engine=engine, counters=counters,
-                        exclude_position=np.arange(bvh.n))
+        with traversal_engine(engine):
+            batched_nearest(bvh, bvh.points, counters=counters,
+                            query_labels=labels,
+                            node_labels=reduce_labels(bvh, labels))
         return counters
 
     def test_reference_counts(self):
@@ -421,50 +421,6 @@ class TestCounterRegression:
             assert r.lane_steps >= r.warp_steps
 
 
-class TestWorkspace:
-    def test_stack_reuse_across_launches(self):
-        rng = np.random.default_rng(1)
-        bvh = build_bvh(rng.random((300, 3)))
-        ws = TraversalWorkspace()
-        batched_knn(bvh, bvh.points, 4, workspace=ws)
-        allocations = ws.allocations
-        for _ in range(3):
-            batched_knn(bvh, bvh.points, 4, workspace=ws)
-        assert ws.allocations == allocations  # steady state: no reallocs
-        assert ws.nbytes == _held_nbytes(ws)
-
-    def test_take_grows_and_reuses(self):
-        ws = TraversalWorkspace()
-        a = ws.take("x", 100)
-        before = ws.allocations
-        b = ws.take("x", 50)
-        assert ws.allocations == before  # served from the same buffer
-        assert b.base is a.base or b.base is a  # same arena memory
-        ws.take("x", 10_000)
-        assert ws.allocations == before + 1
-
-    def test_emst_accepts_shared_workspace(self):
-        rng = np.random.default_rng(2)
-        pts = rng.random((200, 2))
-        ws = TraversalWorkspace()
-        first = emst(pts, workspace=ws)
-        second = emst(pts, workspace=ws)
-        assert np.array_equal(first.edges, second.edges)
-
-
-def _held_nbytes(obj) -> int:
-    """Summed ``.nbytes`` of every array reachable from ``obj``'s state."""
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, dict):
-        return sum(_held_nbytes(v) for v in obj.values())
-    if isinstance(obj, (tuple, list)):
-        return sum(_held_nbytes(v) for v in obj)
-    if hasattr(obj, "__dict__"):
-        return _held_nbytes(vars(obj))
-    return 0
-
-
 # ------------------------------------------------------ build and rounds
 
 def step_point_sets():
@@ -482,8 +438,7 @@ def step_point_sets():
     ]
 
 
-TREE_ARRAYS = ("points", "order", "codes", "codes_lo", "left", "right",
-               "parent", "lo", "hi")
+TREE_ARRAYS = ("points", "order", "left", "right", "parent", "lo", "hi")
 
 
 def _bits(value):

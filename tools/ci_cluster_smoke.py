@@ -19,6 +19,7 @@ Asserted invariants:
   (at most one retry), results lost with the dead node are transparently
   re-executed on a survivor at poll time;
 * **routed results are byte-identical** to direct in-process execution
+  on the reference traversal engine
   (:func:`repro.service.jobs.canonical_payload_bytes`, wall-clock phases
   stripped) — dispatch must never change answers;
 * **warm-tier pinning survives**: a re-submitted point set lands on the
@@ -70,6 +71,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.bvh import traversal_engine
 from repro.cluster import HashRing, Node
 from repro.service import JobSpec, canonical_payload_bytes
 from repro.service.executor import execute_spec, make_exec_spec
@@ -114,8 +116,9 @@ def _reference_bytes(body):
     memo_key = json.dumps(body, sort_keys=True)
     if memo_key not in _REFERENCES:
         spec = JobSpec.from_dict(body)
-        _REFERENCES[memo_key] = canonical_payload_bytes(
-            execute_spec(make_exec_spec(spec))["payload"])
+        with traversal_engine("reference"):
+            outcome = execute_spec(make_exec_spec(spec))
+        _REFERENCES[memo_key] = canonical_payload_bytes(outcome["payload"])
     return _REFERENCES[memo_key]
 
 

@@ -32,6 +32,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.bvh import traversal_engine
 from repro.obs import (
     histogram_from_sample,
     parse_prometheus_text,
@@ -132,8 +133,10 @@ def check_obs_surface(args):
             assert names == ["submit", "queued", "executed", "served"], names
             executed = _span(trace, "executed")
             assert executed["meta"]["counters"]["scalar_ops"] > 0
-        reference = canonical_payload_bytes(execute_spec(make_exec_spec(
-            JobSpec.from_dict(specs[0])))["payload"])
+        with traversal_engine("reference"):
+            outcome = execute_spec(make_exec_spec(JobSpec.from_dict(
+                specs[0])))
+        reference = canonical_payload_bytes(outcome["payload"])
         assert canonical_payload_bytes(results[0]["payload"]) == reference, \
             "FAIL: traced payload diverges from in-process reference"
         replayed = _span(results[-1]["trace"], "executed")["children"]

@@ -3,11 +3,12 @@
 
 Default mode submits a deterministic dataset job to a running
 ``repro serve`` instance over HTTP, recomputes the same job in-process
-through the pure executor (:func:`repro.service.executor.execute_spec`),
-and asserts the two payloads are byte-identical in canonical form
-(wall-clock ``phases`` stripped — see
-:func:`repro.service.jobs.canonical_payload_bytes`).  The canonical
-SHA-256 is printed so runs' logs can also be compared directly.
+on the reference traversal engine through the pure executor
+(:func:`repro.service.executor.execute_spec`), and asserts the two
+payloads are byte-identical in canonical form (wall-clock ``phases``
+stripped — see :func:`repro.service.jobs.canonical_payload_bytes`).  The
+canonical SHA-256 is printed so runs' logs can also be compared
+directly.
 
 ``--restart-warmth`` instead runs the persistence acceptance path
 end-to-end: it starts its *own* server with ``--store-dir``, submits a
@@ -41,6 +42,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.bvh import traversal_engine
 from repro.data import parse_dataset_spec
 from repro.service import JobSpec, canonical_payload_bytes
 from repro.service.executor import execute_spec, make_exec_spec
@@ -74,8 +76,9 @@ def _await_job(base, body, timeout):
 
 def _reference_bytes(body):
     spec = JobSpec.from_dict(body)
-    return canonical_payload_bytes(
-        execute_spec(make_exec_spec(spec))["payload"])
+    with traversal_engine("reference"):
+        outcome = execute_spec(make_exec_spec(spec))
+    return canonical_payload_bytes(outcome["payload"])
 
 
 def check_served_vs_reference(args):
