@@ -37,9 +37,19 @@
  * thread.
  *
  * Floating point: squared terms are added left to right from dimension 0
- * (what np.sum does over a last axis shorter than 8), clamps use NumPy's
- * NaN-propagating maximum, and the library is built with
- * -ffp-contract=off, so no multiply-add is fused and every bit matches.
+ * (what np.sum does over a last axis shorter than 8), and the library is
+ * built with -ffp-contract=off, so no multiply-add is fused.  Clamps are
+ * max_of(x, y) = x > y ? x : y, which gcc lowers to maxsd, not branches
+ * (a NaN test inside the select brings the branches back).  For x not
+ * NaN it is np.maximum(x, y): a NaN y propagates and a tie returns y.
+ * Box gaps, max_of(0.0, lo - q) then max_of(q - hi, g), differ from
+ * NumPy's only in a zero gap's sign, which squaring drops: q - hi is NaN
+ * only for a NaN query, as every tree the library builds has finite
+ * boxes (normalize_to_grid and kdtree_as_bvh reject non-finite points).
+ * The m.r.d. clamps put the core distance second, so its ties and NaN
+ * follow NumPy; a NaN query or query core distance makes the lane's
+ * bounds NaN, which prunes it, except on a one-point tree, whose leaf
+ * tests for both (nearest_leaf).
  *
  * Safety: every child index and stack push is checked, and a lane pops
  * at most one node per internal node, so a malformed tree returns an
@@ -114,8 +124,7 @@ typedef struct {
     int64_t *kpos;
 } knn_t;
 
-INLINE double np_max(double a, double b) { return (a >= b || a != a) ? a : b; }
-INLINE double np_min(double a, double b) { return (a <= b || a != a) ? a : b; }
+INLINE double max_of(double x, double y) { return x > y ? x : y; }
 
 INLINE double point_sq(const tree_t *t, const double *q, int64_t p)
 {
@@ -133,8 +142,8 @@ INLINE double box_sq(const tree_t *t, const double *q, int64_t node)
     const double *lo = t->lo + node * t->dim, *hi = t->hi + node * t->dim;
     double acc = 0.0;
     for (int64_t k = 0; k < t->dim; k++) {
-        double g = np_max(lo[k] - q[k], 0.0);
-        g = np_max(g, q[k] - hi[k]);
+        double g = max_of(0.0, lo[k] - q[k]);
+        g = max_of(q[k] - hi[k], g);
         acc += g * g;
     }
     return acc;
@@ -232,8 +241,10 @@ INLINE void nearest_leaf(const tree_t *t, const nearest_t *a, int64_t lane,
     w->distance_evals++;
     double d = point_sq(t, q, p);
     if (a->query_core_sq) {
-        d = np_max(d, a->query_core_sq[lane]);
-        d = np_max(d, a->point_core_sq[p]);
+        const double core_q = a->query_core_sq[lane];
+        if (d != d || core_q != core_q)
+            return;  /* NumPy's d is NaN (see the header) */
+        d = max_of(max_of(d, core_q), a->point_core_sq[p]);
     }
     if (!(d <= b->radius))
         return;
@@ -249,7 +260,7 @@ INLINE void nearest_leaf(const tree_t *t, const nearest_t *a, int64_t lane,
     }
     b->best = d;
     b->pos = p;
-    b->radius = np_min(b->radius, d);
+    b->radius = d;  /* d <= radius, so this is np.minimum's value */
 }
 
 INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
@@ -259,7 +270,7 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
     const int64_t leaf_base = t->n - 1;
     const int use_labels = a->query_labels != NULL;
     const int64_t qlab = use_labels ? a->query_labels[lane] : 0;
-    const double qcore = a->query_core_sq ? a->query_core_sq[lane] : 0.0;
+    const double qcore = a->query_core_sq ? a->query_core_sq[lane] : -INFINITY;
     best_t b = {a->init_radius_sq ? a->init_radius_sq[lane] : INFINITY,
                 INFINITY, -1, NO_KEY};
     int64_t sp = 0;
@@ -293,11 +304,11 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
         w->box_distance_evals += 2;
         if (ok_l) {  /* mrd(u, v) >= core(u) bounds the subtree too */
             dl = box_sq(t, q, l);
-            ok_l = (a->query_core_sq ? np_max(dl, qcore) : dl) <= rad;
+            ok_l = max_of(dl, qcore) <= rad;
         }
         if (ok_r) {
             dr = box_sq(t, q, r);
-            ok_r = (a->query_core_sq ? np_max(dr, qcore) : dr) <= rad;
+            ok_r = max_of(dr, qcore) <= rad;
         }
         if (ok_l && leaf_l)
             nearest_leaf(t, a, lane, q, l - leaf_base, &b, w);
@@ -315,9 +326,8 @@ INLINE int nearest_lane(const tree_t *t, const nearest_t *a, int64_t lane,
 /* ----------------------------------------------------------------- knn */
 
 /* Evaluate the leaf of sorted position p (see nearest_leaf). */
-INLINE void knn_leaf(const tree_t *t, const knn_t *a, int64_t lane,
-                     const double *q, int64_t p, double *kb, int64_t *kp,
-                     work_t *w)
+INLINE void knn_leaf(const tree_t *t, const knn_t *a, const double *q,
+                     int64_t p, double *kb, int64_t *kp, work_t *w)
 {
     const int64_t k = a->k;
     w->leaf_visits++;
@@ -351,7 +361,7 @@ INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
     }
     int rc = TRV_OK;
     if (leaf_base == 0)
-        knn_leaf(t, a, lane, q, 0, kb, kp, w);
+        knn_leaf(t, a, q, 0, kb, kp, w);
     else
         rc = seed_root(t, &sp, box_sq(t, q, 0));
     while (!rc && sp > 0) {
@@ -370,9 +380,9 @@ INLINE int knn_lane(const tree_t *t, const knn_t *a, int64_t lane,
         int ok_l = dl <= rad, ok_r = dr <= rad;
         const int leaf_l = l >= leaf_base, leaf_r = r >= leaf_base;
         if (ok_l && leaf_l)
-            knn_leaf(t, a, lane, q, l - leaf_base, kb, kp, w);
+            knn_leaf(t, a, q, l - leaf_base, kb, kp, w);
         if (ok_r && leaf_r)
-            knn_leaf(t, a, lane, q, r - leaf_base, kb, kp, w);
+            knn_leaf(t, a, q, r - leaf_base, kb, kp, w);
         rc = push_near_last(t, &sp, ok_l && !leaf_l, ok_r && !leaf_r, l, r,
                             dl, dr, w);
     }

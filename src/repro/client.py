@@ -58,6 +58,8 @@ import urllib.request
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 from urllib.parse import quote, urlencode, urlsplit
 
+import orjson
+
 from repro.api.contract import parse_error_envelope
 from repro.errors import (
     ClusterError,
@@ -190,7 +192,12 @@ class Client:
                     raw = response.read()
                     if binary:
                         return raw
-                    return json.loads(raw) if decode else raw.decode()
+                    if not decode:
+                        return raw.decode()
+                    try:  # orjson refuses a non-finite payload's Infinity
+                        return orjson.loads(raw)
+                    except orjson.JSONDecodeError:
+                        return json.loads(raw)
             except urllib.error.HTTPError as exc:
                 error = self._typed_error(exc)
                 if isinstance(error, NodeUnavailableError):

@@ -27,29 +27,36 @@ from repro.kokkos.counters import CostCounters
 
 def _layout(n: int):
     """Children of the median-split tree over ``n`` points, and the
-    ``(start, end)`` position range each internal node splits, parents
-    before children.  Depends on ``n`` only."""
-    leaf_base = n - 1
+    ``(start, end)`` position range each internal node splits, as an
+    ``(n - 1, 2)`` array in level order (parents before children).
+    Depends on ``n`` only.
+
+    Ids follow a depth-first walk that pops right before left and gives
+    a popped node's internal children, left first, the next ids of a
+    counter at 1 (root 0).  With ``pc`` the counter when a node pops,
+    they get ``pc`` and ``pc + iL`` (``iL``: the left one is internal),
+    the right child pops at ``pc + iL + iR``, and the left one after
+    the right subtree's ``mR - 2`` other internal nodes (``mR`` points).
+    """
     left = np.empty(n - 1, dtype=np.int64)
     right = np.empty(n - 1, dtype=np.int64)
+    # One column per node of a level: its id, segment start and end, and
+    # the counter when it pops.
+    level = np.array([[0], [0], [n], [1]], dtype=np.int64)
     segments = []
-    # Internal ids are assigned in discovery order (root = 0); a segment
-    # of one point is the leaf of its position, node ``leaf_base + s``.
-    n_internal = 1
-    # Stack entries: (node_id, start, end) with end - start > 1.
-    stack = [(0, 0, n)]
-    while stack:
-        node, s, e = stack.pop()
-        segments.append((s, e))
-        mid = s + (e - s) // 2
-        for children, (cs, ce) in ((left, (s, mid)), (right, (mid, e))):
-            if ce - cs == 1:
-                children[node] = leaf_base + cs
-            else:
-                children[node] = n_internal
-                stack.append((n_internal, cs, ce))
-                n_internal += 1
-    return left, right, segments
+    while level.shape[1]:
+        node, start, end, pc = level
+        segments.append(level[1:3].T)
+        mid = start + (end - start) // 2
+        in_l, in_r = mid - start > 1, end - mid > 1
+        left[node] = np.where(in_l, pc, n - 1 + start)  # or start's leaf
+        right[node] = np.where(in_r, pc + in_l, n - 1 + mid)
+        pc_r = pc + in_l + in_r
+        pc_l = pc_r + np.where(in_r, end - mid - 2, 0)
+        level = np.concatenate(
+            [np.stack([pc, start, mid, pc_l])[:, in_l],
+             np.stack([pc + in_l, mid, end, pc_r])[:, in_r]], axis=1)
+    return left, right, np.concatenate(segments)
 
 
 def kdtree_as_bvh(points: np.ndarray, *,
@@ -89,7 +96,7 @@ def kdtree_as_bvh(points: np.ndarray, *,
     left, right, segments = _layout(n)
     if order is None:
         order = np.arange(n, dtype=np.int64)
-        for s, e in segments:
+        for s, e in segments.tolist():
             seg = order[s:e]
             seg_pts = points[seg]
             widths = seg_pts.max(axis=0) - seg_pts.min(axis=0)

@@ -186,8 +186,12 @@ class EncodedPayload:
                    counters=totals.as_dict())
 
     def decode(self) -> Dict[str, Any]:
-        """The payload dict, freshly parsed from ``body``."""
-        return json.loads(self.body)
+        """The payload dict, freshly parsed from ``body`` (by ``json``
+        when orjson refuses the non-finite fallback's ``Infinity``)."""
+        try:
+            return orjson.loads(self.body)
+        except orjson.JSONDecodeError:
+            return json.loads(self.body)
 
     @property
     def nbytes(self) -> int:

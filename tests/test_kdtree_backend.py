@@ -7,11 +7,62 @@ from repro.baselines.naive import brute_force_emst, brute_force_mrd_emst
 from repro.bvh import batched_knn, batched_nearest, check_bvh_invariants
 from repro.core.boruvka_emst import SingleTreeConfig
 from repro.core.emst import emst, mutual_reachability_emst
-from repro.core.kdtree_backend import kdtree_as_bvh
+from repro.core.kdtree_backend import _layout, kdtree_as_bvh
 from repro.errors import InvalidInputError
 from repro.mst.validate import edges_canonical
 
 KD = SingleTreeConfig(tree_type="kdtree")
+
+
+def layout_loop(n):
+    """The node layout by the depth-first loop ``_layout`` replaces:
+    ``left``, ``right`` and the segments in pop order."""
+    leaf_base = n - 1
+    left = np.empty(n - 1, dtype=np.int64)
+    right = np.empty(n - 1, dtype=np.int64)
+    segments = []
+    n_internal = 1
+    stack = [(0, 0, n)]
+    while stack:
+        node, s, e = stack.pop()
+        segments.append((s, e))
+        mid = s + (e - s) // 2
+        for children, (cs, ce) in ((left, (s, mid)), (right, (mid, e))):
+            if ce - cs == 1:
+                children[node] = leaf_base + cs
+            else:
+                children[node] = n_internal
+                stack.append((n_internal, cs, ce))
+                n_internal += 1
+    return left, right, segments
+
+
+class TestLayout:
+    @pytest.mark.parametrize("sizes", [range(2, 400), [1000, 4097, 10000,
+                                                      65537]],
+                             ids=["2-399", "large"])
+    def test_matches_the_loop(self, sizes):
+        for n in sizes:
+            left, right, segments = _layout(n)
+            want_left, want_right, want_segments = layout_loop(n)
+            assert np.array_equal(left, want_left), n
+            assert np.array_equal(right, want_right), n
+            assert sorted(map(tuple, segments.tolist())) == \
+                sorted(want_segments), n
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 333])
+    def test_parents_come_before_children(self, n):
+        # A cold build partitions each segment after its parent's, and
+        # the segments of one level are disjoint, so level order splits
+        # the points as the depth-first order did.
+        segments = _layout(n)[2]
+        at = {tuple(seg): i for i, seg in enumerate(segments.tolist())}
+        assert at[(0, n)] == 0
+        for s, e in segments.tolist():
+            mid = s + (e - s) // 2
+            for child in ((s, mid), (mid, e)):
+                if child[1] - child[0] > 1:
+                    assert at[child] > at[(s, e)], (n, child)
 
 
 class TestStructure:

@@ -11,6 +11,7 @@ import pytest
 
 from repro import emst
 from repro.api.contract import WireAPI
+from repro.client import Client
 from repro.bvh import get_default_engine
 from repro.service import JobSpec, canonical_payload_bytes
 from repro.service.executor import execute_spec, make_exec_spec
@@ -253,7 +254,8 @@ def test_ragged_points_are_400(api):
 def test_non_finite_answer_keeps_infinity_over_http(api):
     """HDBSCAN* over duplicated points has λ = ∞ rows, which orjson
     would write as ``null``; cold and as a result hit, the served body
-    keeps all 200 as ``Infinity`` and decodes to the in-process answer."""
+    keeps all 200 as ``Infinity`` and decodes, with ``json.loads`` and
+    through ``Client``, to the in-process answer."""
     points = np.repeat(np.random.default_rng(7).random((40, 2)), 5, axis=0)
     spec = {"points": points.tolist(), "algorithm": "hdbscan", "k_pts": 4}
     direct = execute_spec(make_exec_spec(JobSpec.from_dict(spec),
@@ -268,6 +270,9 @@ def test_non_finite_answer_keeps_infinity_over_http(api):
         assert body["payload"]["condensed"]["lambda_val"].count(
             math.inf) == 200
         assert canonical_payload_bytes(body["payload"]) == \
+            canonical_payload_bytes(direct)
+        polled = Client(api).poll(submitted["job_id"])
+        assert canonical_payload_bytes(polled["payload"]) == \
             canonical_payload_bytes(direct)
 
 

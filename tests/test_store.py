@@ -27,6 +27,7 @@ from repro.service import (
     JobSpec,
     canonical_payload_bytes,
     emst_result_to_dict,
+    hdbscan_result_to_dict,
 )
 from repro.service.executor import execute_spec, make_exec_spec
 from repro.service.scheduler import JobTicket, Scheduler
@@ -285,6 +286,31 @@ class TestEncodedPayload:
         assert EncodedPayload.encode(infinite).body == \
             dumps(infinite).encode()
         assert calls == ["orjson", "orjson", "json"]
+
+    @pytest.mark.parametrize("kind", ["emst", "hdbscan",
+                                      "hdbscan-infinite-lambda"])
+    def test_decode_parses_as_json_loads_does(self, kind, monkeypatch):
+        # orjson parses the body; json.loads only the Infinity of an
+        # HDBSCAN* over >= k_pts duplicates, where lambda = 1/0.
+        pts = np.random.default_rng(2).random((300, 2))
+        if kind == "emst":
+            payload = emst_result_to_dict(emst(pts))
+        else:
+            if kind == "hdbscan-infinite-lambda":
+                pts = np.repeat(pts[:60], 5, axis=0)
+            payload = hdbscan_result_to_dict(
+                hdbscan(pts, min_cluster_size=5, k_pts=4))
+        encoded = EncodedPayload.encode(payload)
+        infinite = kind == "hdbscan-infinite-lambda"
+        assert (b"Infinity" in encoded.body) is infinite
+        loads = json.loads
+        calls = []
+        monkeypatch.setattr(json, "loads", lambda body: (
+            calls.append(body), loads(body))[1])
+        got = encoded.decode()
+        assert len(calls) == infinite
+        assert canonical_payload_bytes(got) == \
+            canonical_payload_bytes(loads(encoded.body))
 
     def test_numpy_scalars_are_refused(self):
         # The payload builders emit plain Python types, which every

@@ -270,6 +270,94 @@ class TestCompiledCounters:
             assert runs[0] == runs[1], bool(labels)
 
 
+def nonfinite_case(bvh, core_value):
+    """Queries the clamps must treat as NumPy does, and their cores.
+
+    The queries are the tree's points (each finds itself when no labels
+    keep it out), then rows holding NaN, ±inf, ±1e308 or -0.0, and rows
+    lying exactly on a face of some node's box.  Returns the queries,
+    the tree point each one takes its label, id and radius from, and the
+    query and point core distances: every fifth point's is
+    ``core_value``, and the extra rows cycle through NaN, +inf and
+    -0.0."""
+    n, dim = bvh.n, bvh.dim
+    rows = []
+    centre = (bvh.lo[0] + bvh.hi[0]) / 2
+    for value in (np.nan, np.inf, -np.inf, 1e308, -1e308, -0.0):
+        one = centre.copy()
+        one[0] = value
+        rows += [one, np.full(dim, value)]
+    for node in np.unique(np.linspace(0, 2 * n - 2, 7).astype(np.int64)):
+        centre = (bvh.lo[node] + bvh.hi[node]) / 2
+        for k, face in itertools.product(range(dim), (bvh.lo, bvh.hi)):
+            row = centre.copy()
+            row[k] = face[node, k]
+            rows.append(row)
+    queries = np.concatenate([bvh.points, rows])
+    core = np.random.default_rng(5).random(n) * 0.05
+    core[::5] = core_value
+    extra = np.resize([np.nan, np.inf, -0.0, 0.01], len(rows))
+    return (queries, np.arange(len(queries)) % n,
+            np.concatenate([core, extra]), core)
+
+
+def _nan_bits(value):
+    """``_bits`` with every NaN the same NaN: any NaN equals any other."""
+    return _bits(np.where(np.isnan(value), np.nan, value))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNonFiniteParity:
+    """NaN, ±inf, ±1e308 and -0.0 in queries and core distances, and
+    queries on box faces: the compiled kernels' branch-free clamps give
+    the reference's positions, keys and counters, and its distances bit
+    for bit.  (The reference squares ±1e308 gaps to inf.)"""
+
+    def _assert_nearest(self, bvh, queries, kwargs, where):
+        got, got_c = _with_counters(batched_nearest, bvh, queries,
+                                    engine="compiled", **kwargs)
+        want, want_c = _with_counters(batched_nearest, bvh, queries,
+                                      engine="reference", **kwargs)
+        assert _bits(got.position) == _bits(want.position), where
+        assert _bits(got.key) == _bits(want.key), where
+        assert _nan_bits(got.distance_sq) == _nan_bits(want.distance_sq), \
+            where
+        assert got_c == want_c, where
+
+    @pytest.mark.parametrize("n", [300, 1])
+    @pytest.mark.parametrize("core_value", [np.nan, np.inf, -0.0],
+                             ids=["nan", "inf", "-0.0"])
+    def test_nearest_all_combos(self, n, core_value):
+        # n = 1: the lone leaf is evaluated without a bound, so NaN
+        # queries and NaN query cores reach the leaf's clamps.
+        bvh = build_bvh(np.random.default_rng(3).random((n, 3)))
+        queries, idx, query_core, core = nonfinite_case(bvh, core_value)
+        for (combo, kwargs), keyed in itertools.product(
+                constraint_combos(bvh), (True, False)):
+            lane_kwargs = {key: value[idx] if key in PER_QUERY else value
+                           for key, value in kwargs.items()
+                           if keyed or key not in ("query_ids", "point_ids")}
+            if "query_core_sq" in kwargs:
+                lane_kwargs.update(query_core_sq=query_core,
+                                   point_core_sq=core)
+            self._assert_nearest(bvh, queries, lane_kwargs,
+                                 (n, combo, keyed))
+
+    @pytest.mark.parametrize("n", [300, 1])
+    def test_knn(self, n):
+        bvh = build_bvh(np.random.default_rng(3).random((n, 3)))
+        queries = nonfinite_case(bvh, 0.0)[0]
+        for k in (1, 4):
+            got, got_c = _with_counters(batched_knn, bvh, queries, k,
+                                        engine="compiled")
+            want, want_c = _with_counters(batched_knn, bvh, queries, k,
+                                          engine="reference")
+            assert _bits(got.positions) == _bits(want.positions), (n, k)
+            assert _nan_bits(got.distance_sq) == \
+                _nan_bits(want.distance_sq), (n, k)
+            assert got_c == want_c, (n, k)
+
+
 #: Thread counts and batch widths (in lanes) the split must not change:
 #: around a warp of 32 and a block of 256 lanes, and many blocks.
 THREADS = (1, 2, 3, 8)
